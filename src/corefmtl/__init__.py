@@ -16,10 +16,10 @@ from .inference import (PredictionResult, build_clusters, decode_antecedents,
                         prediction_to_document)
 from .model import ModelConfig, MtlCorefModel
 from .mtl import (PRESET_WEIGHTS, AuxiliaryLabels, TaskWeights, assign_aux_labels,
-                  coref_loss, total_loss)
-from .scoring import (AntecedentScoreRow, UnaryScore, coarse_scores, full_scores,
-                      prune_spans, unary_scores)
-from .spans import SpanCandidate, SpanRepresentation, enumerate_spans, represent_span
+                  coref_loss_from_matrix, gold_antecedent_mask, total_loss)
+from .scoring import (coarse_scores, pair_features, prune_spans, score_matrix,
+                      unary_score_tensors)
+from .spans import SpanCandidate, enumerate_spans, represent_spans
 from .synthetic import generate_corpus, generate_document
 from .training import (Checkpoint, GradCheckReport, NumericError, TrainConfig,
                        TrainResult, gradient_check, model_from_checkpoint, train)

@@ -134,15 +134,6 @@ class Tensor:
     def __rmul__(self, other):
         return mul(as_tensor(other), self)
 
-    def __truediv__(self, other):
-        return div(self, as_tensor(other))
-
-    def __rtruediv__(self, other):
-        return div(as_tensor(other), self)
-
-    def __neg__(self):
-        return neg(self)
-
     def __matmul__(self, other):
         return matmul(self, as_tensor(other))
 
@@ -199,27 +190,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     def backward(g):
         a._accumulate(_unbroadcast(g * b.data, a.data.shape))
         b._accumulate(_unbroadcast(g * a.data, b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def div(a: Tensor, b: Tensor) -> Tensor:
-    out = Tensor(a.data / b.data, _parents=(a, b))
-
-    def backward(g):
-        a._accumulate(_unbroadcast(g / b.data, a.data.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
-
-    out._backward = backward
-    return out
-
-
-def neg(a: Tensor) -> Tensor:
-    out = Tensor(-a.data, _parents=(a,))
-
-    def backward(g):
-        a._accumulate(-g)
 
     out._backward = backward
     return out
@@ -335,16 +305,6 @@ def exp(a: Tensor) -> Tensor:
     return out
 
 
-def log(a: Tensor) -> Tensor:
-    out = Tensor(np.log(a.data), _parents=(a,))
-
-    def backward(g):
-        a._accumulate(g / a.data)
-
-    out._backward = backward
-    return out
-
-
 def tanh(a: Tensor) -> Tensor:
     out = Tensor(np.tanh(a.data), _parents=(a,))
 
@@ -420,10 +380,6 @@ def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
     keep = 1.0 - rate
     mask = (rng.random(a.data.shape) < keep).astype(DTYPE) / keep
     return mul(a, constant(mask))
-
-
-def stop_grad(a: Tensor) -> Tensor:
-    return Tensor(a.data.copy())
 
 
 # -- parameters -----------------------------------------------------------

@@ -7,9 +7,10 @@ silently change an experiment.
 
 import configparser
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .encoder import EncoderConfig
+from .model import ModelStructure
 from .mtl import PRESET_WEIGHTS, TaskWeights
 from .training import TrainConfig
 
@@ -18,36 +19,19 @@ class ConfigError(ValueError):
     pass
 
 
-def _parse_bool(text: str) -> bool:
-    t = text.strip().lower()
-    if t in ("1", "true", "yes", "on"):
-        return True
-    if t in ("0", "false", "no", "off"):
-        return False
-    raise ValueError(f"not a boolean: {text!r}")
+def _parsers(cls, exclude=()) -> dict:
+    """Field name -> the type that parses its INI text, in field order."""
+    return {f.name: f.type for f in fields(cls) if f.name not in exclude}
 
+
+_MODEL = _parsers(ModelStructure, exclude=("encoder",))
 
 _SCHEMA = {
-    "encoder": {
-        "kind": str, "dim": int, "vocab_size": int, "window": int,
-        "model_name": str, "segment_length": int,
-    },
-    "model": {
-        "feature_dim": int, "hidden": int, "ffnn_depth": int, "activation": str,
-        "dropout": float, "max_span_width": int, "prune_ratio": float,
-        "top_antecedents": int,
-    },
-    "weights": {
-        "coref": float, "singleton": float, "entity_type": float,
-        "info_status": float,
-    },
-    "training": {
-        "steps": int, "task_learning_rate": float, "encoder_learning_rate": float,
-        "weight_decay": float, "clip_norm": float, "seed": int,
-        "eval_every": int, "select": str,
-    },
-    "decode": {"threshold": float},
-    "metrics": {"keep_singletons": _parse_bool, "mention_mode": str},
+    "encoder": _parsers(EncoderConfig),
+    "model": _MODEL,
+    "weights": _parsers(TaskWeights),
+    "training": _parsers(TrainConfig,
+                         exclude=("encoder", "task_weights", *_MODEL)),
 }
 
 
@@ -57,8 +41,6 @@ class RunConfig:
     model: dict = field(default_factory=dict)
     weights: dict = field(default_factory=dict)
     training: dict = field(default_factory=dict)
-    decode: dict = field(default_factory=dict)
-    metrics: dict = field(default_factory=dict)
 
     def section(self, name: str) -> dict:
         return getattr(self, name)
@@ -72,41 +54,13 @@ class RunConfig:
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from None
 
-    @property
-    def threshold(self) -> float:
-        return self.decode["threshold"]
 
-    @property
-    def keep_singletons(self) -> bool:
-        return self.metrics["keep_singletons"]
-
-    @property
-    def mention_mode(self) -> str:
-        return self.metrics["mention_mode"]
-
-
-def _defaults() -> RunConfig:
-    train = TrainConfig()
-    enc = train.encoder
-    return RunConfig(
-        encoder={"kind": enc.kind, "dim": enc.dim, "vocab_size": enc.vocab_size,
-                 "window": enc.window, "model_name": enc.model_name,
-                 "segment_length": enc.segment_length},
-        model={"feature_dim": train.feature_dim, "hidden": train.hidden,
-               "ffnn_depth": train.ffnn_depth, "activation": train.activation,
-               "dropout": train.dropout, "max_span_width": train.max_span_width,
-               "prune_ratio": train.prune_ratio,
-               "top_antecedents": train.top_antecedents},
-        weights=dict(train.task_weights.as_dict()),
-        training={"steps": train.steps,
-                  "task_learning_rate": train.task_learning_rate,
-                  "encoder_learning_rate": train.encoder_learning_rate,
-                  "weight_decay": train.weight_decay, "clip_norm": train.clip_norm,
-                  "seed": train.seed, "eval_every": train.eval_every,
-                  "select": train.select},
-        decode={"threshold": 0.5},
-        metrics={"keep_singletons": False, "mention_mode": "all"},
-    )
+def config_from_train_config(train: TrainConfig) -> RunConfig:
+    sources = {"encoder": train.encoder, "model": train,
+               "weights": train.task_weights, "training": train}
+    return RunConfig(**{section: {key: getattr(sources[section], key)
+                                  for key in keys}
+                        for section, keys in _SCHEMA.items()})
 
 
 def load_config(path=None, preset: str | None = None,
@@ -115,7 +69,7 @@ def load_config(path=None, preset: str | None = None,
 
     overrides maps "section.key" strings to unparsed values.
     """
-    cfg = _defaults()
+    cfg = config_from_train_config(TrainConfig())
     if preset is not None:
         if preset not in PRESET_WEIGHTS:
             raise ConfigError(f"unknown preset {preset!r}; choose from "
@@ -160,8 +114,6 @@ def _apply(cfg: RunConfig, section: str, key: str, raw, where: str):
 
 
 def _validate(cfg: RunConfig):
-    if cfg.metrics["mention_mode"] not in ("all", "coreferent"):
-        raise ConfigError("metrics.mention_mode must be 'all' or 'coreferent'")
     if cfg.training["select"] not in ("best", "final"):
         raise ConfigError("training.select must be 'best' or 'final'")
     if cfg.model["activation"] not in ("relu", "tanh"):
@@ -179,34 +131,7 @@ def render_config(cfg: RunConfig) -> str:
     for section in _SCHEMA:
         out.write(f"[{section}]\n")
         for key in _SCHEMA[section]:
-            value = cfg.section(section)[key]
-            if isinstance(value, bool):
-                value = "true" if value else "false"
-            out.write(f"{key} = {value}\n")
+            out.write(f"{key} = {cfg.section(section)[key]}\n")
         out.write("\n")
     return out.getvalue()
 
-
-def config_from_train_config(train: TrainConfig, threshold: float = 0.5,
-                             keep_singletons: bool = False,
-                             mention_mode: str = "all") -> RunConfig:
-    cfg = _defaults()
-    enc = train.encoder
-    cfg.encoder.update(kind=enc.kind, dim=enc.dim, vocab_size=enc.vocab_size,
-                       window=enc.window, model_name=enc.model_name,
-                       segment_length=enc.segment_length)
-    cfg.model.update(feature_dim=train.feature_dim, hidden=train.hidden,
-                     ffnn_depth=train.ffnn_depth, activation=train.activation,
-                     dropout=train.dropout, max_span_width=train.max_span_width,
-                     prune_ratio=train.prune_ratio,
-                     top_antecedents=train.top_antecedents)
-    cfg.weights = dict(train.task_weights.as_dict())
-    cfg.training.update(steps=train.steps,
-                        task_learning_rate=train.task_learning_rate,
-                        encoder_learning_rate=train.encoder_learning_rate,
-                        weight_decay=train.weight_decay, clip_norm=train.clip_norm,
-                        seed=train.seed, eval_every=train.eval_every,
-                        select=train.select)
-    cfg.decode["threshold"] = threshold
-    cfg.metrics.update(keep_singletons=keep_singletons, mention_mode=mention_mode)
-    return cfg

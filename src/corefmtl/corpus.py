@@ -14,6 +14,7 @@ sentence boundary.
 import io
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -105,21 +106,26 @@ class Document:
             pos += len(sent)
         return starts
 
-    def sentence_index(self, token: int) -> int:
-        if not 0 <= token < self.num_tokens:
+    def sentence_index(self, token: int, starts: list[int] | None = None) -> int:
+        """Index of the sentence holding token. Callers that look up many
+        tokens pass starts, from sentence_starts(), to compute it once."""
+        if starts is None:
+            starts = self.sentence_starts()
+        total = starts[-1] + len(self.sentences[-1]) if starts else 0
+        if not 0 <= token < total:
             raise CorpusError(f"{self.doc_key}: token index {token} out of range")
-        pos = 0
-        for i, sent in enumerate(self.sentences):
-            pos += len(sent)
-            if token < pos:
-                return i
-        raise AssertionError
+        # empty sentences share their start with the next one; the last
+        # sentence starting at or before token is the non-empty one holding it
+        return bisect_right(starts, token) - 1
 
-    def span_sentence(self, start: int, end: int) -> int:
+    def span_sentence(self, start: int, end: int,
+                      starts: list[int] | None = None) -> int:
         """Sentence index containing the span; error if it crosses sentences."""
         if start > end:
             raise CorpusError(f"{self.doc_key}: span ({start}, {end}) has start > end")
-        si, se = self.sentence_index(start), self.sentence_index(end)
+        if starts is None:
+            starts = self.sentence_starts()
+        si, se = self.sentence_index(start, starts), self.sentence_index(end, starts)
         if si != se:
             raise CorpusError(
                 f"{self.doc_key}: span ({start}, {end}) crosses sentences {si} and {se}"
@@ -149,6 +155,7 @@ class Document:
             if len(sent) != len(spk):
                 raise CorpusError(f"{key}: sentence {i} has {len(sent)} tokens but "
                                   f"{len(spk)} speakers")
+        starts = self.sentence_starts()
         seen_spans: dict[tuple[int, int], int] = {}
         for ci, cluster in enumerate(self.gold_clusters):
             if not cluster:
@@ -156,14 +163,14 @@ class Document:
             if len(set(cluster)) != len(cluster):
                 raise CorpusError(f"{key}: cluster {ci} repeats a span")
             for span in cluster:
-                self.span_sentence(*span)
+                self.span_sentence(*span, starts)
                 if span in seen_spans:
                     raise CorpusError(f"{key}: span {span} appears in clusters "
                                       f"{seen_spans[span]} and {ci}")
                 seen_spans[span] = ci
         mention_spans = set()
         for m in self.gold_mentions:
-            self.span_sentence(m.start, m.end)
+            self.span_sentence(m.start, m.end, starts)
             if m.span in mention_spans:
                 raise CorpusError(f"{key}: duplicate gold mention for span {m.span}")
             mention_spans.add(m.span)
@@ -509,10 +516,11 @@ def merge_sidecar(doc: Document, rows: list[SidecarRow]) -> Document:
     mentions = {m.span: m for m in doc.gold_mentions}
     span_cluster = {span: ci for ci, c in enumerate(doc.gold_clusters) for span in c}
     label_cluster: dict[str, int | None] = {}
+    starts = doc.sentence_starts()
 
     for r in rows:
         span = (r.start, r.end)
-        doc.span_sentence(r.start, r.end)
+        doc.span_sentence(r.start, r.end, starts)
         ci = span_cluster.get(span)
         if r.cluster_label is not None:
             prev = label_cluster.get(r.cluster_label, "unset")

@@ -6,7 +6,6 @@ import numpy as np
 
 from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document, Mention
 from .model import ForwardPass, MtlCorefModel
-from .scoring import AntecedentScoreRow
 
 PREDICT_HEADS = ("singleton", "entity_type", "info_status")
 
@@ -26,22 +25,22 @@ class PredictionResult:
         return sorted(set(spans))
 
 
-def decode_antecedents(rows: list[AntecedentScoreRow]) -> list[int | None]:
+def decode_antecedents(scores: np.ndarray,
+                       shortlists: list[np.ndarray]) -> list[int | None]:
     """Highest-scoring antecedent per span, None for the dummy.
 
-    The dummy scores exactly 0. Ties go to the dummy first, then to the
-    nearer antecedent.
+    scores is the (S, num_slots + 1) antecedent score matrix: column 0 is
+    the dummy, which scores exactly 0, and column 1 + t is shortlist slot
+    t. Ties go to the dummy first, then to the nearer antecedent: the
+    argmax runs over the dummy column followed by the slot columns in
+    reverse, and np.argmax returns the first maximum.
     """
-    out: list[int | None] = []
-    for row in rows:
-        best: int | None = None
-        best_score = AntecedentScoreRow.EPSILON_SCORE
-        for j, score in zip(row.antecedents, row.scores):
-            s = float(score)
-            if s > best_score or (s == best_score and best is not None and j > best):
-                best, best_score = int(j), s
-        out.append(best)
-    return out
+    if scores.shape[0] != len(shortlists):
+        raise ValueError("score matrix and shortlists disagree in length")
+    order = np.concatenate([[0], np.arange(scores.shape[1] - 1, 0, -1)])
+    best = order[np.argmax(scores[:, order], axis=1)]
+    return [int(shortlist[col - 1]) if col else None
+            for shortlist, col in zip(shortlists, best)]
 
 
 class _UnionFind:
@@ -143,9 +142,12 @@ def build_clusters(antecedents: list[int | None], kept_spans, doc_key: str,
 
 def predict_document(model: MtlCorefModel, doc: Document,
                      threshold: float = 0.5) -> PredictionResult:
+    """Decode one document; a document without tokens has no mentions."""
+    if doc.num_tokens == 0:
+        return PredictionResult(doc.doc_key, [])
     fp: ForwardPass = model.forward(
         doc, need_heads=PREDICT_HEADS if model.include_aux else ())
-    antecedents = decode_antecedents(fp.score_rows())
+    antecedents = decode_antecedents(fp.scores.data, fp.shortlists)
     singleton_probs = type_logits = status_logits = None
     if model.include_aux:
         singleton_probs = _softmax(fp.logits["singleton"].data)[:, 1]

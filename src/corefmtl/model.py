@@ -11,13 +11,16 @@ from .encoder import EncoderConfig, create_encoder_params, encode
 from .mtl import (AuxiliaryLabels, TaskWeights, assign_aux_labels, aux_losses,
                   coref_loss_from_matrix, create_head_params, gold_antecedent_mask,
                   head_logits, mention_labels, mention_scorer_loss, total_loss)
-from .scoring import (AntecedentScoreRow, coarse_scores, create_scoring_params,
-                      pair_features, prune_spans, score_matrix, unary_score_tensors)
+from .scoring import (coarse_scores, create_scoring_params, pair_features,
+                      prune_spans, score_matrix, unary_score_tensors)
 from .spans import SpanCandidate, create_span_params, enumerate_spans, represent_spans
 
 
 @dataclass(frozen=True)
-class ModelConfig:
+class ModelStructure:
+    """The model-structure fields and their defaults, shared by ModelConfig
+    and the training configuration."""
+
     encoder: EncoderConfig = field(default_factory=EncoderConfig)
     feature_dim: int = 20
     hidden: int = 1000
@@ -27,6 +30,10 @@ class ModelConfig:
     max_span_width: int = 30
     prune_ratio: float = 0.4
     top_antecedents: int = 50
+
+
+@dataclass(frozen=True)
+class ModelConfig(ModelStructure):
     genres: tuple = ()
 
     @property
@@ -50,16 +57,6 @@ class ForwardPass:
     num_slots: int
     scores: Tensor              # (S_kept, num_slots + 1); column 0 is the dummy
     logits: dict[str, Tensor]
-
-    def score_rows(self) -> list[AntecedentScoreRow]:
-        rows = []
-        for i, shortlist in enumerate(self.shortlists):
-            rows.append(AntecedentScoreRow(
-                span_index=i,
-                antecedents=tuple(int(j) for j in shortlist),
-                scores=self.scores.data[i, 1:1 + len(shortlist)].copy(),
-            ))
-        return rows
 
 
 class MtlCorefModel:

@@ -23,7 +23,6 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document
 from .layers import create_ffnn, ffnn
-from .scoring import AntecedentScoreRow
 from .spans import SpanCandidate
 
 ENTITY_TYPE_INDEX = {t: i for i, t in enumerate(ENTITY_TYPES)}
@@ -182,34 +181,6 @@ def coref_loss_from_matrix(scores: Tensor, gold_mask: np.ndarray) -> Tensor:
     masked = scores + ad.constant(np.where(gold_mask, 0.0, -np.inf))
     numer = ad.logsumexp(masked, axis=1)
     return (denom - numer).sum()
-
-
-def coref_loss(rows: list[AntecedentScoreRow], gold_index_clusters) -> float:
-    """Loss from score rows, with gold clusters given as kept-span indices."""
-    if not rows:
-        return 0.0
-    num_slots = max(len(r.antecedents) for r in rows)
-    matrix = np.full((len(rows), num_slots + 1), -np.inf)
-    matrix[:, 0] = 0.0
-    mask = np.zeros_like(matrix, dtype=bool)
-    cluster_of = {}
-    for ci, cluster in enumerate(gold_index_clusters):
-        for idx in cluster:
-            cluster_of[int(idx)] = ci
-    for r, row in enumerate(rows):
-        if row.span_index != r:
-            raise ValueError("rows must be ordered by span index")
-        matrix[r, 1:1 + len(row.antecedents)] = row.scores
-        ci = cluster_of.get(r)
-        found = False
-        if ci is not None:
-            for slot, j in enumerate(row.antecedents):
-                if cluster_of.get(int(j)) == ci:
-                    mask[r, 1 + slot] = True
-                    found = True
-        if not found:
-            mask[r, 0] = True
-    return float(coref_loss_from_matrix(ad.constant(matrix), mask).item())
 
 
 def aux_losses(logits: dict[str, Tensor], labels: AuxiliaryLabels) -> dict[str, Tensor]:

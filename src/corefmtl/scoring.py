@@ -1,4 +1,4 @@
-"""Span scoring: dual unary scores, pruning, coarse shortlists, full pair scores.
+"""Span scoring: dual unary scores, pruning, coarse shortlists, the score matrix.
 
 The unary score of a span is a trainable convex-ish combination of two
 separately parameterized feed-forward scorers, one for markable-ness and
@@ -28,30 +28,6 @@ from .layers import create_ffnn, ffnn
 from .spans import NUM_BUCKETS, SpanCandidate, bucket_index
 
 UNKNOWN_SPEAKERS = ("", "-")
-
-
-@dataclass(frozen=True)
-class UnaryScore:
-    markable: float
-    mention: float
-    combined: float
-    beta1: float
-    beta2: float
-
-
-@dataclass
-class AntecedentScoreRow:
-    """Scores for one span against its antecedent shortlist.
-
-    antecedents are kept-span indices, strictly earlier in kept order,
-    ascending. The dummy antecedent is implicit and always scores 0.
-    """
-
-    span_index: int
-    antecedents: tuple[int, ...]
-    scores: np.ndarray
-
-    EPSILON_SCORE = 0.0
 
 
 def create_scoring_params(store: ParameterStore, g_dim: int, hidden: int,
@@ -85,14 +61,6 @@ def unary_score_tensors(g: Tensor, store: ParameterStore, depth: int = 2,
     b2 = ad.take_rows(beta, np.array([1]))
     combined = b1 * markable + b2 * mention
     return markable, mention, combined
-
-
-def unary_scores(g: Tensor, store: ParameterStore, depth: int = 2,
-                 activation: str = "relu") -> list[UnaryScore]:
-    markable, mention, combined = unary_score_tensors(g, store, depth, activation)
-    b1, b2 = store["score/beta"].data
-    return [UnaryScore(float(mk), float(mn), float(cb), float(b1), float(b2))
-            for mk, mn, cb in zip(markable.data, mention.data, combined.data)]
 
 
 # -- pruning -------------------------------------------------------------------
@@ -167,10 +135,6 @@ class PairFeatures:
     genre_id: int
 
 
-def span_speaker(doc: Document, span: SpanCandidate) -> str:
-    return doc.flat_speakers()[span.start]
-
-
 def pair_features(kept_spans: list[SpanCandidate], doc: Document,
                   shortlists: list[np.ndarray], genre_id: int) -> PairFeatures:
     speakers = doc.flat_speakers()
@@ -227,20 +191,3 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures, max_slots: in
                              fill=-np.inf)
     return ad.concat([ad.constant(np.zeros((s, 1))), scattered], axis=1)
 
-
-def full_scores(g: Tensor, combined: Tensor, kept_spans: list[SpanCandidate],
-                doc: Document, shortlists: list[np.ndarray], genre_id: int,
-                store: ParameterStore, depth: int = 2,
-                activation: str = "relu") -> list[AntecedentScoreRow]:
-    """Scored shortlist rows for every kept span (inference-mode, no dropout)."""
-    pairs = pair_features(kept_spans, doc, shortlists, genre_id)
-    max_slots = max((len(sl) for sl in shortlists), default=0)
-    matrix = score_matrix(g, combined, pairs, max_slots, store, depth, activation)
-    rows = []
-    for i, shortlist in enumerate(shortlists):
-        rows.append(AntecedentScoreRow(
-            span_index=i,
-            antecedents=tuple(int(j) for j in shortlist),
-            scores=matrix.data[i, 1:1 + len(shortlist)].copy(),
-        ))
-    return rows

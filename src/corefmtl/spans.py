@@ -62,13 +62,6 @@ def enumerate_spans(doc: Document, max_span_width: int = 30) -> list[SpanCandida
     return out
 
 
-@dataclass
-class SpanRepresentation:
-    span: SpanCandidate
-    vector: np.ndarray
-    head_attention: np.ndarray
-
-
 def create_span_params(store: ParameterStore, dim: int, feature_dim: int):
     store.create("span/width_embedding", (NUM_BUCKETS, feature_dim), std=1.0)
     store.create("span/head_score", (dim, 1))
@@ -115,9 +108,3 @@ def represent_spans(embeddings: Tensor, spans: list[SpanCandidate],
     ], axis=1)
     return g, alpha.data
 
-
-def represent_span(embeddings: Tensor, span: SpanCandidate,
-                   store: ParameterStore) -> SpanRepresentation:
-    g, alpha = represent_spans(embeddings, [span], store)
-    return SpanRepresentation(span=span, vector=g.data[0].copy(),
-                              head_attention=alpha[0, :span.width].copy())

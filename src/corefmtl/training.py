@@ -9,15 +9,16 @@ resume mid-run with an identical trajectory.
 
 import dataclasses
 import json
+import platform
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .autodiff import named_rng
-from .corpus import Document
+from .corpus import CorpusError, Document
 from .encoder import EncoderConfig
 from .evaluation import evaluate
-from .model import ModelConfig, MtlCorefModel
+from .model import ModelConfig, ModelStructure, MtlCorefModel
 from .mtl import TaskWeights
 from .optim import AdamOptimizer, clip_global_norm
 
@@ -27,7 +28,9 @@ class NumericError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class TrainConfig:
+class TrainConfig(ModelStructure):
+    """Optimization settings plus, inherited, the model-structure fields."""
+
     steps: int = 14500
     task_learning_rate: float = 3e-4
     encoder_learning_rate: float = 3e-4
@@ -36,16 +39,6 @@ class TrainConfig:
     seed: int = 0
     eval_every: int = 500
     task_weights: TaskWeights = field(default_factory=TaskWeights)
-    # model structure
-    encoder: EncoderConfig = field(default_factory=EncoderConfig)
-    feature_dim: int = 20
-    hidden: int = 1000
-    ffnn_depth: int = 2
-    activation: str = "relu"
-    dropout: float = 0.3
-    max_span_width: int = 30
-    prune_ratio: float = 0.4
-    top_antecedents: int = 50
     # checkpoint selection: best dev average F1, or the final step
     select: str = "best"
 
@@ -56,12 +49,9 @@ class TrainConfig:
             raise ValueError("learning rates must be > 0")
 
     def model_config(self, genres: tuple) -> ModelConfig:
-        return ModelConfig(
-            encoder=self.encoder, feature_dim=self.feature_dim, hidden=self.hidden,
-            ffnn_depth=self.ffnn_depth, activation=self.activation,
-            dropout=self.dropout, max_span_width=self.max_span_width,
-            prune_ratio=self.prune_ratio, top_antecedents=self.top_antecedents,
-            genres=tuple(genres))
+        shared = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(ModelStructure)}
+        return ModelConfig(**shared, genres=tuple(genres))
 
 
 def config_to_dict(cfg: TrainConfig) -> dict:
@@ -137,6 +127,17 @@ class Checkpoint:
                    meta=meta)
 
 
+def _platform_stamp() -> dict[str, str]:
+    """Python, numpy and BLAS versions: bitwise reproducibility of a run
+    holds only on the platform that made it."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):
+        blas = {}
+    return {"python": platform.python_version(), "numpy": np.__version__,
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip()}
+
+
 def model_from_checkpoint(ckpt: Checkpoint) -> MtlCorefModel:
     cfg = config_from_dict(ckpt.meta["config"])
     model = MtlCorefModel(cfg.model_config(tuple(ckpt.meta["genres"])),
@@ -178,6 +179,8 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         raise ValueError("no training documents")
     for doc in train_docs:
         doc.validate()
+        if doc.num_tokens == 0:
+            raise CorpusError(f"{doc.doc_key}: training document has no tokens")
     weights = cfg.task_weights
     include_aux = _resolve_include_aux(weights, include_aux)
 
@@ -297,6 +300,7 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         "pos": pos,
         "best_step": best_step,
         "best_avg_f1": best_avg_f1,
+        **_platform_stamp(),
     }
     ckpt = Checkpoint(params=final_params, selected=selected,
                       opt_main=opt_main.state(),

@@ -33,7 +33,7 @@ from corefmtl.inference import PredictionResult, build_clusters, \
     decode_antecedents, predict_document
 from corefmtl.model import ModelConfig, MtlCorefModel
 from corefmtl.mtl import TaskWeights
-from corefmtl.scoring import AntecedentScoreRow, prune_spans
+from corefmtl.scoring import prune_spans
 from corefmtl.spans import SpanCandidate
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import TrainConfig, gradient_check, train
@@ -209,14 +209,18 @@ def test_dummy_pruning_and_decode_invariants(capfd):
             n = int(rng.integers(1, 11))
             kept_spans = [SpanCandidate(2 * i, 2 * i + int(rng.integers(0, 2)), 0)
                           for i in range(n)]
-            rows = []
+            shortlists, rows = [], []
             for i in range(n):
                 size = int(rng.integers(0, i + 1))
-                ants = tuple(sorted(rng.choice(i, size=size, replace=False)
-                                    .tolist())) if size else ()
-                rows.append(AntecedentScoreRow(
-                    i, ants, rng.normal(scale=2.0, size=len(ants))))
-            picks = decode_antecedents(rows)
+                ants = sorted(rng.choice(i, size=size, replace=False)
+                              .tolist()) if size else []
+                shortlists.append(np.array(ants, dtype=np.intp))
+                rows.append(rng.normal(scale=2.0, size=len(ants)))
+            scores = np.full((n, max(len(r) for r in rows) + 1), -np.inf)
+            scores[:, 0] = 0.0
+            for i, row in enumerate(rows):
+                scores[i, 1:1 + len(row)] = row
+            picks = decode_antecedents(scores, shortlists)
             pred = build_clusters(picks, kept_spans, "test/decode_0")
             got = {frozenset(c) for c in pred.clusters}
             links = [(i, j) for i, j in enumerate(picks) if j is not None]

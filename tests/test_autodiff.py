@@ -25,11 +25,9 @@ def finite_diff(fn, x, eps=1e-6):
     return g
 
 
-def check_unary(op, shape=(3, 4), positive=False, seed=0):
+def check_unary(op, shape=(3, 4), seed=0):
     rng = np.random.default_rng(seed)
     data = rng.normal(size=shape)
-    if positive:
-        data = np.abs(data) + 0.5
     x = Tensor(data.copy(), requires_grad=True)
 
     def value():
@@ -43,7 +41,6 @@ def check_unary(op, shape=(3, 4), positive=False, seed=0):
 class TestElementwise:
     def test_exp_log_tanh_relu(self):
         check_unary(ad.exp)
-        check_unary(ad.log, positive=True)
         check_unary(ad.tanh)
         # keep values away from the relu kink
         rng = np.random.default_rng(1)
@@ -66,14 +63,6 @@ class TestElementwise:
 
         npt.assert_allclose(b.grad, finite_diff(value, b.data), rtol=1e-6, atol=1e-9)
         npt.assert_allclose(a.grad, np.broadcast_to(b.data, (4, 3)))
-
-    def test_div(self):
-        rng = np.random.default_rng(3)
-        a = Tensor(rng.normal(size=(3, 2)), requires_grad=True)
-        b = Tensor(np.abs(rng.normal(size=(3, 2))) + 1.0, requires_grad=True)
-        (a / b).sum().backward()
-        npt.assert_allclose(a.grad, 1.0 / b.data)
-        npt.assert_allclose(b.grad, -a.data / b.data ** 2)
 
 
 class TestMatmulEinsum:
@@ -196,12 +185,6 @@ class TestGraph:
         x = Tensor(np.array([5.0]), requires_grad=True)
         (x * x).sum().backward()
         npt.assert_allclose(x.grad, [10.0])
-
-    def test_stop_grad_blocks(self):
-        x = Tensor(np.array([2.0]), requires_grad=True)
-        out = (ad.stop_grad(x) * x).sum()
-        out.backward()
-        npt.assert_allclose(x.grad, [2.0])
 
     def test_concat_splits_gradient(self):
         a = Tensor(np.ones((2, 2)), requires_grad=True)

@@ -1,18 +1,21 @@
 """Run configuration parsing and the command line surface."""
 
+import configparser
 import json
+import re
 from pathlib import Path
 
 import pytest
 
 from corefmtl.cli import main
 from corefmtl.config import (
+    _SCHEMA,
     ConfigError,
     config_from_train_config,
     load_config,
     render_config,
 )
-from corefmtl.corpus import parse_conll, read_jsonl, write_jsonl
+from corefmtl.corpus import Document, parse_conll, read_jsonl, write_jsonl
 from corefmtl.mtl import PRESET_WEIGHTS, TaskWeights
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import Checkpoint, TrainConfig
@@ -22,9 +25,7 @@ class TestLoadConfig:
     def test_defaults_mirror_train_config(self):
         cfg = load_config()
         assert cfg.train_config() == TrainConfig()
-        assert cfg.threshold == 0.5
-        assert cfg.keep_singletons is False
-        assert cfg.mention_mode == "all"
+        assert cfg == config_from_train_config(TrainConfig())
 
     def test_preset_sets_weights_only(self):
         cfg = load_config(preset="sg_ent")
@@ -63,6 +64,15 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=r"unknown section \[modle\]"):
             load_config(path)
 
+    @pytest.mark.parametrize("text", ["[decode]\nthreshold = 0.3\n",
+                                      "[metrics]\nkeep_singletons = true\n"])
+    def test_decode_and_metrics_sections_are_gone(self, tmp_path, text):
+        # threshold, keep-singletons and mention-mode are command-line flags
+        path = tmp_path / "c.ini"
+        path.write_text(text)
+        with pytest.raises(ConfigError, match="unknown section"):
+            load_config(path)
+
     def test_unknown_key(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[model]\nhiden = 12\n")
@@ -90,7 +100,6 @@ class TestLoadConfig:
             load_config(overrides={"steps": "3"})
 
     @pytest.mark.parametrize("dotted,value,message", [
-        ("metrics.mention_mode", "both", "mention_mode"),
         ("training.select", "worst", "select"),
         ("model.activation", "gelu", "activation"),
         ("model.dropout", "1.0", "dropout"),
@@ -107,8 +116,8 @@ class TestRenderConfig:
     def test_rendered_text_parses_back_equal(self, tmp_path):
         cfg = load_config(preset="sg_ent_infs",
                           overrides={"model.hidden": "12",
-                                     "metrics.keep_singletons": "true",
-                                     "decode.threshold": "0.3"})
+                                     "encoder.model_name": "bert-base",
+                                     "training.select": "final"})
         path = tmp_path / "snap.ini"
         path.write_text(render_config(cfg), encoding="utf-8")
         assert load_config(path) == cfg
@@ -116,13 +125,25 @@ class TestRenderConfig:
     def test_from_train_config(self):
         train = TrainConfig(hidden=12, steps=7,
                             task_weights=TaskWeights(0.5, 0.5, 0.0, 0.0))
-        cfg = config_from_train_config(train, threshold=0.3,
-                                       keep_singletons=True,
-                                       mention_mode="coreferent")
+        cfg = config_from_train_config(train)
         assert cfg.train_config() == train
-        assert cfg.threshold == 0.3
-        assert cfg.keep_singletons is True
-        assert cfg.mention_mode == "coreferent"
+
+    def test_readme_lists_the_schema(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text(
+            encoding="utf-8")
+        block = re.search(r"## Configuration.*?```ini\n(.*?)```", readme,
+                          re.S).group(1)
+        parser = configparser.ConfigParser(interpolation=None,
+                                           inline_comment_prefixes=(";",))
+        parser.optionxform = str
+        parser.read_string(block)
+        documented = {section: list(parser[section]) for section in parser.sections()}
+        assert documented == {section: list(keys)
+                              for section, keys in _SCHEMA.items()}
+        assert load_config(overrides={f"{section}.{key}": value
+                                      for section in parser.sections()
+                                      for key, value in parser[section].items()}) \
+            == load_config()
 
 
 TINY_INI = """\
@@ -142,6 +163,13 @@ steps = 4
 eval_every = 2
 seed = 3
 """
+
+
+ZERO_TOKEN_DOCS = [
+    Document(doc_key="test/no_sentences", genre="nw", sentences=[], speakers=[]),
+    Document(doc_key="test/empty_sentences", genre="nw", sentences=[[], []],
+             speakers=[[], []]),
+]
 
 
 @pytest.fixture(scope="module")
@@ -281,6 +309,17 @@ class TestPredictCommand:
                      "--out", str(out)]) == 0
         assert read_jsonl(out) == []
 
+    def test_zero_token_documents_predict_empty(self, workdir):
+        corpus = workdir / "zero_tokens.jsonl"
+        corpus.write_text(write_jsonl(ZERO_TOKEN_DOCS), encoding="utf-8")
+        out = workdir / "zero_token_preds.jsonl"
+        assert main(["predict", str(corpus),
+                     "--checkpoint", str(workdir / "run" / "checkpoint.npz"),
+                     "--out", str(out)]) == 0
+        preds = read_jsonl(out)
+        assert [d.doc_key for d in preds] == [d.doc_key for d in ZERO_TOKEN_DOCS]
+        assert all(d.gold_clusters == [] and d.gold_mentions == [] for d in preds)
+
 
 class TestScoreCommand:
     def test_prints_report(self, workdir, preds_path, capsys):
@@ -365,6 +404,17 @@ class TestExitCodes:
                      "--preset", "everything",
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_zero_token_training_document_is_data_error(self, workdir, tmp_path,
+                                                        capsys):
+        corpus = tmp_path / "with_empty.jsonl"
+        docs = read_jsonl(workdir / "train.jsonl") + ZERO_TOKEN_DOCS[:1]
+        corpus.write_text(write_jsonl(docs), encoding="utf-8")
+        code = main(["train", str(corpus), "--config", str(workdir / "tiny.ini"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "test/no_sentences: training document has no tokens" \
+            in capsys.readouterr().err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_code(self, workdir, tmp_path, capsys):

@@ -433,6 +433,27 @@ class TestDocumentGeometry:
         with pytest.raises(CorpusError, match="out of range"):
             doc.sentence_index(3)
 
+    def test_empty_sentences(self):
+        # empty sentences hold no token: lookups skip them wherever they sit
+        doc = make_document([[], ["a", "b"], [], [], ["c"], []],
+                            clusters=[[(0, 1), (2, 2)]],
+                            doc_key="t/e")
+        assert [doc.sentence_index(t) for t in range(3)] == [1, 1, 4]
+        assert doc.span_sentence(0, 1) == 1
+        assert doc.span_sentence(2, 2) == 4
+        doc.validate()
+        with pytest.raises(CorpusError, match="crosses sentences 1 and 4"):
+            doc.span_sentence(1, 2)
+        with pytest.raises(CorpusError, match="out of range"):
+            doc.sentence_index(3)
+        merged = merge_sidecar(doc, read_sidecar("t/e\t2\t2\tperson\tnew\t_\n"))
+        assert merged.mention_map()[(2, 2)].entity_type == "person"
+        with pytest.raises(CorpusError, match=r"span \(1, 2\) crosses"):
+            merge_sidecar(doc, read_sidecar("t/e\t1\t2\tperson\tnew\t_\n"))
+        empty = make_document([[], []])
+        with pytest.raises(CorpusError, match="out of range"):
+            empty.sentence_index(0)
+
 
 class TestValidate:
     def test_speaker_shape_mismatch(self):

@@ -15,7 +15,6 @@ from corefmtl.inference import (
     prediction_from_document,
     prediction_to_document,
 )
-from corefmtl.scoring import AntecedentScoreRow
 from corefmtl.spans import SpanCandidate
 from helpers import make_document, spans_to_clusters
 
@@ -24,32 +23,37 @@ def cand(s, e, sent=0):
     return SpanCandidate(s, e, sent)
 
 
-def row(i, antecedents, scores):
-    return AntecedentScoreRow(i, tuple(antecedents), np.asarray(scores, float))
+def score_matrix(rows):
+    """(scores, shortlists) from one (antecedents, scores) pair per span:
+    the dummy column is 0 and unused slots hold -inf, as the model builds."""
+    shortlists = [np.asarray(ants, dtype=np.intp) for ants, _ in rows]
+    num_slots = max((len(sl) for sl in shortlists), default=0)
+    scores = np.full((len(rows), num_slots + 1), -np.inf)
+    scores[:, 0] = 0.0
+    for i, (ants, vals) in enumerate(rows):
+        scores[i, 1:1 + len(ants)] = vals
+    return scores, shortlists
 
 
 class TestDecodeAntecedents:
     def test_picks_argmax_above_dummy(self):
-        rows = [row(0, (), ()),
-                row(1, (0,), (1.5,)),
-                row(2, (0, 1), (-1.0, 2.0))]
-        assert decode_antecedents(rows) == [None, 0, 1]
+        rows = [((), ()), ((0,), (1.5,)), ((0, 1), (-1.0, 2.0))]
+        assert decode_antecedents(*score_matrix(rows)) == [None, 0, 1]
 
     def test_all_negative_scores_decode_to_dummy(self):
-        rows = [row(0, (), ()), row(1, (0,), (-0.25,))]
-        assert decode_antecedents(rows) == [None, None]
+        rows = [((), ()), ((0,), (-0.25,))]
+        assert decode_antecedents(*score_matrix(rows)) == [None, None]
 
     def test_tie_with_dummy_goes_to_dummy(self):
-        rows = [row(0, (), ()), row(1, (0,), (0.0,))]
-        assert decode_antecedents(rows) == [None, None]
+        rows = [((), ()), ((0,), (0.0,))]
+        assert decode_antecedents(*score_matrix(rows)) == [None, None]
 
     def test_tie_between_antecedents_goes_to_nearer(self):
-        rows = [row(0, (), ()), row(1, (0,), (0.5,)),
-                row(2, (0, 1), (3.0, 3.0))]
-        assert decode_antecedents(rows)[2] == 1
+        rows = [((), ()), ((0,), (0.5,)), ((0, 1), (3.0, 3.0))]
+        assert decode_antecedents(*score_matrix(rows))[2] == 1
 
     def test_empty(self):
-        assert decode_antecedents([]) == []
+        assert decode_antecedents(*score_matrix([])) == []
 
 
 def brute_force_closure(antecedents):

@@ -15,7 +15,6 @@ from corefmtl.mtl import (
     TaskWeights,
     assign_aux_labels,
     aux_losses,
-    coref_loss,
     coref_loss_from_matrix,
     create_head_params,
     cross_entropy,
@@ -25,7 +24,6 @@ from corefmtl.mtl import (
     mention_scorer_loss,
     total_loss,
 )
-from corefmtl.scoring import AntecedentScoreRow
 from corefmtl.spans import SpanCandidate
 from helpers import make_document, spans_to_clusters
 
@@ -176,65 +174,68 @@ class TestGoldAntecedentMask:
             assert not (mask[i, 0] and mask[i, 1:].any())
 
 
+def antecedent_scores(rows):
+    """Score matrix, shortlists and kept spans (span i is token i) from one
+    tuple of antecedent scores per span; span i's shortlist is 0..i-1."""
+    n = len(rows)
+    scores = np.full((n, max(n - 1, 0) + 1), -np.inf)
+    scores[:, 0] = 0.0
+    for i, vals in enumerate(rows):
+        scores[i, 1:1 + i] = vals
+    shortlists = [np.arange(i, dtype=np.intp) for i in range(n)]
+    return scores, shortlists, [cand(i, i) for i in range(n)]
+
+
+def matrix_loss(rows, clusters):
+    """coref_loss_from_matrix with gold clusters given as span indices."""
+    scores, shortlists, kept = antecedent_scores(rows)
+    span_clusters = [[(i, i) for i in c] for c in clusters]
+    mask = gold_antecedent_mask(kept, shortlists, span_clusters,
+                                scores.shape[1] - 1)
+    return coref_loss_from_matrix(ad.constant(scores), mask).item()
+
+
 class TestCorefLoss:
     def test_hand_computed_two_span_case(self):
         # span 1 has one antecedent (span 0, score 2.0) and the dummy (0.0);
         # gold links them, so loss = log(e^0 + e^2) - 2
-        rows = [AntecedentScoreRow(0, (), np.zeros(0)),
-                AntecedentScoreRow(1, (0,), np.array([2.0]))]
         expected = math.log(1 + math.exp(2.0)) - 2.0
-        got = coref_loss(rows, [[0, 1]])
+        got = matrix_loss([(), (2.0,)], [[0, 1]])
         npt.assert_allclose(got, expected, rtol=1e-12)
         # span 0 contributes 0: its only option is the dummy, which is gold
 
     def test_non_mention_prefers_dummy(self):
-        rows = [AntecedentScoreRow(0, (), np.zeros(0)),
-                AntecedentScoreRow(1, (0,), np.array([-1.0]))]
         # no gold clusters: both spans' gold is the dummy
         expected = math.log(1 + math.exp(-1.0))
-        npt.assert_allclose(coref_loss(rows, []), expected, rtol=1e-12)
+        npt.assert_allclose(matrix_loss([(), (-1.0,)], []), expected, rtol=1e-12)
 
     def test_multiple_gold_antecedents_marginalize(self):
-        rows = [AntecedentScoreRow(0, (), np.zeros(0)),
-                AntecedentScoreRow(1, (0,), np.array([0.5])),
-                AntecedentScoreRow(2, (0, 1), np.array([1.0, 2.0]))]
-        loss = coref_loss(rows, [[0, 1, 2]])
+        loss = matrix_loss([(), (0.5,), (1.0, 2.0)], [[0, 1, 2]])
         span1 = math.log(1 + math.exp(0.5)) - 0.5
         denom2 = math.log(1 + math.exp(1.0) + math.exp(2.0))
         numer2 = math.log(math.exp(1.0) + math.exp(2.0))
         npt.assert_allclose(loss, span1 + (denom2 - numer2), rtol=1e-12)
 
     def test_perfectly_confident_model_approaches_zero(self):
-        rows = [AntecedentScoreRow(0, (), np.zeros(0)),
-                AntecedentScoreRow(1, (0,), np.array([50.0]))]
-        assert coref_loss(rows, [[0, 1]]) < 1e-6
+        assert matrix_loss([(), (50.0,)], [[0, 1]]) < 1e-6
 
     def test_empty_rows(self):
-        assert coref_loss([], []) == 0.0
-
-    def test_rows_must_be_ordered(self):
-        rows = [AntecedentScoreRow(1, (), np.zeros(0))]
-        with pytest.raises(ValueError, match="ordered"):
-            coref_loss(rows, [])
+        assert matrix_loss([], []) == 0.0
 
     def test_matrix_form_matches_row_form(self):
+        # the matrix loss against a span-by-span sum written out with math
         rng = np.random.default_rng(0)
         n = 5
-        shortlists = [np.arange(i, dtype=np.intp) for i in range(n)]
-        rows = [AntecedentScoreRow(i, tuple(range(i)), rng.normal(size=i))
-                for i in range(n)]
+        rows = [tuple(rng.normal(size=i)) for i in range(n)]
         clusters = [[0, 2, 4], [1, 3]]
-        num_slots = n - 1
-        matrix = np.full((n, num_slots + 1), -np.inf)
-        matrix[:, 0] = 0.0
-        for i, r in enumerate(rows):
-            matrix[i, 1:1 + i] = r.scores
-        kept = [cand(i, i) for i in range(n)]
-        span_clusters = [[(i, i) for i in c] for c in clusters]
-        mask = gold_antecedent_mask(kept, shortlists, span_clusters, num_slots)
-        via_matrix = coref_loss_from_matrix(ad.constant(matrix), mask).item()
-        via_rows = coref_loss(rows, clusters)
-        npt.assert_allclose(via_matrix, via_rows, rtol=1e-12)
+        cluster_of = {i: ci for ci, c in enumerate(clusters) for i in c}
+        by_rows = 0.0
+        for i, vals in enumerate(rows):
+            gold = [v for j, v in enumerate(vals) if cluster_of[j] == cluster_of[i]]
+            denom = math.log(1.0 + sum(math.exp(v) for v in vals))
+            numer = math.log(sum(math.exp(v) for v in gold)) if gold else 0.0
+            by_rows += denom - numer
+        npt.assert_allclose(matrix_loss(rows, clusters), by_rows, rtol=1e-12)
 
     def test_matrix_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="disagree"):

@@ -9,14 +9,12 @@ from hypothesis import strategies as st
 from corefmtl import autodiff as ad
 from corefmtl.autodiff import ParameterStore, Tensor, named_rng
 from corefmtl.scoring import (
-    AntecedentScoreRow,
     coarse_scores,
     create_scoring_params,
-    full_scores,
     pair_features,
     prune_spans,
+    score_matrix,
     unary_score_tensors,
-    unary_scores,
 )
 from corefmtl.spans import (
     NUM_BUCKETS,
@@ -24,7 +22,6 @@ from corefmtl.spans import (
     bucket_index,
     create_span_params,
     enumerate_spans,
-    represent_span,
     represent_spans,
 )
 from helpers import make_document
@@ -122,19 +119,20 @@ class TestSpanRepresentation:
     def test_single_token_span_attends_to_itself(self):
         doc = make_document([["only"]])
         store = toy_store()
-        rep = represent_span(embeddings_for(doc), SpanCandidate(0, 0, 0), store)
-        npt.assert_allclose(rep.head_attention, [1.0])
+        _, alpha = represent_spans(embeddings_for(doc), [SpanCandidate(0, 0, 0)],
+                                   store)
+        npt.assert_allclose(alpha, [[1.0]])
 
     def test_soft_head_matches_manual_softmax(self):
         doc = make_document([["a", "b", "c"]])
         store = toy_store()
         emb = embeddings_for(doc)
-        rep = represent_span(emb, SpanCandidate(0, 2, 0), store)
+        g, alpha = represent_spans(emb, [SpanCandidate(0, 2, 0)], store)
         scores = emb.data @ store["span/head_score"].data[:, 0]
         weights = np.exp(scores - scores.max())
         weights /= weights.sum()
-        npt.assert_allclose(rep.head_attention, weights, rtol=1e-12)
-        npt.assert_allclose(rep.vector[2 * DIM:3 * DIM], weights @ emb.data,
+        npt.assert_allclose(alpha[0], weights, rtol=1e-12)
+        npt.assert_allclose(g.data[0, 2 * DIM:3 * DIM], weights @ emb.data,
                             rtol=1e-12)
 
     def test_width_feature_uses_buckets(self):
@@ -186,18 +184,6 @@ class TestUnaryScores:
         g, _ = represent_spans(embeddings_for(doc), spans, store)
         markable, mention, _ = unary_score_tensors(g, store)
         assert not np.allclose(markable.data, mention.data)
-
-    def test_unary_scores_records(self):
-        doc = make_document([["a", "b"]])
-        spans = enumerate_spans(doc)
-        store = toy_store()
-        g, _ = represent_spans(embeddings_for(doc), spans, store)
-        records = unary_scores(g, store)
-        assert len(records) == len(spans)
-        for r in records:
-            assert r.beta1 == 0.5 and r.beta2 == 0.5
-            npt.assert_allclose(r.combined,
-                                r.beta1 * r.markable + r.beta2 * r.mention)
 
     def test_beta_receives_gradient(self):
         doc = make_document([["a", "b"]])
@@ -375,29 +361,32 @@ class TestScoreMatrix:
         g, _ = represent_spans(emb, spans, store)
         _, _, combined = unary_score_tensors(g, store)
         _, shortlists = coarse_scores(g, combined, store, top_k=top_k)
-        rows = full_scores(g, combined, spans, doc, shortlists, genre_id=1,
-                           store=store)
-        return doc, spans, store, g, combined, shortlists, rows
+        pairs = pair_features(spans, doc, shortlists, genre_id=1)
+        m = score_matrix(g, combined, pairs, top_k, store)
+        return doc, spans, store, g, combined, shortlists, m
 
     def test_dummy_column_is_exactly_zero(self):
         doc, spans, store, g, combined, shortlists, _ = self.build()
         pairs = pair_features(spans, doc, shortlists, 1)
-        from corefmtl.scoring import score_matrix
         m = score_matrix(g, combined, pairs, 3, store)
         assert np.all(m.data[:, 0] == 0.0)
 
     def test_rows_match_shortlists(self):
-        _, _, _, _, _, shortlists, rows = self.build()
-        for row, sl in zip(rows, shortlists):
-            assert row.antecedents == tuple(int(j) for j in sl)
-            assert row.scores.shape == (len(sl),)
-            assert np.all(np.isfinite(row.scores))
-        assert AntecedentScoreRow.EPSILON_SCORE == 0.0
+        # slot t of row i holds the score of the pair (i, shortlists[i][t])
+        doc, spans, store, g, combined, shortlists, m = self.build()
+        none = [np.zeros(0, dtype=np.intp)] * len(shortlists)
+        for i, sl in enumerate(shortlists):
+            assert np.all(np.isfinite(m.data[i, 1:1 + len(sl)]))
+            for t, j in enumerate(sl):
+                one = list(none)
+                one[i] = np.array([j], dtype=np.intp)
+                single = score_matrix(g, combined, pair_features(spans, doc, one, 1),
+                                      1, store)
+                npt.assert_allclose(single.data[i, 1], m.data[i, 1 + t], rtol=1e-12)
 
     def test_unused_slots_hold_neg_inf(self):
         doc, spans, store, g, combined, shortlists, _ = self.build()
         pairs = pair_features(spans, doc, shortlists, 1)
-        from corefmtl.scoring import score_matrix
         m = score_matrix(g, combined, pairs, 3, store)
         for i, sl in enumerate(shortlists):
             assert np.all(np.isfinite(m.data[i, 1:1 + len(sl)]))
@@ -406,7 +395,6 @@ class TestScoreMatrix:
     def test_shifting_unary_scores_shifts_pairs_twice(self):
         doc, spans, store, g, combined, shortlists, _ = self.build()
         pairs = pair_features(spans, doc, shortlists, 1)
-        from corefmtl.scoring import score_matrix
         base = score_matrix(g, combined, pairs, 3, store)
         shifted = score_matrix(g, combined + ad.constant(1.5), pairs, 3, store)
         finite = np.isfinite(base.data[:, 1:])
@@ -421,14 +409,14 @@ class TestScoreMatrix:
         g, _ = represent_spans(embeddings_for(doc), spans, store)
         _, _, combined = unary_score_tensors(g, store)
         _, shortlists = coarse_scores(g, combined, store)
-        rows = full_scores(g, combined, spans, doc, shortlists, 0, store)
-        assert rows[0].antecedents == ()
-        assert rows[0].scores.shape == (0,)
+        assert len(shortlists[0]) == 0
+        m = score_matrix(g, combined, pair_features(spans, doc, shortlists, 0), 0,
+                         store)
+        assert m.data.tolist() == [[0.0]]
 
     def test_gradients_reach_pair_parameters(self):
         doc, spans, store, g, combined, shortlists, _ = self.build()
         pairs = pair_features(spans, doc, shortlists, 1)
-        from corefmtl.scoring import score_matrix
         m = score_matrix(g, combined, pairs, 3, store)
         finite = ad.take_rows(m.reshape((m.size,)),
                               np.flatnonzero(np.isfinite(m.data)))
@@ -451,6 +439,5 @@ class TestScoreMatrix:
         _, _, combined = unary_score_tensors(g, store)
         _, shortlists = coarse_scores(g, combined, store)
         pairs = pair_features(spans, doc, shortlists, 0)
-        from corefmtl.scoring import score_matrix
         m = score_matrix(g, combined, pairs, max(len(s) for s in shortlists), store)
         assert np.all(m.data[:, 0] == 0.0)

@@ -2,13 +2,15 @@
 
 import dataclasses
 import json
+import platform
 
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from corefmtl.corpus import Mention
+from corefmtl.corpus import CorpusError, Mention
 from corefmtl.encoder import EncoderConfig, build_vocab
+from corefmtl.inference import PredictionResult, predict_document
 from corefmtl.model import MtlCorefModel
 from corefmtl.mtl import TaskWeights
 from corefmtl.synthetic import generate_corpus
@@ -130,6 +132,15 @@ class TestCheckpoint:
         assert params_equal(loaded.opt_main["arrays"],
                             result.checkpoint.opt_main["arrays"])
 
+    def test_meta_carries_platform_stamp(self, docs, tmp_path):
+        result = train(docs, tiny_config(steps=1))
+        path = tmp_path / "ck.npz"
+        result.checkpoint.save(path)
+        meta = Checkpoint.load(path).meta
+        assert meta["python"] == platform.python_version()
+        assert meta["numpy"] == np.__version__
+        assert isinstance(meta["blas"], str) and meta["blas"]
+
     def test_load_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "other.npz"
         with open(path, "wb") as fh:
@@ -193,6 +204,24 @@ class TestResume:
         ckpt.params["encoder/embedding"] = np.full_like(emb, np.nan)
         with pytest.raises(NumericError, match=r"step 2 on document \w+/synth"):
             train(docs, tiny_config(steps=2), resume_from=ckpt)
+
+
+ZERO_TOKEN_DOCS = [make_document([], doc_key="test/no_sentences"),
+                   make_document([[], []], doc_key="test/empty_sentences")]
+
+
+class TestZeroTokenDocuments:
+    @pytest.mark.parametrize("empty", ZERO_TOKEN_DOCS, ids=lambda d: d.doc_key)
+    def test_predict_gives_empty_prediction(self, empty):
+        cfg = tiny_config(task_weights=TaskWeights(0.5, 0.5, 0.0, 0.0))
+        model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, ["a"])
+        assert predict_document(model, empty) == PredictionResult(empty.doc_key, [])
+
+    @pytest.mark.parametrize("empty", ZERO_TOKEN_DOCS, ids=lambda d: d.doc_key)
+    def test_train_names_the_document(self, docs, empty):
+        with pytest.raises(CorpusError, match=f"{empty.doc_key}: training "
+                                              "document has no tokens"):
+            train(docs + [empty], tiny_config())
 
 
 class TestConfigDict:
