@@ -21,7 +21,8 @@ from .scoring import (coarse_scores, pair_features, prune_spans, score_matrix,
                       unary_score_tensors)
 from .spans import SpanCandidate, enumerate_spans, represent_spans
 from .synthetic import generate_corpus, generate_document
-from .training import (Checkpoint, GradCheckReport, NumericError, TrainConfig,
-                       TrainResult, gradient_check, model_from_checkpoint, train)
+from .training import (Checkpoint, CheckpointError, GradCheckReport, NumericError,
+                       TrainConfig, TrainResult, gradient_check,
+                       model_from_checkpoint, train)
 
 __version__ = "0.1.0"

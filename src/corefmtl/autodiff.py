@@ -201,8 +201,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(a.data @ b.data, _parents=(a, b))
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
     out._backward = backward
     return out

@@ -1,7 +1,7 @@
 """Command line interface: train, predict, score, analyze-errors.
 
-Exit codes: 0 success, 1 usage error, 2 data or configuration error,
-3 numeric failure during training.
+Exit codes: 0 success, 1 usage error, 2 data, configuration or checkpoint
+error, 3 numeric failure during training.
 """
 
 import argparse
@@ -16,7 +16,8 @@ from .encoder import CACHE_ENV_VAR, EncoderCapabilityError
 from .error_analysis import contrast, format_contrast
 from .evaluation import EvaluationError, evaluate, format_report, report_to_dict
 from .inference import predict_document, prediction_to_document
-from .training import Checkpoint, NumericError, model_from_checkpoint, train
+from .training import (Checkpoint, CheckpointError, NumericError,
+                       model_from_checkpoint, train)
 
 
 class UsageError(Exception):
@@ -49,8 +50,7 @@ def cmd_train(args) -> int:
     overrides = {}
     if args.seed is not None:
         overrides["training.seed"] = args.seed
-    run_cfg = load_config(args.config, args.preset, overrides)
-    cfg = run_cfg.train_config()
+    cfg = load_config(args.config, args.preset, overrides)
     train_docs = _load_corpus(args.corpus, args.sidecar)
     dev_docs = _load_corpus(args.dev, args.dev_sidecar) if args.dev else None
 
@@ -68,7 +68,7 @@ def cmd_train(args) -> int:
 
     ckpt_path = out_dir / "checkpoint.npz"
     result.checkpoint.save(ckpt_path)
-    (out_dir / "config.ini").write_text(render_config(run_cfg), encoding="utf-8")
+    (out_dir / "config.ini").write_text(render_config(cfg), encoding="utf-8")
     last_loss = next((r["loss"] for r in reversed(result.records) if "loss" in r),
                      float("nan"))
     print(f"trained {cfg.steps} steps on {len(train_docs)} documents; "
@@ -198,7 +198,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (CorpusError, ConfigError, EvaluationError,
+    except (CorpusError, ConfigError, CheckpointError, EvaluationError,
             EncoderCapabilityError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,13 +1,14 @@
 """Run configuration: a small INI dialect with strict key checking.
 
-Sections and keys mirror the training and model dataclasses; unknown
-sections or keys are rejected rather than ignored so typos cannot
-silently change an experiment.
+Sections and keys mirror the training and model dataclasses, and
+load_config builds a TrainConfig from them, so a config file runs the same
+value checks as the Python API. Unknown sections or keys are rejected
+rather than ignored so typos cannot silently change an experiment.
 """
 
 import configparser
 import io
-from dataclasses import dataclass, field, fields
+from dataclasses import fields
 
 from .encoder import EncoderConfig
 from .model import ModelStructure
@@ -35,46 +36,18 @@ _SCHEMA = {
 }
 
 
-@dataclass
-class RunConfig:
-    encoder: dict = field(default_factory=dict)
-    model: dict = field(default_factory=dict)
-    weights: dict = field(default_factory=dict)
-    training: dict = field(default_factory=dict)
-
-    def section(self, name: str) -> dict:
-        return getattr(self, name)
-
-    def train_config(self) -> TrainConfig:
-        enc = EncoderConfig(**self.encoder)
-        weights = TaskWeights(**self.weights)
-        try:
-            return TrainConfig(encoder=enc, task_weights=weights,
-                               **self.model, **self.training)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from None
-
-
-def config_from_train_config(train: TrainConfig) -> RunConfig:
-    sources = {"encoder": train.encoder, "model": train,
-               "weights": train.task_weights, "training": train}
-    return RunConfig(**{section: {key: getattr(sources[section], key)
-                                  for key in keys}
-                        for section, keys in _SCHEMA.items()})
-
-
 def load_config(path=None, preset: str | None = None,
-                overrides: dict | None = None) -> RunConfig:
+                overrides: dict | None = None) -> TrainConfig:
     """Defaults, then preset weights, then the file, then explicit overrides.
 
     overrides maps "section.key" strings to unparsed values.
     """
-    cfg = config_from_train_config(TrainConfig())
+    values = {section: {} for section in _SCHEMA}
     if preset is not None:
         if preset not in PRESET_WEIGHTS:
             raise ConfigError(f"unknown preset {preset!r}; choose from "
                               + ", ".join(sorted(PRESET_WEIGHTS)))
-        cfg.weights = dict(PRESET_WEIGHTS[preset].as_dict())
+        values["weights"].update(PRESET_WEIGHTS[preset].as_dict())
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None, strict=True)
         parser.optionxform = str
@@ -89,17 +62,21 @@ def load_config(path=None, preset: str | None = None,
             if section not in _SCHEMA:
                 raise ConfigError(f"{path}: unknown section [{section}]")
             for key, raw in parser.items(section):
-                _apply(cfg, section, key, raw, where=str(path))
+                _apply(values, section, key, raw, where=str(path))
     for dotted, raw in (overrides or {}).items():
         if "." not in dotted:
             raise ConfigError(f"override {dotted!r} must look like section.key")
         section, key = dotted.split(".", 1)
-        _apply(cfg, section, key, raw, where="override")
-    _validate(cfg)
-    return cfg
+        _apply(values, section, key, raw, where="override")
+    try:
+        return TrainConfig(encoder=EncoderConfig(**values["encoder"]),
+                           task_weights=TaskWeights(**values["weights"]),
+                           **values["model"], **values["training"])
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(str(exc)) from None
 
 
-def _apply(cfg: RunConfig, section: str, key: str, raw, where: str):
+def _apply(values: dict, section: str, key: str, raw, where: str):
     schema = _SCHEMA.get(section)
     if schema is None:
         raise ConfigError(f"{where}: unknown section [{section}]")
@@ -110,28 +87,16 @@ def _apply(cfg: RunConfig, section: str, key: str, raw, where: str):
         value = parse(raw) if isinstance(raw, str) else raw
     except ValueError as exc:
         raise ConfigError(f"{where}: bad value for {section}.{key}: {exc}") from None
-    cfg.section(section)[key] = value
+    values[section][key] = value
 
 
-def _validate(cfg: RunConfig):
-    if cfg.training["select"] not in ("best", "final"):
-        raise ConfigError("training.select must be 'best' or 'final'")
-    if cfg.model["activation"] not in ("relu", "tanh"):
-        raise ConfigError("model.activation must be 'relu' or 'tanh'")
-    if not 0.0 <= cfg.model["dropout"] < 1.0:
-        raise ConfigError("model.dropout must be in [0, 1)")
-    try:
-        cfg.train_config()
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
-def render_config(cfg: RunConfig) -> str:
+def render_config(cfg: TrainConfig) -> str:
+    sources = {"encoder": cfg.encoder, "model": cfg,
+               "weights": cfg.task_weights, "training": cfg}
     out = io.StringIO()
-    for section in _SCHEMA:
+    for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
-        for key in _SCHEMA[section]:
-            out.write(f"{key} = {cfg.section(section)[key]}\n")
+        for key in keys:
+            out.write(f"{key} = {getattr(sources[section], key)}\n")
         out.write("\n")
     return out.getvalue()
-

@@ -565,11 +565,13 @@ def merge_sidecar(doc: Document, rows: list[SidecarRow]) -> Document:
 
 def apply_sidecar(docs: list[Document], rows: list[SidecarRow]) -> list[Document]:
     """merge_sidecar over a corpus; rows naming unknown documents are errors."""
-    known = {d.doc_key for d in docs}
-    orphans = sorted({r.doc_key for r in rows} - known)
+    by_doc: dict[str, list[SidecarRow]] = {}
+    for r in rows:
+        by_doc.setdefault(r.doc_key, []).append(r)
+    orphans = sorted(set(by_doc) - {d.doc_key for d in docs})
     if orphans:
         raise CorpusError("sidecar references unknown document(s): " + ", ".join(orphans))
-    return [merge_sidecar(d, rows) for d in docs]
+    return [merge_sidecar(d, by_doc.get(d.doc_key, [])) for d in docs]
 
 
 # -- JSON lines ----------------------------------------------------------------

@@ -5,6 +5,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 
+ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+
 
 def create_ffnn(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
                 out_dim: int, depth: int = 2, zero_output: bool = False):
@@ -22,7 +24,7 @@ def ffnn(x: Tensor, store: ParameterStore, prefix: str, depth: int = 2,
          activation: str = "relu", dropout: float = 0.0,
          rng: np.random.Generator | None = None) -> Tensor:
     """Apply the named feed-forward block; output is linear (no activation)."""
-    act = {"relu": ad.relu, "tanh": ad.tanh}[activation]
+    act = ACTIVATIONS[activation]
     h = x
     for layer in range(depth):
         h = act(ad.matmul(h, store[f"{prefix}/w{layer}"]) + store[f"{prefix}/b{layer}"])

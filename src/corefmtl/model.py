@@ -8,6 +8,7 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor, named_rng
 from .corpus import Document
 from .encoder import EncoderConfig, create_encoder_params, encode
+from .layers import ACTIVATIONS
 from .mtl import (AuxiliaryLabels, TaskWeights, assign_aux_labels, aux_losses,
                   coref_loss_from_matrix, create_head_params, gold_antecedent_mask,
                   head_logits, mention_labels, mention_scorer_loss, total_loss)
@@ -30,6 +31,13 @@ class ModelStructure:
     max_span_width: int = 30
     prune_ratio: float = 0.4
     top_antecedents: int = 50
+
+    def __post_init__(self):
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"activation must be one of {', '.join(ACTIVATIONS)}, "
+                             f"got {self.activation!r}")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
 
 
 @dataclass(frozen=True)
@@ -139,9 +147,8 @@ class MtlCorefModel:
 
         logits: dict[str, Tensor] = {}
         if self.include_aux and need_heads:
-            all_logits = head_logits(g_kept, self.store, cfg.ffnn_depth,
-                                     cfg.activation, dropout, rng_factory)
-            logits = {task: all_logits[task] for task in need_heads}
+            logits = head_logits(g_kept, self.store, need_heads, cfg.ffnn_depth,
+                                 cfg.activation, dropout, rng_factory)
         return ForwardPass(spans=spans, kept=kept, kept_spans=kept_spans,
                            g_kept=g_kept, markable=markable, mention=mention,
                            combined=combined, combined_kept=combined_kept,

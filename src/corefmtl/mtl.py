@@ -104,11 +104,13 @@ def create_head_params(store: ParameterStore, g_dim: int, hidden: int, depth: in
                     zero_output=True)
 
 
-def head_logits(g: Tensor, store: ParameterStore, depth: int = 2,
-                activation: str = "relu", dropout: float = 0.0,
+def head_logits(g: Tensor, store: ParameterStore, tasks=tuple(HEAD_SIZES),
+                depth: int = 2, activation: str = "relu", dropout: float = 0.0,
                 rng_factory=None) -> dict[str, Tensor]:
+    """Logits of the named heads only; each head draws its own dropout
+    stream, so which other heads run never changes its output."""
     out = {}
-    for task in HEAD_SIZES:
+    for task in tasks:
         rng = rng_factory(f"head/{task}") if rng_factory is not None else None
         out[task] = ffnn(g, store, f"head/{task}", depth, activation, dropout, rng)
     return out

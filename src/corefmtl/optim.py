@@ -1,13 +1,16 @@
-"""Adam-family optimizers over named parameter tensors.
+"""AdamW over named parameter tensors.
 
-Two variants behind one class: plain Adam, and AdamW with decoupled
-weight decay. State is keyed by parameter name so it survives a
-checkpoint round trip exactly.
+Weight decay is always decoupled and set per parameter group; a group
+with decay 0 is updated exactly as plain Adam would. State is keyed by
+parameter name so it survives a checkpoint round trip exactly.
 """
 
 import numpy as np
 
 from .autodiff import DTYPE, Tensor
+
+BETA1, BETA2 = 0.9, 0.999
+EPS = 1e-8
 
 
 def clip_global_norm(tensors: list[Tensor], max_norm: float) -> float:
@@ -31,28 +34,23 @@ def clip_global_norm(tensors: list[Tensor], max_norm: float) -> float:
 
 
 class AdamOptimizer:
-    """Adam with optional decoupled weight decay (AdamW when decoupled=True).
+    """Adam with decoupled weight decay (AdamW).
 
-    param_groups: list of (tensors, learning_rate) pairs. Every tensor must
-    carry a unique name; state is stored per name.
+    param_groups: list of (tensors, learning_rate, weight_decay) triples.
+    Every tensor must carry a unique name; state is stored per name.
     """
 
-    def __init__(self, param_groups, betas=(0.9, 0.999), eps=1e-8,
-                 weight_decay=0.0, decoupled=False):
+    def __init__(self, param_groups):
         self.groups = []
         seen = set()
-        for tensors, lr in param_groups:
+        for tensors, lr, weight_decay in param_groups:
             for t in tensors:
                 if t.name is None:
                     raise ValueError("optimizer parameters must be named")
                 if t.name in seen:
                     raise ValueError(f"parameter appears twice: {t.name}")
                 seen.add(t.name)
-            self.groups.append((list(tensors), float(lr)))
-        self.beta1, self.beta2 = betas
-        self.eps = float(eps)
-        self.weight_decay = float(weight_decay)
-        self.decoupled = bool(decoupled)
+            self.groups.append((list(tensors), float(lr), float(weight_decay)))
         self.step_count = 0
         self._m: dict[str, np.ndarray] = {}
         self._v: dict[str, np.ndarray] = {}
@@ -60,33 +58,26 @@ class AdamOptimizer:
     def step(self):
         self.step_count += 1
         t = self.step_count
-        bc1 = 1.0 - self.beta1 ** t
-        bc2 = 1.0 - self.beta2 ** t
-        for tensors, lr in self.groups:
+        bc1 = 1.0 - BETA1 ** t
+        bc2 = 1.0 - BETA2 ** t
+        for tensors, lr, weight_decay in self.groups:
             for p in tensors:
                 if p.grad is None:
                     continue
                 g = p.grad
-                if self.weight_decay != 0.0 and not self.decoupled:
-                    g = g + self.weight_decay * p.data
                 m = self._m.get(p.name)
                 v = self._v.get(p.name)
                 if m is None:
                     m = np.zeros_like(p.data)
                     v = np.zeros_like(p.data)
-                m = self.beta1 * m + (1.0 - self.beta1) * g
-                v = self.beta2 * v + (1.0 - self.beta2) * (g * g)
+                m = BETA1 * m + (1.0 - BETA1) * g
+                v = BETA2 * v + (1.0 - BETA2) * (g * g)
                 self._m[p.name] = m
                 self._v[p.name] = v
-                update = (m / bc1) / (np.sqrt(v / bc2) + self.eps)
-                if self.weight_decay != 0.0 and self.decoupled:
-                    update = update + self.weight_decay * p.data
+                update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+                if weight_decay != 0.0:
+                    update = update + weight_decay * p.data
                 p.data = p.data - lr * update
-
-    def zero_grad(self):
-        for tensors, _ in self.groups:
-            for p in tensors:
-                p.grad = None
 
     # -- checkpoint support ------------------------------------------------
 

@@ -1,7 +1,8 @@
 """Training loop, checkpoints, and the finite-difference gradient check.
 
-One document per step. The coreference parameters (encoder, spans,
-scorers) are optimized with AdamW; the auxiliary heads with plain Adam.
+One document per step. One AdamW optimizer updates three parameter
+groups: the encoder, the coreference task (spans, scorers), and the
+auxiliary heads, which get no weight decay.
 Runs are bitwise reproducible for a fixed (corpus, config, seed): every
 random stream is derived by name, and checkpoints carry enough state to
 resume mid-run with an identical trajectory.
@@ -10,6 +11,7 @@ resume mid-run with an identical trajectory.
 import dataclasses
 import json
 import platform
+import zipfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,10 @@ from .optim import AdamOptimizer, clip_global_norm
 
 class NumericError(RuntimeError):
     """Training hit a non-finite loss or gradient."""
+
+
+class CheckpointError(ValueError):
+    """A file is not a training checkpoint this package wrote."""
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,9 @@ class TrainConfig(ModelStructure):
     select: str = "best"
 
     def __post_init__(self):
+        super().__post_init__()
+        if self.select not in ("best", "final"):
+            raise ValueError(f"select must be 'best' or 'final', got {self.select!r}")
         if self.steps <= 0:
             raise ValueError(f"steps must be > 0, got {self.steps}")
         if self.task_learning_rate <= 0 or self.encoder_learning_rate <= 0:
@@ -69,8 +78,7 @@ def config_from_dict(d: dict) -> TrainConfig:
 class Checkpoint:
     params: dict[str, np.ndarray]            # final-step parameters
     selected: dict[str, np.ndarray] | None   # dev-selected, if different
-    opt_main: dict | None
-    opt_aux: dict | None
+    opt: dict                                # optimizer state
     meta: dict
 
     def predict_params(self) -> dict[str, np.ndarray]:
@@ -83,12 +91,9 @@ class Checkpoint:
         if self.selected is not None:
             for name, arr in self.selected.items():
                 arrays[f"selected/{name}"] = arr
-        for tag, state in (("opt_main", self.opt_main), ("opt_aux", self.opt_aux)):
-            if state is None:
-                continue
-            arrays[f"{tag}/step_count"] = np.array(state["step_count"])
-            for key, arr in state["arrays"].items():
-                arrays[f"{tag}/{key}"] = arr
+        arrays["opt/step_count"] = np.array(self.opt["step_count"])
+        for key, arr in self.opt["arrays"].items():
+            arrays[f"opt/{key}"] = arr
         arrays["meta"] = np.array(json.dumps(self.meta))
         # write through a handle so numpy cannot append its own suffix
         with open(path, "wb") as fh:
@@ -96,35 +101,39 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        with np.load(path, allow_pickle=False) as npz:
-            params, selected = {}, {}
-            opt = {"opt_main": {"step_count": 0, "arrays": {}},
-                   "opt_aux": {"step_count": 0, "arrays": {}}}
-            meta = None
-            seen_opt = {"opt_main": False, "opt_aux": False}
-            for key in npz.files:
-                if key == "meta":
-                    meta = json.loads(str(npz[key][()]))
-                elif key.startswith("param/"):
-                    params[key[len("param/"):]] = npz[key]
-                elif key.startswith("selected/"):
-                    selected[key[len("selected/"):]] = npz[key]
-                elif key.startswith(("opt_main/", "opt_aux/")):
-                    tag, rest = key.split("/", 1)
-                    seen_opt[tag] = True
-                    if rest == "step_count":
-                        opt[tag]["step_count"] = int(npz[key][()])
-                    else:
-                        opt[tag]["arrays"][rest] = npz[key]
+        """Read a checkpoint. The opt_main/ and opt_aux/ entries of older
+        checkpoints (two optimizers stepped together, over disjoint
+        parameters) fold into the one optimizer state."""
+        try:
+            with np.load(path, allow_pickle=False) as npz:
+                entries = {key: npz[key] for key in npz.files}
+        except (TypeError, ValueError, EOFError, zipfile.BadZipFile):
+            # a bare .npy array, non-zip bytes, or a truncated archive
+            raise CheckpointError(f"{path}: not a training checkpoint "
+                                  "(not a readable .npz archive)") from None
+        params, selected = {}, {}
+        opt = {"step_count": 0, "arrays": {}}
+        meta = None
+        for key, arr in entries.items():
+            tag, _, rest = key.partition("/")
+            if key == "meta":
+                meta = json.loads(str(arr[()]))
+            elif tag == "param":
+                params[rest] = arr
+            elif tag == "selected":
+                selected[rest] = arr
+            elif tag in ("opt", "opt_main", "opt_aux"):
+                if rest == "step_count":
+                    opt["step_count"] = int(arr[()])
                 else:
-                    raise ValueError(f"{path}: not a training checkpoint "
-                                     f"(unexpected entry {key!r})")
+                    opt["arrays"][rest] = arr
+            else:
+                raise CheckpointError(f"{path}: not a training checkpoint "
+                                      f"(unexpected entry {key!r})")
         if meta is None:
-            raise ValueError(f"{path}: not a training checkpoint (no meta entry)")
+            raise CheckpointError(f"{path}: not a training checkpoint (no meta entry)")
         return cls(params=params, selected=selected or None,
-                   opt_main=opt["opt_main"] if seen_opt["opt_main"] else None,
-                   opt_aux=opt["opt_aux"] if seen_opt["opt_aux"] else None,
-                   meta=meta)
+                   opt=opt, meta=meta)
 
 
 def _platform_stamp() -> dict[str, str]:
@@ -156,13 +165,6 @@ class TrainResult:
     best_avg_f1: float | None
 
 
-def _resolve_include_aux(weights: TaskWeights, include_aux):
-    if include_aux is None:
-        w = weights.as_dict()
-        return any(v > 0 for k, v in w.items() if k != "coref")
-    return bool(include_aux)
-
-
 def train(train_docs: list[Document], cfg: TrainConfig,
           dev_docs: list[Document] | None = None,
           include_aux: bool | None = None,
@@ -182,7 +184,8 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         if doc.num_tokens == 0:
             raise CorpusError(f"{doc.doc_key}: training document has no tokens")
     weights = cfg.task_weights
-    include_aux = _resolve_include_aux(weights, include_aux)
+    include_aux = (any(w > 0 for task, w in weights.as_dict().items() if task != "coref")
+                   if include_aux is None else bool(include_aux))
 
     from .encoder import build_vocab  # local import keeps module load light
     genres = tuple(sorted({d.genre for d in train_docs}))
@@ -201,12 +204,11 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         vocab = list(saved["vocab"])
 
     model = MtlCorefModel(cfg.model_config(genres), cfg.seed, vocab, include_aux)
-    main_groups = [(model.encoder_parameters(), cfg.encoder_learning_rate),
-                   (model.task_parameters(), cfg.task_learning_rate)]
-    opt_main = AdamOptimizer(main_groups, weight_decay=cfg.weight_decay,
-                             decoupled=True)
-    opt_aux = (AdamOptimizer([(model.aux_parameters(), cfg.task_learning_rate)])
-               if include_aux else None)
+    opt = AdamOptimizer([
+        (model.encoder_parameters(), cfg.encoder_learning_rate, cfg.weight_decay),
+        (model.task_parameters(), cfg.task_learning_rate, cfg.weight_decay),
+        (model.aux_parameters(), cfg.task_learning_rate, 0.0),
+    ])
 
     shuffle_rng = named_rng(cfg.seed, "shuffle")
     perm = shuffle_rng.permutation(len(train_docs))
@@ -215,10 +217,7 @@ def train(train_docs: list[Document], cfg: TrainConfig,
 
     if resume_from is not None:
         model.store.load_state(resume_from.params)
-        if resume_from.opt_main is not None:
-            opt_main.load_state(resume_from.opt_main)
-        if opt_aux is not None and resume_from.opt_aux is not None:
-            opt_aux.load_state(resume_from.opt_aux)
+        opt.load_state(resume_from.opt)
         shuffle_rng.bit_generator.state = resume_from.meta["rng_state"]
         perm = np.array(resume_from.meta["perm"], dtype=np.intp)
         pos = int(resume_from.meta["pos"])
@@ -267,9 +266,7 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         if not np.isfinite(grad_norm):
             raise NumericError(
                 f"non-finite gradient at step {step} on document {doc.doc_key}")
-        opt_main.step()
-        if opt_aux is not None:
-            opt_aux.step()
+        opt.step()
 
         rec = {"step": step, "doc_key": doc.doc_key, "loss": loss_value,
                "grad_norm": grad_norm}
@@ -302,9 +299,7 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         "best_avg_f1": best_avg_f1,
         **_platform_stamp(),
     }
-    ckpt = Checkpoint(params=final_params, selected=selected,
-                      opt_main=opt_main.state(),
-                      opt_aux=opt_aux.state() if opt_aux is not None else None,
+    ckpt = Checkpoint(params=final_params, selected=selected, opt=opt.state(),
                       meta=meta)
     return TrainResult(model=model, records=records, checkpoint=ckpt,
                        best_step=best_step, best_avg_f1=best_avg_f1)

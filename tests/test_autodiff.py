@@ -1,5 +1,7 @@
 """The autodiff engine against finite differences and hand results."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -74,6 +76,23 @@ class TestMatmulEinsum:
         (ad.matmul(a, b) * Tensor(w)).sum().backward()
         npt.assert_allclose(a.grad, w @ b.data.T)
         npt.assert_allclose(b.grad, a.data.T @ w)
+
+    def test_matmul_skips_constant_operand(self):
+        # the (500, 500) gradient of the constant would be 2 MB; the
+        # backward pass must not build it
+        rng = np.random.default_rng(4)
+        window = ad.constant(rng.normal(size=(500, 500)))
+        x = Tensor(rng.normal(size=(500, 2)), requires_grad=True)
+        out = ad.matmul(window, x).sum()
+        tracemalloc.start()
+        try:
+            out.backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert window.grad is None
+        npt.assert_allclose(x.grad, window.data.T @ np.ones((500, 2)))
+        assert peak < 500 * 500 * 8 // 2
 
     def test_einsum_attention_shape(self):
         rng = np.random.default_rng(5)
@@ -239,31 +258,40 @@ class TestOptim:
     def test_adam_first_step_size(self):
         """With a constant gradient the first Adam step is about -lr."""
         p = Tensor(np.array([1.0]), requires_grad=True, name="p")
-        opt = AdamOptimizer([([p], 0.1)])
+        opt = AdamOptimizer([([p], 0.1, 0.0)])
         p.grad = np.array([0.5])
         opt.step()
         npt.assert_allclose(p.data, [1.0 - 0.1], rtol=1e-6)
 
     def test_adamw_decouples_decay(self):
         p1 = Tensor(np.array([2.0]), requires_grad=True, name="p")
-        opt = AdamOptimizer([([p1], 0.1)], weight_decay=0.5, decoupled=True)
+        opt = AdamOptimizer([([p1], 0.1, 0.5)])
         p1.grad = np.array([0.0])
         opt.step()
         # no gradient: pure decay term, p -= lr * wd * p
         npt.assert_allclose(p1.data, [2.0 - 0.1 * 0.5 * 2.0])
 
+    def test_zero_decay_group_is_plain_adam(self):
+        decayed = Tensor(np.array([2.0]), requires_grad=True, name="decayed")
+        plain = Tensor(np.array([2.0]), requires_grad=True, name="plain")
+        opt = AdamOptimizer([([decayed], 0.1, 0.5), ([plain], 0.1, 0.0)])
+        decayed.grad = np.array([0.0])
+        plain.grad = np.array([0.0])
+        opt.step()
+        npt.assert_allclose(decayed.data, [2.0 - 0.1 * 0.5 * 2.0])
+        npt.assert_array_equal(plain.data, [2.0])
+
     def test_state_round_trip_resumes_identically(self):
         def run(steps, reload_at=None):
             p = Tensor(np.array([1.0, -2.0]), requires_grad=True, name="p")
-            opt = AdamOptimizer([([p], 0.05)], weight_decay=0.01, decoupled=True)
+            opt = AdamOptimizer([([p], 0.05, 0.01)])
             state = None
             for t in range(steps):
                 if reload_at is not None and t == reload_at:
                     saved_p = p.data.copy()
                     state = opt.state()
                     p = Tensor(saved_p, requires_grad=True, name="p")
-                    opt = AdamOptimizer([([p], 0.05)], weight_decay=0.01,
-                                        decoupled=True)
+                    opt = AdamOptimizer([([p], 0.05, 0.01)])
                     opt.load_state(state)
                 p.grad = np.array([0.3, -0.1]) * (t + 1)
                 opt.step()

@@ -5,16 +5,11 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from corefmtl.cli import main
-from corefmtl.config import (
-    _SCHEMA,
-    ConfigError,
-    config_from_train_config,
-    load_config,
-    render_config,
-)
+from corefmtl.config import _SCHEMA, ConfigError, load_config, render_config
 from corefmtl.corpus import Document, parse_conll, read_jsonl, write_jsonl
 from corefmtl.mtl import PRESET_WEIGHTS, TaskWeights
 from corefmtl.synthetic import generate_corpus
@@ -23,14 +18,12 @@ from corefmtl.training import Checkpoint, TrainConfig
 
 class TestLoadConfig:
     def test_defaults_mirror_train_config(self):
-        cfg = load_config()
-        assert cfg.train_config() == TrainConfig()
-        assert cfg == config_from_train_config(TrainConfig())
+        assert load_config() == TrainConfig()
 
     def test_preset_sets_weights_only(self):
         cfg = load_config(preset="sg_ent")
-        assert cfg.weights == PRESET_WEIGHTS["sg_ent"].as_dict()
-        assert cfg.training["steps"] == TrainConfig().steps
+        assert cfg.task_weights == PRESET_WEIGHTS["sg_ent"]
+        assert cfg.steps == TrainConfig().steps
 
     def test_unknown_preset(self):
         with pytest.raises(ConfigError, match="unknown preset"):
@@ -40,23 +33,23 @@ class TestLoadConfig:
         path = tmp_path / "c.ini"
         path.write_text("[training]\nsteps = 9\n[model]\nhidden = 12\n")
         cfg = load_config(path)
-        assert cfg.training["steps"] == 9
-        assert cfg.train_config().hidden == 12
+        assert cfg.steps == 9
+        assert cfg.hidden == 12
 
     def test_file_overrides_preset(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[weights]\ncoref = 0.9\n")
         cfg = load_config(path, preset="sg")
-        assert cfg.weights["coref"] == 0.9
-        assert cfg.weights["singleton"] == 0.5
+        assert cfg.task_weights.coref == 0.9
+        assert cfg.task_weights.singleton == 0.5
 
     def test_explicit_overrides_win(self, tmp_path):
         path = tmp_path / "c.ini"
         path.write_text("[training]\nsteps = 9\n")
         cfg = load_config(path, overrides={"training.steps": "4",
                                            "model.hidden": 16})
-        assert cfg.training["steps"] == 4
-        assert cfg.model["hidden"] == 16
+        assert cfg.steps == 4
+        assert cfg.hidden == 16
 
     def test_unknown_section(self, tmp_path):
         path = tmp_path / "c.ini"
@@ -122,11 +115,12 @@ class TestRenderConfig:
         path.write_text(render_config(cfg), encoding="utf-8")
         assert load_config(path) == cfg
 
-    def test_from_train_config(self):
+    def test_from_train_config(self, tmp_path):
         train = TrainConfig(hidden=12, steps=7,
                             task_weights=TaskWeights(0.5, 0.5, 0.0, 0.0))
-        cfg = config_from_train_config(train)
-        assert cfg.train_config() == train
+        path = tmp_path / "snap.ini"
+        path.write_text(render_config(train), encoding="utf-8")
+        assert load_config(path) == train
 
     def test_readme_lists_the_schema(self):
         readme = (Path(__file__).parent.parent / "README.md").read_text(
@@ -232,8 +226,8 @@ class TestTrainCommand:
 
     def test_config_snapshot_parses(self, workdir):
         cfg = load_config(workdir / "run" / "config.ini")
-        assert cfg.training["steps"] == 4
-        assert cfg.encoder["dim"] == 8
+        assert cfg.steps == 4
+        assert cfg.encoder.dim == 8
 
     def test_rerun_is_byte_identical(self, workdir):
         code = main(["train", str(workdir / "train.jsonl"),
@@ -392,6 +386,26 @@ class TestExitCodes:
                      "--checkpoint", str(tmp_path / "absent.npz"),
                      "--out", str(tmp_path / "p.jsonl")])
         assert code == 2
+
+    @pytest.mark.parametrize("name,write", [
+        ("foreign.npz", lambda fh: np.savez(fh, x=np.zeros(3))),
+        ("text.npz", lambda fh: fh.write(b"not a zip archive\n" * 8)),
+        ("truncated.npz", None),
+    ])
+    def test_bad_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
+                                          name, write):
+        path = tmp_path / name
+        with open(path, "wb") as fh:
+            if write is None:
+                ckpt = (workdir / "run" / "checkpoint.npz").read_bytes()
+                fh.write(ckpt[:len(ckpt) // 2])
+            else:
+                write(fh)
+        code = main(["predict", str(workdir / "train.jsonl"),
+                     "--checkpoint", str(path),
+                     "--out", str(tmp_path / "p.jsonl")])
+        assert code == 2
+        assert "not a training checkpoint" in capsys.readouterr().err
 
     def test_bad_config_is_data_error(self, workdir, tmp_path, capsys):
         code = main(["train", str(workdir / "train.jsonl"),

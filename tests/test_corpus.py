@@ -369,6 +369,16 @@ class TestSidecar:
         with pytest.raises(CorpusError, match="unknown document.*x/y"):
             apply_sidecar([sidecar_base_doc()], read_sidecar("x/y\t0\t0\t_\t_\t_\n"))
 
+    def test_apply_sidecar_splits_interleaved_rows_by_document(self):
+        first = sidecar_base_doc()
+        second = make_document([["Ann", "saw", "Bo", "."]], doc_key="t/e")
+        rows = read_sidecar("t/e\t2\t2\tperson\tnew\t_\n"
+                            "t/d\t3\t3\tplace\tnew\t_\n"
+                            "t/e\t0\t0\tperson\tnew\t_\n")
+        merged = apply_sidecar([first, second], rows)
+        assert merged == [merge_sidecar(first, rows), merge_sidecar(second, rows)]
+        assert [m.span for m in merged[1].gold_mentions] == [(0, 0), (2, 2)]
+
     def test_write_read_round_trip(self):
         doc = sidecar_base_doc()
         merged = merge_sidecar(doc, read_sidecar(SIDECAR))

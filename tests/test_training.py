@@ -12,10 +12,12 @@ from corefmtl.corpus import CorpusError, Mention
 from corefmtl.encoder import EncoderConfig, build_vocab
 from corefmtl.inference import PredictionResult, predict_document
 from corefmtl.model import MtlCorefModel
-from corefmtl.mtl import TaskWeights
+from corefmtl import mtl
+from corefmtl.mtl import PRESET_WEIGHTS, TaskWeights
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import (
     Checkpoint,
+    CheckpointError,
     NumericError,
     TrainConfig,
     config_from_dict,
@@ -128,9 +130,8 @@ class TestCheckpoint:
         loaded = Checkpoint.load(path)
         assert params_equal(loaded.params, result.checkpoint.params)
         assert loaded.meta == result.checkpoint.meta
-        assert loaded.opt_main["step_count"] == 2
-        assert params_equal(loaded.opt_main["arrays"],
-                            result.checkpoint.opt_main["arrays"])
+        assert loaded.opt["step_count"] == 2
+        assert params_equal(loaded.opt["arrays"], result.checkpoint.opt["arrays"])
 
     def test_meta_carries_platform_stamp(self, docs, tmp_path):
         result = train(docs, tiny_config(steps=1))
@@ -145,7 +146,7 @@ class TestCheckpoint:
         path = tmp_path / "other.npz"
         with open(path, "wb") as fh:
             np.savez(fh, x=np.zeros(3))
-        with pytest.raises(ValueError, match="not a training checkpoint"):
+        with pytest.raises(CheckpointError, match="not a training checkpoint"):
             Checkpoint.load(path)
 
     def test_model_from_checkpoint_reproduces_scores(self, docs, tmp_path):
@@ -182,6 +183,51 @@ class TestResume:
         part.checkpoint.save(path)
         resumed = train(docs, tiny_config(steps=6),
                         resume_from=Checkpoint.load(path))
+        assert loss_trace(resumed) == loss_trace(full)[3:]
+        assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
+
+    def test_resume_with_aux_heads_matches_uninterrupted_run(self, docs, tmp_path):
+        weights = TaskWeights(0.55, 0.15, 0.15, 0.15)
+        full = train(docs, tiny_config(steps=6, task_weights=weights))
+        part = train(docs, tiny_config(steps=3, task_weights=weights))
+        assert any(key.startswith("m/head/") for key in part.checkpoint.opt["arrays"])
+        path = tmp_path / "mid.npz"
+        part.checkpoint.save(path)
+        resumed = train(docs, tiny_config(steps=6, task_weights=weights),
+                        resume_from=Checkpoint.load(path))
+        assert loss_trace(resumed) == loss_trace(full)[3:]
+        assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
+
+    def test_two_optimizer_layout_resumes_identically(self, docs, tmp_path):
+        # checkpoints once kept the heads' Adam state under opt_aux/ and the
+        # rest under opt_main/, each with its own (equal) step count
+        weights = TaskWeights(0.5, 0.5, 0.0, 0.0)
+        full = train(docs, tiny_config(steps=6, task_weights=weights))
+        part = train(docs, tiny_config(steps=3, task_weights=weights))
+        path = tmp_path / "mid.npz"
+        part.checkpoint.save(path)
+        with np.load(path) as npz:
+            entries = {key: npz[key] for key in npz.files}
+        old = {}
+        for key, arr in entries.items():
+            if key == "opt/step_count":
+                old["opt_main/step_count"] = old["opt_aux/step_count"] = arr
+            elif key.startswith("opt/"):
+                rest = key[len("opt/"):]
+                tag = "opt_aux" if rest.split("/", 1)[1].startswith("head/") \
+                    else "opt_main"
+                old[f"{tag}/{rest}"] = arr
+            else:
+                old[key] = arr
+        assert any(k.startswith("opt_aux/m/") for k in old)
+        old_path = tmp_path / "old.npz"
+        with open(old_path, "wb") as fh:
+            np.savez(fh, **old)
+        loaded = Checkpoint.load(old_path)
+        assert loaded.opt["step_count"] == 3
+        assert params_equal(loaded.opt["arrays"], part.checkpoint.opt["arrays"])
+        resumed = train(docs, tiny_config(steps=6, task_weights=weights),
+                        resume_from=loaded)
         assert loss_trace(resumed) == loss_trace(full)[3:]
         assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
 
@@ -222,6 +268,32 @@ class TestZeroTokenDocuments:
         with pytest.raises(CorpusError, match=f"{empty.doc_key}: training "
                                               "document has no tokens"):
             train(docs + [empty], tiny_config())
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize("field,value,message", [
+        ("activation", "gelu", "activation"),
+        ("dropout", 1.0, "dropout"),
+        ("dropout", -0.5, "dropout"),
+        ("select", "bset", "select"),
+    ])
+    def test_bad_value_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(**{field: value})
+
+
+class TestHeadsRunOnDemand:
+    def test_sg_runs_only_the_singleton_head(self, docs, monkeypatch):
+        ran = []
+        real_ffnn = mtl.ffnn
+
+        def recording_ffnn(x, store, prefix, *args, **kwargs):
+            ran.append(prefix)
+            return real_ffnn(x, store, prefix, *args, **kwargs)
+
+        monkeypatch.setattr(mtl, "ffnn", recording_ffnn)
+        train(docs, tiny_config(steps=2, task_weights=PRESET_WEIGHTS["sg"]))
+        assert ran == ["head/singleton", "head/singleton"]
 
 
 class TestConfigDict:
