@@ -85,12 +85,21 @@ def create_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab: list
         store.create("encoder/adapt_b", (cfg.dim,), init="zeros")
 
 
-def _window_average(num_tokens: int, window: int) -> np.ndarray:
-    a = np.zeros((num_tokens, num_tokens))
-    for t in range(num_tokens):
-        lo, hi = max(0, t - window), min(num_tokens, t + window + 1)
-        a[t, lo:hi] = 1.0 / (hi - lo)
-    return a
+def _window_context(emb: Tensor, window: int) -> Tensor:
+    """Row t is the mean of emb rows max(0, t - window) .. min(T - 1, t + window),
+    summed one shift at a time: memory stays O(T * d) however long the
+    document."""
+    n = emb.shape[0]
+    pos = np.arange(n)
+    count = np.minimum(pos + window, n - 1) - np.maximum(pos - window, 0) + 1
+    ctx = None
+    for shift in range(-window, window + 1):
+        src = pos + shift
+        inside = (src >= 0) & (src < n)
+        weight = ad.constant(np.where(inside, 1.0 / count, 0.0)[:, None])
+        term = ad.take_rows(emb, np.clip(src, 0, n - 1)) * weight
+        ctx = term if ctx is None else ctx + term
+    return ctx
 
 
 def toy_encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
@@ -98,7 +107,7 @@ def toy_encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
     ids = np.array([vocab_index.get(tok, 0) for tok in doc.flat_tokens()],
                    dtype=np.intp)
     emb = ad.take_rows(store["encoder/embedding"], ids)
-    ctx = ad.matmul(ad.constant(_window_average(len(ids), cfg.window)), emb)
+    ctx = _window_context(emb, cfg.window)
     mixed = ad.matmul(ad.concat([emb, ctx], axis=1), store["encoder/mix_w"])
     return ad.tanh(mixed + store["encoder/mix_b"])
 

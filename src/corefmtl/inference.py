@@ -4,6 +4,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import autodiff as ad
 from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document, Mention
 from .model import ForwardPass, MtlCorefModel
 
@@ -145,8 +146,9 @@ def predict_document(model: MtlCorefModel, doc: Document,
     """Decode one document; a document without tokens has no mentions."""
     if doc.num_tokens == 0:
         return PredictionResult(doc.doc_key, [])
-    fp: ForwardPass = model.forward(
-        doc, need_heads=PREDICT_HEADS if model.include_aux else ())
+    with ad.no_grad():
+        fp: ForwardPass = model.forward(
+            doc, need_heads=PREDICT_HEADS if model.include_aux else ())
     antecedents = decode_antecedents(fp.scores.data, fp.shortlists)
     singleton_probs = type_logits = status_logits = None
     if model.include_aux:

@@ -168,23 +168,24 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures, max_slots: in
     shortlist slot t; slots beyond a span's shortlist hold -inf.
     """
     s = g.shape[0]
-    if len(pairs.rows) == 0:
+    n_pairs = len(pairs.rows)
+    if n_pairs == 0:
         return ad.concat([ad.constant(np.zeros((s, 1))),
                           ad.constant(np.full((s, max_slots), -np.inf))], axis=1)
 
-    g_i = ad.take_rows(g, pairs.rows)
-    g_j = ad.take_rows(g, pairs.antecedents)
-    n_pairs = len(pairs.rows)
-    phi = ad.concat([
-        ad.take_rows(store["pair/distance_embedding"], pairs.distance_bucket),
-        ad.take_rows(store["pair/same_speaker_embedding"], pairs.same_speaker),
-        ad.take_rows(store["pair/genre_embedding"],
-                     np.full(n_pairs, pairs.genre_id, dtype=np.intp)),
-    ], axis=1)
-    pair_in = ad.concat([g_i, g_j, g_i * g_j, phi], axis=1)
+    features = [
+        (store["pair/distance_embedding"], pairs.distance_bucket),
+        (store["pair/same_speaker_embedding"], pairs.same_speaker),
+        (store["pair/genre_embedding"], np.full(n_pairs, pairs.genre_id, dtype=np.intp)),
+    ]
+
+    def first_layer(w, b):
+        # [g_i, g_j, g_i * g_j, phi] @ w + b, without the (P, 3g+3f) input
+        return ad.pair_input_layer(g, w, b, pairs.rows, pairs.antecedents, features)
+
     rng = rng_factory("score/pair") if rng_factory is not None else None
-    s_c = ffnn(pair_in, store, "score/pair", depth, activation, dropout,
-               rng).reshape((n_pairs,))
+    s_c = ffnn(None, store, "score/pair", depth, activation, dropout, rng,
+               first_layer=first_layer).reshape((n_pairs,))
     s_pair = s_c + ad.take_rows(combined, pairs.rows) \
                  + ad.take_rows(combined, pairs.antecedents)
     scattered = ad.scatter2d(s_pair, pairs.rows, pairs.cols, (s, max_slots),

@@ -94,8 +94,7 @@ def represent_spans(embeddings: Tensor, spans: list[SpanCandidate],
     lse = ad.logsumexp(span_scores, axis=1, keepdims=True)
     alpha = ad.exp(span_scores - lse)
 
-    span_tokens = ad.take_rows(embeddings, grid)  # (S, max_w, d)
-    attended = ad.einsum("sw,swd->sd", alpha, span_tokens)
+    attended = ad.span_attend(alpha, embeddings, grid)  # (S, d)
 
     buckets = np.array([bucket_index(int(w)) for w in widths], dtype=np.intp)
     width_vecs = ad.take_rows(store["span/width_embedding"], buckets)

@@ -148,11 +148,24 @@ def _platform_stamp() -> dict[str, str]:
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> MtlCorefModel:
-    cfg = config_from_dict(ckpt.meta["config"])
+    """Rebuild the model a checkpoint holds. CheckpointError when its meta
+    lacks a key the model needs or its parameters do not fit that model."""
+    missing = [key for key in ("config", "genres", "vocab", "include_aux")
+               if key not in ckpt.meta]
+    if missing:
+        raise CheckpointError(f"checkpoint meta lacks {', '.join(missing)}")
+    try:
+        cfg = config_from_dict(ckpt.meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint config is not valid: {exc}") from None
     model = MtlCorefModel(cfg.model_config(tuple(ckpt.meta["genres"])),
                           seed=cfg.seed, vocab=ckpt.meta["vocab"],
                           include_aux=ckpt.meta["include_aux"])
-    model.store.load_state(ckpt.predict_params())
+    try:
+        model.store.load_state(ckpt.predict_params())
+    except (KeyError, ValueError) as exc:
+        # a missing parameter or a wrong shape; args[0] is the message
+        raise CheckpointError(exc.args[0]) from None
     return model
 
 

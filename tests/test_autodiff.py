@@ -95,26 +95,26 @@ class TestMatmulEinsum:
         assert peak < 500 * 500 * 8 // 2
 
     def test_einsum_attention_shape(self):
+        # span_attend is the einsum "sw,swd->sd" over a gathered grid,
+        # without building the gather
         rng = np.random.default_rng(5)
         alpha = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
-        toks = Tensor(rng.normal(size=(6, 3, 5)), requires_grad=True)
-        out = ad.einsum("sw,swd->sd", alpha, toks)
+        toks = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        grid = np.array([[0, 1, 2], [1, 2, 3], [2, 2, 2], [3, 3, 3], [0, 0, 1], [1, 3, 0]])
+        out = ad.span_attend(alpha, toks, grid)
         assert out.shape == (6, 5)
         w = rng.normal(size=(6, 5))
         (out * Tensor(w)).sum().backward()
 
         def value():
-            return float((np.einsum("sw,swd->sd", alpha.data, toks.data) * w).sum())
+            return float((np.einsum("sw,swd->sd", alpha.data, toks.data[grid]) * w).sum())
 
+        npt.assert_allclose(out.data, np.einsum("sw,swd->sd", alpha.data, toks.data[grid]),
+                            rtol=1e-12, atol=1e-12)
         npt.assert_allclose(alpha.grad, finite_diff(value, alpha.data),
                             rtol=1e-6, atol=1e-9)
         npt.assert_allclose(toks.grad, finite_diff(value, toks.data),
                             rtol=1e-6, atol=1e-9)
-
-    def test_einsum_rejects_repeated_index(self):
-        x = Tensor(np.eye(3), requires_grad=True)
-        with pytest.raises(ValueError):
-            ad.einsum("ii,ij->j", x, x)
 
 
 class TestGatherScatter:
@@ -146,6 +146,74 @@ class TestGatherScatter:
         g[0, 1], g[1, 0], g[1, 2] = 5, 7, 9
         out.backward(seed=g)
         npt.assert_allclose(v.grad, [5, 7, 9])
+
+
+def max_rel_err(analytic, numeric, floor=1e-3):
+    """The gradient check's error measure: |a - n| / max(|a|, |n|, floor)."""
+    denom = np.maximum(np.maximum(np.abs(analytic), np.abs(numeric)), floor)
+    return float((np.abs(analytic - numeric) / denom).max(initial=0.0))
+
+
+def pair_inputs(g, rows, ants, tables):
+    """The (P, 3g+3f) pair input that pair_input_layer never builds."""
+    return np.concatenate([g[rows], g[ants], g[rows] * g[ants]]
+                          + [t[idx] for t, idx in tables], axis=1)
+
+
+class TestFusedLayers:
+    @pytest.mark.parametrize("grid", [
+        np.array([[0], [1], [2], [3], [3]]),   # width-1 spans
+        np.array([[1, 2, 3]]),                 # a single-span document
+    ], ids=["width1", "single_span"])
+    def test_span_attend_finite_differences(self, grid):
+        rng = np.random.default_rng(7)
+        alpha = Tensor(rng.normal(size=grid.shape), requires_grad=True)
+        emb = Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        w = rng.normal(size=(grid.shape[0], 3))
+        (ad.span_attend(alpha, emb, grid) * Tensor(w)).sum().backward()
+
+        def value():
+            return float((np.einsum("sw,swd->sd", alpha.data, emb.data[grid]) * w).sum())
+
+        for t in (alpha, emb):
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
+
+    @pytest.mark.parametrize("num_spans,rows,ants", [
+        (4, [1, 1, 2, 2, 2, 3, 3, 3], [0, 0, 1, 0, 1, 2, 0, 2]),  # repeated pairs
+        (1, [], []),                                           # one span, no pairs
+    ], ids=["repeated", "zero_pairs"])
+    def test_pair_input_layer_finite_differences(self, num_spans, rows, ants):
+        rng = np.random.default_rng(8)
+        dim, hidden = 3, 4
+        rows = np.array(rows, dtype=np.intp)
+        ants = np.array(ants, dtype=np.intp)
+        g = Tensor(rng.normal(size=(num_spans, dim)), requires_grad=True)
+        tables = [(Tensor(rng.normal(size=(n, f)), requires_grad=True),
+                   rng.integers(0, n, len(rows))) for n, f in ((5, 2), (2, 3))]
+        w0 = Tensor(rng.normal(size=(3 * dim + 5, hidden)), requires_grad=True)
+        b0 = Tensor(rng.normal(size=(hidden,)), requires_grad=True)
+        out = ad.pair_input_layer(g, w0, b0, rows, ants, tables)
+
+        def reference():
+            x = pair_inputs(g.data, rows, ants, [(t.data, idx) for t, idx in tables])
+            return x @ w0.data + b0.data
+
+        assert out.shape == (len(rows), hidden)
+        npt.assert_allclose(out.data, reference(), rtol=1e-12, atol=1e-12)
+        w = rng.normal(size=out.shape)
+        (out * Tensor(w)).sum().backward()
+
+        def value():
+            return float((reference() * w).sum())
+
+        for t in [g, w0, b0] + [t for t, _ in tables]:
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
+
+    def test_pair_input_layer_checks_w0_rows(self):
+        g = Tensor(np.ones((2, 3)))
+        with pytest.raises(ValueError, match="w0 has 10 rows"):
+            ad.pair_input_layer(g, Tensor(np.ones((10, 4))), Tensor(np.zeros(4)),
+                                [1], [0], [])
 
 
 class TestReductionsAndLse:
@@ -213,6 +281,35 @@ class TestGraph:
         out.backward(seed=g)
         npt.assert_allclose(a.grad, g[:, :2])
         npt.assert_allclose(b.grad, g[:, 2:])
+
+
+class TestNoGrad:
+    def test_outputs_hold_no_tape(self):
+        x = Tensor(np.ones((2, 2)), requires_grad=True)
+        with ad.no_grad():
+            y = ad.relu(ad.matmul(x, x) + x)
+            z = ad.logsumexp(y, axis=1)
+        for t in (y, z):
+            assert not t.requires_grad
+            assert t._parents == ()
+            assert t._backward is None
+        # leaves keep their flag, and recording resumes after the block
+        assert x.requires_grad
+        taped = x * 2.0
+        assert taped.requires_grad and taped._parents and taped._backward is not None
+
+    def test_mode_restored_after_exception(self):
+        x = Tensor(np.ones(3), requires_grad=True)
+        with pytest.raises(RuntimeError):
+            with ad.no_grad():
+                raise RuntimeError("inside")
+        assert (x * 2.0).requires_grad
+        with ad.no_grad():
+            with pytest.raises(RuntimeError):
+                with ad.no_grad():
+                    raise RuntimeError("nested")
+            assert not (x * 2.0).requires_grad
+        assert (x * 2.0).requires_grad
 
 
 class TestParameterStore:

@@ -407,6 +407,42 @@ class TestExitCodes:
         assert code == 2
         assert "not a training checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("damage,message", [
+        ("empty_meta", "checkpoint meta lacks config, genres, vocab, include_aux"),
+        ("no_config", "checkpoint meta lacks config"),
+        ("no_genres", "checkpoint meta lacks genres"),
+        ("no_vocab", "checkpoint meta lacks vocab"),
+        ("no_include_aux", "checkpoint meta lacks include_aux"),
+        ("bad_config", "checkpoint config is not valid"),
+        ("missing_param", "checkpoint is missing parameter"),
+        ("wrong_shape", "shape mismatch"),
+    ], ids=["empty_meta", "no_config", "no_genres", "no_vocab", "no_include_aux",
+            "bad_config", "missing_param", "wrong_shape"])
+    def test_damaged_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
+                                              damage, message):
+        path = tmp_path / "damaged.npz"
+        if damage == "empty_meta":
+            with open(path, "wb") as fh:
+                np.savez(fh, meta=np.array("{}"))
+        else:
+            ckpt = Checkpoint.load(workdir / "run" / "checkpoint.npz")
+            params = ckpt.predict_params()
+            name = "score/pair/w0"
+            if damage.startswith("no_"):
+                del ckpt.meta[damage[3:]]
+            elif damage == "bad_config":
+                ckpt.meta["config"] = {"hidden": 8}
+            elif damage == "missing_param":
+                del params[name]
+            else:
+                params[name] = np.zeros(params[name].shape[:1] + (1,))
+            ckpt.save(path)
+        code = main(["predict", str(workdir / "train.jsonl"),
+                     "--checkpoint", str(path),
+                     "--out", str(tmp_path / "p.jsonl")])
+        assert code == 2
+        assert message in capsys.readouterr().err
+
     def test_bad_config_is_data_error(self, workdir, tmp_path, capsys):
         code = main(["train", str(workdir / "train.jsonl"),
                      "--config", str(tmp_path / "absent.ini"),

@@ -1,16 +1,19 @@
 """Toy encoder behavior and pretrained capability handling."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 
-from corefmtl.autodiff import ParameterStore
+from corefmtl.autodiff import ParameterStore, Tensor
 from corefmtl.encoder import (
     CACHE_ENV_VAR,
     EncoderCapabilityError,
     EncoderConfig,
     build_vocab,
     create_encoder_params,
+    _window_context,
     encode,
 )
 from helpers import make_document
@@ -101,6 +104,47 @@ class TestToyEncoder:
         doc, cfg, store, _ = self.setup()
         with pytest.raises(ValueError, match="vocabulary"):
             encode(doc, cfg, store, None)
+
+
+def dense_window_average(num_tokens, window):
+    """The context matrix by definition: row t averages tokens t-w .. t+w."""
+    a = np.zeros((num_tokens, num_tokens))
+    for t in range(num_tokens):
+        lo, hi = max(0, t - window), min(num_tokens, t + window + 1)
+        a[t, lo:hi] = 1.0 / (hi - lo)
+    return a
+
+
+class TestWindowContext:
+    @pytest.mark.parametrize("num_tokens,window", [(1, 1), (2, 3), (7, 0), (9, 1), (12, 2)])
+    def test_matches_the_dense_definition(self, num_tokens, window):
+        rng = np.random.default_rng(num_tokens)
+        emb = Tensor(rng.normal(size=(num_tokens, 3)), requires_grad=True)
+        ctx = _window_context(emb, window)
+        dense = dense_window_average(num_tokens, window)
+        npt.assert_allclose(ctx.data, dense @ emb.data, rtol=1e-13, atol=1e-15)
+        seed = rng.normal(size=ctx.shape)
+        ctx.backward(seed)
+        npt.assert_allclose(emb.grad, dense.T @ seed, rtol=1e-13, atol=1e-15)
+
+    def test_long_document_memory_is_linear(self):
+        # 20k tokens: a dense T x T context matrix alone would be 3.2 GB
+        num_tokens, dim = 20_000, 8
+        tokens = [f"w{i % 50}" for i in range(num_tokens)]
+        doc = make_document([tokens[i:i + 20] for i in range(0, num_tokens, 20)])
+        cfg = EncoderConfig(kind="toy", dim=dim, vocab_size=64, window=2)
+        vocab = build_vocab([doc], cfg.vocab_size)
+        store = ParameterStore(0)
+        create_encoder_params(store, cfg, vocab)
+        tracemalloc.start()
+        try:
+            out = encode(doc, cfg, store, vocab_index(vocab))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert out.shape == (num_tokens, dim)
+        row_bytes = num_tokens * dim * 8
+        assert peak < 40 * row_bytes   # about 51 MB, against 3.2 GB
 
 
 class TestPretrainedCapability:

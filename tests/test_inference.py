@@ -1,21 +1,30 @@
 """Antecedent decoding and cluster construction."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from corefmtl import autodiff as ad
+from corefmtl.autodiff import Tensor
 from corefmtl.corpus import UNKNOWN, Mention
+from corefmtl.encoder import EncoderConfig, build_vocab
 from corefmtl.inference import (
+    PREDICT_HEADS,
     PredictionResult,
     build_clusters,
     cluster_display_type,
     decode_antecedents,
+    predict_document,
     prediction_from_document,
     prediction_to_document,
 )
+from corefmtl.model import ModelConfig, MtlCorefModel
 from corefmtl.spans import SpanCandidate
+from corefmtl.synthetic import generate_corpus
 from helpers import make_document, spans_to_clusters
 
 
@@ -197,3 +206,55 @@ class TestDocumentBridge:
         assert pred.clusters == [[(0, 0), (2, 3)]]
         assert pred.singletons == [(4, 4)]
         assert pred.cluster_types == ["person"]
+
+
+def small_model(docs):
+    cfg = ModelConfig(encoder=EncoderConfig(dim=32, vocab_size=64, window=1),
+                      feature_dim=8, hidden=64, ffnn_depth=1, dropout=0.3,
+                      max_span_width=6, top_antecedents=10, genres=("bc", "nw"))
+    return MtlCorefModel(cfg, seed=3, vocab=build_vocab(docs, 64), include_aux=True)
+
+
+def forward_tensors(fp):
+    return {name: t for name, t in vars(fp).items() if isinstance(t, Tensor)} | \
+        {f"logits/{task}": t for task, t in fp.logits.items()}
+
+
+def peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        result = fn(*args, **kwargs)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak, result
+
+
+class TestTapeFreePrediction:
+    def test_no_grad_forward_is_bit_identical_and_holds_no_tape(self):
+        docs = generate_corpus(3, seed=5)
+        model = small_model(docs)
+        for doc in docs:
+            taped = model.forward(doc, need_heads=PREDICT_HEADS)
+            with ad.no_grad():
+                free = model.forward(doc, need_heads=PREDICT_HEADS)
+            want, got = forward_tensors(taped), forward_tensors(free)
+            assert set(got) == set(want)
+            assert {"scores", "combined", "logits/singleton"} <= set(got)
+            for name, t in got.items():
+                npt.assert_array_equal(t.data, want[name].data, err_msg=name)
+                assert want[name].requires_grad
+                assert not t.requires_grad, name
+                assert t._parents == () and t._backward is None, name
+
+    def test_predict_peak_is_below_half_of_a_taped_forward(self):
+        docs = generate_corpus(2, seed=5)
+        model = small_model(docs)
+        rng = np.random.default_rng(0)
+        vocab = model.vocab
+        doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
+                             for _ in range(50)])
+        assert doc.num_tokens == 1000
+        taped_peak, _ = peak_bytes(model.forward, doc, need_heads=PREDICT_HEADS)
+        predict_peak, _ = peak_bytes(predict_document, model, doc)
+        assert predict_peak < taped_peak / 2
