@@ -11,11 +11,11 @@ from pathlib import Path
 
 from .config import ConfigError, load_config, render_config
 from .corpus import (CorpusError, Document, apply_sidecar, load_documents,
-                     read_sidecar, write_conll, write_jsonl)
+                     prediction_to_document, read_sidecar, write_conll, write_jsonl)
 from .encoder import CACHE_ENV_VAR, EncoderCapabilityError
 from .error_analysis import contrast, format_contrast
 from .evaluation import EvaluationError, evaluate, format_report, report_to_dict
-from .inference import predict_document, prediction_to_document
+from .inference import predict_document
 from .training import (Checkpoint, CheckpointError, NumericError,
                        model_from_checkpoint, train)
 

@@ -1,4 +1,4 @@
-"""Documents, mentions, and the file formats that carry them.
+"""Documents, mentions, predictions, and the file formats that carry them.
 
 Three interchange formats:
   * CoNLL-2012 shared-task files (coreference in the last column),
@@ -649,3 +649,62 @@ def load_documents(path) -> list[Document]:
     if p.suffix == ".jsonl":
         return read_jsonl(p)
     return parse_conll(p)
+
+
+# -- predictions ------------------------------------------------------------------
+
+
+@dataclass
+class PredictionResult:
+    """A system's clusters and singleton mentions for one document, with the
+    entity type and information status predicted for each mention."""
+
+    doc_key: str
+    clusters: list[list[tuple[int, int]]]
+    singletons: list[tuple[int, int]] = field(default_factory=list)
+    mention_types: dict[tuple[int, int], str] = field(default_factory=dict)
+    mention_statuses: dict[tuple[int, int], str] = field(default_factory=dict)
+
+    def mention_spans(self) -> list[tuple[int, int]]:
+        spans = [span for c in self.clusters for span in c]
+        spans.extend(self.singletons)
+        return sorted(set(spans))
+
+
+def prediction_to_document(pred: PredictionResult, doc: Document) -> Document:
+    """Wrap a prediction in the document it was made on, so it can be
+    written with the corpus writers. Predicted clusters become the
+    document's clusters; singletons become unclustered mentions."""
+    span_cluster = {span: ci for ci, c in enumerate(pred.clusters) for span in c}
+    mentions = []
+    for span in pred.mention_spans():
+        mentions.append(Mention(
+            span[0], span[1],
+            entity_type=pred.mention_types.get(span, UNKNOWN),
+            info_status=pred.mention_statuses.get(span, UNKNOWN),
+            cluster_id=span_cluster.get(span),
+        ))
+    return Document(
+        doc_key=doc.doc_key,
+        genre=doc.genre,
+        sentences=[list(s) for s in doc.sentences],
+        speakers=[list(s) for s in doc.speakers],
+        gold_clusters=[list(c) for c in pred.clusters],
+        gold_mentions=mentions,
+        conll_key=doc.conll_key,
+        part=doc.part,
+    )
+
+
+def prediction_from_document(doc: Document) -> PredictionResult:
+    """Read a document's annotation (gold, or a predictions file) as a
+    prediction: its clusters, and its unclustered mentions as singletons."""
+    clustered = {span for c in doc.gold_clusters for span in c}
+    return PredictionResult(
+        doc_key=doc.doc_key,
+        clusters=[list(c) for c in doc.gold_clusters],
+        singletons=sorted(m.span for m in doc.gold_mentions
+                          if m.span not in clustered),
+        mention_types={m.span: m.entity_type for m in doc.gold_mentions},
+        mention_statuses={m.span: m.info_status for m in doc.gold_mentions},
+    )

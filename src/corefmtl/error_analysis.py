@@ -20,7 +20,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .corpus import Document
-from .inference import PredictionResult, prediction_from_document
+from .evaluation import pair_predictions
 
 ERROR_CLASSES = (
     "pronoun_1st_2nd",
@@ -101,14 +101,9 @@ def _link_pairs(clusters):
 
 
 def extract_errors(gold_doc: Document, pred) -> list[ErrorRecord]:
-    """All link errors of one prediction against its gold document."""
-    if isinstance(pred, Document):
-        pred = prediction_from_document(pred)
-    if not isinstance(pred, PredictionResult):
-        raise TypeError("pred must be a PredictionResult or Document")
-    if pred.doc_key != gold_doc.doc_key:
-        raise ValueError(f"prediction for {pred.doc_key!r} scored against "
-                         f"{gold_doc.doc_key!r}")
+    """All link errors of one prediction (a PredictionResult or Document)
+    against its gold document."""
+    [(gold_doc, pred)] = pair_predictions([gold_doc], [pred])
     gold_mentions = {m.span for m in gold_doc.gold_mentions}
     gold_unit: dict[tuple[int, int], frozenset] = {}
     for cluster in gold_doc.gold_clusters:
@@ -148,19 +143,9 @@ def extract_errors(gold_doc: Document, pred) -> list[ErrorRecord]:
 
 
 def extract_corpus_errors(gold_docs: list[Document], predictions) -> list[ErrorRecord]:
-    by_key = {}
-    for p in predictions:
-        key = p.doc_key
-        if key in by_key:
-            raise ValueError(f"duplicate prediction for document {key}")
-        by_key[key] = p
-    missing = [d.doc_key for d in gold_docs if d.doc_key not in by_key]
-    if missing:
-        raise ValueError("missing predictions for: " + ", ".join(sorted(missing)))
-    records = []
-    for doc in gold_docs:
-        records.extend(extract_errors(doc, by_key[doc.doc_key]))
-    return records
+    """Link errors of predictions matched to gold_docs by pair_predictions."""
+    return [record for doc, pred in pair_predictions(gold_docs, predictions)
+            for record in extract_errors(doc, pred)]
 
 
 @dataclass

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from .corpus import Document
+from .corpus import Document, PredictionResult, prediction_from_document
 
 
 class EvaluationError(ValueError):
@@ -158,6 +158,19 @@ def score_ceaf_phi4(key, response) -> PRF1:
     return _prf(*ceaf_phi4_stats(key, response))
 
 
+def _check_mention_mode(mode: str):
+    if mode not in ("all", "coreferent"):
+        raise EvaluationError(f"unknown mention mode: {mode!r}")
+
+
+def _mention_sets(mode, key_mentions, response_mentions, key_clusters,
+                  response_clusters):
+    """The two mention sets that mention detection compares in mode."""
+    if mode == "coreferent":
+        return _coreferent_spans(key_clusters), _coreferent_spans(response_clusters)
+    return key_mentions, response_mentions
+
+
 def markable_detection_prf(key_mentions, response_mentions, mode: str = "all",
                            key_clusters=None, response_clusters=None) -> PRF1:
     """Span-set precision/recall/F1 over mentions.
@@ -166,14 +179,11 @@ def markable_detection_prf(key_mentions, response_mentions, mode: str = "all",
     sides to mentions inside clusters of size >= 2, which requires the
     cluster lists.
     """
-    if mode == "coreferent":
-        if key_clusters is None or response_clusters is None:
-            raise EvaluationError("coreferent mode needs both cluster lists")
-        key_mentions = _coreferent_spans(key_clusters)
-        response_mentions = _coreferent_spans(response_clusters)
-    elif mode != "all":
-        raise EvaluationError(f"unknown mention mode: {mode!r}")
-    return _prf(*markable_stats(key_mentions, response_mentions))
+    _check_mention_mode(mode)
+    if mode == "coreferent" and (key_clusters is None or response_clusters is None):
+        raise EvaluationError("coreferent mode needs both cluster lists")
+    return _prf(*markable_stats(*_mention_sets(
+        mode, key_mentions, response_mentions, key_clusters, response_clusters)))
 
 
 def _coreferent_spans(clusters) -> set:
@@ -187,47 +197,26 @@ def drop_singletons(clusters) -> list:
 # -- corpus-level evaluation ----------------------------------------------------
 
 
-def _document_clusters(doc: Document) -> list:
-    """Gold clusters plus one size-1 cluster per loose gold mention, matching
-    what write_conll(include_singletons=True) would emit for the document."""
-    clusters = [list(c) for c in doc.gold_clusters]
-    clustered = {tuple(span) for c in clusters for span in c}
-    clusters.extend([m.span] for m in doc.gold_mentions
-                    if m.span not in clustered)
-    return clusters
+def pair_predictions(gold_docs: list[Document],
+                     predictions) -> list[tuple[Document, PredictionResult]]:
+    """Match predictions to gold documents by doc_key, in gold order.
 
-
-def _prediction_view(pred):
-    """(doc_key, clusters, mention spans) from a PredictionResult or Document."""
-    if isinstance(pred, Document):
-        return pred.doc_key, _document_clusters(pred), \
-            [m.span for m in pred.gold_mentions]
-    clusters = [list(c) for c in pred.clusters]
-    clusters.extend([s] for s in pred.singletons)
-    return pred.doc_key, clusters, pred.mention_spans()
-
-
-def evaluate(gold_docs: list[Document], predictions, keep_singletons: bool = False,
-             mention_mode: str = "all") -> EvaluationReport:
-    """Pool metric statistics over matched (gold, prediction) pairs.
-
-    predictions: PredictionResult objects or Documents (matched by doc_key).
-    Loose gold mentions and predicted singleton spans count as size-1
-    clusters, exactly as the CoNLL writer would emit them; singleton
-    clusters are then dropped from both sides unless keep_singletons is
-    set. Mention detection compares gold mentions with predicted mentions
-    (clustered plus singleton spans); in coreferent mode both sides are
-    restricted to clusters of size >= 2.
+    predictions: PredictionResult objects or Documents; a Document is read
+    as a prediction by prediction_from_document. Every gold document needs
+    exactly one prediction, and every prediction a gold document.
     """
     by_key = {}
     for p in predictions:
-        key, clusters, spans = _prediction_view(p)
-        if key in by_key:
-            raise EvaluationError(f"duplicate prediction for document {key}")
-        by_key[key] = (clusters, spans)
-    gold_keys = [d.doc_key for d in gold_docs]
-    missing = sorted(set(gold_keys) - set(by_key))
-    extra = sorted(set(by_key) - set(gold_keys))
+        if isinstance(p, Document):
+            p = prediction_from_document(p)
+        elif not isinstance(p, PredictionResult):
+            raise TypeError("predictions must be PredictionResults or Documents")
+        if p.doc_key in by_key:
+            raise EvaluationError(f"duplicate prediction for document {p.doc_key}")
+        by_key[p.doc_key] = p
+    gold_keys = {d.doc_key for d in gold_docs}
+    missing = sorted(gold_keys - set(by_key))
+    extra = sorted(set(by_key) - gold_keys)
     if missing or extra:
         parts = []
         if missing:
@@ -235,28 +224,43 @@ def evaluate(gold_docs: list[Document], predictions, keep_singletons: bool = Fal
         if extra:
             parts.append("predictions for unknown documents: " + ", ".join(extra))
         raise EvaluationError("; ".join(parts))
+    return [(doc, by_key[doc.doc_key]) for doc in gold_docs]
 
+
+def _scored_clusters(pred: PredictionResult) -> list:
+    """Clusters plus one size-1 cluster per singleton, as the CoNLL writer
+    emits them with include_singletons."""
+    return pred.clusters + [[s] for s in pred.singletons]
+
+
+def evaluate(gold_docs: list[Document], predictions, keep_singletons: bool = False,
+             mention_mode: str = "all") -> EvaluationReport:
+    """Pool metric statistics over the (gold, prediction) pairs of
+    pair_predictions.
+
+    Both sides are read as predictions: loose gold mentions and predicted
+    singleton spans count as size-1 clusters, exactly as the CoNLL writer
+    would emit them; singleton clusters are then dropped from both sides
+    unless keep_singletons is set. Mention detection compares gold mentions
+    with predicted mentions (clustered plus singleton spans); in coreferent
+    mode both sides are restricted to clusters of size >= 2.
+    """
+    _check_mention_mode(mention_mode)
     pooled = {"muc": np.zeros(4), "b3": np.zeros(4), "ceaf": np.zeros(4),
               "markable": np.zeros(4)}
-    for doc in gold_docs:
-        pred_clusters, pred_spans = by_key[doc.doc_key]
-        key_clusters = _document_clusters(doc)
-        resp_clusters = pred_clusters
+    for doc, pred in pair_predictions(gold_docs, predictions):
+        key = prediction_from_document(doc)
+        key_clusters = _scored_clusters(key)
+        resp_clusters = _scored_clusters(pred)
         if not keep_singletons:
             key_clusters = drop_singletons(key_clusters)
             resp_clusters = drop_singletons(resp_clusters)
         pooled["muc"] += muc_stats(key_clusters, resp_clusters)
         pooled["b3"] += b_cubed_stats(key_clusters, resp_clusters)
         pooled["ceaf"] += ceaf_phi4_stats(key_clusters, resp_clusters)
-        if mention_mode == "coreferent":
-            km = _coreferent_spans(doc.gold_clusters)
-            rm = _coreferent_spans(pred_clusters)
-        elif mention_mode == "all":
-            km = [m.span for m in doc.gold_mentions]
-            rm = pred_spans
-        else:
-            raise EvaluationError(f"unknown mention mode: {mention_mode!r}")
-        pooled["markable"] += markable_stats(km, rm)
+        pooled["markable"] += markable_stats(*_mention_sets(
+            mention_mode, key.mention_spans(), pred.mention_spans(),
+            key.clusters, pred.clusters))
 
     muc = _prf(*pooled["muc"])
     b3 = _prf(*pooled["b3"])

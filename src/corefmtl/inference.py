@@ -1,29 +1,14 @@
 """Greedy decoding of antecedent scores into clusters and singletons."""
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import autodiff as ad
-from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document, Mention
+from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document, PredictionResult
+# the document conversions live in corpus; this module still offers them
+from .corpus import prediction_from_document, prediction_to_document  # noqa: F401
 from .model import ForwardPass, MtlCorefModel
 
 PREDICT_HEADS = ("singleton", "entity_type", "info_status")
-
-
-@dataclass
-class PredictionResult:
-    doc_key: str
-    clusters: list[list[tuple[int, int]]]
-    singletons: list[tuple[int, int]] = field(default_factory=list)
-    mention_types: dict[tuple[int, int], str] = field(default_factory=dict)
-    mention_statuses: dict[tuple[int, int], str] = field(default_factory=dict)
-    cluster_types: list[str] = field(default_factory=list)
-
-    def mention_spans(self) -> list[tuple[int, int]]:
-        spans = [span for c in self.clusters for span in c]
-        spans.extend(self.singletons)
-        return sorted(set(spans))
 
 
 def decode_antecedents(scores: np.ndarray,
@@ -64,22 +49,6 @@ def _softmax(logits: np.ndarray) -> np.ndarray:
     mx = logits.max(axis=-1, keepdims=True)
     ex = np.exp(logits - mx)
     return ex / ex.sum(axis=-1, keepdims=True)
-
-
-def cluster_display_type(member_types: list[str]) -> str:
-    """Majority vote; ties resolved by the earliest member holding a tied type."""
-    known = [t for t in member_types if t != UNKNOWN]
-    if not known:
-        return UNKNOWN
-    counts: dict[str, int] = {}
-    for t in known:
-        counts[t] = counts.get(t, 0) + 1
-    top = max(counts.values())
-    tied = {t for t, c in counts.items() if c == top}
-    for t in member_types:
-        if t in tied:
-            return t
-    raise AssertionError
 
 
 def build_clusters(antecedents: list[int | None], kept_spans, doc_key: str,
@@ -133,12 +102,9 @@ def build_clusters(antecedents: list[int | None], kept_spans, doc_key: str,
     mention_types.update({span: types.get(span, UNKNOWN) for span in singletons})
     mention_statuses = {span: statuses.get(span, UNKNOWN)
                         for span in mention_types}
-    cluster_types = [cluster_display_type([mention_types[s] for s in c])
-                     for c in clusters]
     return PredictionResult(doc_key=doc_key, clusters=clusters,
                             singletons=singletons, mention_types=mention_types,
-                            mention_statuses=mention_statuses,
-                            cluster_types=cluster_types)
+                            mention_statuses=mention_statuses)
 
 
 def predict_document(model: MtlCorefModel, doc: Document,
@@ -157,47 +123,3 @@ def predict_document(model: MtlCorefModel, doc: Document,
         status_logits = fp.logits["info_status"].data
     return build_clusters(antecedents, fp.kept_spans, doc.doc_key,
                           singleton_probs, type_logits, status_logits, threshold)
-
-
-def prediction_to_document(pred: PredictionResult, doc: Document) -> Document:
-    """Wrap a prediction in the document it was made on, so it can be
-    written with the corpus writers. Predicted clusters become the
-    document's clusters; singletons become unclustered mentions."""
-    span_cluster = {span: ci for ci, c in enumerate(pred.clusters) for span in c}
-    mentions = []
-    for span in pred.mention_spans():
-        mentions.append(Mention(
-            span[0], span[1],
-            entity_type=pred.mention_types.get(span, UNKNOWN),
-            info_status=pred.mention_statuses.get(span, UNKNOWN),
-            cluster_id=span_cluster.get(span),
-        ))
-    return Document(
-        doc_key=doc.doc_key,
-        genre=doc.genre,
-        sentences=[list(s) for s in doc.sentences],
-        speakers=[list(s) for s in doc.speakers],
-        gold_clusters=[list(c) for c in pred.clusters],
-        gold_mentions=mentions,
-        conll_key=doc.conll_key,
-        part=doc.part,
-    )
-
-
-def prediction_from_document(doc: Document) -> PredictionResult:
-    """Read a document (for instance a predictions file) as a prediction."""
-    clustered = {span for c in doc.gold_clusters for span in c}
-    singletons = sorted(m.span for m in doc.gold_mentions
-                        if m.span not in clustered)
-    types = {m.span: m.entity_type for m in doc.gold_mentions}
-    statuses = {m.span: m.info_status for m in doc.gold_mentions}
-    clusters = [list(c) for c in doc.gold_clusters]
-    return PredictionResult(
-        doc_key=doc.doc_key,
-        clusters=clusters,
-        singletons=singletons,
-        mention_types=types,
-        mention_statuses=statuses,
-        cluster_types=[cluster_display_type([types.get(s, UNKNOWN) for s in c])
-                       for c in clusters],
-    )

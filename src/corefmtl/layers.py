@@ -5,7 +5,9 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 
-ACTIVATIONS = {"relu": ad.relu, "tanh": ad.tanh}
+# autodiff function names, looked up when ffnn runs so that a wrapper
+# installed on the autodiff module (a tracer's) also sees these calls
+ACTIVATIONS = ("relu", "tanh")
 
 
 def create_ffnn(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
@@ -28,7 +30,9 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str, depth: int = 2,
     first_layer(w, b), if given, returns the first linear layer's x @ w + b
     for an input that is never built (the pair scorer's); x is then None.
     """
-    act = ACTIVATIONS[activation]
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    act = getattr(ad, activation)
     weights = [(store[f"{prefix}/w{layer}"], store[f"{prefix}/b{layer}"])
                for layer in range(depth)]
     weights.append((store[f"{prefix}/out_w"], store[f"{prefix}/out_b"]))

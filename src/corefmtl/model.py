@@ -56,13 +56,9 @@ class ForwardPass:
     spans: list[SpanCandidate]
     kept: list[int]
     kept_spans: list[SpanCandidate]
-    g_kept: Tensor
-    markable: Tensor            # over all candidate spans
-    mention: Tensor
-    combined: Tensor
-    combined_kept: Tensor
+    mention: Tensor             # over all candidate spans
+    combined: Tensor            # over all candidate spans
     shortlists: list[np.ndarray]
-    num_slots: int
     scores: Tensor              # (S_kept, num_slots + 1); column 0 is the dummy
     logits: dict[str, Tensor]
 
@@ -131,7 +127,7 @@ class MtlCorefModel:
         emb = encode(doc, cfg.encoder, self.store, self.vocab_index)
         spans = enumerate_spans(doc, cfg.max_span_width)
         g_all, _ = represent_spans(emb, spans, self.store)
-        markable, mention, combined = unary_score_tensors(
+        _, mention, combined = unary_score_tensors(
             g_all, self.store, cfg.ffnn_depth, cfg.activation, dropout, rng_factory)
         kept = prune_spans(combined.data, spans, doc.num_tokens, cfg.prune_ratio)
         kept_spans = [spans[i] for i in kept]
@@ -150,10 +146,8 @@ class MtlCorefModel:
             logits = head_logits(g_kept, self.store, need_heads, cfg.ffnn_depth,
                                  cfg.activation, dropout, rng_factory)
         return ForwardPass(spans=spans, kept=kept, kept_spans=kept_spans,
-                           g_kept=g_kept, markable=markable, mention=mention,
-                           combined=combined, combined_kept=combined_kept,
-                           shortlists=shortlists, num_slots=num_slots,
-                           scores=scores, logits=logits)
+                           mention=mention, combined=combined,
+                           shortlists=shortlists, scores=scores, logits=logits)
 
     # -- losses --------------------------------------------------------------
 
@@ -171,7 +165,7 @@ class MtlCorefModel:
             raise ValueError("auxiliary task weights require include_aux=True")
         fp = self.forward(doc, train_step=train_step, need_heads=need)
         mask = gold_antecedent_mask(fp.kept_spans, fp.shortlists,
-                                    doc.gold_clusters, fp.num_slots)
+                                    doc.gold_clusters, fp.scores.shape[1] - 1)
         parts = {"coref": coref_loss_from_matrix(fp.scores, mask)}
         if need:
             labels = assign_aux_labels(fp.kept_spans, doc)

@@ -23,8 +23,8 @@ from pathlib import Path
 
 import numpy as np
 
-from corefmtl.corpus import Mention, merge_sidecar, parse_conll, read_sidecar, \
-    write_conll
+from corefmtl.corpus import Mention, merge_sidecar, parse_conll, \
+    prediction_from_document, read_sidecar, write_conll
 from corefmtl.encoder import EncoderConfig, build_vocab
 from corefmtl.error_analysis import classify_anaphor, contrast, format_contrast, \
     tally_by_class
@@ -134,11 +134,13 @@ def test_fixture_pairs_score_as_frozen(capfd):
         for pair, (keep, muc, b3, ceaf, avg) in FIXTURE_SCORES.items():
             gold = parse_conll(FIXTURES / f"{pair}_key.conll")
             response = parse_conll(FIXTURES / f"{pair}_response.conll")
-            report = evaluate(gold, response, keep_singletons=keep)
-            assert report.muc.rounded() == muc, pair
-            assert report.b_cubed.rounded() == b3, pair
-            assert report.ceaf_phi4.rounded() == ceaf, pair
-            assert round(report.avg_f1, 4) == avg, pair
+            # a response as Documents and as PredictionResults scores alike
+            for given in (response, [prediction_from_document(d) for d in response]):
+                report = evaluate(gold, given, keep_singletons=keep)
+                assert report.muc.rounded() == muc, pair
+                assert report.b_cubed.rounded() == b3, pair
+                assert report.ceaf_phi4.rounded() == ceaf, pair
+                assert round(report.avg_f1, 4) == avg, pair
 
 
 # -- 3. structural invariants ----------------------------------------------------

@@ -443,6 +443,23 @@ class TestExitCodes:
         assert code == 2
         assert message in capsys.readouterr().err
 
+    @pytest.mark.parametrize("gold,system,message", [
+        ("train.jsonl", "dev.jsonl", "missing predictions for"),
+        ("dev.jsonl", "repeated.jsonl", "duplicate document key"),
+        ("dev.jsonl", "train.jsonl", "predictions for unknown documents"),
+    ], ids=["missing", "repeated", "unknown"])
+    def test_analyze_errors_document_mismatch_is_data_error(
+            self, workdir, tmp_path, capsys, gold, system, message):
+        repeated = read_jsonl(workdir / "dev.jsonl") * 2
+        (tmp_path / "repeated.jsonl").write_text(write_jsonl(repeated),
+                                                 encoding="utf-8")
+        folder = tmp_path if system == "repeated.jsonl" else workdir
+        code = main(["analyze-errors", str(workdir / gold), str(workdir / gold),
+                     str(folder / system)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and message in err
+
     def test_bad_config_is_data_error(self, workdir, tmp_path, capsys):
         code = main(["train", str(workdir / "train.jsonl"),
                      "--config", str(tmp_path / "absent.ini"),

@@ -10,13 +10,12 @@ from hypothesis import strategies as st
 
 from corefmtl import autodiff as ad
 from corefmtl.autodiff import Tensor
-from corefmtl.corpus import UNKNOWN, Mention
+from corefmtl.corpus import Mention
 from corefmtl.encoder import EncoderConfig, build_vocab
 from corefmtl.inference import (
     PREDICT_HEADS,
     PredictionResult,
     build_clusters,
-    cluster_display_type,
     decode_antecedents,
     predict_document,
     prediction_from_document,
@@ -146,28 +145,11 @@ class TestBuildClusters:
         assert pred.mention_types[(1, 1)] == "place"
         assert pred.mention_statuses[(0, 0)] == "new"
         assert pred.mention_statuses[(1, 1)] == "given:active"
-        # two distinct types tie 1-1: earliest member wins
-        assert pred.cluster_types == ["person"]
 
     def test_mention_spans_dedup_sorted(self):
         pred = PredictionResult("d", clusters=[[(2, 2), (5, 5)]],
                                 singletons=[(0, 1)])
         assert pred.mention_spans() == [(0, 1), (2, 2), (5, 5)]
-
-
-class TestClusterDisplayType:
-    def test_majority(self):
-        assert cluster_display_type(["person", "place", "person"]) == "person"
-
-    def test_unknown_members_do_not_vote(self):
-        assert cluster_display_type([UNKNOWN, "place", UNKNOWN]) == "place"
-
-    def test_all_unknown(self):
-        assert cluster_display_type([UNKNOWN, UNKNOWN]) == UNKNOWN
-
-    def test_tie_goes_to_earliest_tied_member(self):
-        assert cluster_display_type(["place", "person", "person", "place"]) == "place"
-        assert cluster_display_type([UNKNOWN, "event", "person"]) == "event"
 
 
 class TestDocumentBridge:
@@ -188,7 +170,6 @@ class TestDocumentBridge:
             singletons=[(4, 4)],
             mention_types={(0, 0): "person", (2, 3): "animal", (4, 4): "place"},
             mention_statuses={(0, 0): "new", (2, 3): "new", (4, 4): "new"},
-            cluster_types=["person"],
         )
         doc = prediction_to_document(pred, self.doc())
         doc.validate()
@@ -198,14 +179,12 @@ class TestDocumentBridge:
         assert back.clusters == pred.clusters
         assert back.singletons == pred.singletons
         assert back.mention_types == pred.mention_types
-        assert back.cluster_types == pred.cluster_types
 
     def test_prediction_from_gold_document_is_faithful(self):
         pred = prediction_from_document(self.doc())
         assert pred.doc_key == "t/bridge"
         assert pred.clusters == [[(0, 0), (2, 3)]]
         assert pred.singletons == [(4, 4)]
-        assert pred.cluster_types == ["person"]
 
 
 def small_model(docs):

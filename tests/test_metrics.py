@@ -15,13 +15,15 @@ from corefmtl.evaluation import (
     format_report,
     markable_detection_prf,
     muc_stats,
+    pair_predictions,
     report_to_dict,
     score_b_cubed,
     score_ceaf_phi4,
     score_muc,
 )
 from corefmtl.corpus import Mention, parse_conll, write_conll
-from corefmtl.inference import PredictionResult, prediction_to_document
+from corefmtl.inference import PredictionResult, prediction_from_document, \
+    prediction_to_document
 from helpers import make_document, spans_to_clusters
 from oracles import (
     b_cubed_reference,
@@ -184,6 +186,9 @@ class TestMentionDetection:
     def test_unknown_mode_rejected(self):
         with pytest.raises(EvaluationError, match="mention mode"):
             markable_detection_prf([A], [A], mode="strict")
+        # evaluate checks the mode before it reads any document
+        with pytest.raises(EvaluationError, match="mention mode"):
+            evaluate([], [], mention_mode="bogus")
 
 
 class TestEvaluate:
@@ -277,6 +282,16 @@ class TestEvaluate:
         via_files = evaluate(gold_again, pred_again, keep_singletons=True)
         for name in ("muc", "b_cubed", "ceaf_phi4"):
             assert getattr(direct, name) == getattr(via_files, name), name
+
+    def test_pairs_follow_gold_order_and_read_documents(self):
+        gold, pred = self.two_docs()
+        as_result = prediction_from_document(pred[0])
+        pairs = pair_predictions(gold, [pred[1], as_result])
+        assert [doc.doc_key for doc, _ in pairs] == ["t/d1", "t/d2"]
+        assert pairs[0][1] is as_result
+        assert pairs[1][1] == prediction_from_document(pred[1])
+        with pytest.raises(TypeError):
+            pair_predictions(gold, [[(0, 0)]])
 
     def test_duplicate_prediction_rejected(self):
         gold, pred = self.two_docs()

@@ -185,6 +185,19 @@ class TestUnaryScores:
         markable, mention, _ = unary_score_tensors(g, store)
         assert not np.allclose(markable.data, mention.data)
 
+    def test_activation_is_looked_up_when_the_scorers_run(self, monkeypatch):
+        """A wrapper installed on autodiff.relu after import, as a tracer
+        installs one, sees every hidden layer of both scorers."""
+        doc = make_document([["a", "b", "c"]])
+        spans = enumerate_spans(doc, max_span_width=2)
+        store = toy_store()
+        g, _ = represent_spans(embeddings_for(doc), spans, store)
+        calls = []
+        relu = ad.relu
+        monkeypatch.setattr(ad, "relu", lambda x: calls.append(x.shape) or relu(x))
+        unary_score_tensors(g, store, depth=2)
+        assert calls == [(len(spans), HIDDEN)] * 4
+
     def test_beta_receives_gradient(self):
         doc = make_document([["a", "b"]])
         spans = enumerate_spans(doc)
