@@ -192,14 +192,26 @@ def sort_clusters(clusters) -> list[list[tuple[int, int]]]:
     return out
 
 
-def _mentions_from_clusters(clusters) -> list[Mention]:
-    # a span listed in two clusters keeps its first cluster's id here;
-    # validate() is what rejects such documents
-    mentions: dict[tuple[int, int], Mention] = {}
+def cluster_index(clusters) -> dict[tuple[int, int], int]:
+    """Cluster id of each clustered span. A span listed in two clusters
+    keeps its first cluster's id; validate() is what rejects such
+    documents."""
+    index: dict[tuple[int, int], int] = {}
     for ci, cluster in enumerate(clusters):
-        for s, e in cluster:
-            mentions.setdefault((s, e), Mention(s, e, cluster_id=ci))
-    return sorted(mentions.values(), key=lambda m: m.span)
+        for span in cluster:
+            index.setdefault(tuple(span), ci)
+    return index
+
+
+def build_mentions(clusters, labels=None) -> list[Mention]:
+    """Mentions sorted by span: every clustered span and every span in
+    labels, a mapping span -> (entity type, information status); spans
+    without labels get unknown ones."""
+    index = cluster_index(clusters)
+    labels = labels or {}
+    return [Mention(*span, *labels.get(span, (UNKNOWN, UNKNOWN)),
+                    cluster_id=index.get(span))
+            for span in sorted(index.keys() | labels.keys())]
 
 
 # -- CoNLL parsing ----------------------------------------------------------
@@ -279,7 +291,7 @@ def parse_conll(source, default_genre: str | None = None) -> list[Document]:
             sentences=sentences[:],
             speakers=speakers[:],
             gold_clusters=clusters,
-            gold_mentions=_mentions_from_clusters(clusters),
+            gold_mentions=build_mentions(clusters),
             conll_key=key,
             part=part,
         ))
@@ -483,14 +495,14 @@ def read_sidecar(source) -> list[SidecarRow]:
 def write_sidecar(docs: list[Document]) -> str:
     lines = []
     for doc in docs:
-        span_cluster = {span: ci for ci, c in enumerate(doc.gold_clusters) for span in c}
+        # a valid document's cluster_id fields agree with its clusters
+        doc.validate()
         for m in sorted(doc.gold_mentions, key=lambda m: m.span):
-            ci = span_cluster.get(m.span)
             lines.append("\t".join([
                 doc.doc_key, str(m.start), str(m.end),
                 "_" if m.entity_type == UNKNOWN else m.entity_type,
                 "_" if m.info_status == UNKNOWN else m.info_status,
-                "_" if ci is None else str(ci),
+                "_" if m.cluster_id is None else str(m.cluster_id),
             ]))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -513,8 +525,8 @@ def merge_sidecar(doc: Document, rows: list[SidecarRow]) -> Document:
     coreference clusters. Merging the same rows twice is a no-op.
     """
     rows = [r for r in rows if r.doc_key == doc.doc_key]
-    mentions = {m.span: m for m in doc.gold_mentions}
-    span_cluster = {span: ci for ci, c in enumerate(doc.gold_clusters) for span in c}
+    labels = {m.span: (m.entity_type, m.info_status) for m in doc.gold_mentions}
+    span_cluster = cluster_index(doc.gold_clusters)
     label_cluster: dict[str, int | None] = {}
     starts = doc.sentence_starts()
 
@@ -530,18 +542,11 @@ def merge_sidecar(doc: Document, rows: list[SidecarRow]) -> Document:
                 raise CorpusError(
                     f"{doc.doc_key}: sidecar cluster id {r.cluster_label!r} maps to "
                     f"both cluster {prev} and cluster {ci}")
-        if span in mentions:
-            old = mentions[span]
-            mentions[span] = replace(
-                old,
-                entity_type=_merge_field(old.entity_type, r.entity_type,
-                                         "entity type", span, doc.doc_key),
-                info_status=_merge_field(old.info_status, r.info_status,
-                                         "information status", span, doc.doc_key),
-            )
-        else:
-            mentions[span] = Mention(r.start, r.end, r.entity_type, r.info_status,
-                                     cluster_id=None)
+        etype, istatus = labels.get(span, (UNKNOWN, UNKNOWN))
+        labels[span] = (
+            _merge_field(etype, r.entity_type, "entity type", span, doc.doc_key),
+            _merge_field(istatus, r.info_status, "information status", span,
+                         doc.doc_key))
 
     # a label attached to several new spans would be a cluster the base
     # annotation does not have; refuse rather than invent links
@@ -556,11 +561,10 @@ def merge_sidecar(doc: Document, rows: list[SidecarRow]) -> Document:
                 f"{doc.doc_key}: sidecar cluster id {label!r} groups spans "
                 f"{sorted(set(spans))} that are not clustered in the base annotation")
 
-    merged = replace(doc, gold_mentions=sorted(mentions.values(), key=lambda m: m.span),
-                     sentences=[list(s) for s in doc.sentences],
-                     speakers=[list(s) for s in doc.speakers],
-                     gold_clusters=[list(c) for c in doc.gold_clusters])
-    return merged
+    return replace(doc, gold_mentions=build_mentions(doc.gold_clusters, labels),
+                   sentences=[list(s) for s in doc.sentences],
+                   speakers=[list(s) for s in doc.speakers],
+                   gold_clusters=[list(c) for c in doc.gold_clusters])
 
 
 def apply_sidecar(docs: list[Document], rows: list[SidecarRow]) -> list[Document]:
@@ -594,42 +598,36 @@ def document_to_dict(doc: Document) -> dict:
 
 
 def document_from_dict(d: dict) -> Document:
+    key = str(d.get("doc_key"))
     clusters = sort_clusters(d.get("clusters", []))
-    span_cluster = {span: ci for ci, c in enumerate(clusters) for span in c}
-    mentions = []
-    seen = set()
-    for entry in d.get("mentions", []):
-        s, e, etype, istatus = entry
+    labels = {}
+    for s, e, etype, istatus in d.get("mentions", []):
         span = (int(s), int(e))
-        if span in seen:
-            raise CorpusError(f"{d.get('doc_key')}: duplicate mention {span}")
-        seen.add(span)
-        mentions.append(Mention(span[0], span[1],
-                                _check_entity_type(etype, str(d.get("doc_key"))),
-                                _check_info_status(istatus, str(d.get("doc_key"))),
-                                cluster_id=span_cluster.get(span)))
-    for span, ci in span_cluster.items():
-        if span not in seen:
-            mentions.append(Mention(span[0], span[1], cluster_id=ci))
-    mentions.sort(key=lambda m: m.span)
+        if span in labels:
+            raise CorpusError(f"{key}: duplicate mention {span}")
+        labels[span] = (_check_entity_type(etype, key), _check_info_status(istatus, key))
     return Document(
         doc_key=d["doc_key"],
         genre=d.get("genre", ""),
         sentences=[list(s) for s in d["sentences"]],
         speakers=[list(s) for s in d["speakers"]],
         gold_clusters=clusters,
-        gold_mentions=mentions,
+        gold_mentions=build_mentions(clusters, labels),
         conll_key=d.get("conll_key"),
         part=d.get("part"),
     )
 
 
 def write_jsonl(docs: list[Document]) -> str:
+    for doc in docs:
+        doc.validate()
     return "".join(json.dumps(document_to_dict(d), ensure_ascii=False) + "\n"
                    for d in docs)
 
 
 def read_jsonl(source) -> list[Document]:
+    """Read one document per line. A line that does not hold a valid
+    document raises CorpusError naming its file and line."""
     text, name = _read_source(source)
     docs = []
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -637,9 +635,18 @@ def read_jsonl(source) -> list[Document]:
             continue
         try:
             d = json.loads(line)
+            if not isinstance(d, dict):
+                raise CorpusError(f"expected a JSON object, got {type(d).__name__}")
+            doc = document_from_dict(d)
+            doc.validate()
         except json.JSONDecodeError as exc:
             raise CorpusError(f"{name}:{lineno}: bad JSON: {exc}") from None
-        docs.append(document_from_dict(d))
+        except KeyError as exc:
+            raise CorpusError(f"{name}:{lineno}: missing field {exc}") from None
+        except (TypeError, ValueError) as exc:
+            # a malformed field, or a document that validate() rejects
+            raise CorpusError(f"{name}:{lineno}: {exc}") from None
+        docs.append(doc)
     return docs
 
 
@@ -675,22 +682,16 @@ def prediction_to_document(pred: PredictionResult, doc: Document) -> Document:
     """Wrap a prediction in the document it was made on, so it can be
     written with the corpus writers. Predicted clusters become the
     document's clusters; singletons become unclustered mentions."""
-    span_cluster = {span: ci for ci, c in enumerate(pred.clusters) for span in c}
-    mentions = []
-    for span in pred.mention_spans():
-        mentions.append(Mention(
-            span[0], span[1],
-            entity_type=pred.mention_types.get(span, UNKNOWN),
-            info_status=pred.mention_statuses.get(span, UNKNOWN),
-            cluster_id=span_cluster.get(span),
-        ))
+    labels = {span: (pred.mention_types.get(span, UNKNOWN),
+                     pred.mention_statuses.get(span, UNKNOWN))
+              for span in pred.mention_spans()}
     return Document(
         doc_key=doc.doc_key,
         genre=doc.genre,
         sentences=[list(s) for s in doc.sentences],
         speakers=[list(s) for s in doc.speakers],
         gold_clusters=[list(c) for c in pred.clusters],
-        gold_mentions=mentions,
+        gold_mentions=build_mentions(pred.clusters, labels),
         conll_key=doc.conll_key,
         part=doc.part,
     )

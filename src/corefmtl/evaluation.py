@@ -7,7 +7,7 @@ given; dropping singleton clusters is an option of evaluate(), not of
 the metric functions.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
@@ -296,16 +296,4 @@ def format_report(report: EvaluationReport) -> str:
 
 
 def report_to_dict(report: EvaluationReport) -> dict:
-    def prf(x: PRF1):
-        return {"precision": x.precision, "recall": x.recall, "f1": x.f1}
-
-    return {
-        "markable_detection": prf(report.markable_detection),
-        "muc": prf(report.muc),
-        "b_cubed": prf(report.b_cubed),
-        "ceaf_phi4": prf(report.ceaf_phi4),
-        "avg_f1": report.avg_f1,
-        "keep_singletons": report.keep_singletons,
-        "mention_mode": report.mention_mode,
-        "num_documents": report.num_documents,
-    }
+    return asdict(report)

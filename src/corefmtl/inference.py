@@ -29,22 +29,6 @@ def decode_antecedents(scores: np.ndarray,
             for shortlist, col in zip(shortlists, best)]
 
 
-class _UnionFind:
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-
-    def find(self, x: int) -> int:
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a: int, b: int):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[max(ra, rb)] = min(ra, rb)
-
-
 def _softmax(logits: np.ndarray) -> np.ndarray:
     mx = logits.max(axis=-1, keepdims=True)
     ex = np.exp(logits - mx)
@@ -56,55 +40,39 @@ def build_clusters(antecedents: list[int | None], kept_spans, doc_key: str,
                    type_logits: np.ndarray | None = None,
                    status_logits: np.ndarray | None = None,
                    threshold: float = 0.5) -> PredictionResult:
-    """Union spans along predicted links; emit clusters of size >= 2, plus
+    """Group spans along predicted links; emit clusters of size >= 2, plus
     every unlinked span whose mention probability clears the threshold as
     a singleton."""
-    n = len(kept_spans)
-    uf = _UnionFind(n)
-    for i, j in enumerate(antecedents):
-        if j is not None:
-            if not 0 <= j < i:
-                raise ValueError(f"antecedent {j} is not before span {i}")
-            uf.union(i, j)
+    # every link points to an earlier span, so one pass in span order puts
+    # each span in the group of its chain's first span
+    first: list[int] = []
     groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(uf.find(i), []).append(i)
+    for i, j in enumerate(antecedents):
+        if j is not None and not 0 <= j < i:
+            raise ValueError(f"antecedent {j} is not before span {i}")
+        first.append(i if j is None else first[j])
+        groups.setdefault(first[i], []).append(i)
 
     span_of = [tuple(s.span) for s in kept_spans]
-    types = {}
-    statuses = {}
-    if type_logits is not None:
-        for i in range(n):
-            types[span_of[i]] = ENTITY_TYPES[int(np.argmax(type_logits[i]))]
-    if status_logits is not None:
-        for i in range(n):
-            statuses[span_of[i]] = INFO_STATUSES[int(np.argmax(status_logits[i]))]
-
-    clusters = []
-    singleton_indices = []
-    for root in sorted(groups):
-        members = sorted(groups[root])
-        if len(members) >= 2:
-            clusters.append([span_of[i] for i in members])
-        else:
-            singleton_indices.append(members[0])
-    clusters.sort(key=lambda c: c[0])
-
-    singletons = []
+    linked = sorted((g for g in groups.values() if len(g) >= 2),
+                    key=lambda g: span_of[g[0]])
+    unlinked = []
     if singleton_probs is not None:
-        for i in singleton_indices:
-            if float(singleton_probs[i]) >= threshold:
-                singletons.append(span_of[i])
-    singletons.sort()
+        unlinked = sorted((g[0] for g in groups.values()
+                           if len(g) == 1 and float(singleton_probs[g[0]]) >= threshold),
+                          key=span_of.__getitem__)
+    emitted = [i for g in linked for i in g] + unlinked
 
-    mention_types = {span: types.get(span, UNKNOWN)
-                     for c in clusters for span in c}
-    mention_types.update({span: types.get(span, UNKNOWN) for span in singletons})
-    mention_statuses = {span: statuses.get(span, UNKNOWN)
-                        for span in mention_types}
-    return PredictionResult(doc_key=doc_key, clusters=clusters,
-                            singletons=singletons, mention_types=mention_types,
-                            mention_statuses=mention_statuses)
+    def labels(logits, names):
+        if logits is None:
+            return {span_of[i]: UNKNOWN for i in emitted}
+        return {span_of[i]: names[int(np.argmax(logits[i]))] for i in emitted}
+
+    return PredictionResult(doc_key=doc_key,
+                            clusters=[[span_of[i] for i in g] for g in linked],
+                            singletons=[span_of[i] for i in unlinked],
+                            mention_types=labels(type_logits, ENTITY_TYPES),
+                            mention_statuses=labels(status_logits, INFO_STATUSES))
 
 
 def predict_document(model: MtlCorefModel, doc: Document,

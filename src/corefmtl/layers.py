@@ -1,9 +1,7 @@
 """Feed-forward blocks shared by the span scorers and classification heads."""
 
-import numpy as np
-
 from . import autodiff as ad
-from .autodiff import ParameterStore, Tensor
+from .autodiff import ParameterStore, Tensor, named_rng
 
 # autodiff function names, looked up when ffnn runs so that a wrapper
 # installed on the autodiff module (a tracer's) also sees these calls
@@ -22,10 +20,14 @@ def create_ffnn(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
     store.create(f"{prefix}/out_b", (out_dim,), init="zeros")
 
 
-def ffnn(x: Tensor | None, store: ParameterStore, prefix: str, depth: int = 2,
-         activation: str = "relu", dropout: float = 0.0,
-         rng: np.random.Generator | None = None, first_layer=None) -> Tensor:
+def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
+         activation: str = "relu", dropout: float = 0.0, step: int | None = None,
+         first_layer=None) -> Tensor:
     """Apply the named feed-forward block; output is linear (no activation).
+
+    The block's depth is the number of hidden layers the store holds for
+    it. Dropout applies in training only, when step is given, and draws
+    from the block's own stream for that step.
 
     first_layer(w, b), if given, returns the first linear layer's x @ w + b
     for an input that is never built (the pair scorer's); x is then None.
@@ -33,9 +35,15 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str, depth: int = 2,
     if activation not in ACTIVATIONS:
         raise ValueError(f"unknown activation {activation!r}")
     act = getattr(ad, activation)
+    depth = 0
+    while f"{prefix}/w{depth}" in store:
+        depth += 1
     weights = [(store[f"{prefix}/w{layer}"], store[f"{prefix}/b{layer}"])
                for layer in range(depth)]
     weights.append((store[f"{prefix}/out_w"], store[f"{prefix}/out_b"]))
+    rng = None
+    if dropout > 0.0 and step is not None:
+        rng = named_rng(store.seed, "dropout", step, prefix)
     h = x
     for layer, (w, b) in enumerate(weights):
         if layer == 0 and first_layer is not None:
@@ -45,7 +53,5 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str, depth: int = 2,
         if layer == depth:
             return h
         h = act(h)
-        if dropout > 0.0:
-            if rng is None:
-                raise ValueError("dropout needs an rng")
+        if rng is not None:
             h = ad.dropout(h, dropout, rng)

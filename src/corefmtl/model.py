@@ -5,7 +5,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterStore, Tensor, named_rng
+from .autodiff import ParameterStore, Tensor
 from .corpus import Document
 from .encoder import EncoderConfig, create_encoder_params, encode
 from .layers import ACTIVATIONS
@@ -117,18 +117,11 @@ class MtlCorefModel:
         need_heads names the auxiliary heads to compute (all, at inference,
         when the model has them)."""
         cfg = self.config
-        dropout = cfg.dropout if train_step is not None else 0.0
-        if dropout > 0.0:
-            def rng_factory(name, _step=train_step):
-                return named_rng(self.seed, "dropout", _step, name)
-        else:
-            rng_factory = None
-
         emb = encode(doc, cfg.encoder, self.store, self.vocab_index)
         spans = enumerate_spans(doc, cfg.max_span_width)
         g_all, _ = represent_spans(emb, spans, self.store)
         _, mention, combined = unary_score_tensors(
-            g_all, self.store, cfg.ffnn_depth, cfg.activation, dropout, rng_factory)
+            g_all, self.store, cfg.activation, cfg.dropout, train_step)
         kept = prune_spans(combined.data, spans, doc.num_tokens, cfg.prune_ratio)
         kept_spans = [spans[i] for i in kept]
         g_kept = ad.take_rows(g_all, np.array(kept, dtype=np.intp))
@@ -139,12 +132,12 @@ class MtlCorefModel:
         pairs = pair_features(kept_spans, doc, shortlists, self.genre_id(doc.genre))
         num_slots = max((len(sl) for sl in shortlists), default=0)
         scores = score_matrix(g_kept, combined_kept, pairs, num_slots, self.store,
-                              cfg.ffnn_depth, cfg.activation, dropout, rng_factory)
+                              cfg.activation, cfg.dropout, train_step)
 
         logits: dict[str, Tensor] = {}
         if self.include_aux and need_heads:
-            logits = head_logits(g_kept, self.store, need_heads, cfg.ffnn_depth,
-                                 cfg.activation, dropout, rng_factory)
+            logits = head_logits(g_kept, self.store, need_heads, cfg.activation,
+                                 cfg.dropout, train_step)
         return ForwardPass(spans=spans, kept=kept, kept_spans=kept_spans,
                            mention=mention, combined=combined,
                            shortlists=shortlists, scores=scores, logits=logits)

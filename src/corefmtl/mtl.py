@@ -15,13 +15,13 @@ credits singleton data with better mention detection but does not say
 whether the mention scorer itself is supervised; this follows that claim.
 """
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
-from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document
+from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document, cluster_index
 from .layers import create_ffnn, ffnn
 from .spans import SpanCandidate
 
@@ -44,8 +44,7 @@ class TaskWeights:
             raise ValueError("coreference weight must be > 0")
 
     def as_dict(self) -> dict[str, float]:
-        return {"coref": self.coref, "singleton": self.singleton,
-                "entity_type": self.entity_type, "info_status": self.info_status}
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "TaskWeights":
@@ -105,15 +104,12 @@ def create_head_params(store: ParameterStore, g_dim: int, hidden: int, depth: in
 
 
 def head_logits(g: Tensor, store: ParameterStore, tasks=tuple(HEAD_SIZES),
-                depth: int = 2, activation: str = "relu", dropout: float = 0.0,
-                rng_factory=None) -> dict[str, Tensor]:
+                activation: str = "relu", dropout: float = 0.0,
+                step: int | None = None) -> dict[str, Tensor]:
     """Logits of the named heads only; each head draws its own dropout
     stream, so which other heads run never changes its output."""
-    out = {}
-    for task in tasks:
-        rng = rng_factory(f"head/{task}") if rng_factory is not None else None
-        out[task] = ffnn(g, store, f"head/{task}", depth, activation, dropout, rng)
-    return out
+    return {task: ffnn(g, store, f"head/{task}", activation, dropout, step)
+            for task in tasks}
 
 
 # -- losses --------------------------------------------------------------------
@@ -152,10 +148,7 @@ def gold_antecedent_mask(kept_spans: list[SpanCandidate], shortlists,
     Column 0 is the dummy antecedent; it is gold exactly when no gold
     antecedent of the span survives in its shortlist.
     """
-    cluster_of: dict[tuple[int, int], int] = {}
-    for ci, cluster in enumerate(gold_clusters):
-        for span in cluster:
-            cluster_of[tuple(span)] = ci
+    cluster_of = cluster_index(gold_clusters)
     n = len(kept_spans)
     mask = np.zeros((n, num_slots + 1), dtype=bool)
     for i, cand in enumerate(kept_spans):

@@ -11,7 +11,7 @@ information status. Generation is deterministic in the seed.
 import numpy as np
 
 from .autodiff import named_rng
-from .corpus import Document, Mention
+from .corpus import Document, build_mentions
 
 # (proper names, common nouns) per entity type; names may be empty
 TYPE_LEXICON = {
@@ -198,13 +198,7 @@ def generate_document(doc_index: int, seed: int,
             chain_spans.setdefault(slot.chain_id, []).append((s, e))
     clusters = sorted((sorted(spans) for spans in chain_spans.values()),
                       key=lambda c: c[0])
-    cluster_of = {span: ci for ci, c in enumerate(clusters) for span in c}
-
-    mentions = []
-    for s, e, slot in sorted(spans_of_slot, key=lambda x: (x[0], x[1])):
-        mentions.append(Mention(s, e, entity_type=slot.entity_type,
-                                info_status=slot.status,
-                                cluster_id=cluster_of.get((s, e))))
+    labels = {(s, e): (slot.entity_type, slot.status) for s, e, slot in spans_of_slot}
 
     doc = Document(
         doc_key=f"{genre}/synth_{doc_index:04d}",
@@ -212,7 +206,7 @@ def generate_document(doc_index: int, seed: int,
         sentences=sentences,
         speakers=speakers,
         gold_clusters=clusters,
-        gold_mentions=mentions,
+        gold_mentions=build_mentions(clusters, labels),
     )
     doc.validate()
     return doc

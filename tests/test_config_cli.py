@@ -460,6 +460,47 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error:") and message in err
 
+    @pytest.mark.parametrize("command,damage,message", [
+        ("score", "missing_speakers", "missing field 'speakers'"),
+        ("score", "three_item_mention", "expected 4, got 3"),
+        ("score", "json_list", "expected a JSON object, got list"),
+        ("score", "string_span_bound", "not supported between"),
+        ("predict", "short_speaker_row", "speakers"),
+        ("analyze-errors", "span_past_end", "out of range"),
+    ], ids=["missing_speakers", "three_item_mention", "json_list",
+            "string_span_bound", "short_speaker_row", "span_past_end"])
+    def test_malformed_jsonl_is_data_error(self, workdir, tmp_path, capsys,
+                                           command, damage, message):
+        dev = workdir / "dev.jsonl"
+        d = json.loads(dev.read_text(encoding="utf-8"))
+        if damage == "missing_speakers":
+            del d["speakers"]
+        elif damage == "three_item_mention":
+            d["mentions"][0].pop()
+        elif damage == "json_list":
+            d = [d]
+        elif damage == "string_span_bound":
+            d["clusters"][0][0][0] = str(d["clusters"][0][0][0])
+        elif damage == "short_speaker_row":
+            d["speakers"] = [row[:len(row) // 2] for row in d["speakers"]]
+        else:
+            end = sum(len(s) for s in d["sentences"])
+            d["clusters"][0].append([end, end])
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text(json.dumps(d) + "\n", encoding="utf-8")
+        if command == "score":
+            argv = ["score", str(dev), str(bad)]
+        elif command == "predict":
+            argv = ["predict", str(bad),
+                    "--checkpoint", str(workdir / "run" / "checkpoint.npz"),
+                    "--out", str(tmp_path / "p.jsonl")]
+        else:
+            argv = ["analyze-errors", str(dev), str(dev), str(bad)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert f"{bad}:1: " in err and message in err
+
     def test_bad_config_is_data_error(self, workdir, tmp_path, capsys):
         code = main(["train", str(workdir / "train.jsonl"),
                      "--config", str(tmp_path / "absent.ini"),

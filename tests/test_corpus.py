@@ -1,5 +1,7 @@
 """Document model, CoNLL parsing and writing, sidecar merge, JSON lines."""
 
+import json
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -112,6 +114,9 @@ class TestParseConll:
         assert len(doc.gold_mentions) == 2  # the shared span appears once
         with pytest.raises(CorpusError, match="appears in clusters"):
             doc.validate()
+        for writer in (write_conll, write_sidecar, write_jsonl):
+            with pytest.raises(CorpusError, match="appears in clusters"):
+                writer([doc])
 
     def test_multiple_documents(self):
         text = BASIC + "#begin document (bc/show); part 001\nbc/show 1 0 hi (0)\n#end document\n"
@@ -403,6 +408,16 @@ class TestJsonl:
         assert back == doc
         assert back.conll_key == "nw/wsj_0001"
         assert back.part == 0
+
+    def test_dict_round_trip_keeps_first_cluster_of_shared_span(self):
+        (doc,) = parse_conll("#begin document (k)\n"
+                             "k 0 0 a (0)|(1)\n"
+                             "k 0 1 b (0)\n"
+                             "#end document\n")
+        assert doc.mention_map()[(0, 0)].cluster_id == 0
+        assert document_from_dict(document_to_dict(doc)) == doc
+        with pytest.raises(CorpusError, match=":1: k: span .* appears in clusters"):
+            read_jsonl(json.dumps(document_to_dict(doc)) + "\n")
 
     def test_duplicate_mention_rejected(self):
         d = document_to_dict(self.doc())

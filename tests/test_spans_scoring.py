@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from corefmtl import autodiff as ad
 from corefmtl.autodiff import ParameterStore, Tensor, named_rng
+from corefmtl.layers import create_ffnn, ffnn
 from corefmtl.scoring import (
     coarse_scores,
     create_scoring_params,
@@ -195,8 +196,18 @@ class TestUnaryScores:
         calls = []
         relu = ad.relu
         monkeypatch.setattr(ad, "relu", lambda x: calls.append(x.shape) or relu(x))
-        unary_score_tensors(g, store, depth=2)
+        unary_score_tensors(g, store)
         assert calls == [(len(spans), HIDDEN)] * 4
+
+    def test_ffnn_depth_is_read_from_the_store(self, monkeypatch):
+        store = ParameterStore(1)
+        create_ffnn(store, "block", 5, HIDDEN, 2, depth=3)
+        calls = []
+        relu = ad.relu
+        monkeypatch.setattr(ad, "relu", lambda x: calls.append(x.shape) or relu(x))
+        out = ffnn(Tensor(np.ones((4, 5))), store, "block")
+        assert calls == [(4, HIDDEN)] * 3
+        assert out.shape == (4, 2)
 
     def test_beta_receives_gradient(self):
         doc = make_document([["a", "b"]])
