@@ -8,6 +8,13 @@ reproducible on a fixed seed.
 Inside `no_grad()` no tape is built: an op's output has no parents and
 no backward closure, so inference frees each intermediate as soon as the
 caller drops it.
+
+`backward()` frees the tape as it consumes it: once a node's closure has
+run, the node drops its gradient, closure and parents, so each gradient
+and each saved activation goes as soon as nothing upstream needs it.
+Leaves (parameters, and tensors made with requires_grad=True) keep their
+gradients; `retain_grad()` keeps an intermediate's. A graph is
+differentiated once: a second backward() through it raises.
 """
 
 import contextlib
@@ -60,6 +67,11 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
+def _released(_):
+    raise RuntimeError("backward() through a graph that an earlier backward() "
+                       "already freed")
+
+
 class Tensor:
     """A float64 ndarray plus the tape bookkeeping to backprop through it.
 
@@ -68,11 +80,13 @@ class Tensor:
     not under no_grad().
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name",
+                 "_retain")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None, name=None):
         self.data = np.asarray(data, dtype=DTYPE)
         self.grad = None
+        self._retain = False
         self.requires_grad = bool(requires_grad) or (
             _GRAD_ENABLED.get() and any(p.requires_grad for p in _parents))
         self._parents = _parents if self.requires_grad else ()
@@ -100,10 +114,16 @@ class Tensor:
 
     # -- graph traversal -------------------------------------------------
 
+    def retain_grad(self):
+        """Keep this intermediate's gradient after backward() frees the graph."""
+        self._retain = True
+
     def backward(self, seed=None):
         """Accumulate gradients of self w.r.t. every reachable parameter.
 
         seed defaults to ones; for the scalar-loss case that is d(loss)/d(loss)=1.
+        Each node is released once its closure has run (see the module
+        docstring), so the graph cannot be differentiated again.
         """
         topo: list[Tensor] = []
         visited = set()
@@ -124,9 +144,16 @@ class Tensor:
         if seed is None:
             seed = np.ones_like(self.data)
         self.grad = np.asarray(seed, dtype=DTYPE).reshape(self.data.shape).copy()
-        for node in reversed(topo):
-            if node._backward is not None and node.grad is not None:
+        while topo:
+            node = topo.pop()
+            if node._backward is None:
+                continue  # a leaf
+            if node.grad is not None:
                 node._backward(node.grad)
+            node._backward = _released
+            node._parents = ()
+            if not node._retain:
+                node.grad = None
 
     def _accumulate(self, grad: np.ndarray):
         # Accumulation always rebinds (never mutates in place), so sharing
@@ -320,6 +347,10 @@ def span_attend(alpha: Tensor, emb: Tensor, grid) -> Tensor:
     return Tensor(out, _parents=(alpha, emb), _backward=backward)
 
 
+# pairs whose g[rows] * g[antecedents] product the forward pass builds at once
+PAIR_BLOCK = 1024
+
+
 def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
                      tables) -> Tensor:
     """The first linear layer over pair inputs, without building them.
@@ -333,7 +364,8 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
         + sum_k (T_k W_k)[idx_k] + b0
 
     (the factorisation of Kirstain et al. 2021). Only the product term
-    is computed per pair; backward recomputes it instead of keeping it.
+    is computed per pair, PAIR_BLOCK pairs at a time; backward recomputes
+    it instead of keeping it.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
@@ -345,14 +377,19 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
         raise ValueError(f"pair input has {bounds[-1]} columns, w0 has {wv.shape[0]} rows")
     w_a, w_b, w_c, *w_tables = (wv[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
 
-    def product():
-        prod = gv[rows]
-        prod *= gv[ants]
+    def product(lo=0, hi=None):
+        prod = gv[rows[lo:hi]]
+        prod *= gv[ants[lo:hi]]
         return prod
 
     out = (gv @ w_a)[rows]
     out += (gv @ w_b)[ants]
-    out += product() @ w_c
+    for lo in range(0, len(rows), PAIR_BLOCK):
+        # the last block ends at the last pair and overlaps the one before,
+        # so every product has PAIR_BLOCK rows: BLAS may sum a short one's
+        # edge columns in another order than the unblocked product does
+        first = max(min(lo, len(rows) - PAIR_BLOCK), 0)
+        out[lo:lo + PAIR_BLOCK] += (product(first, first + PAIR_BLOCK) @ w_c)[lo - first:]
     for (t, idx), w_k in zip(tables, w_tables):
         out += (t.data @ w_k)[idx]
     out += b0.data
@@ -381,6 +418,79 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
                   _backward=backward)
 
 
+# -- dense layers ---------------------------------------------------------
+
+ACTIVATIONS = ("relu", "tanh")
+
+
+def dense(x: Tensor, w: Tensor | None, b: Tensor | None, activation: str = "relu",
+          rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
+    """act(x @ w + b) with inverted dropout, as one tape node.
+
+    With w and b None, x is already the layer's linear output (the pair
+    scorer's first layer). Dropout applies when rng is given and rate > 0;
+    its mask is drawn from rng as rng.random(shape) < 1 - rate.
+
+    The node keeps its output and, for tanh under dropout, the boolean
+    mask and the activation before dropout. relu needs neither: a dropped
+    unit's output is 0, as is that of a unit relu zeroed, so out > 0 is
+    the whole mask. The arithmetic is that of matmul, add, the activation
+    and a multiply by mask / (1 - rate) in turn, so values and gradients
+    are bit-identical to that composition.
+    """
+    if activation not in ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
+    if w is None:
+        z, buf = x.data, None
+    else:
+        z = x.data @ w.data
+        z += b.data
+        buf = z   # our own array: activate in place
+    if activation == "relu":
+        act = np.maximum(z, 0.0, out=buf)
+    else:
+        act = np.tanh(z, out=buf)
+    scale = mask = None
+    out = act
+    if rng is not None and rate > 0.0:
+        keep = 1.0 - rate
+        scale = 1.0 / keep
+        mask = rng.random(act.shape) < keep
+        if activation == "relu":
+            out *= mask
+            act = mask = None
+        else:
+            out = act * mask
+        out *= scale
+
+    def backward(g):
+        # the composition's (g * mask / keep) * act'(z); for relu, g * (out > 0)
+        # has the zeros of both factors, signs included, and then the scale
+        if activation == "relu":
+            d = g * (out > 0.0)
+            if scale is not None:
+                d *= scale
+        else:
+            deriv = 1.0 - act * act
+            if mask is None:
+                d = g * deriv
+            else:
+                d = g * mask
+                d *= scale
+                d *= deriv
+        if w is None:
+            x._accumulate(d)
+            return
+        b._accumulate(d.sum(axis=0))
+        if x.requires_grad:
+            x._accumulate(d @ w.data.T)
+        if w.requires_grad:
+            w._accumulate(x.data.T @ d)
+
+    parents = (x,) if w is None else (x, w, b)
+    return Tensor(out, _parents=parents, _backward=backward)
+
+
 # -- elementwise nonlinearities -------------------------------------------
 
 
@@ -400,13 +510,6 @@ def tanh(a: Tensor) -> Tensor:
         a._accumulate(g * (1.0 - value * value))
 
     return Tensor(value, _parents=(a,), _backward=backward)
-
-
-def relu(a: Tensor) -> Tensor:
-    def backward(g):
-        a._accumulate(g * (a.data > 0.0))
-
-    return Tensor(np.maximum(a.data, 0.0), _parents=(a,), _backward=backward)
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
@@ -451,15 +554,6 @@ def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
         a._accumulate(g * soft)
 
     return Tensor(value, _parents=(a,), _backward=backward)
-
-
-def dropout(a: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; the mask is drawn from the caller's named stream."""
-    if rate <= 0.0:
-        return a
-    keep = 1.0 - rate
-    mask = (rng.random(a.data.shape) < keep).astype(DTYPE) / keep
-    return mul(a, constant(mask))
 
 
 # -- parameters -----------------------------------------------------------

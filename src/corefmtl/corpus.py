@@ -16,6 +16,7 @@ import json
 import re
 from bisect import bisect_right
 from dataclasses import dataclass, field, replace
+from numbers import Integral
 from pathlib import Path
 
 ENTITY_TYPES = (
@@ -597,12 +598,25 @@ def document_to_dict(doc: Document) -> dict:
     return d
 
 
+def _check_span(bounds, where: str) -> tuple[int, int]:
+    """bounds as a (start, end) tuple of ints; a float, string or bool
+    bound raises CorpusError."""
+    span = tuple(bounds)
+    if len(span) != 2 or not all(isinstance(b, Integral) and not isinstance(b, bool)
+                                 for b in span):
+        raise CorpusError(f"{where}: span {list(span)!r} does not have two integer bounds")
+    return (int(span[0]), int(span[1]))
+
+
 def document_from_dict(d: dict) -> Document:
     key = str(d.get("doc_key"))
     clusters = sort_clusters(d.get("clusters", []))
+    for cluster in clusters:
+        for span in cluster:
+            _check_span(span, key)
     labels = {}
     for s, e, etype, istatus in d.get("mentions", []):
-        span = (int(s), int(e))
+        span = _check_span((s, e), key)
         if span in labels:
             raise CorpusError(f"{key}: duplicate mention {span}")
         labels[span] = (_check_entity_type(etype, key), _check_info_status(istatus, key))

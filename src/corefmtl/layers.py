@@ -3,10 +3,6 @@
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor, named_rng
 
-# autodiff function names, looked up when ffnn runs so that a wrapper
-# installed on the autodiff module (a tracer's) also sees these calls
-ACTIVATIONS = ("relu", "tanh")
-
 
 def create_ffnn(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
                 out_dim: int, depth: int = 2, zero_output: bool = False):
@@ -32,9 +28,6 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
     first_layer(w, b), if given, returns the first linear layer's x @ w + b
     for an input that is never built (the pair scorer's); x is then None.
     """
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
-    act = getattr(ad, activation)
     depth = 0
     while f"{prefix}/w{depth}" in store:
         depth += 1
@@ -47,11 +40,9 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
     h = x
     for layer, (w, b) in enumerate(weights):
         if layer == 0 and first_layer is not None:
-            h = first_layer(w, b)
-        else:
-            h = ad.matmul(h, w) + b
+            h, w, b = first_layer(w, b), None, None
         if layer == depth:
-            return h
-        h = act(h)
-        if rng is not None:
-            h = ad.dropout(h, dropout, rng)
+            return h if w is None else ad.matmul(h, w) + b
+        # looked up when ffnn runs, so that a wrapper installed on the
+        # autodiff module (a tracer's) also sees these calls
+        h = ad.dense(h, w, b, activation, dropout, rng)

@@ -5,10 +5,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParameterStore, Tensor
+from .autodiff import ACTIVATIONS, ParameterStore, Tensor
 from .corpus import Document
 from .encoder import EncoderConfig, create_encoder_params, encode
-from .layers import ACTIVATIONS
 from .mtl import (AuxiliaryLabels, TaskWeights, assign_aux_labels, aux_losses,
                   coref_loss_from_matrix, create_head_params, gold_antecedent_mask,
                   head_logits, mention_labels, mention_scorer_loss, total_loss)

@@ -49,7 +49,7 @@ class TestElementwise:
         data = rng.normal(size=(5, 3))
         data[np.abs(data) < 0.05] += 0.2
         x = Tensor(data, requires_grad=True)
-        out = ad.relu(x).sum()
+        out = ad.dense(x, None, None, "relu").sum()
         out.backward()
         npt.assert_allclose(x.grad, (data > 0).astype(float))
 
@@ -216,6 +216,75 @@ class TestFusedLayers:
                                 [1], [0], [])
 
 
+def assert_bits_equal(got, want):
+    """Same shape and the same float64 bits, signed zeros included."""
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+class TestDense:
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_finite_differences(self, activation, rate):
+        rng = np.random.default_rng(9)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(6, 4)))
+
+        def layer():
+            # one fixed mask: every evaluation draws from the same stream
+            return ad.dense(x, w, b, activation, rate, ad.named_rng(1, "mask"))
+
+        (layer() * weights).sum().backward()
+
+        def value():
+            return float((layer().data * weights.data).sum())
+
+        for t in (x, w, b):
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
+
+    @pytest.mark.parametrize("activation", ["relu", "tanh"])
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_bit_identical_to_the_unfused_layer(self, activation, rate):
+        """matmul, + bias, the activation and a multiply by mask / keep,
+        each in its own step, forward and backward."""
+        rng = np.random.default_rng(10)
+        xv, wv, bv = rng.normal(size=(40, 5)), rng.normal(size=(5, 7)), rng.normal(size=7)
+        seed = rng.normal(size=(40, 7))
+        seed[::3] = -seed[::3]     # negative gradients at dropped units give -0.0
+        x, w, b = (Tensor(v, requires_grad=True) for v in (xv, wv, bv))
+        out = ad.dense(x, w, b, activation, rate, ad.named_rng(2, "mask"))
+        out.backward(seed=seed)
+
+        z = xv @ wv + bv
+        h = np.maximum(z, 0.0) if activation == "relu" else np.tanh(z)
+        keep = 1.0 - rate
+        mask = np.ones_like(h)
+        if rate > 0.0:
+            mask = (ad.named_rng(2, "mask").random(h.shape) < keep).astype(np.float64) / keep
+        d = seed * mask
+        d = d * (z > 0.0) if activation == "relu" else d * (1.0 - h * h)
+        assert_bits_equal(out.data, h * mask)
+        assert_bits_equal(b.grad, d.sum(axis=0))
+        assert_bits_equal(x.grad, d @ wv.T)
+        assert_bits_equal(w.grad, xv.T @ d)
+
+    def test_applies_to_a_given_linear_output(self):
+        """With w and b None, x is the layer's pre-activation."""
+        rng = np.random.default_rng(11)
+        z = Tensor(rng.normal(size=(8, 3)), requires_grad=True)
+        out = ad.dense(z, None, None, "tanh", 0.5, ad.named_rng(3, "mask"))
+        out.backward(seed=np.ones((8, 3)))
+        mask = (ad.named_rng(3, "mask").random((8, 3)) < 0.5) / 0.5
+        assert_bits_equal(out.data, np.tanh(z.data) * mask)
+        assert_bits_equal(z.grad, mask * (1.0 - np.tanh(z.data) ** 2))
+
+    def test_unknown_activation(self):
+        with pytest.raises(ValueError, match="unknown activation 'gelu'"):
+            ad.dense(Tensor(np.ones((1, 1))), None, None, "gelu")
+
+
 class TestReductionsAndLse:
     def test_sum_axis_keepdims(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
@@ -283,11 +352,49 @@ class TestGraph:
         npt.assert_allclose(b.grad, g[:, 2:])
 
 
+class TestGraphRelease:
+    def build(self):
+        rng = np.random.default_rng(12)
+        x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(np.zeros(4), requires_grad=True)
+        hidden = ad.dense(x, w, b, "tanh")
+        lse = ad.logsumexp(hidden, axis=1)
+        return (x, w, b), (hidden, lse, lse.sum())
+
+    def test_backward_frees_intermediates_and_keeps_leaf_gradients(self):
+        leaves, nodes = self.build()
+        nodes[-1].backward()
+        for t in nodes:
+            assert t.grad is None
+            assert t._parents == ()
+            assert t._backward.__closure__ is None   # no saved arrays
+        for t in leaves:
+            assert t.grad is not None and t.grad.shape == t.shape
+
+    def test_retain_grad_keeps_an_intermediate_gradient(self):
+        (x, w, b), (hidden, lse, loss) = self.build()
+        hidden.retain_grad()
+        loss.backward()
+        soft = np.exp(hidden.data - lse.data[:, None])
+        npt.assert_allclose(hidden.grad, soft, rtol=1e-12)
+        assert lse.grad is None and b.grad is not None
+
+    def test_second_backward_through_a_freed_graph_raises(self):
+        _, (hidden, lse, loss) = self.build()
+        loss.backward()
+        with pytest.raises(RuntimeError, match="already freed"):
+            loss.backward()
+        # a second root over the freed nodes gets no silent zero gradient
+        with pytest.raises(RuntimeError, match="already freed"):
+            (lse * 2.0).sum().backward()
+
+
 class TestNoGrad:
     def test_outputs_hold_no_tape(self):
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with ad.no_grad():
-            y = ad.relu(ad.matmul(x, x) + x)
+            y = ad.dense(x, x, Tensor(np.ones(2), requires_grad=True), "relu")
             z = ad.logsumexp(y, axis=1)
         for t in (y, z):
             assert not t.requires_grad

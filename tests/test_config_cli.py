@@ -465,10 +465,16 @@ class TestExitCodes:
         ("score", "three_item_mention", "expected 4, got 3"),
         ("score", "json_list", "expected a JSON object, got list"),
         ("score", "string_span_bound", "not supported between"),
+        ("score", "float_cluster_bounds", "does not have two integer bounds"),
+        ("predict", "bool_cluster_bound", "does not have two integer bounds"),
+        ("score", "float_mention_bound", "does not have two integer bounds"),
+        ("score", "string_mention_bound", "does not have two integer bounds"),
         ("predict", "short_speaker_row", "speakers"),
         ("analyze-errors", "span_past_end", "out of range"),
     ], ids=["missing_speakers", "three_item_mention", "json_list",
-            "string_span_bound", "short_speaker_row", "span_past_end"])
+            "string_span_bound", "float_cluster_bounds", "bool_cluster_bound",
+            "float_mention_bound", "string_mention_bound", "short_speaker_row",
+            "span_past_end"])
     def test_malformed_jsonl_is_data_error(self, workdir, tmp_path, capsys,
                                            command, damage, message):
         dev = workdir / "dev.jsonl"
@@ -481,6 +487,14 @@ class TestExitCodes:
             d = [d]
         elif damage == "string_span_bound":
             d["clusters"][0][0][0] = str(d["clusters"][0][0][0])
+        elif damage == "float_cluster_bounds":
+            d["clusters"][0] = [[s + 0.5, e + 0.5] for s, e in d["clusters"][0]]
+        elif damage == "bool_cluster_bound":
+            d["clusters"][0][0][0] = bool(d["clusters"][0][0][0])
+        elif damage == "float_mention_bound":
+            d["mentions"][0][1] = d["mentions"][0][1] + 0.9
+        elif damage == "string_mention_bound":
+            d["mentions"][0][0] = str(d["mentions"][0][0])
         elif damage == "short_speaker_row":
             d["speakers"] = [row[:len(row) // 2] for row in d["speakers"]]
         else:

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import platform
+import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -358,6 +359,7 @@ class TestMentionScorerSupervision:
         model = MtlCorefModel(cfg.model_config((doc.genre,) if doc.genre else ()),
                               cfg.seed, vocab)
         tot, _, fp = model.loss(doc, weights)
+        fp.mention.retain_grad()
         tot.backward()
         gold = doc.mention_map()
         kept = set(fp.kept)
@@ -377,6 +379,33 @@ class TestMentionScorerSupervision:
     def test_coref_only_sends_unkept_spans_no_gradient(self):
         _, fp, unkept = self.backprop(TaskWeights(1.0, 0.0, 0.0, 0.0))
         assert np.all(fp.mention.grad[unkept] == 0.0)
+
+
+class TestBackwardMemory:
+    def test_backward_frees_the_tape_it_consumes(self):
+        """backward() drops each node's gradient, closure and parents once
+        the node's closure has run, so the memory it adds at its peak stays
+        well below the tape, and most of the tape is gone when it returns."""
+        cfg = tiny_config(encoder=EncoderConfig(dim=32, vocab_size=64, window=1),
+                          feature_dim=8, hidden=64, max_span_width=6)
+        vocab = build_vocab(generate_corpus(2, seed=5), 64)
+        model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, vocab)
+        rng = np.random.default_rng(0)
+        doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
+                             for _ in range(25)])
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            tot, _, _ = model.loss(doc, PRESET_WEIGHTS["sg_ent_infs"], train_step=1)
+            built, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            tot.backward()
+            end, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        tape = built - start
+        assert peak - built < tape / 2
+        assert end < built - tape / 2
 
 
 class TestStability:
