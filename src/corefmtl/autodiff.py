@@ -170,23 +170,11 @@ class Tensor:
     def __add__(self, other):
         return add(self, as_tensor(other))
 
-    def __radd__(self, other):
-        return add(as_tensor(other), self)
-
     def __sub__(self, other):
         return sub(self, as_tensor(other))
 
-    def __rsub__(self, other):
-        return sub(as_tensor(other), self)
-
     def __mul__(self, other):
         return mul(self, as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(as_tensor(other), self)
-
-    def __matmul__(self, other):
-        return matmul(self, as_tensor(other))
 
     def sum(self, axis=None, keepdims=False):
         return tensor_sum(self, axis=axis, keepdims=keepdims)
@@ -420,64 +408,40 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
 
 # -- dense layers ---------------------------------------------------------
 
-ACTIVATIONS = ("relu", "tanh")
 
-
-def dense(x: Tensor, w: Tensor | None, b: Tensor | None, activation: str = "relu",
-          rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
-    """act(x @ w + b) with inverted dropout, as one tape node.
+def dense(x: Tensor, w: Tensor | None, b: Tensor | None, rate: float = 0.0,
+          rng: np.random.Generator | None = None) -> Tensor:
+    """relu(x @ w + b) with inverted dropout, as one tape node.
 
     With w and b None, x is already the layer's linear output (the pair
     scorer's first layer). Dropout applies when rng is given and rate > 0;
     its mask is drawn from rng as rng.random(shape) < 1 - rate.
 
-    The node keeps its output and, for tanh under dropout, the boolean
-    mask and the activation before dropout. relu needs neither: a dropped
-    unit's output is 0, as is that of a unit relu zeroed, so out > 0 is
-    the whole mask. The arithmetic is that of matmul, add, the activation
-    and a multiply by mask / (1 - rate) in turn, so values and gradients
-    are bit-identical to that composition.
+    The node keeps only its output: a dropped unit's output is 0, as is
+    that of a unit relu zeroed, so out > 0 is the whole mask. The
+    arithmetic is that of matmul, add, relu and a multiply by
+    mask / (1 - rate) in turn, so values and gradients are bit-identical
+    to that composition.
     """
-    if activation not in ACTIVATIONS:
-        raise ValueError(f"unknown activation {activation!r}")
     if w is None:
-        z, buf = x.data, None
+        out = np.maximum(x.data, 0.0)
     else:
-        z = x.data @ w.data
-        z += b.data
-        buf = z   # our own array: activate in place
-    if activation == "relu":
-        act = np.maximum(z, 0.0, out=buf)
-    else:
-        act = np.tanh(z, out=buf)
-    scale = mask = None
-    out = act
+        out = x.data @ w.data
+        out += b.data
+        np.maximum(out, 0.0, out=out)
+    scale = None
     if rng is not None and rate > 0.0:
         keep = 1.0 - rate
         scale = 1.0 / keep
-        mask = rng.random(act.shape) < keep
-        if activation == "relu":
-            out *= mask
-            act = mask = None
-        else:
-            out = act * mask
+        out *= rng.random(out.shape) < keep
         out *= scale
 
     def backward(g):
-        # the composition's (g * mask / keep) * act'(z); for relu, g * (out > 0)
-        # has the zeros of both factors, signs included, and then the scale
-        if activation == "relu":
-            d = g * (out > 0.0)
-            if scale is not None:
-                d *= scale
-        else:
-            deriv = 1.0 - act * act
-            if mask is None:
-                d = g * deriv
-            else:
-                d = g * mask
-                d *= scale
-                d *= deriv
+        # the composition's (g * mask / keep) * (z > 0): g * (out > 0) has
+        # the zeros of both factors, signs included, and then the scale
+        d = g * (out > 0.0)
+        if scale is not None:
+            d *= scale
         if w is None:
             x._accumulate(d)
             return

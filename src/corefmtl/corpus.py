@@ -133,9 +133,6 @@ class Document:
             )
         return si
 
-    def span_text(self, start: int, end: int) -> str:
-        return " ".join(self.flat_tokens()[start:end + 1])
-
     def mention_map(self) -> dict[tuple[int, int], Mention]:
         return {m.span: m for m in self.gold_mentions}
 
@@ -608,8 +605,29 @@ def _check_span(bounds, where: str) -> tuple[int, int]:
     return (int(span[0]), int(span[1]))
 
 
+def _check_rows(d: dict, name: str, where: str) -> list[list[str]]:
+    """d[name] as a list of lists of strings, or CorpusError."""
+    rows = d[name]
+    if not (isinstance(rows, list) and all(
+            isinstance(row, list) and all(isinstance(s, str) for s in row)
+            for row in rows)):
+        raise CorpusError(f"{where}: {name} must be a list of lists of strings")
+    return [list(row) for row in rows]
+
+
 def document_from_dict(d: dict) -> Document:
-    key = str(d.get("doc_key"))
+    key = d["doc_key"]
+    if not isinstance(key, str):
+        raise CorpusError(f"doc_key must be a string, got {key!r}")
+    genre, conll_key, part = d.get("genre", ""), d.get("conll_key"), d.get("part")
+    if not isinstance(genre, str):
+        raise CorpusError(f"{key}: genre must be a string, got {genre!r}")
+    if conll_key is not None and not isinstance(conll_key, str):
+        raise CorpusError(f"{key}: conll_key must be a string, got {conll_key!r}")
+    if part is not None and (not isinstance(part, int) or isinstance(part, bool)):
+        raise CorpusError(f"{key}: part must be an integer, got {part!r}")
+    sentences = _check_rows(d, "sentences", key)
+    speakers = _check_rows(d, "speakers", key)
     clusters = sort_clusters(d.get("clusters", []))
     for cluster in clusters:
         for span in cluster:
@@ -621,14 +639,14 @@ def document_from_dict(d: dict) -> Document:
             raise CorpusError(f"{key}: duplicate mention {span}")
         labels[span] = (_check_entity_type(etype, key), _check_info_status(istatus, key))
     return Document(
-        doc_key=d["doc_key"],
-        genre=d.get("genre", ""),
-        sentences=[list(s) for s in d["sentences"]],
-        speakers=[list(s) for s in d["speakers"]],
+        doc_key=key,
+        genre=genre,
+        sentences=sentences,
+        speakers=speakers,
         gold_clusters=clusters,
         gold_mentions=build_mentions(clusters, labels),
-        conll_key=d.get("conll_key"),
-        part=d.get("part"),
+        conll_key=conll_key,
+        part=part,
     )
 
 

@@ -17,9 +17,9 @@ def create_ffnn(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
 
 
 def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
-         activation: str = "relu", dropout: float = 0.0, step: int | None = None,
-         first_layer=None) -> Tensor:
-    """Apply the named feed-forward block; output is linear (no activation).
+         dropout: float = 0.0, step: int | None = None, first_layer=None) -> Tensor:
+    """Apply the named feed-forward block: ReLU hidden layers, then a
+    linear output layer.
 
     The block's depth is the number of hidden layers the store holds for
     it. Dropout applies in training only, when step is given, and draws
@@ -45,4 +45,4 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
             return h if w is None else ad.matmul(h, w) + b
         # looked up when ffnn runs, so that a wrapper installed on the
         # autodiff module (a tracer's) also sees these calls
-        h = ad.dense(h, w, b, activation, dropout, rng)
+        h = ad.dense(h, w, b, dropout, rng)

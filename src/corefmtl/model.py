@@ -1,11 +1,12 @@
 """The end-to-end model: encode, represent, score, prune, and the joint loss."""
 
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ACTIVATIONS, ParameterStore, Tensor
+from .autodiff import ParameterStore, Tensor
 from .corpus import Document
 from .encoder import EncoderConfig, create_encoder_params, encode
 from .mtl import (AuxiliaryLabels, TaskWeights, assign_aux_labels, aux_losses,
@@ -25,18 +26,20 @@ class ModelStructure:
     feature_dim: int = 20
     hidden: int = 1000
     ffnn_depth: int = 2
-    activation: str = "relu"
     dropout: float = 0.3
     max_span_width: int = 30
     prune_ratio: float = 0.4
     top_antecedents: int = 50
 
     def __post_init__(self):
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"activation must be one of {', '.join(ACTIVATIONS)}, "
-                             f"got {self.activation!r}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.max_span_width < 1:
+            raise ValueError(f"max_span_width must be >= 1, got {self.max_span_width}")
+        if not (isfinite(self.prune_ratio) and self.prune_ratio > 0):
+            raise ValueError(f"prune_ratio must be finite and > 0, got {self.prune_ratio}")
+        if self.top_antecedents < 1:
+            raise ValueError(f"top_antecedents must be >= 1, got {self.top_antecedents}")
 
 
 @dataclass(frozen=True)
@@ -120,7 +123,7 @@ class MtlCorefModel:
         spans = enumerate_spans(doc, cfg.max_span_width)
         g_all, _ = represent_spans(emb, spans, self.store)
         _, mention, combined = unary_score_tensors(
-            g_all, self.store, cfg.activation, cfg.dropout, train_step)
+            g_all, self.store, cfg.dropout, train_step)
         kept = prune_spans(combined.data, spans, doc.num_tokens, cfg.prune_ratio)
         kept_spans = [spans[i] for i in kept]
         g_kept = ad.take_rows(g_all, np.array(kept, dtype=np.intp))
@@ -131,12 +134,12 @@ class MtlCorefModel:
         pairs = pair_features(kept_spans, doc, shortlists, self.genre_id(doc.genre))
         num_slots = max((len(sl) for sl in shortlists), default=0)
         scores = score_matrix(g_kept, combined_kept, pairs, num_slots, self.store,
-                              cfg.activation, cfg.dropout, train_step)
+                              cfg.dropout, train_step)
 
         logits: dict[str, Tensor] = {}
         if self.include_aux and need_heads:
-            logits = head_logits(g_kept, self.store, need_heads, cfg.activation,
-                                 cfg.dropout, train_step)
+            logits = head_logits(g_kept, self.store, need_heads, cfg.dropout,
+                                 train_step)
         return ForwardPass(spans=spans, kept=kept, kept_spans=kept_spans,
                            mention=mention, combined=combined,
                            shortlists=shortlists, scores=scores, logits=logits)

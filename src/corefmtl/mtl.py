@@ -16,6 +16,7 @@ whether the mention scorer itself is supervised; this follows that claim.
 """
 
 from dataclasses import asdict, dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -38,17 +39,14 @@ class TaskWeights:
 
     def __post_init__(self):
         for name, value in self.as_dict().items():
-            if value < 0:
-                raise ValueError(f"task weight {name} must be >= 0, got {value}")
+            if not (isfinite(value) and value >= 0):
+                raise ValueError(f"task weight {name} must be finite and >= 0, "
+                                 f"got {value}")
         if self.coref <= 0:
             raise ValueError("coreference weight must be > 0")
 
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "TaskWeights":
-        return cls(**{k: float(v) for k, v in d.items()})
 
 
 PRESET_WEIGHTS = {
@@ -104,11 +102,10 @@ def create_head_params(store: ParameterStore, g_dim: int, hidden: int, depth: in
 
 
 def head_logits(g: Tensor, store: ParameterStore, tasks=tuple(HEAD_SIZES),
-                activation: str = "relu", dropout: float = 0.0,
-                step: int | None = None) -> dict[str, Tensor]:
+                dropout: float = 0.0, step: int | None = None) -> dict[str, Tensor]:
     """Logits of the named heads only; each head draws its own dropout
     stream, so which other heads run never changes its output."""
-    return {task: ffnn(g, store, f"head/{task}", activation, dropout, step)
+    return {task: ffnn(g, store, f"head/{task}", dropout, step)
             for task in tasks}
 
 

@@ -43,13 +43,12 @@ def create_scoring_params(store: ParameterStore, g_dim: int, hidden: int,
     store.create("pair/genre_embedding", (num_genres + 1, feature_dim), std=1.0)
 
 
-def unary_score_tensors(g: Tensor, store: ParameterStore, activation: str = "relu",
-                        dropout: float = 0.0,
+def unary_score_tensors(g: Tensor, store: ParameterStore, dropout: float = 0.0,
                         step: int | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """(markable, mention, combined) score vectors, each shaped (S,)."""
     n = g.shape[0]
-    markable = ffnn(g, store, "score/markable", activation, dropout, step).reshape((n,))
-    mention = ffnn(g, store, "score/mention", activation, dropout, step).reshape((n,))
+    markable = ffnn(g, store, "score/markable", dropout, step).reshape((n,))
+    mention = ffnn(g, store, "score/mention", dropout, step).reshape((n,))
     beta = store["score/beta"]
     b1 = ad.take_rows(beta, np.array([0]))
     b2 = ad.take_rows(beta, np.array([1]))
@@ -154,8 +153,8 @@ def pair_features(kept_spans: list[SpanCandidate], doc: Document,
 
 
 def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures, max_slots: int,
-                 store: ParameterStore, activation: str = "relu",
-                 dropout: float = 0.0, step: int | None = None) -> Tensor:
+                 store: ParameterStore, dropout: float = 0.0,
+                 step: int | None = None) -> Tensor:
     """Full antecedent score matrix, shape (S, max_slots + 1).
 
     Column 0 is the dummy antecedent, a constant exact 0. Column 1 + t is
@@ -177,7 +176,7 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures, max_slots: in
         # [g_i, g_j, g_i * g_j, phi] @ w + b, without the (P, 3g+3f) input
         return ad.pair_input_layer(g, w, b, pairs.rows, pairs.antecedents, features)
 
-    s_c = ffnn(None, store, "score/pair", activation, dropout, step,
+    s_c = ffnn(None, store, "score/pair", dropout, step,
                first_layer=first_layer).reshape((n_pairs,))
     s_pair = s_c + ad.take_rows(combined, pairs.rows) \
                  + ad.take_rows(combined, pairs.antecedents)

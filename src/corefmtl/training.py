@@ -68,7 +68,14 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> TrainConfig:
+    """Rebuild a TrainConfig that config_to_dict wrote. Older configs carry
+    the retired key "activation"; every FFNN layer is ReLU, so "relu" is
+    dropped and any other value is an error."""
     d = dict(d)
+    activation = d.pop("activation", "relu")
+    if activation != "relu":
+        raise ValueError(f"activation {activation!r} is no longer supported; "
+                         "every FFNN layer is ReLU")
     d["task_weights"] = TaskWeights(**d["task_weights"])
     d["encoder"] = EncoderConfig(**d["encoder"])
     return TrainConfig(**d)
@@ -207,9 +214,9 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     if resume_from is not None:
         saved = resume_from.meta
         # the step horizon may grow on resume; everything else must match
-        saved_cfg = {k: v for k, v in saved["config"].items() if k != "steps"}
-        want_cfg = {k: v for k, v in config_to_dict(cfg).items() if k != "steps"}
-        if saved_cfg != want_cfg:
+        saved_cfg = dataclasses.replace(config_from_dict(saved["config"]),
+                                        steps=cfg.steps)
+        if saved_cfg != cfg:
             raise ValueError("resume config differs from the checkpoint's")
         if saved["include_aux"] != include_aux:
             raise ValueError("resume include_aux differs from the checkpoint's")

@@ -94,9 +94,14 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("dotted,value,message", [
         ("training.select", "worst", "select"),
-        ("model.activation", "gelu", "activation"),
+        ("model.activation", "relu", "unknown key 'activation'"),
         ("model.dropout", "1.0", "dropout"),
+        ("model.max_span_width", "0", "max_span_width must be >= 1"),
+        ("model.prune_ratio", "nan", "prune_ratio must be finite and > 0"),
+        ("model.top_antecedents", "-1", "top_antecedents must be >= 1"),
         ("weights.coref", "0", "coreference weight"),
+        ("weights.coref", "inf", "task weight coref must be finite"),
+        ("weights.singleton", "nan", "task weight singleton must be finite"),
         ("training.steps", "0", "steps must be > 0"),
         ("training.task_learning_rate", "-1", "learning rates"),
     ])
@@ -414,10 +419,11 @@ class TestExitCodes:
         ("no_vocab", "checkpoint meta lacks vocab"),
         ("no_include_aux", "checkpoint meta lacks include_aux"),
         ("bad_config", "checkpoint config is not valid"),
+        ("tanh_config", "activation 'tanh' is no longer supported"),
         ("missing_param", "checkpoint is missing parameter"),
         ("wrong_shape", "shape mismatch"),
     ], ids=["empty_meta", "no_config", "no_genres", "no_vocab", "no_include_aux",
-            "bad_config", "missing_param", "wrong_shape"])
+            "bad_config", "tanh_config", "missing_param", "wrong_shape"])
     def test_damaged_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
                                               damage, message):
         path = tmp_path / "damaged.npz"
@@ -432,6 +438,8 @@ class TestExitCodes:
                 del ckpt.meta[damage[3:]]
             elif damage == "bad_config":
                 ckpt.meta["config"] = {"hidden": 8}
+            elif damage == "tanh_config":
+                ckpt.meta["config"]["activation"] = "tanh"
             elif damage == "missing_param":
                 del params[name]
             else:
@@ -471,10 +479,17 @@ class TestExitCodes:
         ("score", "string_mention_bound", "does not have two integer bounds"),
         ("predict", "short_speaker_row", "speakers"),
         ("analyze-errors", "span_past_end", "out of range"),
+        ("predict", "int_token", "sentences must be a list of lists of strings"),
+        ("predict", "null_speaker", "speakers must be a list of lists of strings"),
+        ("predict", "int_doc_key", "doc_key must be a string, got 3"),
+        ("predict", "string_part", "part must be an integer, got '1'"),
+        ("score", "int_genre", "genre must be a string, got 3"),
+        ("score", "string_sentence", "sentences must be a list of lists of strings"),
     ], ids=["missing_speakers", "three_item_mention", "json_list",
             "string_span_bound", "float_cluster_bounds", "bool_cluster_bound",
             "float_mention_bound", "string_mention_bound", "short_speaker_row",
-            "span_past_end"])
+            "span_past_end", "int_token", "null_speaker", "int_doc_key",
+            "string_part", "int_genre", "string_sentence"])
     def test_malformed_jsonl_is_data_error(self, workdir, tmp_path, capsys,
                                            command, damage, message):
         dev = workdir / "dev.jsonl"
@@ -497,7 +512,20 @@ class TestExitCodes:
             d["mentions"][0][0] = str(d["mentions"][0][0])
         elif damage == "short_speaker_row":
             d["speakers"] = [row[:len(row) // 2] for row in d["speakers"]]
-        else:
+        elif damage == "int_token":
+            d["sentences"][0][0] = 7
+        elif damage == "null_speaker":
+            d["speakers"][0][0] = None
+        elif damage == "int_doc_key":
+            d["doc_key"] = 3
+        elif damage == "string_part":
+            d["part"] = "1"
+        elif damage == "int_genre":
+            d["genre"] = 3
+        elif damage == "string_sentence":
+            # as many characters as the sentence has tokens
+            d["sentences"][0] = "".join(tok[0] for tok in d["sentences"][0])
+        elif damage == "span_past_end":
             end = sum(len(s) for s in d["sentences"])
             d["clusters"][0].append([end, end])
         bad = tmp_path / "bad.jsonl"

@@ -38,10 +38,6 @@ class TestTaskWeights:
         assert w.as_dict() == {"coref": 1.0, "singleton": 0.0,
                                "entity_type": 0.0, "info_status": 0.0}
 
-    def test_round_trip(self):
-        w = TaskWeights(0.4, 0.2, 0.2, 0.2)
-        assert TaskWeights.from_dict(w.as_dict()) == w
-
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError, match="singleton"):
             TaskWeights(1.0, -0.1, 0.0, 0.0)

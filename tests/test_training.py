@@ -232,6 +232,35 @@ class TestResume:
         assert loss_trace(resumed) == loss_trace(full)[3:]
         assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
 
+    def test_checkpoint_with_relu_activation_loads_and_resumes(self, docs, tmp_path):
+        # checkpoints once stored the retired "activation" key, always "relu"
+        weights = PRESET_WEIGHTS["sg_ent_infs"]
+        full = train(docs, tiny_config(steps=6, task_weights=weights))
+        part = train(docs, tiny_config(steps=3, task_weights=weights))
+        path = tmp_path / "mid.npz"
+        part.checkpoint.save(path)
+        old = Checkpoint.load(path)
+        old.meta["config"]["activation"] = "relu"
+        old_path = tmp_path / "old.npz"
+        old.save(old_path)
+        loaded = Checkpoint.load(old_path)
+        assert loaded.meta["config"]["activation"] == "relu"
+        model = model_from_checkpoint(loaded)
+        for doc in docs:
+            assert predict_document(model, doc) == predict_document(part.model, doc)
+        resumed = train(docs, tiny_config(steps=6, task_weights=weights),
+                        resume_from=loaded)
+        assert loss_trace(resumed) == loss_trace(full)[3:]
+        assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
+
+    def test_checkpoint_with_other_activation_is_rejected(self, docs):
+        part = train(docs, tiny_config(steps=2))
+        part.checkpoint.meta["config"]["activation"] = "tanh"
+        with pytest.raises(CheckpointError, match="activation 'tanh'"):
+            model_from_checkpoint(part.checkpoint)
+        with pytest.raises(ValueError, match="activation 'tanh'"):
+            train(docs, tiny_config(steps=4), resume_from=part.checkpoint)
+
     def test_resume_rejects_changed_config(self, docs):
         part = train(docs, tiny_config(steps=2))
         with pytest.raises(ValueError, match="differs"):
@@ -273,10 +302,13 @@ class TestZeroTokenDocuments:
 
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value,message", [
-        ("activation", "gelu", "activation"),
         ("dropout", 1.0, "dropout"),
         ("dropout", -0.5, "dropout"),
         ("select", "bset", "select"),
+        ("max_span_width", 0, "max_span_width must be >= 1"),
+        ("prune_ratio", float("nan"), "prune_ratio must be finite and > 0"),
+        ("prune_ratio", 0.0, "prune_ratio must be finite and > 0"),
+        ("top_antecedents", -1, "top_antecedents must be >= 1"),
     ])
     def test_bad_value_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
