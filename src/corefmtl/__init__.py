@@ -14,7 +14,7 @@ from .evaluation import (EvaluationError, EvaluationReport, PRF1, evaluate,
                          score_ceaf_phi4, score_muc)
 from .inference import build_clusters, decode_antecedents, predict_document
 from .model import ModelConfig, MtlCorefModel
-from .mtl import (PRESET_WEIGHTS, AuxiliaryLabels, TaskWeights, assign_aux_labels,
+from .mtl import (PRESET_WEIGHTS, TaskWeights, assign_aux_labels,
                   coref_loss_from_matrix, gold_antecedent_mask, total_loss)
 from .scoring import (coarse_scores, pair_features, prune_spans, score_matrix,
                       unary_score_tensors)

@@ -288,14 +288,16 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return Tensor(a.data[idx], _parents=(a,), _backward=backward)
 
 
-def scatter2d(values: Tensor, rows, cols, shape, fill: float) -> Tensor:
-    """Place values[p] at (rows[p], cols[p]) of a fill-initialized matrix.
+def scatter2d(values: Tensor, rows, cols, base: np.ndarray) -> Tensor:
+    """Place values[p] at (rows[p], cols[p]) of base, which the result
+    takes over (it is written in place).
 
-    (row, col) pairs must be distinct; slots that receive no value keep fill.
+    (row, col) pairs must be distinct; slots that receive no value keep
+    their base value.
     """
     rows = np.asarray(rows, dtype=np.intp)
     cols = np.asarray(cols, dtype=np.intp)
-    data = np.full(shape, fill, dtype=DTYPE)
+    data = np.asarray(base, dtype=DTYPE)
     data[rows, cols] = values.data
 
     def backward(g):

@@ -42,6 +42,8 @@ class EncoderConfig:
             raise ValueError(f"unknown encoder kind: {self.kind!r}")
         if self.dim < 1 or self.vocab_size < 1 or self.window < 0:
             raise ValueError("encoder dimensions must be positive")
+        if self.segment_length < 1:
+            raise ValueError(f"segment_length must be >= 1, got {self.segment_length}")
 
 
 def build_vocab(docs: list[Document], size: int) -> list[str]:

@@ -4,11 +4,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document, PredictionResult
-# the document conversions live in corpus; this module still offers them
-from .corpus import prediction_from_document, prediction_to_document  # noqa: F401
 from .model import ForwardPass, MtlCorefModel
-
-PREDICT_HEADS = ("singleton", "entity_type", "info_status")
+from .mtl import HEAD_SIZES
 
 
 def decode_antecedents(scores: np.ndarray,
@@ -82,7 +79,7 @@ def predict_document(model: MtlCorefModel, doc: Document,
         return PredictionResult(doc.doc_key, [])
     with ad.no_grad():
         fp: ForwardPass = model.forward(
-            doc, need_heads=PREDICT_HEADS if model.include_aux else ())
+            doc, need_heads=tuple(HEAD_SIZES) if model.include_aux else ())
     antecedents = decode_antecedents(fp.scores.data, fp.shortlists)
     singleton_probs = type_logits = status_logits = None
     if model.include_aux:

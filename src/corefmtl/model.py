@@ -9,9 +9,9 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import Document
 from .encoder import EncoderConfig, create_encoder_params, encode
-from .mtl import (AuxiliaryLabels, TaskWeights, assign_aux_labels, aux_losses,
-                  coref_loss_from_matrix, create_head_params, gold_antecedent_mask,
-                  head_logits, mention_labels, mention_scorer_loss, total_loss)
+from .mtl import (TaskWeights, assign_aux_labels, aux_losses, coref_loss_from_matrix,
+                  create_head_params, gold_antecedent_mask, head_logits,
+                  mention_labels, mention_scorer_loss, total_loss)
 from .scoring import (coarse_scores, create_scoring_params, pair_features,
                       prune_spans, score_matrix, unary_score_tensors)
 from .spans import SpanCandidate, create_span_params, enumerate_spans, represent_spans
@@ -32,14 +32,14 @@ class ModelStructure:
     top_antecedents: int = 50
 
     def __post_init__(self):
+        for name, least in (("feature_dim", 0), ("hidden", 1), ("ffnn_depth", 0),
+                            ("max_span_width", 1), ("top_antecedents", 1)):
+            if getattr(self, name) < least:
+                raise ValueError(f"{name} must be >= {least}, got {getattr(self, name)}")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
-        if self.max_span_width < 1:
-            raise ValueError(f"max_span_width must be >= 1, got {self.max_span_width}")
         if not (isfinite(self.prune_ratio) and self.prune_ratio > 0):
             raise ValueError(f"prune_ratio must be finite and > 0, got {self.prune_ratio}")
-        if self.top_antecedents < 1:
-            raise ValueError(f"top_antecedents must be >= 1, got {self.top_antecedents}")
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,7 @@ class MtlCorefModel:
         _, shortlists = coarse_scores(g_kept, combined_kept, self.store,
                                       cfg.top_antecedents)
         pairs = pair_features(kept_spans, doc, shortlists, self.genre_id(doc.genre))
-        num_slots = max((len(sl) for sl in shortlists), default=0)
-        scores = score_matrix(g_kept, combined_kept, pairs, num_slots, self.store,
+        scores = score_matrix(g_kept, combined_kept, pairs, self.store,
                               cfg.dropout, train_step)
 
         logits: dict[str, Tensor] = {}
@@ -146,16 +145,16 @@ class MtlCorefModel:
 
     # -- losses --------------------------------------------------------------
 
-    def losses(self, doc: Document, weights: TaskWeights,
-               train_step: int | None = None) -> tuple[dict[str, Tensor], ForwardPass]:
-        """Per-task losses for one document. Zero-weight tasks are not built.
+    def loss(self, doc: Document, weights: TaskWeights,
+             train_step: int | None = None) -> tuple[Tensor, dict[str, float], ForwardPass]:
+        """The weighted joint loss of one document, each task's loss value,
+        and the forward pass. Zero-weight tasks are not built.
 
         The singleton task is the head's 2-way loss on kept spans plus the
         unary mention scorer's logistic loss on every candidate span, so
         pruning learns to rank gold mentions first.
         """
-        need = tuple(task for task, w in weights.as_dict().items()
-                     if task != "coref" and w > 0.0)
+        need = weights.aux_tasks()
         if need and not self.include_aux:
             raise ValueError("auxiliary task weights require include_aux=True")
         fp = self.forward(doc, train_step=train_step, need_heads=need)
@@ -163,18 +162,9 @@ class MtlCorefModel:
                                     doc.gold_clusters, fp.scores.shape[1] - 1)
         parts = {"coref": coref_loss_from_matrix(fp.scores, mask)}
         if need:
-            labels = assign_aux_labels(fp.kept_spans, doc)
-            all_aux = aux_losses(fp.logits, labels)
-            for task in need:
-                parts[task] = all_aux[task]
+            parts.update(aux_losses(fp.logits, assign_aux_labels(fp.kept_spans, doc)))
         if "singleton" in parts:
             parts["singleton"] = parts["singleton"] + mention_scorer_loss(
                 fp.mention, mention_labels(fp.spans, doc))
-        return parts, fp
-
-    def loss(self, doc: Document, weights: TaskWeights,
-             train_step: int | None = None) -> tuple[Tensor, dict[str, float], ForwardPass]:
-        parts, fp = self.losses(doc, weights, train_step)
-        tot = total_loss(parts, weights)
         values = {task: float(t.item()) for task, t in parts.items()}
-        return tot, values, fp
+        return total_loss(parts, weights), values, fp

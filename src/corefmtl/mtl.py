@@ -24,10 +24,13 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document, cluster_index
 from .layers import create_ffnn, ffnn
+from .scoring import shortlist_pairs
 from .spans import SpanCandidate
 
-ENTITY_TYPE_INDEX = {t: i for i, t in enumerate(ENTITY_TYPES)}
-INFO_STATUS_INDEX = {s: i for i, s in enumerate(INFO_STATUSES)}
+# each labelled head predicts the Mention field it is named after
+HEAD_LABELS = {"entity_type": ENTITY_TYPES, "info_status": INFO_STATUSES}
+HEAD_SIZES = {"singleton": 2,
+              **{task: len(names) for task, names in HEAD_LABELS.items()}}
 
 
 @dataclass(frozen=True)
@@ -48,6 +51,11 @@ class TaskWeights:
     def as_dict(self) -> dict[str, float]:
         return asdict(self)
 
+    def aux_tasks(self) -> tuple[str, ...]:
+        """The auxiliary tasks with a positive weight, in field order."""
+        return tuple(task for task, w in self.as_dict().items()
+                     if task != "coref" and w > 0.0)
+
 
 PRESET_WEIGHTS = {
     "baseline": TaskWeights(1.0, 0.0, 0.0, 0.0),
@@ -57,41 +65,26 @@ PRESET_WEIGHTS = {
 }
 
 
-@dataclass
-class AuxiliaryLabels:
-    """Per-kept-span targets; -1 marks spans excluded from that task."""
-
-    is_mention: np.ndarray    # {0, 1} for every kept span
-    entity_type: np.ndarray   # -1 or index into ENTITY_TYPES
-    info_status: np.ndarray   # -1 or index into INFO_STATUSES
-
-
 def mention_labels(spans: list[SpanCandidate], doc: Document) -> np.ndarray:
     """1 where a span exactly matches a gold mention, else 0."""
     mentions = doc.mention_map()
     return np.array([cand.span in mentions for cand in spans], dtype=np.intp)
 
 
-def assign_aux_labels(kept_spans: list[SpanCandidate], doc: Document) -> AuxiliaryLabels:
-    """Exact-span matching of kept spans against gold mentions."""
+def assign_aux_labels(kept_spans: list[SpanCandidate],
+                      doc: Document) -> dict[str, np.ndarray]:
+    """Per-kept-span targets of every head, by exact span match against the
+    gold mentions: the singleton target is 0/1, and a labelled head's
+    target indexes its label names, with -1 (excluded from that task) for
+    spans that match no gold mention or whose label is unknown."""
     mentions = doc.mention_map()
-    n = len(kept_spans)
-    is_mention = mention_labels(kept_spans, doc)
-    entity_type = np.full(n, -1, dtype=np.intp)
-    info_status = np.full(n, -1, dtype=np.intp)
-    for i, cand in enumerate(kept_spans):
-        m = mentions.get(cand.span)
-        if m is None:
-            continue
-        if m.entity_type != UNKNOWN:
-            entity_type[i] = ENTITY_TYPE_INDEX[m.entity_type]
-        if m.info_status != UNKNOWN:
-            info_status[i] = INFO_STATUS_INDEX[m.info_status]
-    return AuxiliaryLabels(is_mention, entity_type, info_status)
-
-
-HEAD_SIZES = {"singleton": 2, "entity_type": len(ENTITY_TYPES),
-              "info_status": len(INFO_STATUSES)}
+    matched = [mentions.get(cand.span) for cand in kept_spans]
+    labels = {"singleton": mention_labels(kept_spans, doc)}
+    for task, names in HEAD_LABELS.items():
+        values = [UNKNOWN if m is None else getattr(m, task) for m in matched]
+        labels[task] = np.array([-1 if v == UNKNOWN else names.index(v)
+                                 for v in values], dtype=np.intp)
+    return labels
 
 
 def create_head_params(store: ParameterStore, g_dim: int, hidden: int, depth: int = 2):
@@ -146,18 +139,13 @@ def gold_antecedent_mask(kept_spans: list[SpanCandidate], shortlists,
     antecedent of the span survives in its shortlist.
     """
     cluster_of = cluster_index(gold_clusters)
-    n = len(kept_spans)
-    mask = np.zeros((n, num_slots + 1), dtype=bool)
-    for i, cand in enumerate(kept_spans):
-        ci = cluster_of.get(cand.span)
-        found = False
-        if ci is not None:
-            for slot, j in enumerate(shortlists[i]):
-                if cluster_of.get(kept_spans[int(j)].span) == ci:
-                    mask[i, 1 + slot] = True
-                    found = True
-        if not found:
-            mask[i, 0] = True
+    cluster = np.array([cluster_of.get(cand.span, -1) for cand in kept_spans],
+                       dtype=np.intp)
+    rows, cols, antecedents = shortlist_pairs(shortlists)
+    gold = (cluster[rows] >= 0) & (cluster[rows] == cluster[antecedents])
+    mask = np.zeros((len(kept_spans), num_slots + 1), dtype=bool)
+    mask[rows[gold], 1 + cols[gold]] = True
+    mask[:, 0] = ~mask[:, 1:].any(axis=1)
     return mask
 
 
@@ -175,12 +163,10 @@ def coref_loss_from_matrix(scores: Tensor, gold_mask: np.ndarray) -> Tensor:
     return (denom - numer).sum()
 
 
-def aux_losses(logits: dict[str, Tensor], labels: AuxiliaryLabels) -> dict[str, Tensor]:
+def aux_losses(logits: dict[str, Tensor],
+               labels: dict[str, np.ndarray]) -> dict[str, Tensor]:
     """One masked cross-entropy per head present in logits."""
-    targets = {"singleton": labels.is_mention,
-               "entity_type": labels.entity_type,
-               "info_status": labels.info_status}
-    return {task: cross_entropy(t, targets[task]) for task, t in logits.items()}
+    return {task: cross_entropy(t, labels[task]) for task, t in logits.items()}
 
 
 def total_loss(parts: dict[str, Tensor], weights: TaskWeights) -> Tensor:

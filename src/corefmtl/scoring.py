@@ -116,6 +116,17 @@ def coarse_scores(g: Tensor, combined: Tensor, store: ParameterStore,
 # -- full pairwise scores ----------------------------------------------------------
 
 
+def shortlist_pairs(shortlists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray,
+                                                         np.ndarray]:
+    """(rows, cols, antecedents) of every (span, antecedent) pair, in row
+    order: the anaphor's kept-span index, the slot within its shortlist,
+    and the antecedent's kept-span index."""
+    lengths = np.array([len(sl) for sl in shortlists], dtype=np.intp)
+    rows = np.repeat(np.arange(len(shortlists)), lengths)
+    cols = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+    return rows, cols, np.concatenate([np.zeros(0, dtype=np.intp), *shortlists])
+
+
 @dataclass
 class PairFeatures:
     """Flattened (span, antecedent) pairs with their feature indices."""
@@ -130,32 +141,23 @@ class PairFeatures:
 
 def pair_features(kept_spans: list[SpanCandidate], doc: Document,
                   shortlists: list[np.ndarray], genre_id: int) -> PairFeatures:
+    rows, cols, antecedents = shortlist_pairs(shortlists)
+    # integer speaker ids; unknown speakers share -1 and match no one
     speakers = doc.flat_speakers()
-    rows, cols, ants, dist, same = [], [], [], [], []
-    for i, shortlist in enumerate(shortlists):
-        spk_i = speakers[kept_spans[i].start]
-        for slot, j in enumerate(shortlist):
-            rows.append(i)
-            cols.append(slot)
-            ants.append(int(j))
-            dist.append(bucket_index(i - int(j)))
-            spk_j = speakers[kept_spans[int(j)].start]
-            known = spk_i not in UNKNOWN_SPEAKERS and spk_j not in UNKNOWN_SPEAKERS
-            same.append(1 if known and spk_i == spk_j else 0)
-    return PairFeatures(
-        rows=np.array(rows, dtype=np.intp),
-        cols=np.array(cols, dtype=np.intp),
-        antecedents=np.array(ants, dtype=np.intp),
-        distance_bucket=np.array(dist, dtype=np.intp),
-        same_speaker=np.array(same, dtype=np.intp),
-        genre_id=int(genre_id),
-    )
+    ids = dict.fromkeys(UNKNOWN_SPEAKERS, -1)
+    speaker = np.array([ids.setdefault(speakers[cand.start], len(ids))
+                        for cand in kept_spans], dtype=np.intp)
+    same = (speaker[rows] >= 0) & (speaker[rows] == speaker[antecedents])
+    return PairFeatures(rows=rows, cols=cols, antecedents=antecedents,
+                        distance_bucket=bucket_index(rows - antecedents),
+                        same_speaker=same.astype(np.intp), genre_id=int(genre_id))
 
 
-def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures, max_slots: int,
+def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
                  store: ParameterStore, dropout: float = 0.0,
                  step: int | None = None) -> Tensor:
-    """Full antecedent score matrix, shape (S, max_slots + 1).
+    """Full antecedent score matrix, shape (S, num_slots + 1), with as
+    many slots as the longest shortlist.
 
     Column 0 is the dummy antecedent, a constant exact 0. Column 1 + t is
     shortlist slot t; slots beyond a span's shortlist hold -inf.
@@ -163,8 +165,8 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures, max_slots: in
     s = g.shape[0]
     n_pairs = len(pairs.rows)
     if n_pairs == 0:
-        return ad.concat([ad.constant(np.zeros((s, 1))),
-                          ad.constant(np.full((s, max_slots), -np.inf))], axis=1)
+        # no pair scorer runs, so its parameters get no gradient at all
+        return ad.constant(np.zeros((s, 1)))
 
     features = [
         (store["pair/distance_embedding"], pairs.distance_bucket),
@@ -180,7 +182,8 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures, max_slots: in
                first_layer=first_layer).reshape((n_pairs,))
     s_pair = s_c + ad.take_rows(combined, pairs.rows) \
                  + ad.take_rows(combined, pairs.antecedents)
-    scattered = ad.scatter2d(s_pair, pairs.rows, pairs.cols, (s, max_slots),
-                             fill=-np.inf)
-    return ad.concat([ad.constant(np.zeros((s, 1))), scattered], axis=1)
-
+    # allocated only now, so it is not held through the pair scorer's peak
+    num_slots = int(pairs.cols.max()) + 1
+    base = np.full((s, 1 + num_slots), -np.inf)
+    base[:, 0] = 0.0
+    return ad.scatter2d(s_pair, pairs.rows, 1 + pairs.cols, base)

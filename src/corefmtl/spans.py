@@ -14,21 +14,16 @@ from .autodiff import ParameterStore, Tensor
 from .corpus import Document
 
 # buckets: widths/distances 1,2,3,4 exact, then 5-7, 8-15, 16-31, 32+
-NUM_BUCKETS = 8
+_BUCKET_STARTS = np.array([1, 2, 3, 4, 5, 8, 16, 32])
+NUM_BUCKETS = len(_BUCKET_STARTS)
 
 
-def bucket_index(n: int) -> int:
-    if n <= 0:
-        raise ValueError(f"bucketed quantity must be positive, got {n}")
-    if n <= 4:
-        return n - 1
-    if n <= 7:
-        return 4
-    if n <= 15:
-        return 5
-    if n <= 31:
-        return 6
-    return 7
+def bucket_index(n):
+    """Bucket of each positive width or distance in n (an int or an array)."""
+    n = np.asarray(n)
+    if np.any(n <= 0):
+        raise ValueError(f"bucketed quantities must be positive, got {n.min()}")
+    return np.searchsorted(_BUCKET_STARTS, n, side="right") - 1
 
 
 @dataclass(frozen=True, order=True)
@@ -96,8 +91,7 @@ def represent_spans(embeddings: Tensor, spans: list[SpanCandidate],
 
     attended = ad.span_attend(alpha, embeddings, grid)  # (S, d)
 
-    buckets = np.array([bucket_index(int(w)) for w in widths], dtype=np.intp)
-    width_vecs = ad.take_rows(store["span/width_embedding"], buckets)
+    width_vecs = ad.take_rows(store["span/width_embedding"], bucket_index(widths))
 
     g = ad.concat([
         ad.take_rows(embeddings, starts),

@@ -13,6 +13,7 @@ import json
 import platform
 import zipfile
 from dataclasses import dataclass, field
+from math import isfinite
 
 import numpy as np
 
@@ -54,8 +55,14 @@ class TrainConfig(ModelStructure):
             raise ValueError(f"select must be 'best' or 'final', got {self.select!r}")
         if self.steps <= 0:
             raise ValueError(f"steps must be > 0, got {self.steps}")
-        if self.task_learning_rate <= 0 or self.encoder_learning_rate <= 0:
-            raise ValueError("learning rates must be > 0")
+        rates = (self.task_learning_rate, self.encoder_learning_rate)
+        if not all(isfinite(lr) and lr > 0 for lr in rates):
+            raise ValueError(f"learning rates must be finite and > 0, got {rates}")
+        if not (isfinite(self.clip_norm) and self.clip_norm > 0):
+            raise ValueError(f"clip_norm must be finite and > 0, got {self.clip_norm}")
+        if not (isfinite(self.weight_decay) and self.weight_decay >= 0):
+            raise ValueError(f"weight_decay must be finite and >= 0, "
+                             f"got {self.weight_decay}")
 
     def model_config(self, genres: tuple) -> ModelConfig:
         shared = {f.name: getattr(self, f.name)
@@ -204,8 +211,7 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         if doc.num_tokens == 0:
             raise CorpusError(f"{doc.doc_key}: training document has no tokens")
     weights = cfg.task_weights
-    include_aux = (any(w > 0 for task, w in weights.as_dict().items() if task != "coref")
-                   if include_aux is None else bool(include_aux))
+    include_aux = bool(weights.aux_tasks() if include_aux is None else include_aux)
 
     from .encoder import build_vocab  # local import keeps module load light
     genres = tuple(sorted({d.genre for d in train_docs}))

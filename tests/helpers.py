@@ -1,6 +1,9 @@
 """Shared fixture builders for the test suite."""
 
+import numpy as np
+
 from corefmtl.corpus import Document, Mention
+from corefmtl.spans import enumerate_spans
 
 
 def make_document(sentences, clusters=(), mentions=None, doc_key="test/doc_0",
@@ -24,3 +27,21 @@ def make_document(sentences, clusters=(), mentions=None, doc_key="test/doc_0",
 
 def spans_to_clusters(*clusters):
     return [[tuple(span) for span in c] for c in clusters]
+
+
+def random_shortlisted_document(rng, num_kept=None, max_shortlist=5):
+    """A random document with per-token speakers (some unknown), kept spans
+    drawn from its candidates in (start, end) order, and for each kept span
+    a sorted random shortlist of earlier kept spans, possibly empty."""
+    lengths = rng.integers(1, 8, size=int(rng.integers(1, 5)))
+    pool = ["a", "b", "-", ""]
+    doc = make_document([["w"] * int(n) for n in lengths],
+                        speakers=[[pool[k] for k in rng.integers(4, size=n)]
+                                  for n in lengths])
+    spans = enumerate_spans(doc, 4)
+    n = num_kept or int(rng.integers(1, len(spans) + 1))
+    kept = [spans[i] for i in np.sort(rng.choice(len(spans), n, replace=False))]
+    shortlists = [np.sort(rng.choice(i, int(rng.integers(0, min(i, max_shortlist) + 1)),
+                                     replace=False)).astype(np.intp)
+                  for i in range(n)]
+    return doc, kept, shortlists

@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: MUC and B-cubed are
 computed straight from their definitions with per-mention loops, and the
 CEAF alignment is found by exhaustive permutation or by an exact
-subset-sum dynamic program rather than the Hungarian method.
+subset-sum dynamic program rather than the Hungarian method. The pair
+features and the gold antecedent mask are built pair by pair.
 """
 
 from itertools import permutations
@@ -118,3 +119,56 @@ def random_partition(rng, mentions, max_clusters=None):
     for m in mentions:
         clusters.setdefault(int(rng.integers(k)), []).append(m)
     return [sorted(c) for c in clusters.values()]
+
+
+def bucket_reference(n):
+    """Width/distance bucket: 1, 2, 3, 4 exact, then 5-7, 8-15, 16-31, 32+."""
+    if n <= 4:
+        return n - 1
+    if n <= 7:
+        return 4
+    if n <= 15:
+        return 5
+    if n <= 31:
+        return 6
+    return 7
+
+
+def pair_features_reference(kept_spans, speakers, shortlists):
+    """(rows, cols, antecedents, distance buckets, same-speaker flags) of
+    every shortlist entry, one pair at a time; speakers holds one string per
+    token, and "" or "-" is an unknown speaker that matches no one."""
+    rows, cols, ants, dist, same = [], [], [], [], []
+    for i, shortlist in enumerate(shortlists):
+        spk_i = speakers[kept_spans[i].start]
+        for slot, j in enumerate(shortlist):
+            rows.append(i)
+            cols.append(slot)
+            ants.append(int(j))
+            dist.append(bucket_reference(i - int(j)))
+            spk_j = speakers[kept_spans[int(j)].start]
+            known = spk_i not in ("", "-") and spk_j not in ("", "-")
+            same.append(1 if known and spk_i == spk_j else 0)
+    return rows, cols, ants, dist, same
+
+
+def gold_mask_reference(kept_spans, shortlists, gold_clusters, num_slots):
+    """Rows of booleans, 1 + num_slots per kept span: slot columns whose
+    antecedent shares the span's gold cluster, and the dummy column 0
+    exactly when no such antecedent is in the shortlist. A span listed in
+    two clusters belongs to the first."""
+    cluster_of = {}
+    for ci, cluster in enumerate(gold_clusters):
+        for span in cluster:
+            cluster_of.setdefault(tuple(span), ci)
+    mask = []
+    for i, cand in enumerate(kept_spans):
+        row = [False] * (num_slots + 1)
+        ci = cluster_of.get(cand.span)
+        if ci is not None:
+            for slot, j in enumerate(shortlists[i]):
+                if cluster_of.get(kept_spans[int(j)].span) == ci:
+                    row[1 + slot] = True
+        row[0] = not any(row[1:])
+        mask.append(row)
+    return mask

@@ -143,7 +143,7 @@ class TestGatherScatter:
 
     def test_scatter2d(self):
         v = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        out = ad.scatter2d(v, [0, 1, 1], [1, 0, 2], (2, 3), fill=-np.inf)
+        out = ad.scatter2d(v, [0, 1, 1], [1, 0, 2], np.full((2, 3), -np.inf))
         expected = np.full((2, 3), -np.inf)
         expected[0, 1], expected[1, 0], expected[1, 2] = 1, 2, 3
         npt.assert_allclose(out.data, expected)

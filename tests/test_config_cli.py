@@ -104,6 +104,16 @@ class TestLoadConfig:
         ("weights.singleton", "nan", "task weight singleton must be finite"),
         ("training.steps", "0", "steps must be > 0"),
         ("training.task_learning_rate", "-1", "learning rates"),
+        ("training.task_learning_rate", "nan", "learning rates must be finite"),
+        ("training.encoder_learning_rate", "inf", "learning rates must be finite"),
+        ("training.clip_norm", "-1", "clip_norm must be finite and > 0"),
+        ("training.clip_norm", "nan", "clip_norm must be finite and > 0"),
+        ("training.weight_decay", "-1", "weight_decay must be finite and >= 0"),
+        ("model.hidden", "-1", "hidden must be >= 1"),
+        ("model.hidden", "0", "hidden must be >= 1"),
+        ("model.feature_dim", "-2", "feature_dim must be >= 0"),
+        ("model.ffnn_depth", "-1", "ffnn_depth must be >= 0"),
+        ("encoder.segment_length", "0", "segment_length must be >= 1"),
     ])
     def test_validation(self, dotted, value, message):
         with pytest.raises(ConfigError, match=message):
@@ -420,10 +430,12 @@ class TestExitCodes:
         ("no_include_aux", "checkpoint meta lacks include_aux"),
         ("bad_config", "checkpoint config is not valid"),
         ("tanh_config", "activation 'tanh' is no longer supported"),
+        ("clip_config", "clip_norm must be finite and > 0"),
         ("missing_param", "checkpoint is missing parameter"),
         ("wrong_shape", "shape mismatch"),
     ], ids=["empty_meta", "no_config", "no_genres", "no_vocab", "no_include_aux",
-            "bad_config", "tanh_config", "missing_param", "wrong_shape"])
+            "bad_config", "tanh_config", "clip_config", "missing_param",
+            "wrong_shape"])
     def test_damaged_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
                                               damage, message):
         path = tmp_path / "damaged.npz"
@@ -440,6 +452,8 @@ class TestExitCodes:
                 ckpt.meta["config"] = {"hidden": 8}
             elif damage == "tanh_config":
                 ckpt.meta["config"]["activation"] = "tanh"
+            elif damage == "clip_config":
+                ckpt.meta["config"]["clip_norm"] = -1.0
             elif damage == "missing_param":
                 del params[name]
             else:

@@ -10,18 +10,16 @@ from hypothesis import strategies as st
 
 from corefmtl import autodiff as ad
 from corefmtl.autodiff import Tensor
-from corefmtl.corpus import Mention
+from corefmtl.corpus import Mention, prediction_from_document, prediction_to_document
 from corefmtl.encoder import EncoderConfig, build_vocab
 from corefmtl.inference import (
-    PREDICT_HEADS,
     PredictionResult,
     build_clusters,
     decode_antecedents,
     predict_document,
-    prediction_from_document,
-    prediction_to_document,
 )
 from corefmtl.model import ModelConfig, MtlCorefModel
+from corefmtl.mtl import HEAD_SIZES
 from corefmtl.spans import SpanCandidate
 from corefmtl.synthetic import generate_corpus
 from helpers import make_document, spans_to_clusters
@@ -214,9 +212,9 @@ class TestTapeFreePrediction:
         docs = generate_corpus(3, seed=5)
         model = small_model(docs)
         for doc in docs:
-            taped = model.forward(doc, need_heads=PREDICT_HEADS)
+            taped = model.forward(doc, need_heads=tuple(HEAD_SIZES))
             with ad.no_grad():
-                free = model.forward(doc, need_heads=PREDICT_HEADS)
+                free = model.forward(doc, need_heads=tuple(HEAD_SIZES))
             want, got = forward_tensors(taped), forward_tensors(free)
             assert set(got) == set(want)
             assert {"scores", "combined", "logits/singleton"} <= set(got)
@@ -234,6 +232,6 @@ class TestTapeFreePrediction:
         doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
                              for _ in range(50)])
         assert doc.num_tokens == 1000
-        taped_peak, _ = peak_bytes(model.forward, doc, need_heads=PREDICT_HEADS)
+        taped_peak, _ = peak_bytes(model.forward, doc, need_heads=tuple(HEAD_SIZES))
         predict_peak, _ = peak_bytes(predict_document, model, doc)
         assert predict_peak < taped_peak / 2

@@ -21,9 +21,9 @@ from corefmtl.evaluation import (
     score_ceaf_phi4,
     score_muc,
 )
-from corefmtl.corpus import Mention, parse_conll, write_conll
-from corefmtl.inference import PredictionResult, prediction_from_document, \
-    prediction_to_document
+from corefmtl.corpus import (Mention, PredictionResult, parse_conll,
+                             prediction_from_document, prediction_to_document,
+                             write_conll)
 from helpers import make_document, spans_to_clusters
 from oracles import (
     b_cubed_reference,

@@ -5,13 +5,16 @@ import math
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from corefmtl import autodiff as ad
 from corefmtl.autodiff import ParameterStore, Tensor
 from corefmtl.corpus import ENTITY_TYPES, INFO_STATUSES, Mention
 from corefmtl.mtl import (
+    HEAD_LABELS,
+    HEAD_SIZES,
     PRESET_WEIGHTS,
-    AuxiliaryLabels,
     TaskWeights,
     assign_aux_labels,
     aux_losses,
@@ -25,7 +28,8 @@ from corefmtl.mtl import (
     total_loss,
 )
 from corefmtl.spans import SpanCandidate
-from helpers import make_document, spans_to_clusters
+from helpers import make_document, random_shortlisted_document, spans_to_clusters
+from oracles import gold_mask_reference, random_partition
 
 
 def cand(s, e, sent=0):
@@ -45,6 +49,21 @@ class TestTaskWeights:
     def test_zero_coref_rejected(self):
         with pytest.raises(ValueError, match="coreference"):
             TaskWeights(0.0, 1.0, 0.0, 0.0)
+
+    def test_every_auxiliary_task_has_a_head(self):
+        assert set(HEAD_SIZES) | {"coref"} == set(TaskWeights().as_dict())
+        assert {task: HEAD_SIZES[task] for task in HEAD_LABELS} == {
+            "entity_type": len(ENTITY_TYPES), "info_status": len(INFO_STATUSES)}
+
+    @pytest.mark.parametrize("weights,tasks", [
+        (TaskWeights(), ()),
+        (PRESET_WEIGHTS["sg"], ("singleton",)),
+        (PRESET_WEIGHTS["sg_ent"], ("singleton", "entity_type")),
+        (PRESET_WEIGHTS["sg_ent_infs"], ("singleton", "entity_type", "info_status")),
+        (TaskWeights(1.0, 0.0, 0.0, 0.3), ("info_status",)),
+    ])
+    def test_aux_tasks_are_the_positive_weights(self, weights, tasks):
+        assert weights.aux_tasks() == tasks
 
     def test_presets(self):
         assert PRESET_WEIGHTS["baseline"] == TaskWeights(1.0, 0.0, 0.0, 0.0)
@@ -68,17 +87,18 @@ class TestAssignAuxLabels:
     def test_exact_span_matching(self):
         kept = [cand(0, 0), cand(0, 1), cand(2, 3), cand(4, 4)]
         labels = assign_aux_labels(kept, self.doc())
-        npt.assert_array_equal(labels.is_mention, [1, 0, 1, 1])
-        assert labels.entity_type[0] == ENTITY_TYPES.index("person")
-        assert labels.entity_type[1] == -1
-        assert labels.entity_type[2] == ENTITY_TYPES.index("place")
-        assert labels.entity_type[3] == -1  # unknown stays excluded
-        assert labels.info_status[2] == INFO_STATUSES.index("given:active")
-        assert labels.info_status[3] == -1
+        assert list(labels) == list(HEAD_SIZES)
+        npt.assert_array_equal(labels["singleton"], [1, 0, 1, 1])
+        assert labels["entity_type"][0] == ENTITY_TYPES.index("person")
+        assert labels["entity_type"][1] == -1
+        assert labels["entity_type"][2] == ENTITY_TYPES.index("place")
+        assert labels["entity_type"][3] == -1  # unknown stays excluded
+        assert labels["info_status"][2] == INFO_STATUSES.index("given:active")
+        assert labels["info_status"][3] == -1
 
     def test_partial_overlap_is_not_a_match(self):
         labels = assign_aux_labels([cand(2, 2), cand(3, 3), cand(2, 4)], self.doc())
-        npt.assert_array_equal(labels.is_mention, [0, 0, 0])
+        npt.assert_array_equal(labels["singleton"], [0, 0, 0])
 
 
 class TestMentionScorerLoss:
@@ -170,6 +190,33 @@ class TestGoldAntecedentMask:
             assert not (mask[i, 0] and mask[i, 1:].any())
 
 
+class TestGoldMaskAgainstPairLoop:
+    def check(self, kept, shortlists, clusters, num_slots):
+        mask = gold_antecedent_mask(kept, shortlists, clusters, num_slots)
+        assert mask.dtype == bool
+        want = gold_mask_reference(kept, shortlists, clusters, num_slots)
+        npt.assert_array_equal(mask, np.array(want, dtype=bool).reshape(mask.shape))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_random_shortlists(self, seed):
+        rng = np.random.default_rng(seed)
+        doc, kept, shortlists = random_shortlisted_document(rng)
+        # gold mentions: some kept spans plus spans that were not kept
+        spans = sorted({c.span for c in kept if rng.random() < 0.6}
+                       | {(int(t), int(t)) for t in rng.integers(doc.num_tokens, size=2)})
+        clusters = random_partition(rng, spans)
+        num_slots = max(len(sl) for sl in shortlists) + int(rng.integers(0, 2))
+        self.check(kept, shortlists, clusters, num_slots)
+
+    def test_single_kept_span(self):
+        self.check([cand(0, 1)], [np.zeros(0, dtype=np.intp)], [[(0, 1), (3, 3)]], 0)
+
+    def test_all_shortlists_empty(self):
+        kept = [cand(0, 0), cand(1, 1), cand(2, 2)]
+        self.check(kept, [np.zeros(0, dtype=np.intp)] * 3, [[(0, 0), (2, 2)]], 2)
+
+
 def antecedent_scores(rows):
     """Score matrix, shortlists and kept spans (span i is token i) from one
     tuple of antecedent scores per span; span i's shortlist is 0..i-1."""
@@ -257,11 +304,11 @@ class TestHeads:
         create_head_params(store, g_dim=7, hidden=5)
         g = Tensor(np.random.default_rng(1).normal(size=(6, 7)))
         logits = head_logits(g, store)
-        labels = AuxiliaryLabels(
-            is_mention=np.array([1, 0, 1, 0, 0, 1]),
-            entity_type=np.array([0, -1, 3, -1, -1, 9]),
-            info_status=np.array([-1, -1, 2, -1, -1, -1]),
-        )
+        labels = {
+            "singleton": np.array([1, 0, 1, 0, 0, 1]),
+            "entity_type": np.array([0, -1, 3, -1, -1, 9]),
+            "info_status": np.array([-1, -1, 2, -1, -1, -1]),
+        }
         losses = aux_losses(logits, labels)
         npt.assert_allclose(losses["singleton"].item(), math.log(2), rtol=1e-12)
         npt.assert_allclose(losses["entity_type"].item(), math.log(10), rtol=1e-12)

@@ -25,7 +25,8 @@ from corefmtl.spans import (
     enumerate_spans,
     represent_spans,
 )
-from helpers import make_document
+from helpers import make_document, random_shortlisted_document
+from oracles import bucket_reference, pair_features_reference
 
 DIM = 6
 FEAT = 4
@@ -65,6 +66,12 @@ class TestBuckets:
     def test_nonpositive_rejected(self):
         with pytest.raises(ValueError):
             bucket_index(0)
+        with pytest.raises(ValueError):
+            bucket_index(np.array([3, 0, 5]))
+
+    def test_array_matches_scalar_reference(self):
+        n = np.arange(1, 200)
+        npt.assert_array_equal(bucket_index(n), [bucket_reference(int(k)) for k in n])
 
     @given(st.integers(1, 10_000))
     def test_monotone_and_in_range(self, n):
@@ -382,6 +389,32 @@ class TestPairFeatures:
         assert by_pair[(3, 0)] == 0
 
 
+class TestPairFeaturesAgainstPairLoop:
+    def check(self, doc, kept, shortlists):
+        pf = pair_features(kept, doc, shortlists, genre_id=1)
+        want = pair_features_reference(kept, doc.flat_speakers(), shortlists)
+        got = (pf.rows, pf.cols, pf.antecedents, pf.distance_bucket, pf.same_speaker)
+        for name, array, ref in zip(("rows", "cols", "antecedents", "distance",
+                                     "same_speaker"), got, want):
+            assert array.dtype == np.intp, name
+            npt.assert_array_equal(array, np.array(ref, dtype=np.intp), err_msg=name)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_random_documents(self, seed):
+        self.check(*random_shortlisted_document(np.random.default_rng(seed)))
+
+    def test_single_kept_span(self):
+        doc, kept, shortlists = random_shortlisted_document(np.random.default_rng(0),
+                                                            num_kept=1)
+        assert [len(sl) for sl in shortlists] == [0]
+        self.check(doc, kept, shortlists)
+
+    def test_all_shortlists_empty(self):
+        doc, kept, _ = random_shortlisted_document(np.random.default_rng(1), num_kept=4)
+        self.check(doc, kept, [np.zeros(0, dtype=np.intp)] * 4)
+
+
 class TestScoreMatrix:
     def build(self, n=6, seed=11, top_k=3):
         doc = make_document([["w"] * n],
@@ -393,13 +426,13 @@ class TestScoreMatrix:
         _, _, combined = unary_score_tensors(g, store)
         _, shortlists = coarse_scores(g, combined, store, top_k=top_k)
         pairs = pair_features(spans, doc, shortlists, genre_id=1)
-        m = score_matrix(g, combined, pairs, top_k, store)
+        m = score_matrix(g, combined, pairs, store)
         return doc, spans, store, g, combined, shortlists, m
 
     def test_dummy_column_is_exactly_zero(self):
         doc, spans, store, g, combined, shortlists, _ = self.build()
         pairs = pair_features(spans, doc, shortlists, 1)
-        m = score_matrix(g, combined, pairs, 3, store)
+        m = score_matrix(g, combined, pairs, store)
         assert np.all(m.data[:, 0] == 0.0)
 
     def test_rows_match_shortlists(self):
@@ -412,13 +445,13 @@ class TestScoreMatrix:
                 one = list(none)
                 one[i] = np.array([j], dtype=np.intp)
                 single = score_matrix(g, combined, pair_features(spans, doc, one, 1),
-                                      1, store)
+                                      store)
                 npt.assert_allclose(single.data[i, 1], m.data[i, 1 + t], rtol=1e-12)
 
     def test_unused_slots_hold_neg_inf(self):
         doc, spans, store, g, combined, shortlists, _ = self.build()
         pairs = pair_features(spans, doc, shortlists, 1)
-        m = score_matrix(g, combined, pairs, 3, store)
+        m = score_matrix(g, combined, pairs, store)
         for i, sl in enumerate(shortlists):
             assert np.all(np.isfinite(m.data[i, 1:1 + len(sl)]))
             assert np.all(m.data[i, 1 + len(sl):] == -np.inf)
@@ -426,8 +459,8 @@ class TestScoreMatrix:
     def test_shifting_unary_scores_shifts_pairs_twice(self):
         doc, spans, store, g, combined, shortlists, _ = self.build()
         pairs = pair_features(spans, doc, shortlists, 1)
-        base = score_matrix(g, combined, pairs, 3, store)
-        shifted = score_matrix(g, combined + ad.constant(1.5), pairs, 3, store)
+        base = score_matrix(g, combined, pairs, store)
+        shifted = score_matrix(g, combined + ad.constant(1.5), pairs, store)
         finite = np.isfinite(base.data[:, 1:])
         npt.assert_allclose(shifted.data[:, 1:][finite],
                             base.data[:, 1:][finite] + 3.0, rtol=1e-10)
@@ -441,14 +474,13 @@ class TestScoreMatrix:
         _, _, combined = unary_score_tensors(g, store)
         _, shortlists = coarse_scores(g, combined, store)
         assert len(shortlists[0]) == 0
-        m = score_matrix(g, combined, pair_features(spans, doc, shortlists, 0), 0,
-                         store)
+        m = score_matrix(g, combined, pair_features(spans, doc, shortlists, 0), store)
         assert m.data.tolist() == [[0.0]]
 
     def test_gradients_reach_pair_parameters(self):
         doc, spans, store, g, combined, shortlists, _ = self.build()
         pairs = pair_features(spans, doc, shortlists, 1)
-        m = score_matrix(g, combined, pairs, 3, store)
+        m = score_matrix(g, combined, pairs, store)
         finite = ad.take_rows(m.reshape((m.size,)),
                               np.flatnonzero(np.isfinite(m.data)))
         finite.sum().backward()
@@ -470,5 +502,5 @@ class TestScoreMatrix:
         _, _, combined = unary_score_tensors(g, store)
         _, shortlists = coarse_scores(g, combined, store)
         pairs = pair_features(spans, doc, shortlists, 0)
-        m = score_matrix(g, combined, pairs, max(len(s) for s in shortlists), store)
+        m = score_matrix(g, combined, pairs, store)
         assert np.all(m.data[:, 0] == 0.0)

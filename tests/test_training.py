@@ -300,6 +300,26 @@ class TestZeroTokenDocuments:
             train(docs + [empty], tiny_config())
 
 
+class TestZeroPairStep:
+    def test_pair_parameters_untouched_without_pairs(self):
+        # two tokens at prune ratio 0.4 keep one span, so no pair is scored:
+        # the pair parameters get no gradient, and AdamW must not decay them
+        doc = make_document([["Ana", "left"]], mentions=[Mention(0, 0)])
+        cfg = tiny_config(steps=1, prune_ratio=0.4, weight_decay=0.5,
+                          task_weights=PRESET_WEIGHTS["sg"])
+        result = train([doc], cfg)
+        fresh = MtlCorefModel(cfg.model_config((doc.genre,)), cfg.seed,
+                              build_vocab([doc], cfg.encoder.vocab_size))
+        params = result.checkpoint.params
+        pair = [n for n in fresh.store.names() if n.startswith(("score/pair/", "pair/"))]
+        assert pair
+        for name in pair:
+            assert np.array_equal(params[name], fresh.store[name].data), name
+        # the step did train: the mention scorer moved
+        assert not np.array_equal(params["score/mention/out_w"],
+                                  fresh.store["score/mention/out_w"].data)
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize("field,value,message", [
         ("dropout", 1.0, "dropout"),
@@ -309,10 +329,26 @@ class TestConfigValidation:
         ("prune_ratio", float("nan"), "prune_ratio must be finite and > 0"),
         ("prune_ratio", 0.0, "prune_ratio must be finite and > 0"),
         ("top_antecedents", -1, "top_antecedents must be >= 1"),
+        ("hidden", 0, "hidden must be >= 1"),
+        ("hidden", -1, "hidden must be >= 1"),
+        ("feature_dim", -2, "feature_dim must be >= 0"),
+        ("ffnn_depth", -1, "ffnn_depth must be >= 0"),
+        ("clip_norm", -1.0, "clip_norm must be finite and > 0"),
+        ("clip_norm", 0.0, "clip_norm must be finite and > 0"),
+        ("clip_norm", float("nan"), "clip_norm must be finite and > 0"),
+        ("weight_decay", -1.0, "weight_decay must be finite and >= 0"),
+        ("weight_decay", float("inf"), "weight_decay must be finite and >= 0"),
+        ("task_learning_rate", float("nan"), "learning rates must be finite and > 0"),
+        ("encoder_learning_rate", float("inf"), "learning rates must be finite and > 0"),
     ])
     def test_bad_value_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
             TrainConfig(**{field: value})
+
+    def test_smallest_valid_sizes_accepted(self):
+        cfg = TrainConfig(hidden=1, feature_dim=0, ffnn_depth=0, weight_decay=0.0,
+                          encoder=EncoderConfig(segment_length=1))
+        assert (cfg.hidden, cfg.feature_dim, cfg.ffnn_depth) == (1, 0, 0)
 
 
 class TestHeadsRunOnDemand:
