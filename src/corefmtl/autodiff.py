@@ -7,7 +7,11 @@ reproducible on a fixed seed.
 
 Inside `no_grad()` no tape is built: an op's output has no parents and
 no backward closure, so inference frees each intermediate as soon as the
-caller drops it.
+caller drops it. Nothing then needs a stage's full arrays at once, so the
+model takes spans, anaphors and pairs in blocks of `PAIR_BLOCK` rows
+(`row_blocks`), and prediction memory grows with the block, not with
+spans or pairs times the hidden size. While a tape is built, each stage
+is one block.
 
 `backward()` frees the tape as it consumes it: once a node's closure has
 run, the node drops its gradient, closure and parents, so each gradient
@@ -36,6 +40,22 @@ def no_grad():
         yield
     finally:
         _GRAD_ENABLED.reset(token)
+
+
+# rows of spans, anaphors or pairs in one block of a tape-free pass, and the
+# pairs whose g[rows] * g[antecedents] product pair_input_layer builds at once
+PAIR_BLOCK = 1024
+
+
+def row_blocks(n: int, whole: bool = False) -> list[tuple[int, int]]:
+    """(lo, hi) ranges that cover rows 0 .. n - 1 in order, at least one.
+
+    Under no_grad() each holds PAIR_BLOCK rows, the last one the rest;
+    while a tape is built, or with whole=True, one range covers all rows.
+    """
+    if whole or _GRAD_ENABLED.get() or n <= PAIR_BLOCK:
+        return [(0, n)]
+    return [(lo, min(lo + PAIR_BLOCK, n)) for lo in range(0, n, PAIR_BLOCK)]
 
 
 def stream_seed(*parts) -> int:
@@ -263,6 +283,13 @@ def concat(parts: list, axis: int = 0) -> Tensor:
                   _parents=tuple(parts), _backward=backward)
 
 
+def join_blocks(parts: list) -> Tensor:
+    """The per-block outputs of a blocked stage as one tensor, in row order;
+    one block's output is returned as it is, so a one-block pass (every
+    taped one) builds no extra node."""
+    return parts[0] if len(parts) == 1 else concat(parts)
+
+
 def _scatter_rows(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
     """Sum values[p] into row idx[p] of a zero (num_rows, ...) array.
 
@@ -337,12 +364,26 @@ def span_attend(alpha: Tensor, emb: Tensor, grid) -> Tensor:
     return Tensor(out, _parents=(alpha, emb), _backward=backward)
 
 
-# pairs whose g[rows] * g[antecedents] product the forward pass builds at once
-PAIR_BLOCK = 1024
+def _pair_weights(dim: int, w0: Tensor, tables) -> list[np.ndarray]:
+    """w0 split by rows into W_a, W_b, W_c and one W_k per table."""
+    bounds = np.cumsum([0, dim, dim, dim] + [t.data.shape[1] for t, _ in tables])
+    if bounds[-1] != w0.data.shape[0]:
+        raise ValueError(f"pair input has {bounds[-1]} columns, w0 has "
+                         f"{w0.data.shape[0]} rows")
+    return [w0.data[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
+
+
+def pair_projections(g: Tensor, w0: Tensor, tables) -> list[np.ndarray]:
+    """[g W_a, g W_b, T_1 W_1, ..., T_n W_n]: the terms of pair_input_layer's
+    sum that one span or one table row fixes (only the T_k of tables are
+    read). A caller that takes the pairs in blocks computes them once."""
+    w_a, w_b, _, *w_tables = _pair_weights(g.data.shape[1], w0, tables)
+    return [g.data @ w_a, g.data @ w_b] + [
+        t.data @ w_k for (t, _), w_k in zip(tables, w_tables)]
 
 
 def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
-                     tables) -> Tensor:
+                     tables, projected: list[np.ndarray] | None = None) -> Tensor:
     """The first linear layer over pair inputs, without building them.
 
     Equals concat([g[rows], g[antecedents], g[rows] * g[antecedents],
@@ -353,35 +394,35 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
         (g W_a)[rows] + (g W_b)[antecedents] + (g[rows] * g[antecedents]) W_c
         + sum_k (T_k W_k)[idx_k] + b0
 
-    (the factorisation of Kirstain et al. 2021). Only the product term
-    is computed per pair, PAIR_BLOCK pairs at a time; backward recomputes
-    it instead of keeping it.
+    (the factorisation of Kirstain et al. 2021). projected, if given, is
+    pair_projections(g, w0, tables); otherwise this call computes it.
+    Only the product term is computed per pair, PAIR_BLOCK pairs at a
+    time; backward recomputes it instead of keeping it.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
     tables = [(t, np.asarray(idx, dtype=np.intp)) for t, idx in tables]
-    gv, wv = g.data, w0.data
-    dim = gv.shape[1]
-    bounds = np.cumsum([0, dim, dim, dim] + [t.data.shape[1] for t, _ in tables])
-    if bounds[-1] != wv.shape[0]:
-        raise ValueError(f"pair input has {bounds[-1]} columns, w0 has {wv.shape[0]} rows")
-    w_a, w_b, w_c, *w_tables = (wv[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:]))
+    gv = g.data
+    w_a, w_b, w_c, *w_tables = _pair_weights(gv.shape[1], w0, tables)
+    if projected is None:
+        projected = pair_projections(g, w0, tables)
+    g_wa, g_wb, *table_terms = projected
 
     def product(lo=0, hi=None):
         prod = gv[rows[lo:hi]]
         prod *= gv[ants[lo:hi]]
         return prod
 
-    out = (gv @ w_a)[rows]
-    out += (gv @ w_b)[ants]
+    out = g_wa[rows]
+    out += g_wb[ants]
     for lo in range(0, len(rows), PAIR_BLOCK):
         # the last block ends at the last pair and overlaps the one before,
         # so every product has PAIR_BLOCK rows: BLAS may sum a short one's
         # edge columns in another order than the unblocked product does
         first = max(min(lo, len(rows) - PAIR_BLOCK), 0)
         out[lo:lo + PAIR_BLOCK] += (product(first, first + PAIR_BLOCK) @ w_c)[lo - first:]
-    for (t, idx), w_k in zip(tables, w_tables):
-        out += (t.data @ w_k)[idx]
+    for (_, idx), term in zip(tables, table_terms):
+        out += term[idx]
     out += b0.data
 
     def backward(grad):

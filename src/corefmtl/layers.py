@@ -16,31 +16,38 @@ def create_ffnn(store: ParameterStore, prefix: str, in_dim: int, hidden: int,
     store.create(f"{prefix}/out_b", (out_dim,), init="zeros")
 
 
-def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
-         dropout: float = 0.0, step: int | None = None, first_layer=None) -> Tensor:
-    """Apply the named feed-forward block: ReLU hidden layers, then a
-    linear output layer.
-
-    The block's depth is the number of hidden layers the store holds for
-    it. Dropout applies in training only, when step is given, and draws
-    from the block's own stream for that step.
-
-    first_layer(w, b), if given, returns the first linear layer's x @ w + b
-    for an input that is never built (the pair scorer's); x is then None.
-    """
+def ffnn_weights(store: ParameterStore, prefix: str) -> list[tuple[Tensor, Tensor]]:
+    """(w, b) of each layer of the named block, the output layer last. The
+    block's depth is the number of hidden layers the store holds for it."""
     depth = 0
     while f"{prefix}/w{depth}" in store:
         depth += 1
     weights = [(store[f"{prefix}/w{layer}"], store[f"{prefix}/b{layer}"])
                for layer in range(depth)]
-    weights.append((store[f"{prefix}/out_w"], store[f"{prefix}/out_b"]))
+    return weights + [(store[f"{prefix}/out_w"], store[f"{prefix}/out_b"])]
+
+
+def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
+         dropout: float = 0.0, step: int | None = None,
+         first_layer: Tensor | None = None) -> Tensor:
+    """Apply the named feed-forward block: ReLU hidden layers, then a
+    linear output layer.
+
+    Dropout applies in training only, when step is given, and draws from
+    the block's own stream for that step.
+
+    first_layer, if given, is the first linear layer's x @ w + b for an
+    input x that is never built (the pair scorer's); x is then None.
+    """
+    weights = ffnn_weights(store, prefix)
+    depth = len(weights) - 1
     rng = None
     if dropout > 0.0 and step is not None:
         rng = named_rng(store.seed, "dropout", step, prefix)
     h = x
     for layer, (w, b) in enumerate(weights):
         if layer == 0 and first_layer is not None:
-            h, w, b = first_layer(w, b), None, None
+            h, w, b = first_layer, None, None
         if layer == depth:
             return h if w is None else ad.matmul(h, w) + b
         # looked up when ffnn runs, so that a wrapper installed on the

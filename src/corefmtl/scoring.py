@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import Document
-from .layers import create_ffnn, ffnn
+from .layers import create_ffnn, ffnn, ffnn_weights
 from .spans import NUM_BUCKETS, SpanCandidate, bucket_index
 
 UNKNOWN_SPEAKERS = ("", "-")
@@ -59,28 +59,35 @@ def unary_score_tensors(g: Tensor, store: ParameterStore, dropout: float = 0.0,
 # -- pruning -------------------------------------------------------------------
 
 
-def _partially_crossing(a: SpanCandidate, b: SpanCandidate) -> bool:
-    return (a.start < b.start <= a.end < b.end) or (b.start < a.start <= b.end < a.end)
-
-
 def prune_spans(scores: np.ndarray, spans: list[SpanCandidate], num_tokens: int,
                 ratio: float = 0.4) -> list[int]:
     """Keep up to ceil(ratio * num_tokens) spans by descending unary score,
     greedily skipping any span that partially crosses an already kept one.
     Returns indices into spans, sorted by (start, end).
+
+    A kept span partially crosses [s, e] when it starts in (s, e] and ends
+    after e, or ends in [s, e) and starts before s. So the furthest end of
+    the kept spans that start at each token, and the earliest start of
+    those that end there, decide it in O(width) per candidate.
     """
     if len(scores) != len(spans):
         raise ValueError("scores and spans disagree in length")
     limit = min(ceil(ratio * num_tokens), len(spans))
     order = sorted(range(len(spans)),
                    key=lambda i: (-float(scores[i]), spans[i].start, spans[i].end))
+    furthest_end: dict[int, int] = {}
+    earliest_start: dict[int, int] = {}
     kept: list[int] = []
     for i in order:
         if len(kept) >= limit:
             break
-        if any(_partially_crossing(spans[i], spans[j]) for j in kept):
+        s, e = spans[i].start, spans[i].end
+        if (any(furthest_end.get(t, e) > e for t in range(s + 1, e + 1))
+                or any(earliest_start.get(t, s) < s for t in range(s, e))):
             continue
         kept.append(i)
+        furthest_end[s] = max(furthest_end.get(s, e), e)
+        earliest_start[e] = min(earliest_start.get(e, s), s)
     kept.sort(key=lambda i: (spans[i].start, spans[i].end))
     return kept
 
@@ -89,28 +96,26 @@ def prune_spans(scores: np.ndarray, spans: list[SpanCandidate], num_tokens: int,
 
 
 def coarse_scores(g: Tensor, combined: Tensor, store: ParameterStore,
-                  top_k: int = 50) -> tuple[np.ndarray, list[np.ndarray]]:
+                  top_k: int = 50) -> list[np.ndarray]:
     """Bilinear shortlist selection over kept spans (no gradient flows here).
 
-    Returns the (S, S) coarse score matrix (-inf at j >= i) and, per span,
-    the selected antecedent indices in ascending order.
+    Returns, per span, the indices of the top_k earlier spans by coarse
+    score combined[i] + combined[j] + g[i] W g[j], in ascending order.
+    The bilinear term is computed for a block of anaphors at a time
+    (autodiff.row_blocks), against the spans before the block's end.
     """
-    gv = g.data
-    s = gv.shape[0]
-    bilinear = gv @ store["score/coarse_bilinear"].data @ gv.T
-    coarse = combined.data[:, None] + combined.data[None, :] + bilinear
-    coarse = np.where(np.tril(np.ones((s, s), dtype=bool), k=-1), coarse, -np.inf)
+    gv, cv = g.data, combined.data
+    g_w = gv @ store["score/coarse_bilinear"].data
     shortlists = []
-    for i in range(s):
-        k = min(top_k, i)
-        if k == 0:
-            shortlists.append(np.zeros(0, dtype=np.intp))
-            continue
-        row = coarse[i, :i]
-        # ties resolved toward the nearer antecedent
-        order = np.lexsort((-np.arange(i), -row))[:k]
-        shortlists.append(np.sort(order).astype(np.intp))
-    return coarse, shortlists
+    for lo, hi in ad.row_blocks(len(gv)):
+        bilinear = g_w[lo:hi] @ gv[:hi].T
+        for i in range(lo, hi):
+            row = (cv[i] + cv[:i]) + bilinear[i - lo, :i]
+            # ties resolved toward the nearer antecedent
+            order = np.lexsort((-np.arange(i), -row))[:min(top_k, i)]
+            shortlists.append(np.sort(order).astype(np.intp))
+        del bilinear  # before the next block's is built
+    return shortlists
 
 
 # -- full pairwise scores ----------------------------------------------------------
@@ -160,7 +165,9 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     many slots as the longest shortlist.
 
     Column 0 is the dummy antecedent, a constant exact 0. Column 1 + t is
-    shortlist slot t; slots beyond a span's shortlist hold -inf.
+    shortlist slot t; slots beyond a span's shortlist hold -inf. The pair
+    scorer takes the pairs in blocks (autodiff.row_blocks); its first
+    layer's per-span terms are computed once, for every block.
     """
     s = g.shape[0]
     n_pairs = len(pairs.rows)
@@ -168,22 +175,25 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
         # no pair scorer runs, so its parameters get no gradient at all
         return ad.constant(np.zeros((s, 1)))
 
-    features = [
+    tables = [
         (store["pair/distance_embedding"], pairs.distance_bucket),
         (store["pair/same_speaker_embedding"], pairs.same_speaker),
         (store["pair/genre_embedding"], np.full(n_pairs, pairs.genre_id, dtype=np.intp)),
     ]
-
-    def first_layer(w, b):
-        # [g_i, g_j, g_i * g_j, phi] @ w + b, without the (P, 3g+3f) input
-        return ad.pair_input_layer(g, w, b, pairs.rows, pairs.antecedents, features)
-
-    s_c = ffnn(None, store, "score/pair", dropout, step,
-               first_layer=first_layer).reshape((n_pairs,))
-    s_pair = s_c + ad.take_rows(combined, pairs.rows) \
-                 + ad.take_rows(combined, pairs.antecedents)
+    w0, b0 = ffnn_weights(store, "score/pair")[0]
+    projected = ad.pair_projections(g, w0, tables)
+    s_pair = []
+    # dropout masks are drawn per ffnn call, so a pass with a step is one block
+    for lo, hi in ad.row_blocks(n_pairs, whole=step is not None):
+        rows, ants = pairs.rows[lo:hi], pairs.antecedents[lo:hi]
+        # [g_i, g_j, g_i * g_j, phi] @ w0 + b0, without the (P, 3g+3f) input
+        first = ad.pair_input_layer(g, w0, b0, rows, ants,
+                                    [(t, idx[lo:hi]) for t, idx in tables], projected)
+        s_c = ffnn(None, store, "score/pair", dropout, step,
+                   first_layer=first).reshape((hi - lo,))
+        s_pair.append(s_c + ad.take_rows(combined, rows) + ad.take_rows(combined, ants))
     # allocated only now, so it is not held through the pair scorer's peak
     num_slots = int(pairs.cols.max()) + 1
     base = np.full((s, 1 + num_slots), -np.inf)
     base[:, 0] = 0.0
-    return ad.scatter2d(s_pair, pairs.rows, 1 + pairs.cols, base)
+    return ad.scatter2d(ad.join_blocks(s_pair), pairs.rows, 1 + pairs.cols, base)

@@ -63,18 +63,21 @@ def create_span_params(store: ParameterStore, dim: int, feature_dim: int):
 
 
 def represent_spans(embeddings: Tensor, spans: list[SpanCandidate],
-                    store: ParameterStore) -> tuple[Tensor, np.ndarray]:
+                    store: ParameterStore,
+                    width: int | None = None) -> tuple[Tensor, np.ndarray]:
     """Representations for all spans at once.
 
     Returns (G, alphas): G is (S, 3d+f); alphas holds each span's head
-    attention weights padded with zeros to the widest span.
+    attention weights padded with zeros to width columns, by default the
+    widest span's. Blocks of one document's spans pass the document's
+    widest, so every block's soft head sums the same columns.
     """
     if not spans:
         raise ValueError("no spans to represent")
     starts = np.array([s.start for s in spans], dtype=np.intp)
     ends = np.array([s.end for s in spans], dtype=np.intp)
     widths = ends - starts + 1
-    max_w = int(widths.max())
+    max_w = int(widths.max()) if width is None else width
 
     # (S, max_w) token index grid, clipped at each span's end; clipped
     # duplicates get zero attention through the mask so they contribute nothing

@@ -3,11 +3,13 @@
 These deliberately avoid the library's code paths: MUC and B-cubed are
 computed straight from their definitions with per-mention loops, and the
 CEAF alignment is found by exhaustive permutation or by an exact
-subset-sum dynamic program rather than the Hungarian method. The pair
-features and the gold antecedent mask are built pair by pair.
+subset-sum dynamic program rather than the Hungarian method. Pruning
+checks each candidate against every kept span; the pair features, the
+gold antecedent mask and the coarse score matrix are built pair by pair.
 """
 
 from itertools import permutations
+from math import ceil
 
 
 def _f1(p, r):
@@ -172,3 +174,34 @@ def gold_mask_reference(kept_spans, shortlists, gold_clusters, num_slots):
         row[0] = not any(row[1:])
         mask.append(row)
     return mask
+
+
+def coarse_matrix_reference(g, combined, bilinear):
+    """The dense (S, S) coarse score matrix, one entry at a time:
+    combined[i] + combined[j] + g[i] . (bilinear g[j]) for an earlier
+    span j < i, -inf where j >= i."""
+    n = len(combined)
+    matrix = [[float("-inf")] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i):
+            pull = sum(float(g[i][a]) * float(bilinear[a][b]) * float(g[j][b])
+                       for a in range(len(g[i])) for b in range(len(g[j])))
+            matrix[i][j] = float(combined[i]) + float(combined[j]) + pull
+    return matrix
+
+
+def prune_reference(scores, spans, num_tokens, ratio):
+    """Greedy non-crossing pruning, each candidate checked against every
+    span kept so far; spans are (start, end) pairs."""
+    limit = min(ceil(ratio * num_tokens), len(spans))
+    order = sorted(range(len(spans)), key=lambda i: (-float(scores[i]), spans[i]))
+    kept = []
+    for i in order:
+        if len(kept) >= limit:
+            break
+        a = spans[i]
+        if any(a[0] < b[0] <= a[1] < b[1] or b[0] < a[0] <= b[1] < a[1]
+               for b in (spans[j] for j in kept)):
+            continue
+        kept.append(i)
+    return sorted(kept, key=lambda i: spans[i])

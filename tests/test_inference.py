@@ -9,8 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefmtl import autodiff as ad
+from corefmtl import cli
+from corefmtl import model as model_module
 from corefmtl.autodiff import Tensor
-from corefmtl.corpus import Mention, prediction_from_document, prediction_to_document
+from corefmtl.corpus import (Mention, prediction_from_document, prediction_to_document,
+                             write_jsonl)
 from corefmtl.encoder import EncoderConfig, build_vocab
 from corefmtl.inference import (
     PredictionResult,
@@ -19,9 +22,10 @@ from corefmtl.inference import (
     predict_document,
 )
 from corefmtl.model import ModelConfig, MtlCorefModel
-from corefmtl.mtl import HEAD_SIZES
+from corefmtl.mtl import HEAD_SIZES, PRESET_WEIGHTS
 from corefmtl.spans import SpanCandidate
 from corefmtl.synthetic import generate_corpus
+from corefmtl.training import TrainConfig, train
 from helpers import make_document, spans_to_clusters
 
 
@@ -235,3 +239,91 @@ class TestTapeFreePrediction:
         taped_peak, _ = peak_bytes(model.forward, doc, need_heads=tuple(HEAD_SIZES))
         predict_peak, _ = peak_bytes(predict_document, model, doc)
         assert predict_peak < taped_peak / 2
+
+
+def decoded(fp, doc):
+    """The prediction predict_document makes from a forward pass."""
+    logits = {task: t.data for task, t in fp.logits.items()}
+    ex = np.exp(logits["singleton"] - logits["singleton"].max(axis=1, keepdims=True))
+    return build_clusters(decode_antecedents(fp.scores.data, fp.shortlists),
+                          fp.kept_spans, doc.doc_key, ex[:, 1] / ex.sum(axis=1),
+                          logits["entity_type"], logits["info_status"])
+
+
+def counting(monkeypatch, owner, name):
+    """Count the calls of owner.name from here on."""
+    calls = []
+    fn = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+    return calls
+
+
+class TestBlockedPrediction:
+    BLOCK = 3
+
+    def test_blocks_agree_with_the_taped_forward(self, monkeypatch):
+        docs = generate_corpus(3, seed=5)
+        model = small_model(docs)
+        doc = max(docs, key=lambda d: d.num_tokens)
+        taped = model.forward(doc, need_heads=tuple(HEAD_SIZES))
+        monkeypatch.setattr(ad, "PAIR_BLOCK", self.BLOCK)
+        span_calls = counting(monkeypatch, model_module, "represent_spans")
+        pair_calls = counting(monkeypatch, ad, "pair_input_layer")
+        with ad.no_grad():
+            free = model.forward(doc, need_heads=tuple(HEAD_SIZES))
+
+        n_pairs = sum(len(sl) for sl in free.shortlists)
+        assert min(len(free.spans), len(free.kept), n_pairs) > 5 * self.BLOCK
+        # one call per span block, then one for the kept spans
+        assert len(span_calls) == -(-len(free.spans) // self.BLOCK) + 1
+        assert len(pair_calls) == -(-n_pairs // self.BLOCK)
+
+        assert free.kept == taped.kept
+        assert len(free.shortlists) == len(taped.shortlists)
+        for got, want in zip(free.shortlists, taped.shortlists):
+            npt.assert_array_equal(got, want)
+        # the recall replay reads a score for every candidate span
+        assert free.combined.shape == free.mention.shape == (len(free.spans),)
+        want, got = forward_tensors(taped), forward_tensors(free)
+        assert set(got) == set(want)
+        for name, t in got.items():
+            assert not t.requires_grad, name
+            npt.assert_allclose(t.data, want[name].data, rtol=0, atol=1e-12,
+                                err_msg=name)
+        assert decoded(free, doc) == decoded(taped, doc)
+        assert predict_document(model, doc) == decoded(taped, doc)
+
+    def test_long_document_predicts_in_bounded_memory(self, tmp_path, monkeypatch):
+        docs = generate_corpus(2, seed=5)
+        cfg = TrainConfig(encoder=EncoderConfig(dim=32, vocab_size=64, window=1),
+                          feature_dim=8, hidden=64, ffnn_depth=1, max_span_width=10,
+                          steps=1, select="final",
+                          task_weights=PRESET_WEIGHTS["sg_ent_infs"])
+        result = train(docs, cfg)
+        result.checkpoint.save(tmp_path / "model.npz")
+        rng = np.random.default_rng(0)
+        vocab = result.model.vocab
+        doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
+                             for _ in range(500)])
+        assert doc.num_tokens == 10_000
+        (tmp_path / "long.jsonl").write_text(write_jsonl([doc]), encoding="utf-8")
+
+        peaks = []
+
+        def measured(*args, **kwargs):
+            peak, pred = peak_bytes(predict_document, *args, **kwargs)
+            peaks.append(peak)
+            return pred
+
+        monkeypatch.setattr(cli, "predict_document", measured)
+        assert cli.main(["predict", str(tmp_path / "long.jsonl"),
+                         "--checkpoint", str(tmp_path / "model.npz"),
+                         "--out", str(tmp_path / "pred.jsonl")]) == 0
+        assert len(peaks) == 1
+        # 4000 kept spans: a dense (kept x kept) coarse matrix alone is 122 MiB
+        assert peaks[0] < 80 * 2 ** 20

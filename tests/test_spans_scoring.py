@@ -26,7 +26,8 @@ from corefmtl.spans import (
     represent_spans,
 )
 from helpers import make_document, random_shortlisted_document
-from oracles import bucket_reference, pair_features_reference
+from oracles import (bucket_reference, coarse_matrix_reference, pair_features_reference,
+                     prune_reference)
 
 DIM = 6
 FEAT = 4
@@ -282,6 +283,20 @@ class TestPruneSpans:
             prune_spans(np.zeros(2), [cand(0, 0)], num_tokens=5)
 
     @settings(max_examples=100, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_matches_the_pairwise_crossing_check(self, seed):
+        # random spans, repeats included, and tied scores
+        rng = np.random.default_rng(seed)
+        n_tokens = int(rng.integers(1, 40))
+        starts = rng.integers(0, n_tokens, size=int(rng.integers(1, 60)))
+        ends = np.minimum(starts + rng.integers(0, 8, size=len(starts)), n_tokens - 1)
+        spans = [cand(int(s), int(e)) for s, e in zip(starts, ends)]
+        scores = rng.integers(0, 4, size=len(spans)).astype(float)
+        ratio = float(rng.uniform(0.1, 1.5))
+        want = prune_reference(scores, [c.span for c in spans], n_tokens, ratio)
+        assert prune_spans(scores, spans, n_tokens, ratio) == want
+
+    @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(4, 18))
     def test_invariants_on_random_inputs(self, seed, n_tokens):
         rng = np.random.default_rng(seed)
@@ -311,34 +326,29 @@ class TestCoarseShortlist:
         _, _, combined = unary_score_tensors(g, store)
         return g, combined, store, coarse_scores(g, combined, store, top_k=top_k)
 
-    def test_matrix_is_strictly_lower_triangular(self):
-        _, _, _, (coarse, _) = self.setup_scores()
-        n = coarse.shape[0]
-        for i in range(n):
-            assert np.all(coarse[i, i:] == -np.inf)
-            assert np.all(np.isfinite(coarse[i, :i]))
-
     def test_shortlists_are_earlier_ascending_capped(self):
-        _, _, _, (_, shortlists) = self.setup_scores(top_k=3)
+        _, _, _, shortlists = self.setup_scores(top_k=3)
         for i, sl in enumerate(shortlists):
             assert len(sl) == min(3, i)
             assert all(0 <= j < i for j in sl)
             assert list(sl) == sorted(sl)
 
     def test_shortlist_holds_the_top_scoring_antecedents(self):
-        _, _, _, (coarse, shortlists) = self.setup_scores(top_k=3)
+        g, combined, store, shortlists = self.setup_scores(top_k=3)
+        coarse = coarse_matrix_reference(g.data, combined.data,
+                                         store["score/coarse_bilinear"].data)
         for i, sl in enumerate(shortlists):
             if i <= 3:
                 continue
-            worst_selected = min(coarse[i, j] for j in sl)
-            rest = [coarse[i, j] for j in range(i) if j not in set(sl)]
+            worst_selected = min(coarse[i][j] for j in sl)
+            rest = [coarse[i][j] for j in range(i) if j not in set(sl)]
             assert worst_selected >= max(rest)
 
     def test_ties_select_nearer_antecedents(self):
         g, combined, store, _ = self.setup_scores()
         store["score/coarse_bilinear"].data[:] = 0.0
         flat = Tensor(np.zeros(g.shape[0]))
-        _, shortlists = coarse_scores(g, flat, store, top_k=2)
+        shortlists = coarse_scores(g, flat, store, top_k=2)
         # every pair ties at 0, so the two nearest must win
         for i, sl in enumerate(shortlists):
             assert list(sl) == list(range(max(0, i - 2), i))
@@ -424,7 +434,7 @@ class TestScoreMatrix:
         emb = embeddings_for(doc, seed)
         g, _ = represent_spans(emb, spans, store)
         _, _, combined = unary_score_tensors(g, store)
-        _, shortlists = coarse_scores(g, combined, store, top_k=top_k)
+        shortlists = coarse_scores(g, combined, store, top_k=top_k)
         pairs = pair_features(spans, doc, shortlists, genre_id=1)
         m = score_matrix(g, combined, pairs, store)
         return doc, spans, store, g, combined, shortlists, m
@@ -472,7 +482,7 @@ class TestScoreMatrix:
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
         _, _, combined = unary_score_tensors(g, store)
-        _, shortlists = coarse_scores(g, combined, store)
+        shortlists = coarse_scores(g, combined, store)
         assert len(shortlists[0]) == 0
         m = score_matrix(g, combined, pair_features(spans, doc, shortlists, 0), store)
         assert m.data.tolist() == [[0.0]]
@@ -500,7 +510,7 @@ class TestScoreMatrix:
             store[name].data += rng.normal(scale=0.1, size=store[name].data.shape)
         g, _ = represent_spans(embeddings_for(doc, seed), spans, store)
         _, _, combined = unary_score_tensors(g, store)
-        _, shortlists = coarse_scores(g, combined, store)
+        shortlists = coarse_scores(g, combined, store)
         pairs = pair_features(spans, doc, shortlists, 0)
         m = score_matrix(g, combined, pairs, store)
         assert np.all(m.data[:, 0] == 0.0)

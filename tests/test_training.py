@@ -9,6 +9,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from corefmtl import autodiff as ad
 from corefmtl.corpus import CorpusError, Mention
 from corefmtl.encoder import EncoderConfig, build_vocab
 from corefmtl.inference import PredictionResult, predict_document
@@ -62,6 +63,18 @@ class TestDeterminism:
         r2 = train(docs, tiny_config())
         assert loss_trace(r1) == loss_trace(r2)
         assert params_equal(r1.checkpoint.params, r2.checkpoint.params)
+
+    def test_training_ignores_the_block_size(self, docs, monkeypatch):
+        # with a tape every stage is one block. pair_input_layer still builds
+        # its pair product PAIR_BLOCK rows at a time; a 1-row block would go
+        # through OpenBLAS's matrix-vector path, which sums in another order
+        cfg = tiny_config(steps=3, dropout=0.3,
+                          task_weights=PRESET_WEIGHTS["sg_ent_infs"])
+        want = train(docs, cfg)
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
+        got = train(docs, cfg)
+        assert got.records == want.records
+        assert params_equal(got.model.store.state(), want.model.store.state())
 
     def test_seed_changes_the_trajectory(self, docs):
         r1 = train(docs, tiny_config(seed=3))
