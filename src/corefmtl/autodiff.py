@@ -16,9 +16,18 @@ is one block.
 `backward()` frees the tape as it consumes it: once a node's closure has
 run, the node drops its gradient, closure and parents, so each gradient
 and each saved activation goes as soon as nothing upstream needs it.
+A node's gradient is handed to its closure with no other reference left,
+so a closure that is done with it (`dense`, once it has the gradient
+through its relu and dropout) frees it before the closure returns.
 Leaves (parameters, and tensors made with requires_grad=True) keep their
 gradients; `retain_grad()` keeps an intermediate's. A graph is
 differentiated once: a second backward() through it raises.
+
+`recompute(fn, x)` trades time for tape: it keeps only x and fn's
+output, and its backward runs fn again to backpropagate through it. The
+model wraps the two unary span scorers in it, whose (spans x hidden)
+activations would otherwise wait on the tape through the pair scorer's
+backward, where a training step peaks.
 """
 
 import contextlib
@@ -43,8 +52,12 @@ def no_grad():
 
 
 # rows of spans, anaphors or pairs in one block of a tape-free pass, and the
-# pairs whose g[rows] * g[antecedents] product pair_input_layer builds at once
+# pairs whose first-layer output pair_input_layer builds at once
 PAIR_BLOCK = 1024
+# elements of a column chunk of a (rows x columns) gather or scatter: a
+# scatter's int64 bin array, and pair_input_layer's per-pair products in
+# backward, are built this many at a time
+CHUNK_ELEMENTS = 2 ** 20
 
 
 def row_blocks(n: int, whole: bool = False) -> list[tuple[int, int]]:
@@ -169,11 +182,15 @@ class Tensor:
             if node._backward is None:
                 continue  # a leaf
             if node.grad is not None:
-                node._backward(node.grad)
+                # the call takes over the only reference to a gradient that
+                # is not retained, so a closure that is done with it frees it
+                node._backward(node.grad if node._retain else node._take_grad())
             node._backward = _released
             node._parents = ()
-            if not node._retain:
-                node.grad = None
+
+    def _take_grad(self) -> np.ndarray:
+        grad, self.grad = self.grad, None
+        return grad
 
     def _accumulate(self, grad: np.ndarray):
         # Accumulation always rebinds (never mutates in place), so sharing
@@ -290,16 +307,31 @@ def join_blocks(parts: list) -> Tensor:
     return parts[0] if len(parts) == 1 else concat(parts)
 
 
+def _column_chunks(num_rows: int, width: int) -> list[tuple[int, int]]:
+    """(lo, hi) ranges that cover columns 0 .. width - 1 in order, at least
+    one. Each spans CHUNK_ELEMENTS // num_rows columns (at least one), so
+    a chunk of a num_rows-row array holds about CHUNK_ELEMENTS elements."""
+    step = max(CHUNK_ELEMENTS // max(num_rows, 1), 1)
+    return [(lo, min(lo + step, width)) for lo in range(0, max(width, 1), step)]
+
+
 def _scatter_rows(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
     """Sum values[p] into row idx[p] of a zero (num_rows, ...) array.
 
-    Same sums in the same order as np.add.at, several times faster: one
-    bincount over flattened (row, column) bins.
+    Same sums in the same order as np.add.at, several times faster: a
+    bincount over flattened (row, column) bins, for a chunk of columns at
+    a time (_column_chunks), so each bin still sums in ascending p.
     """
     rest = values.shape[idx.ndim:]
     width = int(np.prod(rest, dtype=np.intp))
-    bins = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-    sums = np.bincount(bins, weights=values.reshape(-1), minlength=num_rows * width)
+    idx = idx.reshape(-1, 1)
+    values = values.reshape(len(idx), width)
+    parts = []
+    for lo, hi in _column_chunks(len(idx), width):
+        bins = (idx * (hi - lo) + np.arange(hi - lo)).reshape(-1)
+        parts.append(np.bincount(bins, weights=values[:, lo:hi].reshape(-1),
+                                 minlength=num_rows * (hi - lo)).reshape(num_rows, hi - lo))
+    sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
     # with no values at all, bincount returns integer zeros
     return sums.astype(DTYPE, copy=False).reshape((num_rows,) + rest)
 
@@ -383,21 +415,30 @@ def pair_projections(g: Tensor, w0: Tensor, tables) -> list[np.ndarray]:
 
 
 def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
-                     tables, projected: list[np.ndarray] | None = None) -> Tensor:
-    """The first linear layer over pair inputs, without building them.
+                     tables, projected: list[np.ndarray] | None = None,
+                     relu: bool = True, rate: float = 0.0,
+                     rng: np.random.Generator | None = None) -> Tensor:
+    """The pair scorer's first layer over pair inputs, without building
+    them, as one tape node.
 
-    Equals concat([g[rows], g[antecedents], g[rows] * g[antecedents],
-    T_1[idx_1], ..., T_n[idx_n]], axis=1) @ w0 + b0, where tables holds
-    the (T_k, idx_k) feature lookups. w0 splits by rows into W_a, W_b,
-    W_c and one W_k per table, so the sum is
+    Its linear part equals concat([g[rows], g[antecedents],
+    g[rows] * g[antecedents], T_1[idx_1], ..., T_n[idx_n]], axis=1) @ w0 + b0,
+    where tables holds the (T_k, idx_k) feature lookups. w0 splits by rows
+    into W_a, W_b, W_c and one W_k per table, so the sum is
 
         (g W_a)[rows] + (g W_b)[antecedents] + (g[rows] * g[antecedents]) W_c
         + sum_k (T_k W_k)[idx_k] + b0
 
     (the factorisation of Kirstain et al. 2021). projected, if given, is
     pair_projections(g, w0, tables); otherwise this call computes it.
-    Only the product term is computed per pair, PAIR_BLOCK pairs at a
-    time; backward recomputes it instead of keeping it.
+    With relu, the layer is a hidden one: relu and dropout follow as in
+    dense, and the node keeps only their output. Without, it is the
+    scorer's linear output layer, and rate and rng are not read.
+
+    The output is built PAIR_BLOCK pairs at a time, and each block's
+    dropout mask is the next rows of rng's draws, so the values equal
+    those of the whole layer at once. Only the product term is computed
+    per pair; backward recomputes it instead of keeping it.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
@@ -410,32 +451,36 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
 
     def product(lo=0, hi=None):
         prod = gv[rows[lo:hi]]
-        prod *= gv[ants[lo:hi]]
+        for c_lo, c_hi in _column_chunks(len(prod), gv.shape[1]):
+            prod[:, c_lo:c_hi] *= gv[ants[lo:hi], c_lo:c_hi]
         return prod
 
-    out = g_wa[rows]
-    out += g_wb[ants]
+    out = np.empty((len(rows), w0.data.shape[1]), dtype=DTYPE)
+    scale = None
     for lo in range(0, len(rows), PAIR_BLOCK):
+        hi = lo + PAIR_BLOCK
+        block = out[lo:hi]
+        np.take(g_wa, rows[lo:hi], axis=0, out=block)
+        block += g_wb[ants[lo:hi]]
         # the last block ends at the last pair and overlaps the one before,
         # so every product has PAIR_BLOCK rows: BLAS may sum a short one's
         # edge columns in another order than the unblocked product does
         first = max(min(lo, len(rows) - PAIR_BLOCK), 0)
-        out[lo:lo + PAIR_BLOCK] += (product(first, first + PAIR_BLOCK) @ w_c)[lo - first:]
-    for (_, idx), term in zip(tables, table_terms):
-        out += term[idx]
-    out += b0.data
+        block += (product(first, first + PAIR_BLOCK) @ w_c)[lo - first:]
+        for (_, idx), term in zip(tables, table_terms):
+            block += term[idx[lo:hi]]
+        block += b0.data
+        if relu:
+            scale = _relu_dropout(block, rate, rng)
 
     def backward(grad):
-        by_row = _scatter_rows(grad, rows, gv.shape[0])
-        by_ant = _scatter_rows(grad, ants, gv.shape[0])
+        if relu:
+            grad = _relu_dropout_grad(grad, out, scale)
+        n = gv.shape[0]
+        by_row = _scatter_rows(grad, rows, n)
+        by_ant = _scatter_rows(grad, ants, n)
         by_table = [_scatter_rows(grad, idx, t.data.shape[0]) for t, idx in tables]
-        if g.requires_grad:
-            d_prod = grad @ w_c.T
-            d_g = by_row @ w_a.T + by_ant @ w_b.T
-            d_g += _scatter_rows(d_prod * gv[ants], rows, gv.shape[0])
-            d_g += _scatter_rows(d_prod * gv[rows], ants, gv.shape[0])
-            del d_prod
-            g._accumulate(d_g)
+        b0._accumulate(grad.sum(axis=0))
         if w0.requires_grad:
             w0._accumulate(np.concatenate(
                 [gv.T @ by_row, gv.T @ by_ant, product().T @ grad]
@@ -443,7 +488,15 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
         for (t, _), by_t, w_k in zip(tables, by_table, w_tables):
             if t.requires_grad:
                 t._accumulate(by_t @ w_k.T)
-        b0._accumulate(grad.sum(axis=0))
+        if g.requires_grad:
+            d_prod = grad @ w_c.T
+            del grad
+            d_g = by_row @ w_a.T + by_ant @ w_b.T
+            for lo, hi in _column_chunks(len(rows), gv.shape[1]):
+                d_g[:, lo:hi] += _scatter_rows(d_prod[:, lo:hi] * gv[ants, lo:hi], rows, n)
+                d_g[:, lo:hi] += _scatter_rows(d_prod[:, lo:hi] * gv[rows, lo:hi], ants, n)
+            del d_prod
+            g._accumulate(d_g)
 
     return Tensor(out, _parents=(g, w0, b0) + tuple(t for t, _ in tables),
                   _backward=backward)
@@ -452,50 +505,79 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
 # -- dense layers ---------------------------------------------------------
 
 
-def dense(x: Tensor, w: Tensor | None, b: Tensor | None, rate: float = 0.0,
+def _relu_dropout(out: np.ndarray, rate: float, rng: np.random.Generator | None):
+    """relu, then inverted dropout, on a hidden layer's linear output, in
+    place; returns the dropout scale 1 / (1 - rate), or None without
+    dropout. Dropout applies when rng is given and rate > 0; its mask is
+    drawn from rng as rng.random(out.shape) < 1 - rate."""
+    np.maximum(out, 0.0, out=out)
+    if rng is None or rate <= 0.0:
+        return None
+    keep = 1.0 - rate
+    scale = 1.0 / keep
+    out *= rng.random(out.shape) < keep
+    out *= scale
+    return scale
+
+
+def _relu_dropout_grad(grad: np.ndarray, out: np.ndarray, scale) -> np.ndarray:
+    """The gradient through _relu_dropout, from its output alone: a
+    dropped unit's output is 0, as is that of a unit relu zeroed, so
+    out > 0 is the whole mask. The arithmetic is that of relu and a
+    multiply by mask / (1 - rate) in turn: (grad * mask / keep) * (z > 0)
+    has the zeros of both factors, signs included, and then the scale."""
+    d = grad * (out > 0.0)
+    if scale is not None:
+        d *= scale
+    return d
+
+
+def dense(x: Tensor, w: Tensor, b: Tensor, rate: float = 0.0,
           rng: np.random.Generator | None = None) -> Tensor:
-    """relu(x @ w + b) with inverted dropout, as one tape node.
-
-    With w and b None, x is already the layer's linear output (the pair
-    scorer's first layer). Dropout applies when rng is given and rate > 0;
-    its mask is drawn from rng as rng.random(shape) < 1 - rate.
-
-    The node keeps only its output: a dropped unit's output is 0, as is
-    that of a unit relu zeroed, so out > 0 is the whole mask. The
-    arithmetic is that of matmul, add, relu and a multiply by
-    mask / (1 - rate) in turn, so values and gradients are bit-identical
-    to that composition.
+    """relu(x @ w + b) with inverted dropout (_relu_dropout), as one tape
+    node that keeps only its output. The arithmetic is that of matmul,
+    add, relu and a multiply by mask / (1 - rate) in turn, so values and
+    gradients are bit-identical to that composition.
     """
-    if w is None:
-        out = np.maximum(x.data, 0.0)
-    else:
-        out = x.data @ w.data
-        out += b.data
-        np.maximum(out, 0.0, out=out)
-    scale = None
-    if rng is not None and rate > 0.0:
-        keep = 1.0 - rate
-        scale = 1.0 / keep
-        out *= rng.random(out.shape) < keep
-        out *= scale
+    out = x.data @ w.data
+    out += b.data
+    scale = _relu_dropout(out, rate, rng)
 
     def backward(g):
-        # the composition's (g * mask / keep) * (z > 0): g * (out > 0) has
-        # the zeros of both factors, signs included, and then the scale
-        d = g * (out > 0.0)
-        if scale is not None:
-            d *= scale
-        if w is None:
-            x._accumulate(d)
-            return
+        d = _relu_dropout_grad(g, out, scale)
+        del g
         b._accumulate(d.sum(axis=0))
         if x.requires_grad:
             x._accumulate(d @ w.data.T)
         if w.requires_grad:
             w._accumulate(x.data.T @ d)
 
-    parents = (x,) if w is None else (x, w, b)
-    return Tensor(out, _parents=parents, _backward=backward)
+    return Tensor(out, _parents=(x, w, b), _backward=backward)
+
+
+def recompute(fn, x: Tensor) -> Tensor:
+    """fn(x) as one tape node that keeps only x and the output (Chen et al.
+    2016, "Training Deep Nets with Sublinear Memory Cost").
+
+    The forward runs fn under no_grad(); backward runs fn again on a new
+    leaf that shares x's data, backpropagates through that tape, freeing
+    it as it goes, and accumulates the leaf's gradient into x. Gradients
+    of the parameters fn reads accumulate directly. fn must compute the
+    same values both times: a dropout mask must come from a stream fn
+    seeds itself. Under no_grad() this is fn(x).
+    """
+    if not _GRAD_ENABLED.get():
+        return fn(x)
+    with no_grad():
+        out = fn(x).data
+
+    def backward(grad):
+        leaf = Tensor(x.data, requires_grad=x.requires_grad)
+        fn(leaf).backward(grad)
+        if leaf.grad is not None:
+            x._accumulate(leaf.grad)
+
+    return Tensor(out, requires_grad=True, _parents=(x,), _backward=backward)
 
 
 # -- elementwise nonlinearities -------------------------------------------

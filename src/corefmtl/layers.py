@@ -1,5 +1,7 @@
 """Feed-forward blocks shared by the span scorers and classification heads."""
 
+from collections.abc import Callable
+
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor, named_rng
 
@@ -29,15 +31,19 @@ def ffnn_weights(store: ParameterStore, prefix: str) -> list[tuple[Tensor, Tenso
 
 def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
          dropout: float = 0.0, step: int | None = None,
-         first_layer: Tensor | None = None) -> Tensor:
+         first_layer: Callable[..., Tensor] | None = None) -> Tensor:
     """Apply the named feed-forward block: ReLU hidden layers, then a
     linear output layer.
 
     Dropout applies in training only, when step is given, and draws from
     the block's own stream for that step.
 
-    first_layer, if given, is the first linear layer's x @ w + b for an
-    input x that is never built (the pair scorer's); x is then None.
+    first_layer, if given, builds the first layer for an input x that is
+    never built (the pair scorer's); x is then None. It is called as
+    first_layer(w, b, relu=..., rate=..., rng=...) with that layer's
+    weights: relu is False when the first layer is the linear output
+    layer (depth 0), and rate and rng are the dropout a hidden layer
+    applies.
     """
     weights = ffnn_weights(store, prefix)
     depth = len(weights) - 1
@@ -46,10 +52,13 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
         rng = named_rng(store.seed, "dropout", step, prefix)
     h = x
     for layer, (w, b) in enumerate(weights):
+        hidden = layer < depth
         if layer == 0 and first_layer is not None:
-            h, w, b = first_layer, None, None
-        if layer == depth:
-            return h if w is None else ad.matmul(h, w) + b
-        # looked up when ffnn runs, so that a wrapper installed on the
-        # autodiff module (a tracer's) also sees these calls
-        h = ad.dense(h, w, b, dropout, rng)
+            h = first_layer(w, b, relu=hidden, rate=dropout, rng=rng)
+        elif hidden:
+            # looked up when ffnn runs, so that a wrapper installed on the
+            # autodiff module (a tracer's) also sees these calls
+            h = ad.dense(h, w, b, dropout, rng)
+        else:
+            h = ad.matmul(h, w) + b
+    return h

@@ -17,6 +17,7 @@ trained directly as a binary mention detector over every candidate span
 """
 
 from dataclasses import dataclass
+from functools import partial
 from math import ceil
 
 import numpy as np
@@ -47,8 +48,12 @@ def unary_score_tensors(g: Tensor, store: ParameterStore, dropout: float = 0.0,
                         step: int | None = None) -> tuple[Tensor, Tensor, Tensor]:
     """(markable, mention, combined) score vectors, each shaped (S,)."""
     n = g.shape[0]
-    markable = ffnn(g, store, "score/markable", dropout, step).reshape((n,))
-    mention = ffnn(g, store, "score/mention", dropout, step).reshape((n,))
+    # with a tape, each scorer keeps no (S, hidden) activation: its
+    # backward runs it again (autodiff.recompute), after the pair scorer's
+    markable, mention = (
+        ad.recompute(partial(ffnn, store=store, prefix=prefix, dropout=dropout,
+                             step=step), g).reshape((n,))
+        for prefix in ("score/markable", "score/mention"))
     beta = store["score/beta"]
     b1 = ad.take_rows(beta, np.array([0]))
     b2 = ad.take_rows(beta, np.array([1]))
@@ -110,12 +115,23 @@ def coarse_scores(g: Tensor, combined: Tensor, store: ParameterStore,
     for lo, hi in ad.row_blocks(len(gv)):
         bilinear = g_w[lo:hi] @ gv[:hi].T
         for i in range(lo, hi):
-            row = (cv[i] + cv[:i]) + bilinear[i - lo, :i]
-            # ties resolved toward the nearer antecedent
-            order = np.lexsort((-np.arange(i), -row))[:min(top_k, i)]
-            shortlists.append(np.sort(order).astype(np.intp))
+            shortlists.append(_top_antecedents((cv[i] + cv[:i]) + bilinear[i - lo, :i],
+                                               top_k))
         del bilinear  # before the next block's is built
     return shortlists
+
+
+def _top_antecedents(row: np.ndarray, top_k: int) -> np.ndarray:
+    """Ascending indices of the top_k entries of row (all, if fewer), by
+    descending score with ties resolved toward the nearer antecedent (the
+    higher index). Only the entries that score at least the k-th highest,
+    found by a partition, are sorted."""
+    if len(row) <= top_k:
+        return np.arange(len(row), dtype=np.intp)
+    neg = -row
+    cand = np.flatnonzero(neg <= np.partition(neg, top_k - 1)[top_k - 1])
+    order = cand[np.lexsort((-cand, neg[cand]))[:top_k]]
+    return np.sort(order).astype(np.intp)
 
 
 # -- full pairwise scores ----------------------------------------------------------
@@ -187,8 +203,9 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     for lo, hi in ad.row_blocks(n_pairs, whole=step is not None):
         rows, ants = pairs.rows[lo:hi], pairs.antecedents[lo:hi]
         # [g_i, g_j, g_i * g_j, phi] @ w0 + b0, without the (P, 3g+3f) input
-        first = ad.pair_input_layer(g, w0, b0, rows, ants,
-                                    [(t, idx[lo:hi]) for t, idx in tables], projected)
+        first = partial(ad.pair_input_layer, g, rows=rows, antecedents=ants,
+                        tables=[(t, idx[lo:hi]) for t, idx in tables],
+                        projected=projected)
         s_c = ffnn(None, store, "score/pair", dropout, step,
                    first_layer=first).reshape((hi - lo,))
         s_pair.append(s_c + ad.take_rows(combined, rows) + ad.take_rows(combined, ants))

@@ -281,7 +281,9 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         pos += 1
 
         model.store.zero_grad()
-        tot, values, _ = model.loss(doc, weights, train_step=step)
+        # the forward pass is not kept: its span list and score tensors
+        # would stay alive through backward and the optimizer step
+        tot, values = model.loss(doc, weights, train_step=step)[:2]
         loss_value = float(tot.item())
         if not np.isfinite(loss_value):
             raise NumericError(

@@ -5,11 +5,14 @@ computed straight from their definitions with per-mention loops, and the
 CEAF alignment is found by exhaustive permutation or by an exact
 subset-sum dynamic program rather than the Hungarian method. Pruning
 checks each candidate against every kept span; the pair features, the
-gold antecedent mask and the coarse score matrix are built pair by pair.
+gold antecedent mask and the coarse score matrix are built pair by pair,
+and a coarse shortlist comes from a sort of its anaphor's whole row.
 """
 
 from itertools import permutations
 from math import ceil
+
+import numpy as np
 
 
 def _f1(p, r):
@@ -188,6 +191,15 @@ def coarse_matrix_reference(g, combined, bilinear):
                        for a in range(len(g[i])) for b in range(len(g[j])))
             matrix[i][j] = float(combined[i]) + float(combined[j]) + pull
     return matrix
+
+
+def top_k_reference(row, top_k):
+    """Ascending indices of the top_k entries of one row of coarse scores
+    (all, if fewer): one sort of the whole row by descending score, ties
+    resolved toward the nearer antecedent (the higher index)."""
+    i = len(row)
+    order = np.lexsort((-np.arange(i), -np.asarray(row)))[:min(top_k, i)]
+    return np.sort(order).astype(np.intp)
 
 
 def prune_reference(scores, spans, num_tokens, ratio):

@@ -1,7 +1,9 @@
 """The autodiff engine against finite differences and hand results."""
 
+import gc
 import inspect
 import tracemalloc
+from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -10,6 +12,7 @@ import pytest
 from corefmtl import autodiff as ad
 from corefmtl.autodiff import ParameterStore, Tensor
 from corefmtl.encoder import EncoderConfig
+from corefmtl.layers import create_ffnn, ffnn
 from corefmtl.mtl import PRESET_WEIGHTS
 from corefmtl.optim import AdamOptimizer, clip_global_norm
 from corefmtl.synthetic import generate_corpus
@@ -54,7 +57,8 @@ class TestElementwise:
         data = rng.normal(size=(5, 3))
         data[np.abs(data) < 0.05] += 0.2
         x = Tensor(data, requires_grad=True)
-        out = ad.dense(x, None, None).sum()
+        # x @ I + 0 is x exactly, so the layer is relu(x)
+        out = ad.dense(x, Tensor(np.eye(3)), Tensor(np.zeros(3))).sum()
         out.backward()
         npt.assert_allclose(x.grad, (data > 0).astype(float))
 
@@ -165,6 +169,19 @@ def pair_inputs(g, rows, ants, tables):
                           + [t[idx] for t, idx in tables], axis=1)
 
 
+def pair_layer_inputs(rng, num_spans, rows, ants, dim=3, hidden=4):
+    """(g, w0, b0, rows, ants, tables) for pair_input_layer, with two
+    feature tables; every tensor is a leaf that wants a gradient."""
+    rows = np.array(rows, dtype=np.intp)
+    ants = np.array(ants, dtype=np.intp)
+    g = Tensor(rng.normal(size=(num_spans, dim)), requires_grad=True)
+    tables = [(Tensor(rng.normal(size=(n, f)), requires_grad=True),
+               rng.integers(0, n, len(rows))) for n, f in ((5, 2), (2, 3))]
+    w0 = Tensor(rng.normal(size=(3 * dim + 5, hidden)), requires_grad=True)
+    b0 = Tensor(rng.normal(size=(hidden,)), requires_grad=True)
+    return g, w0, b0, rows, ants, tables
+
+
 class TestFusedLayers:
     @pytest.mark.parametrize("grid", [
         np.array([[0], [1], [2], [3], [3]]),   # width-1 spans
@@ -188,16 +205,12 @@ class TestFusedLayers:
         (1, [], []),                                           # one span, no pairs
     ], ids=["repeated", "zero_pairs"])
     def test_pair_input_layer_finite_differences(self, num_spans, rows, ants):
+        """The linear form (relu=False), which a depth-0 pair scorer uses as
+        its output layer."""
         rng = np.random.default_rng(8)
-        dim, hidden = 3, 4
-        rows = np.array(rows, dtype=np.intp)
-        ants = np.array(ants, dtype=np.intp)
-        g = Tensor(rng.normal(size=(num_spans, dim)), requires_grad=True)
-        tables = [(Tensor(rng.normal(size=(n, f)), requires_grad=True),
-                   rng.integers(0, n, len(rows))) for n, f in ((5, 2), (2, 3))]
-        w0 = Tensor(rng.normal(size=(3 * dim + 5, hidden)), requires_grad=True)
-        b0 = Tensor(rng.normal(size=(hidden,)), requires_grad=True)
-        out = ad.pair_input_layer(g, w0, b0, rows, ants, tables)
+        g, w0, b0, rows, ants, tables = pair_layer_inputs(rng, num_spans, rows, ants)
+        hidden = w0.shape[1]
+        out = ad.pair_input_layer(g, w0, b0, rows, ants, tables, relu=False)
 
         def reference():
             x = pair_inputs(g.data, rows, ants, [(t.data, idx) for t, idx in tables])
@@ -214,6 +227,64 @@ class TestFusedLayers:
         for t in [g, w0, b0] + [t for t, _ in tables]:
             assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
 
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_pair_input_layer_hidden_finite_differences(self, rate):
+        rng = np.random.default_rng(18)
+        g, w0, b0, rows, ants, tables = pair_layer_inputs(
+            rng, 4, [1, 1, 2, 2, 2, 3, 3, 3], [0, 0, 1, 0, 1, 2, 0, 2])
+        weights = rng.normal(size=(len(rows), w0.shape[1]))
+
+        def layer():
+            # one fixed mask: every evaluation draws from the same stream
+            return ad.pair_input_layer(g, w0, b0, rows, ants, tables,
+                                       rate=rate, rng=ad.named_rng(4, "mask"))
+
+        out = layer()
+        # finite differences need every unit away from the relu kink
+        linear = ad.pair_input_layer(g, w0, b0, rows, ants, tables, relu=False)
+        assert np.abs(linear.data).min() > 1e-3
+        assert 0.0 < np.mean(out.data > 0.0) < 1.0
+        (out * Tensor(weights)).sum().backward()
+
+        def value():
+            return float((layer().data * weights).sum())
+
+        for t in [g, w0, b0] + [t for t, _ in tables]:
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
+
+    @pytest.mark.parametrize("rate", [0.0, 0.3])
+    def test_pair_input_layer_is_relu_and_dropout_of_its_linear_form(
+            self, rate, monkeypatch):
+        """Values and every gradient bit-equal to relu, then a multiply by
+        mask / keep, composed in numpy over the linear form. PAIR_BLOCK 4
+        builds the 10 pairs in three blocks, each drawing its mask rows
+        from the stream in turn."""
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 4)
+        rng = np.random.default_rng(19)
+        rows = rng.integers(1, 5, size=10)
+        ants = rng.integers(0, rows)
+        linear_in = pair_layer_inputs(rng, 5, rows, ants)
+        hidden_in = tuple(Tensor(t.data.copy(), requires_grad=True) for t in linear_in[:3])
+        hidden_tables = [(Tensor(t.data.copy(), requires_grad=True), idx)
+                         for t, idx in linear_in[5]]
+        seed = rng.normal(size=(10, linear_in[1].shape[1]))
+        seed[::3] = -seed[::3]     # negative gradients at dropped units give -0.0
+
+        out = ad.pair_input_layer(*hidden_in, rows, ants, hidden_tables,
+                                  rate=rate, rng=ad.named_rng(5, "mask"))
+        out.backward(seed=seed)
+        linear = ad.pair_input_layer(*linear_in[:5], linear_in[5], relu=False)
+        z = linear.data
+        keep = 1.0 - rate
+        mask = np.ones_like(z)
+        if rate > 0.0:
+            mask = (ad.named_rng(5, "mask").random(z.shape) < keep).astype(np.float64) / keep
+        assert_bits_equal(out.data, np.maximum(z, 0.0) * mask)
+        linear.backward(seed=seed * mask * (z > 0.0))
+        for got, want in zip(list(hidden_in) + [t for t, _ in hidden_tables],
+                             list(linear_in[:3]) + [t for t, _ in linear_in[5]]):
+            assert_bits_equal(got.grad, want.grad)
+
     def test_pair_input_layer_checks_w0_rows(self):
         g = Tensor(np.ones((2, 3)))
         with pytest.raises(ValueError, match="w0 has 10 rows"):
@@ -228,20 +299,15 @@ def assert_bits_equal(got, want):
 
 
 class TestDense:
-    # "relu" is relu(x @ w + b); in "given_linear", w and b are None and x
-    # is the layer's linear output
-    FORMS = ["relu", "given_linear"]
+    RATES = pytest.mark.parametrize("rate", [0.0, 0.3], ids=lambda r: f"{r}-relu")
 
-    @pytest.mark.parametrize("form", FORMS)
-    @pytest.mark.parametrize("rate", [0.0, 0.3])
-    def test_finite_differences(self, rate, form):
+    @RATES
+    def test_finite_differences(self, rate):
         rng = np.random.default_rng(9)
         x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(rng.normal(size=(4,)), requires_grad=True)
         weights = Tensor(rng.normal(size=(6, 4)))
-        if form == "given_linear":
-            x, w, b = Tensor(x.data @ w.data + b.data, requires_grad=True), None, None
 
         def layer():
             # one fixed mask: every evaluation draws from the same stream
@@ -253,12 +319,10 @@ class TestDense:
             return float((layer().data * weights.data).sum())
 
         for t in (x, w, b):
-            if t is not None:
-                assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
 
-    @pytest.mark.parametrize("form", FORMS)
-    @pytest.mark.parametrize("rate", [0.0, 0.3])
-    def test_bit_identical_to_the_unfused_layer(self, rate, form):
+    @RATES
+    def test_bit_identical_to_the_unfused_layer(self, rate):
         """matmul, + bias, relu and a multiply by mask / keep, each in its
         own step, forward and backward."""
         rng = np.random.default_rng(10)
@@ -266,10 +330,7 @@ class TestDense:
         seed = rng.normal(size=(40, 7))
         seed[::3] = -seed[::3]     # negative gradients at dropped units give -0.0
         z = xv @ wv + bv
-        if form == "relu":
-            x, w, b = (Tensor(v, requires_grad=True) for v in (xv, wv, bv))
-        else:
-            x, w, b = Tensor(z, requires_grad=True), None, None
+        x, w, b = (Tensor(v, requires_grad=True) for v in (xv, wv, bv))
         out = ad.dense(x, w, b, rate, ad.named_rng(2, "mask"))
         out.backward(seed=seed)
 
@@ -280,12 +341,103 @@ class TestDense:
             mask = (ad.named_rng(2, "mask").random(h.shape) < keep).astype(np.float64) / keep
         d = seed * mask * (z > 0.0)
         assert_bits_equal(out.data, h * mask)
-        if form == "given_linear":
-            assert_bits_equal(x.grad, d)
-            return
         assert_bits_equal(b.grad, d.sum(axis=0))
         assert_bits_equal(x.grad, d @ wv.T)
         assert_bits_equal(w.grad, xv.T @ d)
+
+
+class TestRecompute:
+    PREFIX = "block"
+
+    def block_and_input(self):
+        store = ParameterStore(6)
+        create_ffnn(store, self.PREFIX, 5, 7, 2, depth=2)
+        x = Tensor(np.random.default_rng(20).normal(size=(9, 5)), requires_grad=True)
+        return store, x
+
+    def scorer(self, store, step=4):
+        return partial(ffnn, store=store, prefix=self.PREFIX, dropout=0.3, step=step)
+
+    def test_values_and_gradients_bit_equal_to_the_unwrapped_block(self):
+        store, x = self.block_and_input()
+        seed = np.random.default_rng(21).normal(size=(9, 2))
+        runs = []
+        for wrap in (False, True):
+            store.zero_grad()
+            x.grad = None
+            fn = self.scorer(store)
+            out = ad.recompute(fn, x) if wrap else fn(x)
+            out.backward(seed=seed)
+            runs.append([out.data, x.grad] + [t.grad for t in store.tensors()])
+        for want, got in zip(*runs):
+            assert_bits_equal(got, want)
+
+    def test_finite_differences(self):
+        store, x = self.block_and_input()
+        fn = self.scorer(store)
+        weights = np.random.default_rng(22).normal(size=(9, 2))
+        (ad.recompute(fn, x) * Tensor(weights)).sum().backward()
+
+        def value():
+            return float((fn(x).data * weights).sum())
+
+        for t in [x] + store.tensors():
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
+
+    def test_builds_no_node_under_no_grad(self):
+        store, x = self.block_and_input()
+        calls = []
+
+        def fn(t):
+            calls.append(t)
+            return self.scorer(store)(t)
+
+        with ad.no_grad():
+            out = ad.recompute(fn, x)
+        assert calls == [x]
+        assert not out.requires_grad
+        assert out._parents == () and out._backward is None
+
+    def test_rerun_tape_is_freed_after_backward(self):
+        store, x = self.block_and_input()
+        gc.collect()
+        before = live_tensors()
+        out = ad.recompute(self.scorer(store), x)
+        loss = out.sum()
+        loss.backward()
+        # no collection: the rerun's tape must go by reference counting
+        assert live_tensors() == before + 2     # out and loss
+        assert out._parents == () and loss._parents == ()
+        assert x.grad is not None and all(t.grad is not None for t in store.tensors())
+
+
+def live_tensors() -> int:
+    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+
+
+class TestScatterRows:
+    """_scatter_rows bins CHUNK_ELEMENTS elements of (row, column) bins at
+    a time; each case below is wide enough to take several chunks."""
+
+    @pytest.mark.parametrize("case", ["flat", "negative_zeros", "empty_index", "2d_index"])
+    def test_chunked_sums_are_one_bincount(self, case):
+        rng = np.random.default_rng(23)
+        idx_shape = {"flat": (4000,), "negative_zeros": (4000,), "empty_index": (0,),
+                     "2d_index": (80, 50)}[case]
+        # two full chunks and part of a third; with no values, the chunks
+        # take CHUNK_ELEMENTS columns each, so one output row keeps it small
+        width = 2 * ad.CHUNK_ELEMENTS // max(np.prod(idx_shape), 1) + 3
+        num_rows = 1 if case == "empty_index" else 50
+        idx = rng.integers(0, num_rows, size=idx_shape)
+        values = rng.normal(size=idx_shape + (width,))
+        if case == "negative_zeros":
+            values[rng.random(values.shape) < 0.5] = -0.0
+        assert len(ad._column_chunks(idx.size, width)) > 1
+
+        got = ad._scatter_rows(values, idx, num_rows)
+        bins = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        want = np.bincount(bins, weights=values.reshape(-1), minlength=num_rows * width)
+        assert_bits_equal(got, want.astype(np.float64).reshape(num_rows, width))
 
 
 class TestReductionsAndLse:

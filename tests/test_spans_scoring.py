@@ -27,7 +27,7 @@ from corefmtl.spans import (
 )
 from helpers import make_document, random_shortlisted_document
 from oracles import (bucket_reference, coarse_matrix_reference, pair_features_reference,
-                     prune_reference)
+                     prune_reference, top_k_reference)
 
 DIM = 6
 FEAT = 4
@@ -352,6 +352,28 @@ class TestCoarseShortlist:
         # every pair ties at 0, so the two nearest must win
         for i, sl in enumerate(shortlists):
             assert list(sl) == list(range(max(0, i - 2), i))
+
+    @pytest.mark.parametrize("top_k", [1, 4, 50])
+    def test_matches_a_sort_of_each_whole_row(self, top_k, monkeypatch):
+        """Integer-valued scores from three levels each tie often; the
+        shortlists equal a full sort of each row, in anaphor blocks of 7."""
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 7)
+        rng = np.random.default_rng(31)
+        for _ in range(20):
+            n = int(rng.integers(1, 80))
+            g = rng.integers(-1, 2, size=(n, 3)).astype(np.float64)
+            combined = rng.integers(-1, 2, size=n).astype(np.float64)
+            store = ParameterStore(0)
+            store.create("score/coarse_bilinear", (3, 3))
+            store["score/coarse_bilinear"].data[:] = rng.integers(-1, 2, size=(3, 3))
+            with ad.no_grad():
+                shortlists = coarse_scores(Tensor(g), Tensor(combined), store, top_k)
+            coarse = g @ store["score/coarse_bilinear"].data @ g.T
+            assert len(shortlists) == n
+            for i, got in enumerate(shortlists):
+                want = top_k_reference(combined[i] + combined[:i] + coarse[i, :i], top_k)
+                assert got.dtype == want.dtype
+                npt.assert_array_equal(got, want)
 
     def test_no_gradient_through_selection(self):
         doc = make_document([["w"] * 4])

@@ -463,10 +463,8 @@ class TestMentionScorerSupervision:
 
 
 class TestBackwardMemory:
-    def test_backward_frees_the_tape_it_consumes(self):
-        """backward() drops each node's gradient, closure and parents once
-        the node's closure has run, so the memory it adds at its peak stays
-        well below the tape, and most of the tape is gone when it returns."""
+    def model_and_document(self):
+        """A hidden-64 model and a random 500-token document."""
         cfg = tiny_config(encoder=EncoderConfig(dim=32, vocab_size=64, window=1),
                           feature_dim=8, hidden=64, max_span_width=6)
         vocab = build_vocab(generate_corpus(2, seed=5), 64)
@@ -474,6 +472,13 @@ class TestBackwardMemory:
         rng = np.random.default_rng(0)
         doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
                              for _ in range(25)])
+        return model, doc
+
+    def test_backward_frees_the_tape_it_consumes(self):
+        """backward() drops each node's gradient, closure and parents once
+        the node's closure has run, so the memory it adds at its peak stays
+        well below the tape, and most of the tape is gone when it returns."""
+        model, doc = self.model_and_document()
         tracemalloc.start()
         try:
             start, _ = tracemalloc.get_traced_memory()
@@ -487,6 +492,21 @@ class TestBackwardMemory:
         tape = built - start
         assert peak - built < tape / 2
         assert end < built - tape / 2
+
+    def test_training_step_peak(self):
+        """The peak of a whole step's loss and backward. The unary scorers
+        keep no activations on the tape (autodiff.recompute), the pair
+        scorer's first layer is one node, and each gradient is freed once
+        its closure is done with it: 14.7 MB here, 18.2 MB without these."""
+        model, doc = self.model_and_document()
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            model.loss(doc, PRESET_WEIGHTS["sg_ent_infs"], train_step=1)[0].backward()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - start < 16.0e6
 
 
 class TestStability:
