@@ -5,7 +5,7 @@ from .corpus import (ENTITY_TYPES, INFO_STATUSES, UNKNOWN, CorpusError, Document
                      load_documents, merge_sidecar, parse_conll,
                      prediction_from_document, prediction_to_document, read_jsonl,
                      read_sidecar, write_conll, write_jsonl, write_sidecar)
-from .encoder import EncoderCapabilityError, EncoderConfig, build_vocab, encode
+from .encoder import EncoderConfig, build_vocab, encode
 from .error_analysis import (ERROR_CLASSES, ERROR_KINDS, Contrast, ErrorRecord,
                              classify_anaphor, contrast, extract_errors,
                              format_contrast, tally_by_class)

@@ -12,7 +12,6 @@ from pathlib import Path
 from .config import ConfigError, load_config, render_config
 from .corpus import (CorpusError, Document, apply_sidecar, load_documents,
                      prediction_to_document, read_sidecar, write_conll, write_jsonl)
-from .encoder import CACHE_ENV_VAR, EncoderCapabilityError
 from .error_analysis import contrast, format_contrast
 from .evaluation import EvaluationError, evaluate, format_report, report_to_dict
 from .inference import predict_document
@@ -135,8 +134,7 @@ def build_parser() -> _Parser:
     parser = _Parser(
         prog="corefmtl",
         description="Span-based coreference with singleton, entity type, and "
-                    "information status learning.",
-        epilog=f"Pretrained encoder assets are looked up under ${CACHE_ENV_VAR}.")
+                    "information status learning.")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_train = sub.add_parser("train", help="train a model")
@@ -198,8 +196,7 @@ def main(argv=None) -> int:
         return 1
     try:
         return args.func(args)
-    except (CorpusError, ConfigError, CheckpointError, EvaluationError,
-            EncoderCapabilityError, OSError) as exc:
+    except (CorpusError, ConfigError, CheckpointError, EvaluationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except NumericError as exc:

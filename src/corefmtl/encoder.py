@@ -1,49 +1,33 @@
-"""Token encoders: a small trainable one, and frozen pretrained features.
+"""Token encoders: a small trainable one, and frozen features from a file.
 
 The toy encoder is an embedding lookup mixed with a fixed-window context
 average and a trainable tanh projection; it is fully differentiable
-through the autodiff engine. The pretrained encoder loads transformer
-weights from a local cache and produces frozen features behind a
-trainable linear adapter; when the assets or libraries are missing it
-raises EncoderCapabilityError telling the caller how to fall back.
+through the autodiff engine. With `features` set, each document's tokens
+are the rows of a precomputed float array (from any encoder, run offline)
+read from one .npz archive by doc_key, behind a trainable linear adapter.
 """
 
-import json
-import os
+import zipfile
 from collections import Counter
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
-from .corpus import Document
-
-CACHE_ENV_VAR = "COREF_MTL_CACHE"
-DEFAULT_CACHE = "~/.cache/corefmtl"
-
-
-class EncoderCapabilityError(RuntimeError):
-    """The pretrained encoder cannot run in this environment."""
+from .corpus import CorpusError, Document
 
 
 @dataclass(frozen=True)
 class EncoderConfig:
-    kind: str = "toy"            # "toy" | "pretrained"
     dim: int = 64
     vocab_size: int = 512
     window: int = 1
-    model_name: str = ""
-    segment_length: int = 384
+    features: str = ""           # .npz of per-document features; "" = toy encoder
 
     def __post_init__(self):
-        if self.kind not in ("toy", "pretrained"):
-            raise ValueError(f"unknown encoder kind: {self.kind!r}")
         if self.dim < 1 or self.vocab_size < 1 or self.window < 0:
             raise ValueError("encoder dimensions must be positive")
-        if self.segment_length < 1:
-            raise ValueError(f"segment_length must be >= 1, got {self.segment_length}")
 
 
 def build_vocab(docs: list[Document], size: int) -> list[str]:
@@ -57,41 +41,77 @@ def build_vocab(docs: list[Document], size: int) -> list[str]:
     return [tok for tok, _ in ranked[:size]]
 
 
-def _cache_dir() -> Path:
-    return Path(os.environ.get(CACHE_ENV_VAR, DEFAULT_CACHE)).expanduser()
+class FeatureFile:
+    """Precomputed token features: an .npz archive holding, per doc_key, a
+    (num_tokens, width) float array with one row per token in document
+    order. Arrays are read one document at a time, on each request; every
+    one must have the width of the archive's first array. Any fault is a
+    CorpusError naming the file and, where there is one, the document."""
+
+    def __init__(self, path: str):
+        self.path = path
+        try:
+            self._npz = np.load(path, allow_pickle=False)
+        except OSError as exc:
+            raise CorpusError(f"{path}: cannot read features file "
+                              f"({exc.strerror or exc})") from None
+        except (ValueError, EOFError, zipfile.BadZipFile):
+            self._npz = None  # not an archive numpy can read
+        if not isinstance(self._npz, np.lib.npyio.NpzFile) or not self._npz.files:
+            raise CorpusError(f"{path}: features file is not an .npz archive "
+                              "with one array per document")
+        self._keys = set(self._npz.files)
+        self.width = self._read(self._npz.files[0]).shape[1]
+
+    def _read(self, doc_key: str) -> np.ndarray:
+        self.require([doc_key])
+        try:
+            arr = self._npz[doc_key]
+        except (OSError, ValueError, EOFError, zipfile.BadZipFile) as exc:
+            raise CorpusError(f"{self.path}: cannot read the features of document "
+                              f"{doc_key} ({exc})") from None
+        if arr.ndim != 2 or arr.dtype.kind != "f":
+            raise CorpusError(f"{self.path}: features of document {doc_key} must be "
+                              f"a 2-D float array, got {arr.dtype} {arr.shape}")
+        if not np.isfinite(arr).all():
+            raise CorpusError(f"{self.path}: features of document {doc_key} "
+                              "hold non-finite values")
+        return arr
+
+    def require(self, doc_keys):
+        """Fail now, not mid-run, if some document has no features."""
+        missing = [key for key in doc_keys if key not in self._keys]
+        if missing:
+            more = f" and {len(missing) - 1} more" if len(missing) > 1 else ""
+            raise CorpusError(f"{self.path}: no features for document "
+                              f"{missing[0]}{more}")
+
+    def rows(self, doc: Document) -> np.ndarray:
+        arr = self._read(doc.doc_key)
+        if arr.shape != (doc.num_tokens, self.width):
+            raise CorpusError(f"{self.path}: features of document {doc.doc_key} have "
+                              f"shape {arr.shape}, not ({doc.num_tokens}, {self.width})")
+        return arr.astype(np.float64, copy=False)
 
 
-def _pretrained_dim(cfg: EncoderConfig) -> int:
-    if not cfg.model_name:
-        raise EncoderCapabilityError(
-            "pretrained encoder needs a model_name; use the toy encoder "
-            "(kind = toy) if no pretrained assets are available")
-    path = _cache_dir() / cfg.model_name
-    config_file = path / "config.json"
-    if not config_file.exists():
-        raise EncoderCapabilityError(
-            f"no pretrained assets at {path} (set ${CACHE_ENV_VAR} to the "
-            f"directory holding them, or switch the encoder to kind = toy)")
-    with open(config_file, encoding="utf-8") as fh:
-        return int(json.load(fh)["hidden_size"])
-
-
-def create_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab: list[str]):
-    if cfg.kind == "toy":
+def create_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab: list[str],
+                          features: FeatureFile | None = None):
+    if features is None:
         store.create("encoder/embedding", (len(vocab) + 1, cfg.dim), std=1.0)
         store.create("encoder/mix_w", (2 * cfg.dim, cfg.dim))
         store.create("encoder/mix_b", (cfg.dim,), init="zeros")
     else:
-        hidden = _pretrained_dim(cfg)
-        store.create("encoder/adapt_w", (hidden, cfg.dim))
+        store.create("encoder/adapt_w", (features.width, cfg.dim))
         store.create("encoder/adapt_b", (cfg.dim,), init="zeros")
 
 
 def _window_context(emb: Tensor, window: int) -> Tensor:
     """Row t is the mean of emb rows max(0, t - window) .. min(T - 1, t + window),
     summed one shift at a time: memory stays O(T * d) however long the
-    document."""
+    document. Shifts beyond the document would add only zero-weight
+    terms, so a window wider than T - 1 runs as T - 1."""
     n = emb.shape[0]
+    window = min(window, max(n - 1, 0))
     pos = np.arange(n)
     count = np.minimum(pos + window, n - 1) - np.maximum(pos - window, 0) + 1
     ctx = None
@@ -114,44 +134,14 @@ def toy_encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
     return ad.tanh(mixed + store["encoder/mix_b"])
 
 
-def pretrained_features(doc: Document, cfg: EncoderConfig) -> np.ndarray:
-    """Frozen transformer features, one row per token (first sub-token)."""
-    path = _cache_dir() / cfg.model_name
-    _pretrained_dim(cfg)  # raises with a useful message if assets are absent
-    try:
-        import torch
-        from transformers import AutoModel, AutoTokenizer
-    except ImportError as exc:
-        raise EncoderCapabilityError(
-            f"pretrained encoder needs torch and transformers ({exc}); "
-            f"switch the encoder to kind = toy") from None
-    tokenizer = AutoTokenizer.from_pretrained(str(path), local_files_only=True)
-    model = AutoModel.from_pretrained(str(path), local_files_only=True)
-    model.eval()
-    tokens = doc.flat_tokens()
-    rows = []
-    with torch.no_grad():
-        for lo in range(0, len(tokens), cfg.segment_length):
-            seg = tokens[lo:lo + cfg.segment_length]
-            enc = tokenizer(seg, is_split_into_words=True, return_tensors="pt",
-                            truncation=False)
-            hidden = model(**enc).last_hidden_state[0]
-            word_ids = enc.word_ids(0)
-            first = {}
-            for pos, wid in enumerate(word_ids):
-                if wid is not None and wid not in first:
-                    first[wid] = pos
-            for w in range(len(seg)):
-                rows.append(hidden[first[w]].double().numpy())
-    return np.stack(rows)
-
-
 def encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
-           vocab_index: dict[str, int] | None = None) -> Tensor:
-    """Contextual embeddings, shape (num_tokens, cfg.dim)."""
-    if cfg.kind == "toy":
-        if vocab_index is None:
-            raise ValueError("toy encoder needs a vocabulary index")
-        return toy_encode(doc, cfg, store, vocab_index)
-    feats = ad.constant(pretrained_features(doc, cfg))
-    return ad.matmul(feats, store["encoder/adapt_w"]) + store["encoder/adapt_b"]
+           vocab_index: dict[str, int] | None = None,
+           features: FeatureFile | None = None) -> Tensor:
+    """Contextual embeddings, shape (num_tokens, cfg.dim): the adapter over
+    the document's rows of features if given, else the toy encoder."""
+    if features is not None:
+        feats = ad.constant(features.rows(doc))
+        return ad.matmul(feats, store["encoder/adapt_w"]) + store["encoder/adapt_b"]
+    if vocab_index is None:
+        raise ValueError("toy encoder needs a vocabulary index")
+    return toy_encode(doc, cfg, store, vocab_index)

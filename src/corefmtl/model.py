@@ -8,7 +8,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import Document
-from .encoder import EncoderConfig, create_encoder_params, encode
+from .encoder import EncoderConfig, FeatureFile, create_encoder_params, encode
 from .mtl import (TaskWeights, assign_aux_labels, aux_losses, coref_loss_from_matrix,
                   create_head_params, gold_antecedent_mask, head_logits,
                   mention_labels, mention_scorer_loss, total_loss)
@@ -80,8 +80,10 @@ class MtlCorefModel:
         self.vocab = list(vocab)
         self.vocab_index = {tok: i + 1 for i, tok in enumerate(self.vocab)}
         self.include_aux = bool(include_aux)
+        self.features = (FeatureFile(config.encoder.features)
+                         if config.encoder.features else None)
         self.store = ParameterStore(seed)
-        create_encoder_params(self.store, config.encoder, self.vocab)
+        create_encoder_params(self.store, config.encoder, self.vocab, self.features)
         create_span_params(self.store, config.encoder.dim, config.feature_dim)
         create_scoring_params(self.store, config.g_dim, config.hidden,
                               config.feature_dim, len(config.genres),
@@ -127,7 +129,7 @@ class MtlCorefModel:
         masks are drawn per call), each stage is one block.
         """
         cfg = self.config
-        emb = encode(doc, cfg.encoder, self.store, self.vocab_index)
+        emb = encode(doc, cfg.encoder, self.store, self.vocab_index, self.features)
         spans = enumerate_spans(doc, cfg.max_span_width)
         width = max((cand.width for cand in spans), default=1)
         blocks = ad.row_blocks(len(spans), whole=train_step is not None)

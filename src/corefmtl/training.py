@@ -19,8 +19,9 @@ import numpy as np
 
 from .autodiff import named_rng
 from .corpus import CorpusError, Document
-from .encoder import EncoderConfig
+from .encoder import EncoderConfig, build_vocab
 from .evaluation import evaluate
+from .inference import predict_document
 from .model import ModelConfig, ModelStructure, MtlCorefModel
 from .mtl import TaskWeights
 from .optim import AdamOptimizer, clip_global_norm
@@ -75,16 +76,23 @@ def config_to_dict(cfg: TrainConfig) -> dict:
 
 
 def config_from_dict(d: dict) -> TrainConfig:
-    """Rebuild a TrainConfig that config_to_dict wrote. Older configs carry
-    the retired key "activation"; every FFNN layer is ReLU, so "relu" is
-    dropped and any other value is an error."""
+    """Rebuild a TrainConfig that config_to_dict wrote. Retired keys of older
+    configs are dropped: "activation" (every FFNN layer is ReLU; any other
+    value is an error) and the encoder's "kind" ("pretrained", the retired
+    in-process transformer, is an error), "model_name" and "segment_length"."""
     d = dict(d)
     activation = d.pop("activation", "relu")
     if activation != "relu":
         raise ValueError(f"activation {activation!r} is no longer supported; "
                          "every FFNN layer is ReLU")
+    encoder = dict(d["encoder"])
+    kind = encoder.pop("kind", "toy")
+    if kind != "toy":
+        raise ValueError(f"encoder kind {kind!r} is retired; give precomputed "
+                         "token features with encoder.features")
     d["task_weights"] = TaskWeights(**d["task_weights"])
-    d["encoder"] = EncoderConfig(**d["encoder"])
+    d["encoder"] = EncoderConfig(**{key: value for key, value in encoder.items()
+                                    if key not in ("model_name", "segment_length")})
     return TrainConfig(**d)
 
 
@@ -213,7 +221,6 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     weights = cfg.task_weights
     include_aux = bool(weights.aux_tasks() if include_aux is None else include_aux)
 
-    from .encoder import build_vocab  # local import keeps module load light
     genres = tuple(sorted({d.genre for d in train_docs}))
     vocab = build_vocab(train_docs, cfg.encoder.vocab_size)
 
@@ -226,10 +233,15 @@ def train(train_docs: list[Document], cfg: TrainConfig,
             raise ValueError("resume config differs from the checkpoint's")
         if saved["include_aux"] != include_aux:
             raise ValueError("resume include_aux differs from the checkpoint's")
+        if cfg.steps < saved["step"]:
+            raise ValueError(f"resume to step {cfg.steps} is before the "
+                             f"checkpoint's step {saved['step']}")
         genres = tuple(saved["genres"])
         vocab = list(saved["vocab"])
 
     model = MtlCorefModel(cfg.model_config(genres), cfg.seed, vocab, include_aux)
+    if model.features is not None:
+        model.features.require(d.doc_key for d in train_docs + (dev_docs or []))
     opt = AdamOptimizer([
         (model.encoder_parameters(), cfg.encoder_learning_rate, cfg.weight_decay),
         (model.task_parameters(), cfg.task_learning_rate, cfg.weight_decay),
@@ -258,7 +270,6 @@ def train(train_docs: list[Document], cfg: TrainConfig,
 
     def run_eval(step):
         nonlocal best_step, best_avg_f1, best_params, last_eval_step
-        from .inference import predict_document
         preds = [predict_document(model, d) for d in dev_docs]
         report = evaluate(dev_docs, preds)
         rec = {"step": step, "dev_avg_f1": report.avg_f1,
@@ -358,7 +369,6 @@ def gradient_check(doc: Document, cfg: TrainConfig,
     doc.validate()
     cfg = dataclasses.replace(cfg, dropout=0.0)
     genres = (doc.genre,) if doc.genre else ()
-    from .encoder import build_vocab
     vocab = build_vocab([doc], cfg.encoder.vocab_size)
     model = MtlCorefModel(cfg.model_config(genres), cfg.seed, vocab, include_aux)
 

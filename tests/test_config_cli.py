@@ -113,7 +113,9 @@ class TestLoadConfig:
         ("model.hidden", "0", "hidden must be >= 1"),
         ("model.feature_dim", "-2", "feature_dim must be >= 0"),
         ("model.ffnn_depth", "-1", "ffnn_depth must be >= 0"),
-        ("encoder.segment_length", "0", "segment_length must be >= 1"),
+        ("encoder.kind", "toy", "unknown key 'kind'"),
+        ("encoder.model_name", "bert-base", "unknown key 'model_name'"),
+        ("encoder.segment_length", "384", "unknown key 'segment_length'"),
     ])
     def test_validation(self, dotted, value, message):
         with pytest.raises(ConfigError, match=message):
@@ -124,7 +126,7 @@ class TestRenderConfig:
     def test_rendered_text_parses_back_equal(self, tmp_path):
         cfg = load_config(preset="sg_ent_infs",
                           overrides={"model.hidden": "12",
-                                     "encoder.model_name": "bert-base",
+                                     "encoder.features": "features.npz",
                                      "training.select": "final"})
         path = tmp_path / "snap.ini"
         path.write_text(render_config(cfg), encoding="utf-8")
@@ -430,11 +432,13 @@ class TestExitCodes:
         ("no_include_aux", "checkpoint meta lacks include_aux"),
         ("bad_config", "checkpoint config is not valid"),
         ("tanh_config", "activation 'tanh' is no longer supported"),
+        ("pretrained_config", "encoder kind 'pretrained' is retired"),
         ("clip_config", "clip_norm must be finite and > 0"),
         ("missing_param", "checkpoint is missing parameter"),
         ("wrong_shape", "shape mismatch"),
     ], ids=["empty_meta", "no_config", "no_genres", "no_vocab", "no_include_aux",
-            "bad_config", "tanh_config", "clip_config", "missing_param",
+            "bad_config", "tanh_config", "pretrained_config", "clip_config",
+            "missing_param",
             "wrong_shape"])
     def test_damaged_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
                                               damage, message):
@@ -452,6 +456,8 @@ class TestExitCodes:
                 ckpt.meta["config"] = {"hidden": 8}
             elif damage == "tanh_config":
                 ckpt.meta["config"]["activation"] = "tanh"
+            elif damage == "pretrained_config":
+                ckpt.meta["config"]["encoder"]["kind"] = "pretrained"
             elif damage == "clip_config":
                 ckpt.meta["config"]["clip_norm"] = -1.0
             elif damage == "missing_param":
@@ -562,6 +568,19 @@ class TestExitCodes:
                      "--config", str(tmp_path / "absent.ini"),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    @pytest.mark.parametrize("line", ["kind = pretrained", "model_name = bert-base",
+                                      "segment_length = 384"])
+    def test_retired_encoder_key_is_data_error(self, workdir, tmp_path, capsys,
+                                               line):
+        ini = tmp_path / "old.ini"
+        ini.write_text(TINY_INI.replace("[encoder]\n", f"[encoder]\n{line}\n"),
+                       encoding="utf-8")
+        code = main(["train", str(workdir / "train.jsonl"), "--config", str(ini),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert f"unknown key {line.split()[0]!r} in section [encoder]" \
+            in capsys.readouterr().err
 
     def test_unknown_preset_is_data_error(self, workdir, tmp_path, capsys):
         code = main(["train", str(workdir / "train.jsonl"),

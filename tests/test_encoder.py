@@ -1,4 +1,4 @@
-"""Toy encoder behavior and pretrained capability handling."""
+"""The toy encoder, and the adapter over token features read from a file."""
 
 import tracemalloc
 
@@ -7,15 +7,18 @@ import numpy.testing as npt
 import pytest
 
 from corefmtl.autodiff import ParameterStore, Tensor
+from corefmtl.cli import main
+from corefmtl.corpus import CorpusError, write_jsonl
 from corefmtl.encoder import (
-    CACHE_ENV_VAR,
-    EncoderCapabilityError,
     EncoderConfig,
+    FeatureFile,
     build_vocab,
     create_encoder_params,
     _window_context,
     encode,
 )
+from corefmtl.synthetic import generate_corpus
+from corefmtl.training import Checkpoint
 from helpers import make_document
 
 
@@ -26,14 +29,16 @@ def vocab_index(vocab):
 class TestEncoderConfig:
     def test_defaults(self):
         cfg = EncoderConfig()
-        assert cfg.kind == "toy"
+        assert cfg.features == ""  # the toy encoder
         assert cfg.dim == 64
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="encoder kind"):
-            EncoderConfig(kind="bert")
+        with pytest.raises(TypeError, match="kind"):
+            EncoderConfig(kind="toy")
         with pytest.raises(ValueError, match="positive"):
             EncoderConfig(dim=0)
+        with pytest.raises(ValueError, match="positive"):
+            EncoderConfig(window=-1)
 
 
 class TestBuildVocab:
@@ -51,7 +56,7 @@ class TestBuildVocab:
 class TestToyEncoder:
     def setup(self, window=1, seed=7):
         doc = make_document([["the", "cat", "sat"], ["the", "mat", "sat"]])
-        cfg = EncoderConfig(kind="toy", dim=5, vocab_size=16, window=window)
+        cfg = EncoderConfig(dim=5, vocab_size=16, window=window)
         vocab = build_vocab([doc], cfg.vocab_size)
         store = ParameterStore(seed)
         create_encoder_params(store, cfg, vocab)
@@ -74,7 +79,7 @@ class TestToyEncoder:
     def test_context_window_matters(self):
         doc, cfg0, store, vi = self.setup(window=0)
         flat = encode(doc, cfg0, store, vi).data
-        cfg2 = EncoderConfig(kind="toy", dim=5, vocab_size=16, window=2)
+        cfg2 = EncoderConfig(dim=5, vocab_size=16, window=2)
         windowed = encode(doc, cfg2, store, vi).data
         assert not np.allclose(flat, windowed)
 
@@ -127,12 +132,28 @@ class TestWindowContext:
         ctx.backward(seed)
         npt.assert_allclose(emb.grad, dense.T @ seed, rtol=1e-13, atol=1e-15)
 
+    def test_window_wider_than_the_document(self):
+        # shifts past the document add nothing, so they must cost nothing too
+        doc = make_document([["a", "b", "c"], ["b", "d"]])
+        vocab = build_vocab([doc], 8)
+        outputs, grads = [], []
+        for window in (4, 10**9):
+            cfg = EncoderConfig(dim=3, vocab_size=8, window=window)
+            store = ParameterStore(5)
+            create_encoder_params(store, cfg, vocab)
+            out = encode(doc, cfg, store, vocab_index(vocab))
+            out.backward(np.arange(out.data.size, dtype=float).reshape(out.shape))
+            outputs.append(out.data)
+            grads.append(store["encoder/embedding"].grad)
+        npt.assert_array_equal(outputs[0], outputs[1])
+        npt.assert_array_equal(grads[0], grads[1])
+
     def test_long_document_memory_is_linear(self):
         # 20k tokens: a dense T x T context matrix alone would be 3.2 GB
         num_tokens, dim = 20_000, 8
         tokens = [f"w{i % 50}" for i in range(num_tokens)]
         doc = make_document([tokens[i:i + 20] for i in range(0, num_tokens, 20)])
-        cfg = EncoderConfig(kind="toy", dim=dim, vocab_size=64, window=2)
+        cfg = EncoderConfig(dim=dim, vocab_size=64, window=2)
         vocab = build_vocab([doc], cfg.vocab_size)
         store = ParameterStore(0)
         create_encoder_params(store, cfg, vocab)
@@ -147,29 +168,141 @@ class TestWindowContext:
         assert peak < 40 * row_bytes   # about 51 MB, against 3.2 GB
 
 
-class TestPretrainedCapability:
-    def test_missing_model_name(self):
-        cfg = EncoderConfig(kind="pretrained", dim=8)
-        with pytest.raises(EncoderCapabilityError, match="toy"):
-            create_encoder_params(ParameterStore(0), cfg, [])
+def write_features(path, arrays):
+    with open(path, "wb") as fh:
+        np.savez(fh, **arrays)
 
-    def test_missing_assets_name_cache_var_and_fallback(self, monkeypatch, tmp_path):
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        cfg = EncoderConfig(kind="pretrained", dim=8, model_name="absent-model")
-        with pytest.raises(EncoderCapabilityError) as err:
-            create_encoder_params(ParameterStore(0), cfg, [])
-        message = str(err.value)
-        assert CACHE_ENV_VAR in message
-        assert "toy" in message
-        assert "absent-model" in message
 
-    def test_assets_present_creates_adapter(self, monkeypatch, tmp_path):
-        model_dir = tmp_path / "tiny-model"
-        model_dir.mkdir()
-        (model_dir / "config.json").write_text('{"hidden_size": 12}')
-        monkeypatch.setenv(CACHE_ENV_VAR, str(tmp_path))
-        cfg = EncoderConfig(kind="pretrained", dim=8, model_name="tiny-model")
+def random_features(docs, width, seed=0):
+    rng = np.random.default_rng(seed)
+    return {doc.doc_key: rng.normal(size=(doc.num_tokens, width)) for doc in docs}
+
+
+class TestFeatureFile:
+    def test_adapter_over_the_file_rows(self, tmp_path):
+        doc = make_document([["the", "cat"], ["sat", "."]], doc_key="nw/doc_1")
+        feats = np.random.default_rng(1).normal(size=(4, 7)).astype(np.float32)
+        write_features(tmp_path / "f.npz", {"nw/doc_1": feats})
+        features = FeatureFile(str(tmp_path / "f.npz"))
+        cfg = EncoderConfig(dim=5, features=str(tmp_path / "f.npz"))
         store = ParameterStore(0)
-        create_encoder_params(store, cfg, [])
-        assert store["encoder/adapt_w"].shape == (12, 8)
-        assert store["encoder/adapt_b"].shape == (8,)
+        create_encoder_params(store, cfg, [], features)
+        assert store.names() == ["encoder/adapt_b", "encoder/adapt_w"]
+        assert store["encoder/adapt_w"].shape == (7, 5)
+        out = encode(doc, cfg, store, features=features)
+        npt.assert_array_equal(out.data, feats.astype(np.float64)
+                               @ store["encoder/adapt_w"].data
+                               + store["encoder/adapt_b"].data)
+        out.sum().backward()
+        npt.assert_array_equal(store["encoder/adapt_w"].grad,
+                               np.repeat(feats.astype(np.float64).sum(0)[:, None], 5, 1))
+
+    def test_require_names_the_missing_documents(self, tmp_path):
+        write_features(tmp_path / "f.npz", {"a": np.zeros((1, 2))})
+        features = FeatureFile(str(tmp_path / "f.npz"))
+        features.require(["a"])
+        with pytest.raises(CorpusError, match=r"f\.npz: no features for document b and 1 more"):
+            features.require(["a", "b", "c"])
+
+
+FEATURES_INI = """\
+[encoder]
+dim = 6
+features = {path}
+
+[model]
+hidden = 8
+ffnn_depth = 1
+feature_dim = 4
+max_span_width = 4
+top_antecedents = 10
+
+[training]
+steps = {steps}
+eval_every = 0
+seed = 3
+"""
+
+WIDTH = 9
+
+
+@pytest.fixture(scope="module")
+def feature_corpus(tmp_path_factory):
+    root = tmp_path_factory.mktemp("features")
+    docs = generate_corpus(3, seed=9)
+    (root / "train.jsonl").write_text(write_jsonl(docs), encoding="utf-8")
+    return root, docs
+
+
+def train_on_features(root, arrays, steps=3, path=None, argv=()):
+    path = path or root / "feats.npz"
+    if arrays is not None:
+        write_features(path, arrays)
+    ini = root / "features.ini"
+    ini.write_text(FEATURES_INI.format(path=path, steps=steps), encoding="utf-8")
+    return main(["train", str(root / "train.jsonl"), "--config", str(ini),
+                 "--out", str(root / "run"), *argv])
+
+
+class TestFeaturesEndToEnd:
+    def test_cli_train_and_predict(self, feature_corpus):
+        root, docs = feature_corpus
+        assert all("/" in doc.doc_key for doc in docs)
+        assert train_on_features(root, random_features(docs, WIDTH), steps=2,
+                                 argv=["--dev", str(root / "train.jsonl")]) == 0
+        ckpt = Checkpoint.load(root / "run" / "checkpoint.npz")
+        assert [name for name in sorted(ckpt.params) if name.startswith("encoder/")] \
+            == ["encoder/adapt_b", "encoder/adapt_w"]  # no embedding
+        assert ckpt.params["encoder/adapt_w"].shape == (WIDTH, 6)
+        assert main(["predict", str(root / "train.jsonl"),
+                     "--checkpoint", str(root / "run" / "checkpoint.npz"),
+                     "--out", str(root / "preds.jsonl")]) == 0
+        assert len((root / "preds.jsonl").read_text().splitlines()) == len(docs)
+
+    def test_missing_document_fails_before_the_first_step(self, feature_corpus,
+                                                          capsys):
+        root, docs = feature_corpus
+        arrays = random_features(docs, WIDTH)
+        del arrays[docs[2].doc_key]
+        assert train_on_features(root, arrays, steps=5000) == 2
+        assert f"no features for document {docs[2].doc_key}" in capsys.readouterr().err
+        assert (root / "run" / "metrics.jsonl").read_text() == ""
+
+    @pytest.mark.parametrize("damage", [
+        "absent", "text", "npy", "empty", "no_document", "extra_row",
+        "wrong_width", "one_dimensional", "integer", "object", "nan", "inf"])
+    def test_malformed_file_is_a_data_error(self, feature_corpus, capsys, damage):
+        root, docs = feature_corpus
+        path = root / f"{damage}.npz"
+        arrays = random_features(docs, WIDTH)
+        key = docs[1].doc_key  # not the first array, which sets the width
+        n = docs[1].num_tokens
+        named = key
+        if damage == "absent":
+            arrays, named = None, str(path)
+        elif damage == "text":
+            path.write_text("doc_key,features\n" * 4, encoding="utf-8")
+            arrays, named = None, str(path)
+        elif damage == "npy":
+            with open(path, "wb") as fh:
+                np.save(fh, arrays[key])
+            arrays, named = None, str(path)
+        elif damage == "empty":
+            arrays, named = {}, str(path)
+        elif damage == "no_document":
+            del arrays[key]
+        elif damage == "extra_row":
+            arrays[key] = np.zeros((n + 1, WIDTH))
+        elif damage == "wrong_width":
+            arrays[key] = np.zeros((n, WIDTH + 1))
+        elif damage == "one_dimensional":
+            arrays[key] = np.zeros(n * WIDTH)
+        elif damage == "integer":
+            arrays[key] = np.zeros((n, WIDTH), dtype=np.int64)
+        elif damage == "object":  # numpy will not read it without unpickling
+            arrays[key] = np.empty((n, WIDTH), dtype=object)
+        else:
+            arrays[key][n // 2, 0] = np.nan if damage == "nan" else -np.inf
+        assert train_on_features(root, arrays, path=path) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and named in err

@@ -274,6 +274,44 @@ class TestResume:
         with pytest.raises(ValueError, match="activation 'tanh'"):
             train(docs, tiny_config(steps=4), resume_from=part.checkpoint)
 
+    def test_checkpoint_with_retired_encoder_keys_loads_and_resumes(self, docs,
+                                                                   tmp_path):
+        # checkpoints once stored the encoder's kind, model_name and
+        # segment_length; every toy-encoder checkpoint held these values
+        full = train(docs, tiny_config(steps=6))
+        part = train(docs, tiny_config(steps=3))
+        path = tmp_path / "old.npz"
+        part.checkpoint.meta["config"]["encoder"].update(
+            kind="toy", model_name="", segment_length=384)
+        part.checkpoint.save(path)
+        loaded = Checkpoint.load(path)
+        assert loaded.meta["config"]["encoder"]["segment_length"] == 384
+        model = model_from_checkpoint(loaded)
+        for doc in docs:
+            assert predict_document(model, doc) == predict_document(part.model, doc)
+        resumed = train(docs, tiny_config(steps=6), resume_from=loaded)
+        assert loss_trace(resumed) == loss_trace(full)[3:]
+        assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
+
+    def test_checkpoint_with_pretrained_encoder_is_rejected(self, docs):
+        part = train(docs, tiny_config(steps=2))
+        part.checkpoint.meta["config"]["encoder"].update(
+            kind="pretrained", model_name="bert-base", segment_length=384)
+        with pytest.raises(CheckpointError, match="'pretrained' is retired.*features"):
+            model_from_checkpoint(part.checkpoint)
+        with pytest.raises(ValueError, match="'pretrained' is retired"):
+            train(docs, tiny_config(steps=4), resume_from=part.checkpoint)
+
+    def test_resume_to_an_earlier_step_is_rejected(self, docs):
+        part = train(docs, tiny_config(steps=6))
+        with pytest.raises(ValueError, match="step 3 .* step 6"):
+            train(docs, tiny_config(steps=3), resume_from=part.checkpoint)
+        again = train(docs, tiny_config(steps=6), resume_from=part.checkpoint)
+        assert loss_trace(again) == []
+        assert again.checkpoint.meta["step"] == 6
+        assert again.checkpoint.opt["step_count"] == 6
+        assert params_equal(again.checkpoint.params, part.checkpoint.params)
+
     def test_resume_rejects_changed_config(self, docs):
         part = train(docs, tiny_config(steps=2))
         with pytest.raises(ValueError, match="differs"):
@@ -360,7 +398,7 @@ class TestConfigValidation:
 
     def test_smallest_valid_sizes_accepted(self):
         cfg = TrainConfig(hidden=1, feature_dim=0, ffnn_depth=0, weight_decay=0.0,
-                          encoder=EncoderConfig(segment_length=1))
+                          encoder=EncoderConfig(dim=1, vocab_size=1, window=0))
         assert (cfg.hidden, cfg.feature_dim, cfg.ffnn_depth) == (1, 0, 0)
 
 
@@ -418,6 +456,19 @@ class TestGradientCheck:
         assert report.max_rel_err < 1e-4
         assert report.worst_param in report.per_param
         assert report.per_param[report.worst_param] == report.max_rel_err
+
+    def test_features_model_close_to_finite_differences(self, tmp_path):
+        doc = grad_fixture()
+        rng = np.random.default_rng(4)
+        path = tmp_path / "features.npz"
+        with open(path, "wb") as fh:
+            np.savez(fh, **{doc.doc_key: rng.normal(size=(doc.num_tokens, 4))})
+        cfg = dataclasses.replace(grad_config(), encoder=EncoderConfig(
+            dim=5, features=str(path)))
+        report = gradient_check(doc, cfg, weights=TaskWeights(1.0, 1.0, 1.0, 1.0))
+        assert report.max_rel_err < 1e-4
+        assert {"encoder/adapt_w", "encoder/adapt_b"} <= set(report.per_param)
+        assert "encoder/embedding" not in report.per_param
 
     def test_zero_aux_weights_leave_heads_untouched(self):
         report = gradient_check(grad_fixture(), grad_config(),
