@@ -7,11 +7,10 @@ reproducible on a fixed seed.
 
 Inside `no_grad()` no tape is built: an op's output has no parents and
 no backward closure, so inference frees each intermediate as soon as the
-caller drops it. Nothing then needs a stage's full arrays at once, so the
-model takes spans, anaphors and pairs in blocks of `PAIR_BLOCK` rows
-(`row_blocks`), and prediction memory grows with the block, not with
-spans or pairs times the hidden size. While a tape is built, each stage
-is one block.
+caller drops it. The model takes spans, anaphors and pairs in blocks of
+`PAIR_BLOCK` rows (`row_blocks`), with or without a tape, so prediction
+memory grows with the block, not with spans or pairs times the hidden
+size, and each block's backward builds only that block's gradients.
 
 `backward()` frees the tape as it consumes it: once a node's closure has
 run, the node drops its gradient, closure and parents, so each gradient
@@ -51,24 +50,18 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
-# rows of spans, anaphors or pairs in one block of a tape-free pass, and the
-# pairs whose first-layer output pair_input_layer builds at once
+# rows of spans, anaphors or pairs in one block of the model's forward pass
 PAIR_BLOCK = 1024
 # elements of a column chunk of a (rows x columns) gather or scatter: a
-# scatter's int64 bin array, and pair_input_layer's per-pair products in
-# backward, are built this many at a time
+# scatter's int64 bin array, and pair_input_layer's per-pair products,
+# are built this many at a time
 CHUNK_ELEMENTS = 2 ** 20
 
 
-def row_blocks(n: int, whole: bool = False) -> list[tuple[int, int]]:
-    """(lo, hi) ranges that cover rows 0 .. n - 1 in order, at least one.
-
-    Under no_grad() each holds PAIR_BLOCK rows, the last one the rest;
-    while a tape is built, or with whole=True, one range covers all rows.
-    """
-    if whole or _GRAD_ENABLED.get() or n <= PAIR_BLOCK:
-        return [(0, n)]
-    return [(lo, min(lo + PAIR_BLOCK, n)) for lo in range(0, n, PAIR_BLOCK)]
+def row_blocks(n: int) -> list[tuple[int, int]]:
+    """(lo, hi) ranges that cover rows 0 .. n - 1 in order, at least one:
+    each holds PAIR_BLOCK rows, the last one the rest."""
+    return [(lo, min(lo + PAIR_BLOCK, n)) for lo in range(0, max(n, 1), PAIR_BLOCK)]
 
 
 def stream_seed(*parts) -> int:
@@ -302,8 +295,8 @@ def concat(parts: list, axis: int = 0) -> Tensor:
 
 def join_blocks(parts: list) -> Tensor:
     """The per-block outputs of a blocked stage as one tensor, in row order;
-    one block's output is returned as it is, so a one-block pass (every
-    taped one) builds no extra node."""
+    one block's output is returned as it is, so a one-block pass builds no
+    extra node."""
     return parts[0] if len(parts) == 1 else concat(parts)
 
 
@@ -435,10 +428,10 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
     dense, and the node keeps only their output. Without, it is the
     scorer's linear output layer, and rate and rng are not read.
 
-    The output is built PAIR_BLOCK pairs at a time, and each block's
-    dropout mask is the next rows of rng's draws, so the values equal
-    those of the whole layer at once. Only the product term is computed
-    per pair; backward recomputes it instead of keeping it.
+    The output is built in one piece, so a caller bounds its memory by
+    the pairs it passes (the model passes at most PAIR_BLOCK). Only the
+    product term is computed per pair; backward recomputes it instead of
+    keeping it.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
@@ -449,29 +442,19 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
         projected = pair_projections(g, w0, tables)
     g_wa, g_wb, *table_terms = projected
 
-    def product(lo=0, hi=None):
-        prod = gv[rows[lo:hi]]
-        for c_lo, c_hi in _column_chunks(len(prod), gv.shape[1]):
-            prod[:, c_lo:c_hi] *= gv[ants[lo:hi], c_lo:c_hi]
+    def product():
+        prod = gv[rows]
+        for lo, hi in _column_chunks(len(prod), gv.shape[1]):
+            prod[:, lo:hi] *= gv[ants, lo:hi]
         return prod
 
-    out = np.empty((len(rows), w0.data.shape[1]), dtype=DTYPE)
-    scale = None
-    for lo in range(0, len(rows), PAIR_BLOCK):
-        hi = lo + PAIR_BLOCK
-        block = out[lo:hi]
-        np.take(g_wa, rows[lo:hi], axis=0, out=block)
-        block += g_wb[ants[lo:hi]]
-        # the last block ends at the last pair and overlaps the one before,
-        # so every product has PAIR_BLOCK rows: BLAS may sum a short one's
-        # edge columns in another order than the unblocked product does
-        first = max(min(lo, len(rows) - PAIR_BLOCK), 0)
-        block += (product(first, first + PAIR_BLOCK) @ w_c)[lo - first:]
-        for (_, idx), term in zip(tables, table_terms):
-            block += term[idx[lo:hi]]
-        block += b0.data
-        if relu:
-            scale = _relu_dropout(block, rate, rng)
+    out = g_wa[rows]
+    out += g_wb[ants]
+    out += product() @ w_c
+    for (_, idx), term in zip(tables, table_terms):
+        out += term[idx]
+    out += b0.data
+    scale = _relu_dropout(out, rate, rng) if relu else None
 
     def backward(grad):
         if relu:

@@ -76,11 +76,9 @@ def predict_document(model: MtlCorefModel, doc: Document,
                      threshold: float = 0.5) -> PredictionResult:
     """Decode one document; a document without tokens has no mentions.
 
-    The forward pass builds no tape, so it runs in blocks of
-    autodiff.PAIR_BLOCK rows (see MtlCorefModel.forward). Where each stage
-    fits in one block it is bit-identical to a taped pass; beyond that,
-    scores agree within 1e-12 (row-blocked BLAS products are not bit-equal
-    to the full product).
+    The forward pass builds no tape and runs in blocks of
+    autodiff.PAIR_BLOCK rows (see MtlCorefModel.forward), as a taped pass
+    does, so its scores are bit-identical to those of a taped pass.
     """
     if doc.num_tokens == 0:
         return PredictionResult(doc.doc_key, [])

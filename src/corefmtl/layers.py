@@ -31,12 +31,16 @@ def ffnn_weights(store: ParameterStore, prefix: str) -> list[tuple[Tensor, Tenso
 
 def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
          dropout: float = 0.0, step: int | None = None,
-         first_layer: Callable[..., Tensor] | None = None) -> Tensor:
+         first_layer: Callable[..., Tensor] | None = None, block: int = 0) -> Tensor:
     """Apply the named feed-forward block: ReLU hidden layers, then a
     linear output layer.
 
     Dropout applies in training only, when step is given, and draws from
-    the block's own stream for that step.
+    the named block's own stream for that step. block is the first row of
+    x among its stage's rows, for a caller that takes them in row blocks
+    (autodiff.row_blocks): a row block past the first draws from a stream
+    that also names that row, so each row block has masks of its own, and
+    the first draws what a stage taken whole would.
 
     first_layer, if given, builds the first layer for an input x that is
     never built (the pair scorer's); x is then None. It is called as
@@ -49,7 +53,8 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
     depth = len(weights) - 1
     rng = None
     if dropout > 0.0 and step is not None:
-        rng = named_rng(store.seed, "dropout", step, prefix)
+        rng = named_rng(store.seed, "dropout", step, prefix,
+                        *([block] if block else []))
     h = x
     for layer, (w, b) in enumerate(weights):
         hidden = layer < depth

@@ -121,36 +121,28 @@ class MtlCorefModel:
         need_heads names the auxiliary heads to compute (all, at inference,
         when the model has them).
 
-        Under autodiff.no_grad() the spans, the coarse shortlist's anaphors
-        and the pairs go through their scorers in blocks of
-        autodiff.PAIR_BLOCK rows: of all candidate spans only the mention
-        and combined scores are kept, and only the kept spans are
-        represented in full. With a tape or a train_step (whose dropout
-        masks are drawn per call), each stage is one block.
+        The spans, the coarse shortlist's anaphors and the pairs go
+        through their scorers in blocks of autodiff.PAIR_BLOCK rows, with
+        or without a tape, and each block draws its own dropout masks: of
+        all candidate spans only the mention and combined scores are kept,
+        and the kept spans are represented again, in one piece.
         """
         cfg = self.config
         emb = encode(doc, cfg.encoder, self.store, self.vocab_index, self.features)
         spans = enumerate_spans(doc, cfg.max_span_width)
         width = max((cand.width for cand in spans), default=1)
-        blocks = ad.row_blocks(len(spans), whole=train_step is not None)
         mention, combined = [], []
-        for lo, hi in blocks:
-            g, _ = represent_spans(emb, spans[lo:hi], self.store, width)
+        for lo, hi in ad.row_blocks(len(spans)):
             _, block_mention, block_combined = unary_score_tensors(
-                g, self.store, cfg.dropout, train_step)
+                represent_spans(emb, spans[lo:hi], self.store, width)[0],
+                self.store, cfg.dropout, train_step, block=lo)
             mention.append(block_mention)
             combined.append(block_combined)
         mention, combined = ad.join_blocks(mention), ad.join_blocks(combined)
         kept = prune_spans(combined.data, spans, doc.num_tokens, cfg.prune_ratio)
         kept_spans = [spans[i] for i in kept]
-        kept_rows = np.array(kept, dtype=np.intp)
-        # one block's g covers every span; after several, none is kept
-        if len(blocks) == 1:
-            g_kept = ad.take_rows(g, kept_rows)
-        else:
-            g_kept, _ = represent_spans(emb, kept_spans, self.store, width)
-        del g  # without a tape nothing else holds it through the pair scorer
-        combined_kept = ad.take_rows(combined, kept_rows)
+        g_kept, _ = represent_spans(emb, kept_spans, self.store, width)
+        combined_kept = ad.take_rows(combined, np.array(kept, dtype=np.intp))
 
         shortlists = coarse_scores(g_kept, combined_kept, self.store,
                                    cfg.top_antecedents)

@@ -45,14 +45,16 @@ def create_scoring_params(store: ParameterStore, g_dim: int, hidden: int,
 
 
 def unary_score_tensors(g: Tensor, store: ParameterStore, dropout: float = 0.0,
-                        step: int | None = None) -> tuple[Tensor, Tensor, Tensor]:
-    """(markable, mention, combined) score vectors, each shaped (S,)."""
+                        step: int | None = None,
+                        block: int = 0) -> tuple[Tensor, Tensor, Tensor]:
+    """(markable, mention, combined) score vectors, each shaped (S,). block
+    is the first row of g among the document's spans (ffnn's block)."""
     n = g.shape[0]
     # with a tape, each scorer keeps no (S, hidden) activation: its
     # backward runs it again (autodiff.recompute), after the pair scorer's
     markable, mention = (
         ad.recompute(partial(ffnn, store=store, prefix=prefix, dropout=dropout,
-                             step=step), g).reshape((n,))
+                             step=step, block=block), g).reshape((n,))
         for prefix in ("score/markable", "score/mention"))
     beta = store["score/beta"]
     b1 = ad.take_rows(beta, np.array([0]))
@@ -182,8 +184,9 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
 
     Column 0 is the dummy antecedent, a constant exact 0. Column 1 + t is
     shortlist slot t; slots beyond a span's shortlist hold -inf. The pair
-    scorer takes the pairs in blocks (autodiff.row_blocks); its first
-    layer's per-span terms are computed once, for every block.
+    scorer takes the pairs in blocks (autodiff.row_blocks), each with its
+    own dropout masks; its first layer's per-span terms are computed once,
+    for every block.
     """
     s = g.shape[0]
     n_pairs = len(pairs.rows)
@@ -199,15 +202,14 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     w0, b0 = ffnn_weights(store, "score/pair")[0]
     projected = ad.pair_projections(g, w0, tables)
     s_pair = []
-    # dropout masks are drawn per ffnn call, so a pass with a step is one block
-    for lo, hi in ad.row_blocks(n_pairs, whole=step is not None):
+    for lo, hi in ad.row_blocks(n_pairs):
         rows, ants = pairs.rows[lo:hi], pairs.antecedents[lo:hi]
         # [g_i, g_j, g_i * g_j, phi] @ w0 + b0, without the (P, 3g+3f) input
         first = partial(ad.pair_input_layer, g, rows=rows, antecedents=ants,
                         tables=[(t, idx[lo:hi]) for t, idx in tables],
                         projected=projected)
         s_c = ffnn(None, store, "score/pair", dropout, step,
-                   first_layer=first).reshape((hi - lo,))
+                   first_layer=first, block=lo).reshape((hi - lo,))
         s_pair.append(s_c + ad.take_rows(combined, rows) + ad.take_rows(combined, ants))
     # allocated only now, so it is not held through the pair scorer's peak
     num_slots = int(pairs.cols.max()) + 1

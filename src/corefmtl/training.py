@@ -222,7 +222,8 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     include_aux = bool(weights.aux_tasks() if include_aux is None else include_aux)
 
     genres = tuple(sorted({d.genre for d in train_docs}))
-    vocab = build_vocab(train_docs, cfg.encoder.vocab_size)
+    # a features model reads no token ids
+    vocab = [] if cfg.encoder.features else build_vocab(train_docs, cfg.encoder.vocab_size)
 
     if resume_from is not None:
         saved = resume_from.meta
@@ -252,6 +253,9 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     perm = shuffle_rng.permutation(len(train_docs))
     pos = 0
     start_step = 0
+    best_step = None
+    best_avg_f1 = None
+    best_params = None
 
     if resume_from is not None:
         model.store.load_state(resume_from.params)
@@ -260,11 +264,16 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         perm = np.array(resume_from.meta["perm"], dtype=np.intp)
         pos = int(resume_from.meta["pos"])
         start_step = int(resume_from.meta["step"])
+        # the dev selection so far; the checkpoint holds the best parameters
+        # apart only when they are not its own step's
+        best_step = resume_from.meta.get("best_step")
+        best_avg_f1 = resume_from.meta.get("best_avg_f1")
+        if resume_from.selected is not None:
+            best_params = resume_from.selected
+        elif best_step == start_step:
+            best_params = resume_from.params
 
     records: list[dict] = []
-    best_step = None
-    best_avg_f1 = None
-    best_params = None
     last_eval_step = None
     all_params = model.all_parameters()
 
@@ -369,7 +378,7 @@ def gradient_check(doc: Document, cfg: TrainConfig,
     doc.validate()
     cfg = dataclasses.replace(cfg, dropout=0.0)
     genres = (doc.genre,) if doc.genre else ()
-    vocab = build_vocab([doc], cfg.encoder.vocab_size)
+    vocab = [] if cfg.encoder.features else build_vocab([doc], cfg.encoder.vocab_size)
     model = MtlCorefModel(cfg.model_config(genres), cfg.seed, vocab, include_aux)
 
     def loss_value() -> float:

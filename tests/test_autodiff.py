@@ -253,13 +253,9 @@ class TestFusedLayers:
             assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
-    def test_pair_input_layer_is_relu_and_dropout_of_its_linear_form(
-            self, rate, monkeypatch):
+    def test_pair_input_layer_is_relu_and_dropout_of_its_linear_form(self, rate):
         """Values and every gradient bit-equal to relu, then a multiply by
-        mask / keep, composed in numpy over the linear form. PAIR_BLOCK 4
-        builds the 10 pairs in three blocks, each drawing its mask rows
-        from the stream in turn."""
-        monkeypatch.setattr(ad, "PAIR_BLOCK", 4)
+        mask / keep, composed in numpy over the linear form."""
         rng = np.random.default_rng(19)
         rows = rng.integers(1, 5, size=10)
         ants = rng.integers(0, rows)

@@ -18,7 +18,7 @@ from corefmtl.encoder import (
     encode,
 )
 from corefmtl.synthetic import generate_corpus
-from corefmtl.training import Checkpoint
+from corefmtl.training import Checkpoint, model_from_checkpoint
 from helpers import make_document
 
 
@@ -254,6 +254,13 @@ class TestFeaturesEndToEnd:
         assert [name for name in sorted(ckpt.params) if name.startswith("encoder/")] \
             == ["encoder/adapt_b", "encoder/adapt_w"]  # no embedding
         assert ckpt.params["encoder/adapt_w"].shape == (WIDTH, 6)
+        assert ckpt.meta["vocab"] == []  # no toy vocabulary to store
+        # an older features checkpoint stores one; the model never reads it
+        older = Checkpoint(ckpt.params, ckpt.selected, ckpt.opt,
+                           {**ckpt.meta, "vocab": build_vocab(docs, 64)})
+        for doc in docs:
+            npt.assert_array_equal(model_from_checkpoint(older).forward(doc).scores.data,
+                                   model_from_checkpoint(ckpt).forward(doc).scores.data)
         assert main(["predict", str(root / "train.jsonl"),
                      "--checkpoint", str(root / "run" / "checkpoint.npz"),
                      "--out", str(root / "preds.jsonl")]) == 0

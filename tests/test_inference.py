@@ -270,18 +270,21 @@ class TestBlockedPrediction:
         docs = generate_corpus(3, seed=5)
         model = small_model(docs)
         doc = max(docs, key=lambda d: d.num_tokens)
-        taped = model.forward(doc, need_heads=tuple(HEAD_SIZES))
         monkeypatch.setattr(ad, "PAIR_BLOCK", self.BLOCK)
         span_calls = counting(monkeypatch, model_module, "represent_spans")
         pair_calls = counting(monkeypatch, ad, "pair_input_layer")
+        taped = model.forward(doc, need_heads=tuple(HEAD_SIZES))
+        taped_calls = (len(span_calls), len(pair_calls))
         with ad.no_grad():
             free = model.forward(doc, need_heads=tuple(HEAD_SIZES))
 
         n_pairs = sum(len(sl) for sl in free.shortlists)
         assert min(len(free.spans), len(free.kept), n_pairs) > 5 * self.BLOCK
-        # one call per span block, then one for the kept spans
-        assert len(span_calls) == -(-len(free.spans) // self.BLOCK) + 1
-        assert len(pair_calls) == -(-n_pairs // self.BLOCK)
+        # both passes: one call per span block, then one for the kept spans,
+        # and one per pair block
+        calls = (-(-len(free.spans) // self.BLOCK) + 1, -(-n_pairs // self.BLOCK))
+        assert taped_calls == calls
+        assert (len(span_calls), len(pair_calls)) == tuple(2 * n for n in calls)
 
         assert free.kept == taped.kept
         assert len(free.shortlists) == len(taped.shortlists)
@@ -293,8 +296,7 @@ class TestBlockedPrediction:
         assert set(got) == set(want)
         for name, t in got.items():
             assert not t.requires_grad, name
-            npt.assert_allclose(t.data, want[name].data, rtol=0, atol=1e-12,
-                                err_msg=name)
+            npt.assert_array_equal(t.data, want[name].data, err_msg=name)
         assert decoded(free, doc) == decoded(taped, doc)
         assert predict_document(model, doc) == decoded(taped, doc)
 
