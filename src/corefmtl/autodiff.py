@@ -24,9 +24,12 @@ differentiated once: a second backward() through it raises.
 
 `recompute(fn, x)` trades time for tape: it keeps only x and fn's
 output, and its backward runs fn again to backpropagate through it. The
-model wraps the two unary span scorers in it, whose (spans x hidden)
-activations would otherwise wait on the tape through the pair scorer's
-backward, where a training step peaks.
+model wraps whole blocks in it: each block of candidate spans (span
+representations and both unary scorers, over the token embeddings) and
+each block of pairs (the pair scorer, over the kept spans'
+representations). So a training step's tape holds the blocks' scores,
+not their (rows x hidden) activations, and backward rebuilds and frees
+one block's graph at a time.
 """
 
 import contextlib
@@ -544,10 +547,13 @@ def recompute(fn, x: Tensor) -> Tensor:
 
     The forward runs fn under no_grad(); backward runs fn again on a new
     leaf that shares x's data, backpropagates through that tape, freeing
-    it as it goes, and accumulates the leaf's gradient into x. Gradients
-    of the parameters fn reads accumulate directly. fn must compute the
-    same values both times: a dropout mask must come from a stream fn
-    seeds itself. Under no_grad() this is fn(x).
+    it as it goes, and accumulates the leaf's gradient into x. So x's
+    gradient is summed within each call before it joins the rest, which
+    can change its last bits against the inline graph. Gradients of the
+    parameters fn reads accumulate directly. fn must compute the same
+    values both times: a dropout mask must come from a stream fn seeds
+    itself. A recompute within fn would run its own fn a third time, so
+    the model nests none. Under no_grad() this is fn(x).
     """
     if not _GRAD_ENABLED.get():
         return fn(x)

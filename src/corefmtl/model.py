@@ -1,6 +1,7 @@
 """The end-to-end model: encode, represent, score, prune, and the joint loss."""
 
 from dataclasses import dataclass, field
+from functools import partial
 from math import isfinite
 
 import numpy as np
@@ -13,7 +14,8 @@ from .mtl import (TaskWeights, assign_aux_labels, aux_losses, coref_loss_from_ma
                   create_head_params, gold_antecedent_mask, head_logits,
                   mention_labels, mention_scorer_loss, total_loss)
 from .scoring import (coarse_scores, create_scoring_params, pair_features,
-                      prune_spans, score_matrix, unary_score_tensors)
+                      prune_spans, score_matrix, unary_mix,
+                      unary_score_tensors)
 from .spans import SpanCandidate, create_span_params, enumerate_spans, represent_spans
 
 
@@ -126,18 +128,33 @@ class MtlCorefModel:
         or without a tape, and each block draws its own dropout masks: of
         all candidate spans only the mention and combined scores are kept,
         and the kept spans are represented again, in one piece.
+
+        With a tape, each block of spans is represented and scored inside
+        one autodiff.recompute over the token embeddings, as is each
+        block of pairs in score_matrix, so the tape keeps the blocks'
+        scores and backward rebuilds one block's graph at a time. The
+        tape then grows with the tokens and the kept spans, not with the
+        candidate spans or the pairs times the hidden size.
         """
         cfg = self.config
         emb = encode(doc, cfg.encoder, self.store, self.vocab_index, self.features)
         spans = enumerate_spans(doc, cfg.max_span_width)
         width = max((cand.width for cand in spans), default=1)
+
+        def span_block(e: Tensor, lo: int, hi: int) -> Tensor:
+            markable, mention, _ = unary_score_tensors(
+                represent_spans(e, spans[lo:hi], self.store, width)[0],
+                self.store, cfg.dropout, train_step, block=lo)
+            return ad.concat([markable, mention])
+
         mention, combined = [], []
         for lo, hi in ad.row_blocks(len(spans)):
-            _, block_mention, block_combined = unary_score_tensors(
-                represent_spans(emb, spans[lo:hi], self.store, width)[0],
-                self.store, cfg.dropout, train_step, block=lo)
+            both = ad.recompute(partial(span_block, lo=lo, hi=hi), emb)
+            n = hi - lo
+            block_mention = ad.take_rows(both, np.arange(n, 2 * n))
             mention.append(block_mention)
-            combined.append(block_combined)
+            combined.append(unary_mix(ad.take_rows(both, np.arange(n)), block_mention,
+                                      self.store))
         mention, combined = ad.join_blocks(mention), ad.join_blocks(combined)
         kept = prune_spans(combined.data, spans, doc.num_tokens, cfg.prune_ratio)
         kept_spans = [spans[i] for i in kept]

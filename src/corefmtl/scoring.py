@@ -48,19 +48,22 @@ def unary_score_tensors(g: Tensor, store: ParameterStore, dropout: float = 0.0,
                         step: int | None = None,
                         block: int = 0) -> tuple[Tensor, Tensor, Tensor]:
     """(markable, mention, combined) score vectors, each shaped (S,). block
-    is the first row of g among the document's spans (ffnn's block)."""
+    is the first row of g among the document's spans (ffnn's block).
+
+    The model runs this, span representations included, inside one
+    autodiff.recompute per block of spans, which keeps only the markable
+    and mention scores; it mixes them outside the rerun (unary_mix)."""
     n = g.shape[0]
-    # with a tape, each scorer keeps no (S, hidden) activation: its
-    # backward runs it again (autodiff.recompute), after the pair scorer's
-    markable, mention = (
-        ad.recompute(partial(ffnn, store=store, prefix=prefix, dropout=dropout,
-                             step=step, block=block), g).reshape((n,))
-        for prefix in ("score/markable", "score/mention"))
+    markable, mention = (ffnn(g, store, prefix, dropout, step, block=block).reshape((n,))
+                         for prefix in ("score/markable", "score/mention"))
+    return markable, mention, unary_mix(markable, mention, store)
+
+
+def unary_mix(markable: Tensor, mention: Tensor, store: ParameterStore) -> Tensor:
+    """The combined unary score beta1 * markable + beta2 * mention."""
     beta = store["score/beta"]
-    b1 = ad.take_rows(beta, np.array([0]))
-    b2 = ad.take_rows(beta, np.array([1]))
-    combined = b1 * markable + b2 * mention
-    return markable, mention, combined
+    return (ad.take_rows(beta, np.array([0])) * markable
+            + ad.take_rows(beta, np.array([1])) * mention)
 
 
 # -- pruning -------------------------------------------------------------------
@@ -186,7 +189,9 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     shortlist slot t; slots beyond a span's shortlist hold -inf. The pair
     scorer takes the pairs in blocks (autodiff.row_blocks), each with its
     own dropout masks; its first layer's per-span terms are computed once,
-    for every block.
+    for every block. With a tape, each block's scorer runs inside one
+    autodiff.recompute over g, which keeps only the block's scores, and
+    backward reruns it.
     """
     s = g.shape[0]
     n_pairs = len(pairs.rows)
@@ -201,16 +206,21 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     ]
     w0, b0 = ffnn_weights(store, "score/pair")[0]
     projected = ad.pair_projections(g, w0, tables)
-    s_pair = []
-    for lo, hi in ad.row_blocks(n_pairs):
-        rows, ants = pairs.rows[lo:hi], pairs.antecedents[lo:hi]
+
+    def pair_block(g_block: Tensor, lo: int, hi: int) -> Tensor:
         # [g_i, g_j, g_i * g_j, phi] @ w0 + b0, without the (P, 3g+3f) input
-        first = partial(ad.pair_input_layer, g, rows=rows, antecedents=ants,
+        first = partial(ad.pair_input_layer, g_block, rows=pairs.rows[lo:hi],
+                        antecedents=pairs.antecedents[lo:hi],
                         tables=[(t, idx[lo:hi]) for t, idx in tables],
                         projected=projected)
-        s_c = ffnn(None, store, "score/pair", dropout, step,
-                   first_layer=first, block=lo).reshape((hi - lo,))
-        s_pair.append(s_c + ad.take_rows(combined, rows) + ad.take_rows(combined, ants))
+        return ffnn(None, store, "score/pair", dropout, step,
+                    first_layer=first, block=lo).reshape((hi - lo,))
+
+    s_pair = []
+    for lo, hi in ad.row_blocks(n_pairs):
+        s_c = ad.recompute(partial(pair_block, lo=lo, hi=hi), g)
+        s_pair.append(s_c + ad.take_rows(combined, pairs.rows[lo:hi])
+                      + ad.take_rows(combined, pairs.antecedents[lo:hi]))
     # allocated only now, so it is not held through the pair scorer's peak
     num_slots = int(pairs.cols.max()) + 1
     base = np.full((s, 1 + num_slots), -np.inf)

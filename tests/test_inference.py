@@ -228,7 +228,11 @@ class TestTapeFreePrediction:
                 assert not t.requires_grad, name
                 assert t._parents == () and t._backward is None, name
 
-    def test_predict_peak_is_below_half_of_a_taped_forward(self):
+    def test_predict_and_taped_forward_peaks_are_bounded(self):
+        """Prediction builds no tape and scores in blocks: 4.5 MB on a
+        1000-token document. A taped forward keeps only the blocks' scores
+        of its spans and pairs (autodiff.recompute): 8.9 MB, 20.8 MB when
+        their activations waited on the tape."""
         docs = generate_corpus(2, seed=5)
         model = small_model(docs)
         rng = np.random.default_rng(0)
@@ -238,7 +242,8 @@ class TestTapeFreePrediction:
         assert doc.num_tokens == 1000
         taped_peak, _ = peak_bytes(model.forward, doc, need_heads=tuple(HEAD_SIZES))
         predict_peak, _ = peak_bytes(predict_document, model, doc)
-        assert predict_peak < taped_peak / 2
+        assert predict_peak < 5.5e6
+        assert taped_peak < 11.0e6
 
 
 def decoded(fp, doc):
