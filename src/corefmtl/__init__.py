@@ -16,9 +16,9 @@ from .inference import build_clusters, decode_antecedents, predict_document
 from .model import ModelConfig, MtlCorefModel
 from .mtl import (PRESET_WEIGHTS, TaskWeights, assign_aux_labels,
                   coref_loss_from_matrix, gold_antecedent_mask, total_loss)
-from .scoring import (coarse_scores, pair_features, prune_spans, score_matrix,
-                      unary_score_tensors)
-from .spans import SpanCandidate, enumerate_spans, represent_spans
+from .scoring import (PairIndex, coarse_scores, pair_features, prune_spans,
+                      score_matrix, unary_score_tensors)
+from .spans import SpanCandidate, SpanSet, enumerate_spans, represent_spans
 from .synthetic import generate_corpus, generate_document
 from .training import (Checkpoint, CheckpointError, GradCheckReport, NumericError,
                        TrainConfig, TrainResult, gradient_check,

@@ -691,4 +691,6 @@ class ParameterStore:
                 raise ValueError(
                     f"shape mismatch for {name}: checkpoint {arr.shape}, model {t.data.shape}"
                 )
+            if not np.isfinite(arr).all():
+                raise ValueError(f"checkpoint parameter {name} holds non-finite values")
             t.data = arr.copy()

@@ -6,10 +6,10 @@ from . import autodiff as ad
 from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document, PredictionResult
 from .model import ForwardPass, MtlCorefModel
 from .mtl import HEAD_SIZES
+from .scoring import PairIndex
 
 
-def decode_antecedents(scores: np.ndarray,
-                       shortlists: list[np.ndarray]) -> list[int | None]:
+def decode_antecedents(scores: np.ndarray, shortlists: PairIndex) -> list[int | None]:
     """Highest-scoring antecedent per span, None for the dummy.
 
     scores is the (S, num_slots + 1) antecedent score matrix: column 0 is
@@ -22,8 +22,11 @@ def decode_antecedents(scores: np.ndarray,
         raise ValueError("score matrix and shortlists disagree in length")
     order = np.concatenate([[0], np.arange(scores.shape[1] - 1, 0, -1)])
     best = order[np.argmax(scores[:, order], axis=1)]
-    return [int(shortlist[col - 1]) if col else None
-            for shortlist, col in zip(shortlists, best)]
+    picked = np.full(len(best), -1)
+    linked = best > 0
+    picked[linked] = shortlists.antecedents[shortlists.indptr[:-1][linked]
+                                            + best[linked] - 1]
+    return [j if j >= 0 else None for j in picked.tolist()]
 
 
 def _softmax(logits: np.ndarray) -> np.ndarray:

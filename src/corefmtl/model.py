@@ -13,10 +13,9 @@ from .encoder import EncoderConfig, FeatureFile, create_encoder_params, encode
 from .mtl import (TaskWeights, assign_aux_labels, aux_losses, coref_loss_from_matrix,
                   create_head_params, gold_antecedent_mask, head_logits,
                   mention_labels, mention_scorer_loss, total_loss)
-from .scoring import (coarse_scores, create_scoring_params, pair_features,
-                      prune_spans, score_matrix, unary_mix,
-                      unary_score_tensors)
-from .spans import SpanCandidate, create_span_params, enumerate_spans, represent_spans
+from .scoring import (PairIndex, coarse_scores, create_scoring_params, pair_features,
+                      prune_spans, score_matrix, unary_mix, unary_score_tensors)
+from .spans import SpanSet, create_span_params, enumerate_spans, represent_spans
 
 
 @dataclass(frozen=True)
@@ -55,14 +54,16 @@ class ModelConfig(ModelStructure):
 
 @dataclass
 class ForwardPass:
-    """Everything one document's forward computation produced."""
+    """Everything one document's forward computation produced. The spans
+    are arrays (SpanSet), and the shortlists one CSR index (PairIndex);
+    indexing either gives one span or one shortlist."""
 
-    spans: list[SpanCandidate]
-    kept: list[int]
-    kept_spans: list[SpanCandidate]
+    spans: SpanSet
+    kept: np.ndarray            # indices into spans, in (start, end) order
+    kept_spans: SpanSet
     mention: Tensor             # over all candidate spans
     combined: Tensor            # over all candidate spans
-    shortlists: list[np.ndarray]
+    shortlists: PairIndex
     scores: Tensor              # (S_kept, num_slots + 1); column 0 is the dummy
     logits: dict[str, Tensor]
 
@@ -139,7 +140,7 @@ class MtlCorefModel:
         cfg = self.config
         emb = encode(doc, cfg.encoder, self.store, self.vocab_index, self.features)
         spans = enumerate_spans(doc, cfg.max_span_width)
-        width = max((cand.width for cand in spans), default=1)
+        width = int(spans.widths.max(initial=1))
 
         def span_block(e: Tensor, lo: int, hi: int) -> Tensor:
             markable, mention, _ = unary_score_tensors(
@@ -157,9 +158,9 @@ class MtlCorefModel:
                                       self.store))
         mention, combined = ad.join_blocks(mention), ad.join_blocks(combined)
         kept = prune_spans(combined.data, spans, doc.num_tokens, cfg.prune_ratio)
-        kept_spans = [spans[i] for i in kept]
+        kept_spans = spans[kept]
         g_kept, _ = represent_spans(emb, kept_spans, self.store, width)
-        combined_kept = ad.take_rows(combined, np.array(kept, dtype=np.intp))
+        combined_kept = ad.take_rows(combined, kept)
 
         shortlists = coarse_scores(g_kept, combined_kept, self.store,
                                    cfg.top_antecedents)

@@ -24,8 +24,8 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import ENTITY_TYPES, INFO_STATUSES, UNKNOWN, Document, cluster_index
 from .layers import create_ffnn, ffnn
-from .scoring import shortlist_pairs
-from .spans import SpanCandidate
+from .scoring import PairIndex
+from .spans import SpanSet
 
 # each labelled head predicts the Mention field it is named after
 HEAD_LABELS = {"entity_type": ENTITY_TYPES, "info_status": INFO_STATUSES}
@@ -65,14 +65,16 @@ PRESET_WEIGHTS = {
 }
 
 
-def mention_labels(spans: list[SpanCandidate], doc: Document) -> np.ndarray:
-    """1 where a span exactly matches a gold mention, else 0."""
-    mentions = doc.mention_map()
-    return np.array([cand.span in mentions for cand in spans], dtype=np.intp)
+def mention_labels(spans: SpanSet, doc: Document) -> np.ndarray:
+    """1 where a span exactly matches a gold mention, else 0: one np.isin
+    of (start, end) keys."""
+    gold = np.array(list(doc.mention_map()), dtype=np.intp).reshape(-1, 2)
+    n = int(max(spans.ends.max(initial=0), gold.max(initial=0))) + 1
+    return np.isin(spans.starts * n + spans.ends,
+                   gold[:, 0] * n + gold[:, 1]).astype(np.intp)
 
 
-def assign_aux_labels(kept_spans: list[SpanCandidate],
-                      doc: Document) -> dict[str, np.ndarray]:
+def assign_aux_labels(kept_spans: SpanSet, doc: Document) -> dict[str, np.ndarray]:
     """Per-kept-span targets of every head, by exact span match against the
     gold mentions: the singleton target is 0/1, and a labelled head's
     target indexes its label names, with -1 (excluded from that task) for
@@ -131,7 +133,7 @@ def mention_scorer_loss(mention: Tensor, labels: np.ndarray) -> Tensor:
     return cross_entropy(logits, labels)
 
 
-def gold_antecedent_mask(kept_spans: list[SpanCandidate], shortlists,
+def gold_antecedent_mask(kept_spans: SpanSet, shortlists: PairIndex,
                          gold_clusters, num_slots: int) -> np.ndarray:
     """Boolean (S, num_slots + 1): which score-matrix entries are gold.
 
@@ -141,10 +143,10 @@ def gold_antecedent_mask(kept_spans: list[SpanCandidate], shortlists,
     cluster_of = cluster_index(gold_clusters)
     cluster = np.array([cluster_of.get(cand.span, -1) for cand in kept_spans],
                        dtype=np.intp)
-    rows, cols, antecedents = shortlist_pairs(shortlists)
-    gold = (cluster[rows] >= 0) & (cluster[rows] == cluster[antecedents])
+    rows, antecedents = shortlists.rows, shortlists.antecedents
+    gold = np.flatnonzero((cluster[rows] >= 0) & (cluster[rows] == cluster[antecedents]))
     mask = np.zeros((len(kept_spans), num_slots + 1), dtype=bool)
-    mask[rows[gold], 1 + cols[gold]] = True
+    mask[rows[gold], 1 + shortlists.slots()[gold]] = True
     mask[:, 0] = ~mask[:, 1:].any(axis=1)
     return mask
 

@@ -17,7 +17,7 @@ trained directly as a binary mention detector over every candidate span
 """
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from math import ceil
 
 import numpy as np
@@ -26,7 +26,7 @@ from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import Document
 from .layers import create_ffnn, ffnn, ffnn_weights
-from .spans import NUM_BUCKETS, SpanCandidate, bucket_index
+from .spans import NUM_BUCKETS, SpanSet, bucket_index
 
 UNKNOWN_SPEAKERS = ("", "-")
 
@@ -69,114 +69,174 @@ def unary_mix(markable: Tensor, mention: Tensor, store: ParameterStore) -> Tenso
 # -- pruning -------------------------------------------------------------------
 
 
-def prune_spans(scores: np.ndarray, spans: list[SpanCandidate], num_tokens: int,
-                ratio: float = 0.4) -> list[int]:
+def prune_spans(scores: np.ndarray, spans: SpanSet, num_tokens: int,
+                ratio: float = 0.4) -> np.ndarray:
     """Keep up to ceil(ratio * num_tokens) spans by descending unary score,
     greedily skipping any span that partially crosses an already kept one.
     Returns indices into spans, sorted by (start, end).
 
-    A kept span partially crosses [s, e] when it starts in (s, e] and ends
-    after e, or ends in [s, e) and starts before s. So the furthest end of
-    the kept spans that start at each token, and the earliest start of
-    those that end there, decide it in O(width) per candidate.
+    Candidates are ordered by one np.lexsort on (-score, start, end); a
+    stable sort, so equal keys keep their index order. A kept span
+    partially crosses [s, e] when it starts in (s, e] and ends after e, or
+    ends in [s, e) and starts before s. So the furthest end of the kept
+    spans that start at each token, and the earliest start of those that
+    end there, decide it in O(width) per candidate.
     """
     if len(scores) != len(spans):
         raise ValueError("scores and spans disagree in length")
     limit = min(ceil(ratio * num_tokens), len(spans))
-    order = sorted(range(len(spans)),
-                   key=lambda i: (-float(scores[i]), spans[i].start, spans[i].end))
+    starts, ends = spans.starts, spans.ends
+    order = np.lexsort((ends, starts, -np.asarray(scores)))
     furthest_end: dict[int, int] = {}
     earliest_start: dict[int, int] = {}
     kept: list[int] = []
-    for i in order:
+    for i, s, e in zip(order.tolist(), starts[order].tolist(), ends[order].tolist()):
         if len(kept) >= limit:
             break
-        s, e = spans[i].start, spans[i].end
         if (any(furthest_end.get(t, e) > e for t in range(s + 1, e + 1))
                 or any(earliest_start.get(t, s) < s for t in range(s, e))):
             continue
         kept.append(i)
         furthest_end[s] = max(furthest_end.get(s, e), e)
         earliest_start[e] = min(earliest_start.get(e, s), s)
-    kept.sort(key=lambda i: (spans[i].start, spans[i].end))
-    return kept
+    kept = np.array(kept, dtype=np.intp)
+    return kept[np.lexsort((ends[kept], starts[kept]))]
 
 
 # -- coarse shortlist ------------------------------------------------------------
 
+# antecedent columns of the coarse scores taken at a time
+COARSE_COLUMNS = 128
+# the rank key of no antecedent, after every real one (coarse_scores)
+_NOTHING = complex(np.nan, 1.0)
+
+
+@dataclass(frozen=True, eq=False)
+class PairIndex:
+    """The kept spans' antecedent shortlists in CSR form: row i's
+    antecedents, ascending, are antecedents[indptr[i]:indptr[i + 1]], and
+    pair p is (rows[p], antecedents[p]), in row order. Indexing a row
+    gives its shortlist; iteration yields them in row order."""
+
+    indptr: np.ndarray
+    antecedents: np.ndarray
+
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """The anaphor (kept-span index) of each pair."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    def slots(self) -> np.ndarray:
+        """Each pair's slot within its anaphor's shortlist."""
+        return np.arange(len(self.rows)) - self.indptr[self.rows]
+
+    @property
+    def num_slots(self) -> int:
+        """The longest shortlist's length."""
+        return int(np.diff(self.indptr).max(initial=0))
+
+    def __len__(self) -> int:
+        return len(self.indptr) - 1
+
+    def __getitem__(self, i: int) -> np.ndarray:
+        return self.antecedents[self.indptr[i]:self.indptr[i + 1]]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
 
 def coarse_scores(g: Tensor, combined: Tensor, store: ParameterStore,
-                  top_k: int = 50) -> list[np.ndarray]:
+                  top_k: int = 50) -> PairIndex:
     """Bilinear shortlist selection over kept spans (no gradient flows here).
 
-    Returns, per span, the indices of the top_k earlier spans by coarse
-    score combined[i] + combined[j] + g[i] W g[j], in ascending order.
-    The bilinear term is computed for a block of anaphors at a time
-    (autodiff.row_blocks), against the spans before the block's end.
+    Span i's shortlist holds the top_k earlier spans (all, if fewer) by
+    coarse score combined[i] + combined[j] + g[i] W g[j], ranked by
+    descending score with ties resolved toward the nearer antecedent (the
+    higher index), and lists them in ascending order. Returns the
+    shortlists as one PairIndex.
+
+    A block of anaphors (autodiff.row_blocks) is scored against the
+    antecedents COARSE_COLUMNS columns at a time, and each row keeps a
+    running top k of what it has seen, so the working set is (anaphor
+    block x (top_k + COARSE_COLUMNS)) however long the document is. Each
+    column block is g_w[lo:hi] @ g[c0:c1].T; on OpenBLAS 0.3.31 that is
+    bit-equal to the same columns of the whole g_w[lo:hi] @ g[:hi].T,
+    except the last hi mod 8 columns of a block ending at hi when there is
+    more than one block. Each candidate j of row i is ranked by the
+    complex key -score - j*1j: numpy orders complex numbers by real part,
+    then imaginary part, and a NaN real part last, so one argpartition
+    per row takes the top k in exactly this order. A column at or after
+    the anaphor, and an empty slot of the running top k, hold _NOTHING,
+    which ranks after every real candidate, a NaN score included.
     """
     gv, cv = g.data, combined.data
+    n = len(gv)
+    lengths = np.minimum(np.arange(n), top_k)
+    indptr = np.concatenate([[0], np.cumsum(lengths)]).astype(np.intp)
+    antecedents = np.empty(indptr[-1], dtype=np.intp)
+    for i in range(min(n, top_k + 1)):
+        # a span with at most top_k earlier spans takes all of them
+        antecedents[indptr[i]:indptr[i + 1]] = np.arange(i)
     g_w = gv @ store["score/coarse_bilinear"].data
-    shortlists = []
-    for lo, hi in ad.row_blocks(len(gv)):
-        bilinear = g_w[lo:hi] @ gv[:hi].T
-        for i in range(lo, hi):
-            shortlists.append(_top_antecedents((cv[i] + cv[:i]) + bilinear[i - lo, :i],
-                                               top_k))
-        del bilinear  # before the next block's is built
-    return shortlists
-
-
-def _top_antecedents(row: np.ndarray, top_k: int) -> np.ndarray:
-    """Ascending indices of the top_k entries of row (all, if fewer), by
-    descending score with ties resolved toward the nearer antecedent (the
-    higher index). Only the entries that score at least the k-th highest,
-    found by a partition, are sorted."""
-    if len(row) <= top_k:
-        return np.arange(len(row), dtype=np.intp)
-    neg = -row
-    cand = np.flatnonzero(neg <= np.partition(neg, top_k - 1)[top_k - 1])
-    order = cand[np.lexsort((-cand, neg[cand]))[:top_k]]
-    return np.sort(order).astype(np.intp)
+    for lo, hi in ad.row_blocks(n):
+        first = max(lo, top_k + 1)  # the block's first anaphor to rank
+        if first >= hi:
+            continue
+        best = np.full((hi - first, top_k), _NOTHING)
+        for c0 in range(0, hi - 1, COARSE_COLUMNS):
+            c1 = min(c0 + COARSE_COLUMNS, hi)
+            # the running top k, then this column block's keys
+            pool = np.empty((hi - first, top_k + c1 - c0), dtype=np.complex128)
+            pool[:, :top_k] = best
+            key = pool[:, top_k:]
+            np.add(cv[first:hi, None], cv[c0:c1], out=key.real)
+            key.real += (g_w[lo:hi] @ gv[c0:c1].T)[first - lo:]
+            np.negative(key.real, out=key.real)
+            key.imag = -np.arange(c0, c1)
+            key[np.arange(c0, c1) >= np.arange(first, hi)[:, None]] = _NOTHING
+            best = np.take_along_axis(
+                pool, np.argpartition(pool, top_k - 1, axis=1)[:, :top_k], axis=1)
+        antecedents[indptr[first]:indptr[hi]] = np.sort(-best.imag, axis=1).ravel()
+    return PairIndex(indptr, antecedents)
 
 
 # -- full pairwise scores ----------------------------------------------------------
 
 
-def shortlist_pairs(shortlists: list[np.ndarray]) -> tuple[np.ndarray, np.ndarray,
-                                                         np.ndarray]:
-    """(rows, cols, antecedents) of every (span, antecedent) pair, in row
-    order: the anaphor's kept-span index, the slot within its shortlist,
-    and the antecedent's kept-span index."""
-    lengths = np.array([len(sl) for sl in shortlists], dtype=np.intp)
-    rows = np.repeat(np.arange(len(shortlists)), lengths)
-    cols = np.arange(len(rows)) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-    return rows, cols, np.concatenate([np.zeros(0, dtype=np.intp), *shortlists])
-
-
 @dataclass
 class PairFeatures:
-    """Flattened (span, antecedent) pairs with their feature indices."""
+    """The (span, antecedent) pairs of a PairIndex and what their feature
+    ids are computed from, a block of pairs at a time (feature_ids)."""
 
-    rows: np.ndarray       # kept-span index of the anaphor
-    cols: np.ndarray       # slot within the anaphor's shortlist
-    antecedents: np.ndarray
-    distance_bucket: np.ndarray
-    same_speaker: np.ndarray
+    index: PairIndex
+    speaker: np.ndarray    # per kept span; -1 is an unknown speaker
     genre_id: int
 
+    @property
+    def rows(self) -> np.ndarray:
+        return self.index.rows
 
-def pair_features(kept_spans: list[SpanCandidate], doc: Document,
-                  shortlists: list[np.ndarray], genre_id: int) -> PairFeatures:
-    rows, cols, antecedents = shortlist_pairs(shortlists)
-    # integer speaker ids; unknown speakers share -1 and match no one
+    @property
+    def antecedents(self) -> np.ndarray:
+        return self.index.antecedents
+
+    def feature_ids(self, lo: int, hi: int) -> list[np.ndarray]:
+        """Distance bucket, same-speaker flag and genre id of pairs lo .. hi - 1."""
+        rows, ants = self.rows[lo:hi], self.antecedents[lo:hi]
+        same = (self.speaker[rows] >= 0) & (self.speaker[rows] == self.speaker[ants])
+        return [bucket_index(rows - ants), same.astype(np.intp),
+                np.full(hi - lo, self.genre_id, dtype=np.intp)]
+
+
+def pair_features(kept_spans: SpanSet, doc: Document, shortlists: PairIndex,
+                  genre_id: int) -> PairFeatures:
+    """The pairs of shortlists with each kept span's speaker id: integer
+    ids, where unknown speakers share -1 and match no one."""
     speakers = doc.flat_speakers()
     ids = dict.fromkeys(UNKNOWN_SPEAKERS, -1)
-    speaker = np.array([ids.setdefault(speakers[cand.start], len(ids))
-                        for cand in kept_spans], dtype=np.intp)
-    same = (speaker[rows] >= 0) & (speaker[rows] == speaker[antecedents])
-    return PairFeatures(rows=rows, cols=cols, antecedents=antecedents,
-                        distance_bucket=bucket_index(rows - antecedents),
-                        same_speaker=same.astype(np.intp), genre_id=int(genre_id))
+    speaker = np.array([ids.setdefault(speakers[start], len(ids))
+                        for start in kept_spans.starts.tolist()], dtype=np.intp)
+    return PairFeatures(index=shortlists, speaker=speaker, genre_id=int(genre_id))
 
 
 def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
@@ -188,30 +248,28 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     Column 0 is the dummy antecedent, a constant exact 0. Column 1 + t is
     shortlist slot t; slots beyond a span's shortlist hold -inf. The pair
     scorer takes the pairs in blocks (autodiff.row_blocks), each with its
-    own dropout masks; its first layer's per-span terms are computed once,
-    for every block. With a tape, each block's scorer runs inside one
-    autodiff.recompute over g, which keeps only the block's scores, and
-    backward reruns it.
+    own dropout masks and its own feature ids (PairFeatures.feature_ids);
+    its first layer's per-span terms are computed once, for every block.
+    With a tape, each block's scorer runs inside one autodiff.recompute
+    over g, which keeps only the block's scores, and backward reruns it.
     """
     s = g.shape[0]
-    n_pairs = len(pairs.rows)
+    rows = pairs.rows
+    n_pairs = len(rows)
     if n_pairs == 0:
         # no pair scorer runs, so its parameters get no gradient at all
         return ad.constant(np.zeros((s, 1)))
 
-    tables = [
-        (store["pair/distance_embedding"], pairs.distance_bucket),
-        (store["pair/same_speaker_embedding"], pairs.same_speaker),
-        (store["pair/genre_embedding"], np.full(n_pairs, pairs.genre_id, dtype=np.intp)),
-    ]
+    tables = [store["pair/distance_embedding"], store["pair/same_speaker_embedding"],
+              store["pair/genre_embedding"]]
     w0, b0 = ffnn_weights(store, "score/pair")[0]
-    projected = ad.pair_projections(g, w0, tables)
+    projected = ad.pair_projections(g, w0, [(t, None) for t in tables])
 
     def pair_block(g_block: Tensor, lo: int, hi: int) -> Tensor:
         # [g_i, g_j, g_i * g_j, phi] @ w0 + b0, without the (P, 3g+3f) input
-        first = partial(ad.pair_input_layer, g_block, rows=pairs.rows[lo:hi],
+        first = partial(ad.pair_input_layer, g_block, rows=rows[lo:hi],
                         antecedents=pairs.antecedents[lo:hi],
-                        tables=[(t, idx[lo:hi]) for t, idx in tables],
+                        tables=list(zip(tables, pairs.feature_ids(lo, hi))),
                         projected=projected)
         return ffnn(None, store, "score/pair", dropout, step,
                     first_layer=first, block=lo).reshape((hi - lo,))
@@ -219,10 +277,9 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     s_pair = []
     for lo, hi in ad.row_blocks(n_pairs):
         s_c = ad.recompute(partial(pair_block, lo=lo, hi=hi), g)
-        s_pair.append(s_c + ad.take_rows(combined, pairs.rows[lo:hi])
+        s_pair.append(s_c + ad.take_rows(combined, rows[lo:hi])
                       + ad.take_rows(combined, pairs.antecedents[lo:hi]))
     # allocated only now, so it is not held through the pair scorer's peak
-    num_slots = int(pairs.cols.max()) + 1
-    base = np.full((s, 1 + num_slots), -np.inf)
+    base = np.full((s, 1 + pairs.index.num_slots), -np.inf)
     base[:, 0] = 0.0
-    return ad.scatter2d(ad.join_blocks(s_pair), pairs.rows, 1 + pairs.cols, base)
+    return ad.scatter2d(ad.join_blocks(s_pair), rows, 1 + pairs.index.slots(), base)

@@ -28,6 +28,8 @@ def bucket_index(n):
 
 @dataclass(frozen=True, order=True)
 class SpanCandidate:
+    """One span, as item access on a SpanSet yields it."""
+
     start: int
     end: int
     sentence: int
@@ -41,20 +43,51 @@ class SpanCandidate:
         return (self.start, self.end)
 
 
-def enumerate_spans(doc: Document, max_span_width: int = 30) -> list[SpanCandidate]:
+@dataclass(frozen=True, eq=False)
+class SpanSet:
+    """Candidate spans as three int arrays: inclusive token bounds and the
+    sentence of each span. Slicing or indexing with an int array gives a
+    SpanSet; indexing with an int gives one SpanCandidate, and iteration
+    yields them in order."""
+
+    starts: np.ndarray
+    ends: np.ndarray
+    sentence: np.ndarray
+
+    @property
+    def widths(self) -> np.ndarray:
+        return self.ends - self.starts + 1
+
+    def __len__(self) -> int:
+        return len(self.starts)
+
+    def __getitem__(self, index):
+        if isinstance(index, (int, np.integer)):
+            return SpanCandidate(int(self.starts[index]), int(self.ends[index]),
+                                 int(self.sentence[index]))
+        return SpanSet(self.starts[index], self.ends[index], self.sentence[index])
+
+    def __iter__(self):
+        for start, end, sent in zip(self.starts.tolist(), self.ends.tolist(),
+                                    self.sentence.tolist()):
+            yield SpanCandidate(start, end, sent)
+
+
+def enumerate_spans(doc: Document, max_span_width: int = 30) -> SpanSet:
     """All spans of width <= max_span_width that stay inside one sentence,
-    in (start, end) lexicographic order."""
+    in (start, end) lexicographic order, built with array ops: token t
+    starts min(max_span_width, tokens left in its sentence) spans."""
     if max_span_width < 1:
         raise ValueError("max_span_width must be >= 1")
-    out = []
-    offset = 0
-    for si, sent in enumerate(doc.sentences):
-        n = len(sent)
-        for i in range(n):
-            for j in range(i, min(i + max_span_width, n)):
-                out.append(SpanCandidate(offset + i, offset + j, si))
-        offset += n
-    return out
+    lengths = np.array([len(sent) for sent in doc.sentences], dtype=np.intp)
+    sentence_of = np.repeat(np.arange(len(lengths)), lengths)
+    sentence_end = np.repeat(np.cumsum(lengths), lengths)  # exclusive
+    tokens = np.arange(len(sentence_of))
+    counts = np.minimum(sentence_end - tokens, max_span_width)
+    starts = np.repeat(tokens, counts)
+    first = np.cumsum(counts) - counts  # each token's first span
+    ends = starts + np.arange(len(starts)) - np.repeat(first, counts)
+    return SpanSet(starts, ends, np.repeat(sentence_of, counts))
 
 
 def create_span_params(store: ParameterStore, dim: int, feature_dim: int):
@@ -62,7 +95,7 @@ def create_span_params(store: ParameterStore, dim: int, feature_dim: int):
     store.create("span/head_score", (dim, 1))
 
 
-def represent_spans(embeddings: Tensor, spans: list[SpanCandidate],
+def represent_spans(embeddings: Tensor, spans: SpanSet,
                     store: ParameterStore,
                     width: int | None = None) -> tuple[Tensor, np.ndarray]:
     """Representations for all spans at once.
@@ -72,11 +105,9 @@ def represent_spans(embeddings: Tensor, spans: list[SpanCandidate],
     widest span's. Blocks of one document's spans pass the document's
     widest, so every block's soft head sums the same columns.
     """
-    if not spans:
+    if not len(spans):
         raise ValueError("no spans to represent")
-    starts = np.array([s.start for s in spans], dtype=np.intp)
-    ends = np.array([s.end for s in spans], dtype=np.intp)
-    widths = ends - starts + 1
+    starts, ends, widths = spans.starts, spans.ends, spans.widths
     max_w = int(widths.max()) if width is None else width
 
     # (S, max_w) token index grid, clipped at each span's end; clipped

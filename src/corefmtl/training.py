@@ -183,12 +183,18 @@ def model_from_checkpoint(ckpt: Checkpoint) -> MtlCorefModel:
     model = MtlCorefModel(cfg.model_config(tuple(ckpt.meta["genres"])),
                           seed=cfg.seed, vocab=ckpt.meta["vocab"],
                           include_aux=ckpt.meta["include_aux"])
-    try:
-        model.store.load_state(ckpt.predict_params())
-    except (KeyError, ValueError) as exc:
-        # a missing parameter or a wrong shape; args[0] is the message
-        raise CheckpointError(exc.args[0]) from None
+    _load_params(model, ckpt.predict_params())
     return model
+
+
+def _load_params(model: MtlCorefModel, params: dict[str, np.ndarray]):
+    """Load checkpoint parameters into model. CheckpointError when one is
+    missing, has the wrong shape or holds a NaN or an infinity."""
+    try:
+        model.store.load_state(params)
+    except (KeyError, ValueError) as exc:
+        # args[0] is the message
+        raise CheckpointError(exc.args[0]) from None
 
 
 @dataclass
@@ -258,7 +264,10 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     best_params = None
 
     if resume_from is not None:
-        model.store.load_state(resume_from.params)
+        if resume_from.selected is not None:
+            # checked now rather than when the run ends and loads them
+            _load_params(model, resume_from.selected)
+        _load_params(model, resume_from.params)
         opt.load_state(resume_from.opt)
         shuffle_rng.bit_generator.state = resume_from.meta["rng_state"]
         perm = np.array(resume_from.meta["perm"], dtype=np.intp)

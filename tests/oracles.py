@@ -3,7 +3,8 @@
 These deliberately avoid the library's code paths: MUC and B-cubed are
 computed straight from their definitions with per-mention loops, and the
 CEAF alignment is found by exhaustive permutation or by an exact
-subset-sum dynamic program rather than the Hungarian method. Pruning
+subset-sum dynamic program rather than the Hungarian method. Candidate
+spans come from a loop over each sentence's (start, end) pairs. Pruning
 checks each candidate against every kept span; the pair features, the
 gold antecedent mask and the coarse score matrix are built pair by pair,
 and a coarse shortlist comes from a sort of its anaphor's whole row.
@@ -137,6 +138,19 @@ def bucket_reference(n):
     if n <= 31:
         return 6
     return 7
+
+
+def enumerate_spans_reference(sentence_lengths, max_span_width):
+    """(start, end, sentence) of every span of width <= max_span_width
+    inside one sentence, by a loop over each sentence's token pairs."""
+    out = []
+    offset = 0
+    for si, n in enumerate(sentence_lengths):
+        for i in range(n):
+            for j in range(i, min(i + max_span_width, n)):
+                out.append((offset + i, offset + j, si))
+        offset += n
+    return out
 
 
 def pair_features_reference(kept_spans, speakers, shortlists):

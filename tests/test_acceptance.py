@@ -38,7 +38,7 @@ from corefmtl.spans import SpanCandidate
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import TrainConfig, gradient_check, train
 
-from helpers import make_document
+from helpers import make_document, pair_index, span_set
 from oracles import b_cubed_reference, ceaf_phi4_by_permutation, \
     ceaf_phi4_by_subset_dp, muc_reference, random_partition
 
@@ -194,7 +194,7 @@ def test_dummy_pruning_and_decode_invariants(capfd):
                      for e in range(s, min(s + width, num_tokens))]
             scores = rng.normal(size=len(spans))
             ratio = float(rng.uniform(0.1, 1.0))
-            kept = prune_spans(scores, spans, num_tokens, ratio=ratio)
+            kept = prune_spans(scores, span_set(spans), num_tokens, ratio=ratio)
             assert len(kept) <= math.ceil(ratio * num_tokens)
             assert len(set(kept)) == len(kept)
             assert all(0 <= i < len(spans) for i in kept)
@@ -222,7 +222,7 @@ def test_dummy_pruning_and_decode_invariants(capfd):
             scores[:, 0] = 0.0
             for i, row in enumerate(rows):
                 scores[i, 1:1 + len(row)] = row
-            picks = decode_antecedents(scores, shortlists)
+            picks = decode_antecedents(scores, pair_index(shortlists))
             pred = build_clusters(picks, kept_spans, "test/decode_0")
             got = {frozenset(c) for c in pred.clusters}
             links = [(i, j) for i, j in enumerate(picks) if j is not None]

@@ -436,10 +436,11 @@ class TestExitCodes:
         ("clip_config", "clip_norm must be finite and > 0"),
         ("missing_param", "checkpoint is missing parameter"),
         ("wrong_shape", "shape mismatch"),
+        ("nan_param", "checkpoint parameter score/pair/w0 holds non-finite values"),
     ], ids=["empty_meta", "no_config", "no_genres", "no_vocab", "no_include_aux",
             "bad_config", "tanh_config", "pretrained_config", "clip_config",
             "missing_param",
-            "wrong_shape"])
+            "wrong_shape", "nan_param"])
     def test_damaged_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
                                               damage, message):
         path = tmp_path / "damaged.npz"
@@ -462,6 +463,8 @@ class TestExitCodes:
                 ckpt.meta["config"]["clip_norm"] = -1.0
             elif damage == "missing_param":
                 del params[name]
+            elif damage == "nan_param":
+                params[name] = np.where(params[name] > 0, np.nan, params[name])
             else:
                 params[name] = np.zeros(params[name].shape[:1] + (1,))
             ckpt.save(path)

@@ -26,7 +26,7 @@ from corefmtl.mtl import HEAD_SIZES, PRESET_WEIGHTS
 from corefmtl.spans import SpanCandidate
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import TrainConfig, train
-from helpers import make_document, spans_to_clusters
+from helpers import make_document, pair_index, spans_to_clusters
 
 
 def cand(s, e, sent=0):
@@ -36,9 +36,8 @@ def cand(s, e, sent=0):
 def score_matrix(rows):
     """(scores, shortlists) from one (antecedents, scores) pair per span:
     the dummy column is 0 and unused slots hold -inf, as the model builds."""
-    shortlists = [np.asarray(ants, dtype=np.intp) for ants, _ in rows]
-    num_slots = max((len(sl) for sl in shortlists), default=0)
-    scores = np.full((len(rows), num_slots + 1), -np.inf)
+    shortlists = pair_index([np.asarray(ants, dtype=np.intp) for ants, _ in rows])
+    scores = np.full((len(rows), shortlists.num_slots + 1), -np.inf)
     scores[:, 0] = 0.0
     for i, (ants, vals) in enumerate(rows):
         scores[i, 1:1 + len(ants)] = vals
@@ -245,6 +244,22 @@ class TestTapeFreePrediction:
         assert predict_peak < 5.5e6
         assert taped_peak < 11.0e6
 
+    def test_long_document_predict_peak_is_bounded(self):
+        """A 6000-token document peaks at 12.0 MB: the candidate spans are
+        three int arrays and the coarse shortlist scores a block of
+        anaphors a column block at a time. With a SpanCandidate per span
+        and an (anaphor block x kept) block of coarse scores it peaked at
+        29.0 MB."""
+        docs = generate_corpus(2, seed=5)
+        model = small_model(docs)
+        rng = np.random.default_rng(0)
+        vocab = model.vocab
+        doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
+                             for _ in range(300)])
+        assert doc.num_tokens == 6000
+        predict_peak, _ = peak_bytes(predict_document, model, doc)
+        assert predict_peak < 14.0e6
+
 
 def decoded(fp, doc):
     """The prediction predict_document makes from a forward pass."""
@@ -291,7 +306,7 @@ class TestBlockedPrediction:
         assert taped_calls == calls
         assert (len(span_calls), len(pair_calls)) == tuple(2 * n for n in calls)
 
-        assert free.kept == taped.kept
+        npt.assert_array_equal(free.kept, taped.kept)
         assert len(free.shortlists) == len(taped.shortlists)
         for got, want in zip(free.shortlists, taped.shortlists):
             npt.assert_array_equal(got, want)

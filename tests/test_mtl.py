@@ -27,13 +27,14 @@ from corefmtl.mtl import (
     mention_scorer_loss,
     total_loss,
 )
-from corefmtl.spans import SpanCandidate
-from helpers import make_document, random_shortlisted_document, spans_to_clusters
+from helpers import (make_document, pair_index, random_shortlisted_document, span_set,
+                     spans_to_clusters)
 from oracles import gold_mask_reference, random_partition
 
 
-def cand(s, e, sent=0):
-    return SpanCandidate(s, e, sent)
+def one_sentence(*spans):
+    """The SpanSet of (start, end) pairs, all in sentence 0."""
+    return span_set([(s, e, 0) for s, e in spans])
 
 
 class TestTaskWeights:
@@ -85,7 +86,7 @@ class TestAssignAuxLabels:
         )
 
     def test_exact_span_matching(self):
-        kept = [cand(0, 0), cand(0, 1), cand(2, 3), cand(4, 4)]
+        kept = one_sentence((0, 0), (0, 1), (2, 3), (4, 4))
         labels = assign_aux_labels(kept, self.doc())
         assert list(labels) == list(HEAD_SIZES)
         npt.assert_array_equal(labels["singleton"], [1, 0, 1, 1])
@@ -97,13 +98,13 @@ class TestAssignAuxLabels:
         assert labels["info_status"][3] == -1
 
     def test_partial_overlap_is_not_a_match(self):
-        labels = assign_aux_labels([cand(2, 2), cand(3, 3), cand(2, 4)], self.doc())
+        labels = assign_aux_labels(one_sentence((2, 2), (3, 3), (2, 4)), self.doc())
         npt.assert_array_equal(labels["singleton"], [0, 0, 0])
 
 
 class TestMentionScorerLoss:
     def test_labels_match_gold_spans_exactly(self):
-        spans = [cand(0, 0), cand(0, 1), cand(2, 3), cand(3, 3), cand(4, 4)]
+        spans = one_sentence((0, 0), (0, 1), (2, 3), (3, 3), (4, 4))
         labels = mention_labels(spans, TestAssignAuxLabels().doc())
         npt.assert_array_equal(labels, [1, 0, 1, 0, 1])
 
@@ -157,11 +158,8 @@ class TestCrossEntropy:
 
 class TestGoldAntecedentMask:
     def setup_spans(self):
-        kept = [cand(0, 0), cand(1, 1), cand(2, 2), cand(3, 3)]
-        shortlists = [np.array([], dtype=np.intp),
-                      np.array([0], dtype=np.intp),
-                      np.array([0, 1], dtype=np.intp),
-                      np.array([1, 2], dtype=np.intp)]
+        kept = one_sentence((0, 0), (1, 1), (2, 2), (3, 3))
+        shortlists = pair_index([[], [0], [0, 1], [1, 2]])
         return kept, shortlists
 
     def test_marks_surviving_gold_antecedents(self):
@@ -210,11 +208,11 @@ class TestGoldMaskAgainstPairLoop:
         self.check(kept, shortlists, clusters, num_slots)
 
     def test_single_kept_span(self):
-        self.check([cand(0, 1)], [np.zeros(0, dtype=np.intp)], [[(0, 1), (3, 3)]], 0)
+        self.check(one_sentence((0, 1)), pair_index([[]]), [[(0, 1), (3, 3)]], 0)
 
     def test_all_shortlists_empty(self):
-        kept = [cand(0, 0), cand(1, 1), cand(2, 2)]
-        self.check(kept, [np.zeros(0, dtype=np.intp)] * 3, [[(0, 0), (2, 2)]], 2)
+        kept = one_sentence((0, 0), (1, 1), (2, 2))
+        self.check(kept, pair_index([[]] * 3), [[(0, 0), (2, 2)]], 2)
 
 
 def antecedent_scores(rows):
@@ -225,8 +223,8 @@ def antecedent_scores(rows):
     scores[:, 0] = 0.0
     for i, vals in enumerate(rows):
         scores[i, 1:1 + i] = vals
-    shortlists = [np.arange(i, dtype=np.intp) for i in range(n)]
-    return scores, shortlists, [cand(i, i) for i in range(n)]
+    shortlists = pair_index([np.arange(i, dtype=np.intp) for i in range(n)])
+    return scores, shortlists, one_sentence(*[(i, i) for i in range(n)])
 
 
 def matrix_loss(rows, clusters):

@@ -3,7 +3,8 @@
 perfbench wraps its model stages by module attribute and reads forward-pass
 fields by name; a stage that no longer resolves is only reported as a
 missing target, and its per-layer metric silently reads 0. These checks
-read perfbench's lists without importing it.
+read perfbench's lists without importing it, and use one forward pass the
+way its checks and counters do.
 """
 
 import ast
@@ -13,7 +14,12 @@ from pathlib import Path
 
 import pytest
 
-from corefmtl.model import ForwardPass
+from corefmtl import autodiff as ad
+from corefmtl import mtl
+from corefmtl.encoder import EncoderConfig, build_vocab
+from corefmtl.model import ForwardPass, ModelConfig, MtlCorefModel
+from corefmtl.scoring import pair_features, prune_spans
+from corefmtl.synthetic import generate_corpus
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -61,3 +67,36 @@ def test_forward_pass_has_the_fields_perfbench_reads():
     fields = {f.name for f in dataclasses.fields(ForwardPass)}
     assert {"spans", "kept_spans", "shortlists", "scores", "logits",
             "combined"} <= fields
+
+
+def test_forward_pass_reads_as_perfbench_reads_it():
+    """What perfbench's checks (reference.check_forward, greedy_links,
+    gold_mask, tracing.recall_stats) and counters read from one forward
+    pass, by position and by attribute."""
+    doc = max(generate_corpus(2, seed=5), key=lambda d: d.num_tokens)
+    cfg = ModelConfig(encoder=EncoderConfig(dim=8, vocab_size=32, window=1),
+                      feature_dim=4, hidden=8, ffnn_depth=1, max_span_width=4,
+                      top_antecedents=5, genres=(doc.genre,))
+    model = MtlCorefModel(cfg, seed=0, vocab=build_vocab([doc], 32))
+    with ad.no_grad():
+        fp = model.forward(doc, need_heads=tuple(mtl.HEAD_SIZES))
+
+    spans = [s.span for s in fp.spans]
+    assert len(spans) == len(fp.spans) > 0
+    assert all(isinstance(x, int) for span in spans for x in span)
+    kept = [fp.kept_spans[i].span for i in range(len(fp.kept_spans))]
+    assert kept == [s.span for s in fp.kept_spans] == [spans[i] for i in fp.kept]
+    assert len(fp.shortlists) == len(kept) == fp.scores.shape[0]
+    rows = [[int(j) for j in fp.shortlists[i]] for i in range(len(fp.shortlists))]
+    assert rows == [[int(j) for j in row] for row in fp.shortlists]
+    assert all(j < i for i, row in enumerate(rows) for j in row)
+    n_pairs = sum(len(row) for row in rows)
+    assert n_pairs > 0
+    pairs = pair_features(fp.kept_spans, doc, fp.shortlists, model.genre_id(doc.genre))
+    assert len(pairs.rows) == n_pairs
+    assert len(prune_spans(fp.combined.data, fp.spans, doc.num_tokens,
+                           cfg.prune_ratio)) == len(kept)
+    num_slots = fp.scores.shape[1] - 1
+    mask = mtl.gold_antecedent_mask(fp.kept_spans, fp.shortlists, doc.gold_clusters,
+                                    num_slots)
+    assert mask.shape == fp.scores.shape

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from corefmtl import autodiff as ad
+from corefmtl import scoring
 from corefmtl.autodiff import ParameterStore, Tensor, named_rng
 from corefmtl.layers import create_ffnn, ffnn
 from corefmtl.scoring import (
@@ -25,9 +26,9 @@ from corefmtl.spans import (
     enumerate_spans,
     represent_spans,
 )
-from helpers import make_document, random_shortlisted_document
-from oracles import (bucket_reference, coarse_matrix_reference, pair_features_reference,
-                     prune_reference, top_k_reference)
+from helpers import make_document, pair_index, random_shortlisted_document, span_set
+from oracles import (bucket_reference, coarse_matrix_reference, enumerate_spans_reference,
+                     pair_features_reference, prune_reference, top_k_reference)
 
 DIM = 6
 FEAT = 4
@@ -137,15 +138,15 @@ class TestSpanRepresentation:
     def test_single_token_span_attends_to_itself(self):
         doc = make_document([["only"]])
         store = toy_store()
-        _, alpha = represent_spans(embeddings_for(doc), [SpanCandidate(0, 0, 0)],
-                                   store)
+        _, alpha = represent_spans(embeddings_for(doc),
+                                   span_set([SpanCandidate(0, 0, 0)]), store)
         npt.assert_allclose(alpha, [[1.0]])
 
     def test_soft_head_matches_manual_softmax(self):
         doc = make_document([["a", "b", "c"]])
         store = toy_store()
         emb = embeddings_for(doc)
-        g, alpha = represent_spans(emb, [SpanCandidate(0, 2, 0)], store)
+        g, alpha = represent_spans(emb, span_set([SpanCandidate(0, 2, 0)]), store)
         scores = emb.data @ store["span/head_score"].data[:, 0]
         weights = np.exp(scores - scores.max())
         weights /= weights.sum()
@@ -157,8 +158,7 @@ class TestSpanRepresentation:
         doc = make_document([["w"] * 8])
         store = toy_store()
         emb = embeddings_for(doc)
-        g, _ = represent_spans(emb, [SpanCandidate(0, 4, 0), SpanCandidate(1, 5, 0)],
-                               store)
+        g, _ = represent_spans(emb, span_set([(0, 4, 0), (1, 5, 0)]), store)
         # widths 5 and 5 share bucket 4
         npt.assert_array_equal(g.data[0, 3 * DIM:], g.data[1, 3 * DIM:])
         npt.assert_array_equal(g.data[0, 3 * DIM:],
@@ -177,7 +177,7 @@ class TestSpanRepresentation:
     def test_empty_span_list_rejected(self):
         doc = make_document([["a"]])
         with pytest.raises(ValueError):
-            represent_spans(embeddings_for(doc), [], toy_store())
+            represent_spans(embeddings_for(doc), span_set([]), toy_store())
 
 
 class TestUnaryScores:
@@ -241,7 +241,7 @@ def cand(s, e, sent=0):
 
 class TestPruneSpans:
     def test_limit_is_ceil_ratio_tokens(self):
-        spans = [cand(i, i) for i in range(10)]
+        spans = span_set([cand(i, i) for i in range(10)])
         scores = np.arange(10.0)
         kept = prune_spans(scores, spans, num_tokens=10, ratio=0.4)
         assert len(kept) == 4  # ceil(0.4 * 10)
@@ -249,38 +249,38 @@ class TestPruneSpans:
         assert len(kept) == 4  # ceil(3.6)
 
     def test_keeps_highest_scores_sorted_by_position(self):
-        spans = [cand(0, 0), cand(2, 2), cand(4, 4)]
+        spans = span_set([cand(0, 0), cand(2, 2), cand(4, 4)])
         scores = np.array([1.0, 5.0, 3.0])
         kept = prune_spans(scores, spans, num_tokens=5, ratio=0.4)
-        assert kept == [1, 2]  # top two by score, reported in span order
+        assert kept.tolist() == [1, 2]  # top two by score, reported in span order
 
     def test_crossing_span_is_skipped_not_budgeted(self):
-        spans = [cand(0, 1), cand(1, 2), cand(3, 3)]
+        spans = span_set([cand(0, 1), cand(1, 2), cand(3, 3)])
         scores = np.array([5.0, 4.0, 3.0])
         kept = prune_spans(scores, spans, num_tokens=5, ratio=0.4)
-        assert kept == [0, 2]
+        assert kept.tolist() == [0, 2]
 
     def test_nested_spans_both_kept(self):
-        spans = [cand(0, 3), cand(1, 2)]
+        spans = span_set([cand(0, 3), cand(1, 2)])
         scores = np.array([2.0, 1.0])
         kept = prune_spans(scores, spans, num_tokens=10, ratio=0.4)
-        assert kept == [0, 1]
+        assert kept.tolist() == [0, 1]
 
     def test_crossing_free_input_kept_whole(self):
-        spans = [cand(0, 0), cand(2, 3), cand(5, 5)]
+        spans = span_set([cand(0, 0), cand(2, 3), cand(5, 5)])
         scores = np.zeros(3)
         kept = prune_spans(scores, spans, num_tokens=100, ratio=0.4)
-        assert kept == [0, 1, 2]
+        assert kept.tolist() == [0, 1, 2]
 
     def test_score_ties_prefer_earlier_span(self):
-        spans = [cand(4, 4), cand(0, 0), cand(2, 2)]
+        spans = span_set([cand(4, 4), cand(0, 0), cand(2, 2)])
         scores = np.zeros(3)
         kept = prune_spans(scores, spans, num_tokens=5, ratio=0.4)
-        assert kept == [1, 2]  # spans (0,0) and (2,2)
+        assert kept.tolist() == [1, 2]  # spans (0,0) and (2,2)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            prune_spans(np.zeros(2), [cand(0, 0)], num_tokens=5)
+            prune_spans(np.zeros(2), span_set([cand(0, 0)]), num_tokens=5)
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 6))
@@ -290,11 +290,11 @@ class TestPruneSpans:
         n_tokens = int(rng.integers(1, 40))
         starts = rng.integers(0, n_tokens, size=int(rng.integers(1, 60)))
         ends = np.minimum(starts + rng.integers(0, 8, size=len(starts)), n_tokens - 1)
-        spans = [cand(int(s), int(e)) for s, e in zip(starts, ends)]
+        spans = span_set([cand(int(s), int(e)) for s, e in zip(starts, ends)])
         scores = rng.integers(0, 4, size=len(spans)).astype(float)
         ratio = float(rng.uniform(0.1, 1.5))
         want = prune_reference(scores, [c.span for c in spans], n_tokens, ratio)
-        assert prune_spans(scores, spans, n_tokens, ratio) == want
+        assert prune_spans(scores, spans, n_tokens, ratio).tolist() == want
 
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(4, 18))
@@ -319,7 +319,7 @@ class TestPruneSpans:
 class TestCoarseShortlist:
     def setup_scores(self, n=8, seed=5, top_k=3):
         doc = make_document([["w"] * n])
-        spans = [cand(i, i) for i in range(n)]
+        spans = span_set([cand(i, i) for i in range(n)])
         store = toy_store(seed)
         emb = embeddings_for(doc, seed)
         g, _ = represent_spans(emb, spans, store)
@@ -377,7 +377,7 @@ class TestCoarseShortlist:
 
     def test_no_gradient_through_selection(self):
         doc = make_document([["w"] * 4])
-        spans = [cand(i, i) for i in range(4)]
+        spans = span_set([cand(i, i) for i in range(4)])
         store = toy_store()
         emb = embeddings_for(doc)
         g, _ = represent_spans(emb, spans, store)
@@ -394,27 +394,25 @@ class TestPairFeatures:
             speakers=[["alice", "alice"], ["bob", "-"]],
         )
 
-    def test_distance_buckets_index_offsets(self):
+    def features(self, genre_id):
         doc = self.doc_with_speakers()
-        kept = [cand(0, 0, 0), cand(1, 1, 0), cand(2, 2, 1), cand(3, 3, 1)]
-        shortlists = [np.array([], dtype=np.intp)] + [
-            np.arange(i, dtype=np.intp) for i in range(1, 4)]
-        pf = pair_features(kept, doc, shortlists, genre_id=2)
+        kept = span_set([cand(0, 0, 0), cand(1, 1, 0), cand(2, 2, 1), cand(3, 3, 1)])
+        shortlists = pair_index([np.arange(i, dtype=np.intp) for i in range(4)])
+        pf = pair_features(kept, doc, shortlists, genre_id=genre_id)
+        return pf, pf.feature_ids(0, len(pf.rows))
+
+    def test_distance_buckets_index_offsets(self):
+        pf, (distance, _, genre) = self.features(genre_id=2)
         assert pf.genre_id == 2
-        by_pair = {(r, a): d for r, a, d in
-                   zip(pf.rows, pf.antecedents, pf.distance_bucket)}
+        assert genre.tolist() == [2] * len(pf.rows)
+        by_pair = {(r, a): d for r, a, d in zip(pf.rows, pf.antecedents, distance)}
         assert by_pair[(1, 0)] == bucket_index(1)
         assert by_pair[(3, 0)] == bucket_index(3)
         assert by_pair[(3, 2)] == bucket_index(1)
 
     def test_same_speaker_requires_known_speakers(self):
-        doc = self.doc_with_speakers()
-        kept = [cand(0, 0, 0), cand(1, 1, 0), cand(2, 2, 1), cand(3, 3, 1)]
-        shortlists = [np.array([], dtype=np.intp)] + [
-            np.arange(i, dtype=np.intp) for i in range(1, 4)]
-        pf = pair_features(kept, doc, shortlists, genre_id=0)
-        by_pair = {(r, a): s for r, a, s in
-                   zip(pf.rows, pf.antecedents, pf.same_speaker)}
+        pf, (_, same, _) = self.features(genre_id=0)
+        by_pair = {(r, a): s for r, a, s in zip(pf.rows, pf.antecedents, same)}
         assert by_pair[(1, 0)] == 1   # alice vs alice
         assert by_pair[(2, 0)] == 0   # bob vs alice
         assert by_pair[(3, 2)] == 0   # "-" never matches anyone
@@ -425,7 +423,10 @@ class TestPairFeaturesAgainstPairLoop:
     def check(self, doc, kept, shortlists):
         pf = pair_features(kept, doc, shortlists, genre_id=1)
         want = pair_features_reference(kept, doc.flat_speakers(), shortlists)
-        got = (pf.rows, pf.cols, pf.antecedents, pf.distance_bucket, pf.same_speaker)
+        n_pairs = len(pf.rows)
+        distance, same, genre = pf.feature_ids(0, n_pairs)
+        npt.assert_array_equal(genre, np.ones(n_pairs, dtype=np.intp))
+        got = (pf.rows, pf.index.slots(), pf.antecedents, distance, same)
         for name, array, ref in zip(("rows", "cols", "antecedents", "distance",
                                      "same_speaker"), got, want):
             assert array.dtype == np.intp, name
@@ -444,14 +445,14 @@ class TestPairFeaturesAgainstPairLoop:
 
     def test_all_shortlists_empty(self):
         doc, kept, _ = random_shortlisted_document(np.random.default_rng(1), num_kept=4)
-        self.check(doc, kept, [np.zeros(0, dtype=np.intp)] * 4)
+        self.check(doc, kept, pair_index([np.zeros(0, dtype=np.intp)] * 4))
 
 
 class TestScoreMatrix:
     def build(self, n=6, seed=11, top_k=3):
         doc = make_document([["w"] * n],
                             speakers=[[f"s{i % 2}" for i in range(n)]])
-        spans = [cand(i, i) for i in range(n)]
+        spans = span_set([cand(i, i) for i in range(n)])
         store = toy_store(seed)
         emb = embeddings_for(doc, seed)
         g, _ = represent_spans(emb, spans, store)
@@ -476,8 +477,8 @@ class TestScoreMatrix:
             for t, j in enumerate(sl):
                 one = list(none)
                 one[i] = np.array([j], dtype=np.intp)
-                single = score_matrix(g, combined, pair_features(spans, doc, one, 1),
-                                      store)
+                single = score_matrix(
+                    g, combined, pair_features(spans, doc, pair_index(one), 1), store)
                 npt.assert_allclose(single.data[i, 1], m.data[i, 1 + t], rtol=1e-12)
 
     def test_unused_slots_hold_neg_inf(self):
@@ -500,7 +501,7 @@ class TestScoreMatrix:
 
     def test_single_span_document(self):
         doc = make_document([["w"]])
-        spans = [cand(0, 0)]
+        spans = span_set([cand(0, 0)])
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
         _, _, combined = unary_score_tensors(g, store)
@@ -526,7 +527,7 @@ class TestScoreMatrix:
         rng = np.random.default_rng(seed)
         n = int(rng.integers(2, 7))
         doc = make_document([["w"] * n])
-        spans = [cand(i, i) for i in range(n)]
+        spans = span_set([cand(i, i) for i in range(n)])
         store = toy_store(seed)
         for name in store.names():
             store[name].data += rng.normal(scale=0.1, size=store[name].data.shape)
@@ -536,3 +537,89 @@ class TestScoreMatrix:
         pairs = pair_features(spans, doc, shortlists, 0)
         m = score_matrix(g, combined, pairs, store)
         assert np.all(m.data[:, 0] == 0.0)
+
+
+# -- the array pipeline against its loop oracles ---------------------------------
+
+
+def random_sentence_lengths(rng, max_span_width):
+    """Sentence lengths of a random document: empty and one-token
+    sentences, and sentences shorter than, as long as and longer than
+    max_span_width."""
+    kinds = [0, 1, max(max_span_width - 1, 1), max_span_width, max_span_width + 3]
+    return [int(rng.choice(kinds)) if rng.random() < 0.6 else int(rng.integers(0, 12))
+            for _ in range(int(rng.integers(1, 8)))]
+
+
+def tied_scores(rng, n):
+    """Scores from five levels, so ties are common; both zeros included."""
+    return rng.choice([-1.0, -0.0, 0.0, 0.5, 1.0], size=n)
+
+
+class TestArrayPipelineAgainstOracles:
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_span_set_matches_the_sentence_loop(self, seed):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 6))
+        lengths = random_sentence_lengths(rng, width)
+        spans = enumerate_spans(make_document([["w"] * n for n in lengths]), width)
+        want = enumerate_spans_reference(lengths, width)
+        for array in (spans.starts, spans.ends, spans.sentence):
+            assert array.dtype == np.intp
+        assert list(zip(spans.starts.tolist(), spans.ends.tolist(),
+                        spans.sentence.tolist())) == want
+        assert [(c.start, c.end, c.sentence) for c in spans] == want
+        if want:
+            i = int(rng.integers(len(want)))
+            assert (spans[i].start, spans[i].end, spans[i].sentence) == want[i]
+            part = spans[i:]
+            assert len(part) == len(want) - i and part[0] == spans[i]
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 10 ** 6))
+    def test_lexsort_pruning_matches_the_pairwise_check(self, seed):
+        rng = np.random.default_rng(seed)
+        width = int(rng.integers(1, 6))
+        lengths = random_sentence_lengths(rng, width)
+        doc = make_document([["w"] * n for n in lengths])
+        spans = enumerate_spans(doc, width)
+        scores = tied_scores(rng, len(spans))
+        ratio = float(rng.uniform(0.1, 1.5))
+        kept = prune_spans(scores, spans, doc.num_tokens, ratio)
+        assert kept.dtype == np.intp
+        want = prune_reference(scores, [c.span for c in spans], doc.num_tokens, ratio)
+        assert kept.tolist() == want
+
+    @pytest.mark.parametrize("levels,nan", [(1, False), (50, False), (1, True)],
+                             ids=["ties", "spread", "nan"])
+    @pytest.mark.parametrize("top_k", [1, 3, 8, 20])
+    def test_column_blocks_match_a_sort_of_each_whole_row(self, top_k, levels, nan,
+                                                          monkeypatch):
+        """Integer-valued scores, so every product is exact: from three
+        levels they tie often (both zeros included), from 101 rarely. A
+        NaN score sorts last, as in the reference's lexsort. Kept counts
+        fall on both sides of the column-block and anaphor-block
+        boundaries, and some shortlists are shorter than top_k."""
+        monkeypatch.setattr(scoring, "COARSE_COLUMNS", 8)
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 16)
+        rng = np.random.default_rng(top_k + levels)
+        sizes = {1, 2, top_k, top_k + 1, top_k + 2, 7, 8, 9, 15, 16, 17, 24, 25, 33, 47}
+        for n in sorted(sizes):
+            g = rng.integers(-levels, levels + 1, size=(n, 3)).astype(np.float64)
+            combined = rng.integers(-levels, levels + 1, size=n) * 1.0
+            combined[rng.random(n) < 0.2] = -0.0
+            if nan:
+                combined[rng.random(n) < 0.3] = np.nan
+            store = ParameterStore(0)
+            store.create("score/coarse_bilinear", (3, 3))
+            store["score/coarse_bilinear"].data[:] = rng.integers(-1, 2, size=(3, 3))
+            with ad.no_grad():
+                index = coarse_scores(Tensor(g), Tensor(combined), store, top_k)
+            coarse = g @ store["score/coarse_bilinear"].data @ g.T
+            assert len(index) == n and index.antecedents.dtype == np.intp
+            for i in range(n):
+                want = top_k_reference(combined[i] + combined[:i] + coarse[i, :i], top_k)
+                npt.assert_array_equal(index[i], want, err_msg=f"n={n} row {i}")
+            npt.assert_array_equal(index.rows,
+                                   np.repeat(np.arange(n), np.diff(index.indptr)))

@@ -175,7 +175,7 @@ class TestCheckpoint:
         fp_a = result.model.forward(docs[0])
         fp_b = rebuilt.forward(docs[0])
         assert np.array_equal(fp_a.scores.data, fp_b.scores.data)
-        assert fp_a.kept == fp_b.kept
+        assert np.array_equal(fp_a.kept, fp_b.kept)
 
     def test_best_selection_loads_best_into_model(self, docs):
         result = train(docs, tiny_config(steps=4, eval_every=2),
@@ -297,6 +297,19 @@ class TestResume:
         assert loss_trace(resumed) == loss_trace(full)[3:]
         assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
 
+    @pytest.mark.parametrize("which", ["params", "selected"])
+    def test_non_finite_parameter_is_rejected(self, docs, which):
+        part = train(docs, tiny_config(steps=2))
+        ckpt = part.checkpoint
+        if which == "selected":
+            ckpt.selected = {n: a.copy() for n, a in ckpt.params.items()}
+        getattr(ckpt, which)["score/markable/out_w"][0] = np.nan
+        message = "parameter score/markable/out_w holds non-finite values"
+        with pytest.raises(CheckpointError, match=message):
+            model_from_checkpoint(ckpt)
+        with pytest.raises(CheckpointError, match=message):
+            train(docs, tiny_config(steps=4), resume_from=ckpt)
+
     def test_checkpoint_with_pretrained_encoder_is_rejected(self, docs):
         part = train(docs, tiny_config(steps=2))
         part.checkpoint.meta["config"]["encoder"].update(
@@ -346,11 +359,14 @@ class TestResume:
                   resume_from=part.checkpoint)
 
     def test_nonfinite_loss_aborts_with_location(self, docs):
+        # finite parameters whose scores overflow; a NaN parameter is a
+        # CheckpointError at resume
         part = train(docs, tiny_config(steps=1))
         ckpt = part.checkpoint
-        emb = ckpt.params["encoder/embedding"]
-        ckpt.params["encoder/embedding"] = np.full_like(emb, np.nan)
-        with pytest.raises(NumericError, match=r"step 2 on document \w+/synth"):
+        width = ckpt.params["span/width_embedding"]
+        ckpt.params["span/width_embedding"] = np.full_like(width, 1e300)
+        with pytest.raises(NumericError, match=r"step 2 on document \w+/synth"), \
+                np.errstate(over="ignore", invalid="ignore"):
             train(docs, tiny_config(steps=2), resume_from=ckpt)
 
 
