@@ -24,12 +24,17 @@ differentiated once: a second backward() through it raises.
 
 `recompute(fn, x)` trades time for tape: it keeps only x and fn's
 output, and its backward runs fn again to backpropagate through it. The
-model wraps whole blocks in it: each block of candidate spans (span
-representations and both unary scorers, over the token embeddings) and
-each block of pairs (the pair scorer, over the kept spans'
-representations). So a training step's tape holds the blocks' scores,
-not their (rows x hidden) activations, and backward rebuilds and frees
-one block's graph at a time.
+model wraps whole stages and blocks in it:
+- the toy encoder: its window context, concat, mix and tanh, over the
+  embedding lookup;
+- each block of candidate spans: span representations and both unary
+  scorers, over the token embeddings;
+- each block of pairs: the pair scorer, over the kept spans'
+  representations;
+- each auxiliary head, over the kept spans' representations.
+So a training step's tape holds each stage's output, not its (rows x
+hidden) activations, and backward rebuilds and frees one stage's or
+block's graph at a time.
 """
 
 import contextlib
@@ -549,11 +554,19 @@ def recompute(fn, x: Tensor) -> Tensor:
     leaf that shares x's data, backpropagates through that tape, freeing
     it as it goes, and accumulates the leaf's gradient into x. So x's
     gradient is summed within each call before it joins the rest, which
-    can change its last bits against the inline graph. Gradients of the
-    parameters fn reads accumulate directly. fn must compute the same
-    values both times: a dropout mask must come from a stream fn seeds
-    itself. A recompute within fn would run its own fn a third time, so
-    the model nests none. Under no_grad() this is fn(x).
+    can change its last bits against the inline graph (the token
+    embeddings under the span blocks). It is the inline graph's when fn
+    reads x in one place only, so the leaf's gradient is a single term
+    (each auxiliary head's first layer), or when nothing outside fn reads
+    x, so the leaf's gradient is all of x's (the toy encoder's mix).
+    Gradients of the parameters fn reads accumulate directly. fn must
+    compute the same values both times: a dropout mask must come from a
+    stream fn seeds itself. A recompute within fn would run its own fn a
+    third time, so the model nests none. Under no_grad() this is fn(x).
+
+    The model's sites: the toy encoder (encoder.toy_encode), each block of
+    candidate spans (MtlCorefModel.forward), each block of pairs
+    (scoring.score_matrix) and each auxiliary head (mtl.head_logits).
     """
     if not _GRAD_ENABLED.get():
         return fn(x)

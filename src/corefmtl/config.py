@@ -3,7 +3,11 @@
 Sections and keys mirror the training and model dataclasses, and
 load_config builds a TrainConfig from them, so a config file runs the same
 value checks as the Python API. Unknown sections or keys are rejected
-rather than ignored so typos cannot silently change an experiment.
+rather than ignored so typos cannot silently change an experiment. One
+check is load_config's alone: encoder.vocab_size or encoder.window set
+next to encoder.features, which the features encoder never reads. A
+dataclass cannot tell a value that was set from a default, so the Python
+API takes both and render_config leaves them out.
 """
 
 import configparser
@@ -26,6 +30,9 @@ def _parsers(cls, exclude=()) -> dict:
 
 
 _MODEL = _parsers(ModelStructure, exclude=("encoder",))
+
+# encoder keys that a features encoder never reads
+_TOY_ONLY = ("vocab_size", "window")
 
 _SCHEMA = {
     "encoder": _parsers(EncoderConfig),
@@ -68,6 +75,11 @@ def load_config(path=None, preset: str | None = None,
             raise ConfigError(f"override {dotted!r} must look like section.key")
         section, key = dotted.split(".", 1)
         _apply(values, section, key, raw, where="override")
+    if values["encoder"].get("features"):
+        for key in _TOY_ONLY:
+            if key in values["encoder"]:
+                raise ConfigError(f"encoder.{key} is read only by the toy encoder; "
+                                  "leave it out when encoder.features is set")
     try:
         return TrainConfig(encoder=EncoderConfig(**values["encoder"]),
                            task_weights=TaskWeights(**values["weights"]),
@@ -94,9 +106,11 @@ def render_config(cfg: TrainConfig) -> str:
     sources = {"encoder": cfg.encoder, "model": cfg,
                "weights": cfg.task_weights, "training": cfg}
     out = io.StringIO()
+    unread = {("encoder", key) for key in _TOY_ONLY} if cfg.encoder.features else set()
     for section, keys in _SCHEMA.items():
         out.write(f"[{section}]\n")
         for key in keys:
-            out.write(f"{key} = {getattr(sources[section], key)}\n")
+            if (section, key) not in unread:
+                out.write(f"{key} = {getattr(sources[section], key)}\n")
         out.write("\n")
     return out.getvalue()

@@ -129,16 +129,24 @@ def toy_encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
     ids = np.array([vocab_index.get(tok, 0) for tok in doc.flat_tokens()],
                    dtype=np.intp)
     emb = ad.take_rows(store["encoder/embedding"], ids)
-    ctx = _window_context(emb, cfg.window)
-    mixed = ad.matmul(ad.concat([emb, ctx], axis=1), store["encoder/mix_w"])
-    return ad.tanh(mixed + store["encoder/mix_b"])
+
+    def mix(e: Tensor) -> Tensor:
+        ctx = _window_context(e, cfg.window)
+        mixed = ad.matmul(ad.concat([e, ctx], axis=1), store["encoder/mix_w"])
+        return ad.tanh(mixed + store["encoder/mix_b"])
+
+    return ad.recompute(mix, emb)
 
 
 def encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
            vocab_index: dict[str, int] | None = None,
            features: FeatureFile | None = None) -> Tensor:
     """Contextual embeddings, shape (num_tokens, cfg.dim): the adapter over
-    the document's rows of features if given, else the toy encoder."""
+    the document's rows of features if given, else the toy encoder.
+
+    With a tape, the toy encoder's window context, concat, mix and tanh
+    run inside one autodiff.recompute over the embedding lookup: the tape
+    keeps that lookup and the embeddings, and backward rebuilds the rest."""
     if features is not None:
         feats = ad.constant(features.rows(doc))
         return ad.matmul(feats, store["encoder/adapt_w"]) + store["encoder/adapt_b"]

@@ -130,12 +130,15 @@ class MtlCorefModel:
         all candidate spans only the mention and combined scores are kept,
         and the kept spans are represented again, in one piece.
 
-        With a tape, each block of spans is represented and scored inside
-        one autodiff.recompute over the token embeddings, as is each
-        block of pairs in score_matrix, so the tape keeps the blocks'
-        scores and backward rebuilds one block's graph at a time. The
-        tape then grows with the tokens and the kept spans, not with the
-        candidate spans or the pairs times the hidden size.
+        With a tape, four stages run inside autodiff.recompute, so the
+        tape keeps their outputs and backward rebuilds one stage's or
+        block's graph at a time: the toy encoder (encode), over the
+        embedding lookup; each block of spans, represented and
+        scored over the token embeddings; each block of pairs in
+        score_matrix; and each auxiliary head in head_logits, over the
+        kept spans' representations. The tape then grows with the tokens
+        and the kept spans, not with the candidate spans or the pairs
+        times the hidden size.
         """
         cfg = self.config
         emb = encode(doc, cfg.encoder, self.store, self.vocab_index, self.features)

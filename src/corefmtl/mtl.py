@@ -16,6 +16,7 @@ whether the mention scorer itself is supervised; this follows that claim.
 """
 
 from dataclasses import asdict, dataclass
+from functools import partial
 from math import isfinite
 
 import numpy as np
@@ -99,8 +100,13 @@ def create_head_params(store: ParameterStore, g_dim: int, hidden: int, depth: in
 def head_logits(g: Tensor, store: ParameterStore, tasks=tuple(HEAD_SIZES),
                 dropout: float = 0.0, step: int | None = None) -> dict[str, Tensor]:
     """Logits of the named heads only; each head draws its own dropout
-    stream, so which other heads run never changes its output."""
-    return {task: ffnn(g, store, f"head/{task}", dropout, step)
+    stream, so which other heads run never changes its output.
+
+    With a tape, each head runs inside one autodiff.recompute over g, so
+    the tape keeps the logits, not the heads' hidden layers; backward
+    runs the head again, and its dropout stream draws the same masks."""
+    return {task: ad.recompute(partial(ffnn, store=store, prefix=f"head/{task}",
+                                       dropout=dropout, step=step), g)
             for task in tasks}
 
 

@@ -121,6 +121,24 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(overrides={dotted: value})
 
+    @pytest.mark.parametrize("key,value", [("window", "1"), ("vocab_size", "512")])
+    def test_toy_encoder_keys_rejected_with_features(self, tmp_path, key, value):
+        """A features encoder reads no vocabulary and no window, so setting
+        either next to features is an error that names the key, from a
+        file or from an override; with the toy encoder both are fine."""
+        path = tmp_path / "cfg.ini"
+        path.write_text(f"[encoder]\nfeatures = f.npz\n{key} = {value}\n",
+                        encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"encoder.{key} is read only by "
+                                              "the toy encoder"):
+            load_config(path)
+        with pytest.raises(ConfigError, match=f"encoder.{key}"):
+            load_config(overrides={"encoder.features": "f.npz",
+                                   f"encoder.{key}": value})
+        path.write_text(f"[encoder]\n{key} = {value}\n", encoding="utf-8")
+        assert load_config(path, overrides={"encoder.features": ""}) \
+            == load_config()
+
 
 class TestRenderConfig:
     def test_rendered_text_parses_back_equal(self, tmp_path):
@@ -131,6 +149,13 @@ class TestRenderConfig:
         path = tmp_path / "snap.ini"
         path.write_text(render_config(cfg), encoding="utf-8")
         assert load_config(path) == cfg
+
+    def test_features_config_leaves_out_the_toy_encoder_keys(self):
+        toy = render_config(load_config())
+        assert "vocab_size = 512\n" in toy and "window = 1\n" in toy
+        text = render_config(load_config(overrides={"encoder.features": "f.npz"}))
+        assert "vocab_size" not in text and "window" not in text
+        assert "[encoder]\ndim = 64\nfeatures = f.npz\n" in text
 
     def test_from_train_config(self, tmp_path):
         train = TrainConfig(hidden=12, steps=7,
@@ -583,6 +608,18 @@ class TestExitCodes:
                      "--out", str(tmp_path / "out")])
         assert code == 2
         assert f"unknown key {line.split()[0]!r} in section [encoder]" \
+            in capsys.readouterr().err
+
+    def test_toy_encoder_key_with_features_is_data_error(self, workdir, tmp_path,
+                                                         capsys):
+        ini = tmp_path / "features.ini"
+        ini.write_text(TINY_INI.replace("[encoder]\n",
+                                        "[encoder]\nfeatures = f.npz\n"),
+                       encoding="utf-8")
+        code = main(["train", str(workdir / "train.jsonl"), "--config", str(ini),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "encoder.vocab_size is read only by the toy encoder" \
             in capsys.readouterr().err
 
     def test_unknown_preset_is_data_error(self, workdir, tmp_path, capsys):

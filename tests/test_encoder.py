@@ -8,6 +8,7 @@ import pytest
 
 from corefmtl.autodiff import ParameterStore, Tensor
 from corefmtl.cli import main
+from corefmtl.config import load_config
 from corefmtl.corpus import CorpusError, write_jsonl
 from corefmtl.encoder import (
     EncoderConfig,
@@ -265,6 +266,13 @@ class TestFeaturesEndToEnd:
                      "--checkpoint", str(root / "run" / "checkpoint.npz"),
                      "--out", str(root / "preds.jsonl")]) == 0
         assert len((root / "preds.jsonl").read_text().splitlines()) == len(docs)
+
+    def test_config_snapshot_loads_again(self, feature_corpus):
+        root, docs = feature_corpus
+        assert train_on_features(root, random_features(docs, WIDTH), steps=1) == 0
+        snapshot = load_config(root / "run" / "config.ini")
+        assert snapshot == load_config(root / "features.ini")
+        assert snapshot.encoder.features == str(root / "feats.npz")
 
     def test_missing_document_fails_before_the_first_step(self, feature_corpus,
                                                           capsys):

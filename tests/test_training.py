@@ -441,6 +441,8 @@ class TestConfigValidation:
 
 class TestHeadsRunOnDemand:
     def test_sg_runs_only_the_singleton_head(self, docs, monkeypatch):
+        """Each head that runs runs twice a step: in the forward pass and in
+        backward's rerun of it (autodiff.recompute)."""
         ran = []
         real_ffnn = mtl.ffnn
 
@@ -450,7 +452,7 @@ class TestHeadsRunOnDemand:
 
         monkeypatch.setattr(mtl, "ffnn", recording_ffnn)
         train(docs, tiny_config(steps=2, task_weights=PRESET_WEIGHTS["sg"]))
-        assert ran == ["head/singleton", "head/singleton"]
+        assert ran == ["head/singleton"] * 4
 
 
 class TestConfigDict:
@@ -590,13 +592,23 @@ class TestBackwardMemory:
         assert self.step_peak(model, doc) < 35.0e6
 
     def test_training_step_peak(self):
-        """The peak of a whole step's loss and backward. The blocks of
-        spans and pairs keep only their scores on the tape (autodiff.
-        recompute), the pair scorer's first layer is one node, and each
-        gradient is freed once its closure is done with it: 8.5 MB here,
-        12.7 MB when the blocks' activations waited on the tape, 18.2 MB
-        without any of these."""
-        assert self.step_peak(*self.model_and_document()) < 10.6e6
+        """The peak of a whole step's loss and backward. The encoder, the
+        auxiliary heads and the blocks of spans and pairs keep only their
+        inputs and outputs on the tape (autodiff.recompute), the pair
+        scorer's first layer is one node, and each gradient is freed once
+        its closure is done with it: 6.6 MB here, 8.2 MB when the encoder
+        and the heads kept their activations on the tape, 12.7 MB when
+        the blocks did too, 18.2 MB without any of these."""
+        assert self.step_peak(*self.model_and_document()) < 8.3e6
+
+    def test_long_document_step_peak(self):
+        """A 4000-token step: the encoder's window, concat and mix, and the
+        heads' hidden layers, are rebuilt in backward rather than kept on
+        the tape, so the step peaks at 21.8 MB, 35.2 MB when they waited
+        on the tape."""
+        model, doc = self.model_and_document(sentences=200)
+        assert doc.num_tokens == 4000
+        assert self.step_peak(model, doc) < 27.0e6
 
     def step_peak(self, model, doc) -> int:
         """Bytes a step's loss and backward add at their peak."""
@@ -657,6 +669,62 @@ class TestBlockRecompute:
                 assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
             else:
                 npt.assert_array_equal(got, want, err_msg=name)
+
+    # the recompute sites of the encoder and of the auxiliary heads
+    OUTER_SITES = {"toy_encode.<locals>.mix", "ffnn"}
+
+    @pytest.mark.parametrize("encoder", ["toy", "features"])
+    def test_encoder_and_head_recompute_equal_the_inline_graph(
+            self, monkeypatch, tmp_path, encoder):
+        """The toy encoder and each auxiliary head run inside one autodiff.
+        recompute whose input's gradient is the inline graph's: a head's
+        first layer reads the kept spans once, and nothing outside the
+        encoder's recompute reads the embedding lookup. With the span and
+        pair blocks left as they are, the loss and every gradient,
+        encoder/ included, are bit-equal to a step that runs the encoder
+        and the heads inline; the features adapter is inline already."""
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
+        docs = generate_corpus(2, seed=5)
+        doc = max(docs, key=lambda d: d.num_tokens)
+        cfg = tiny_config(dropout=0.3)
+        vocab = build_vocab(docs, cfg.encoder.vocab_size)
+        if encoder == "features":
+            path = tmp_path / "features.npz"
+            rng = np.random.default_rng(2)
+            with open(path, "wb") as fh:
+                np.savez(fh, **{doc.doc_key: rng.normal(size=(doc.num_tokens, 5))})
+            cfg = tiny_config(dropout=0.3,
+                              encoder=EncoderConfig(dim=8, features=str(path)))
+            vocab = []
+
+        def step():
+            model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, vocab)
+            tot, _, _ = model.loss(doc, PRESET_WEIGHTS["sg_ent_infs"], train_step=1)
+            tot.backward()
+            return tot.item(), {name: model.store[name].grad
+                                for name in model.store.names()
+                                if model.store[name].grad is not None}
+
+        blocked = ad.recompute
+        inlined = []
+
+        def inline_outer_sites(fn, x):
+            site = getattr(fn, "func", fn).__qualname__
+            if site not in self.OUTER_SITES:
+                return blocked(fn, x)
+            inlined.append(site)
+            return fn(x)
+
+        loss, grads = step()
+        monkeypatch.setattr(ad, "recompute", inline_outer_sites)
+        inline_loss, inline = step()
+        mix = ["toy_encode.<locals>.mix"] if encoder == "toy" else []
+        assert inlined == mix + ["ffnn"] * 3
+        assert loss == inline_loss
+        assert grads.keys() == inline.keys()
+        assert any(name.startswith("encoder/") for name in grads)
+        for name, want in inline.items():
+            npt.assert_array_equal(grads[name], want, err_msg=name)
 
 
 class TestStability:
