@@ -42,6 +42,7 @@ import contextvars
 import hashlib
 
 import numpy as np
+from scipy import sparse
 
 DTYPE = np.float64
 
@@ -60,10 +61,6 @@ def no_grad():
 
 # rows of spans, anaphors or pairs in one block of the model's forward pass
 PAIR_BLOCK = 1024
-# elements of a column chunk of a (rows x columns) gather or scatter: a
-# scatter's int64 bin array, and pair_input_layer's per-pair products,
-# are built this many at a time
-CHUNK_ELEMENTS = 2 ** 20
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -308,33 +305,21 @@ def join_blocks(parts: list) -> Tensor:
     return parts[0] if len(parts) == 1 else concat(parts)
 
 
-def _column_chunks(num_rows: int, width: int) -> list[tuple[int, int]]:
-    """(lo, hi) ranges that cover columns 0 .. width - 1 in order, at least
-    one. Each spans CHUNK_ELEMENTS // num_rows columns (at least one), so
-    a chunk of a num_rows-row array holds about CHUNK_ELEMENTS elements."""
-    step = max(CHUNK_ELEMENTS // max(num_rows, 1), 1)
-    return [(lo, min(lo + step, width)) for lo in range(0, max(width, 1), step)]
-
-
 def _scatter_rows(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
     """Sum values[p] into row idx[p] of a zero (num_rows, ...) array.
 
-    Same sums in the same order as np.add.at, several times faster: a
-    bincount over flattened (row, column) bins, for a chunk of columns at
-    a time (_column_chunks), so each bin still sums in ascending p.
+    One sparse product: column p of a (num_rows, P) CSC matrix holds a
+    single 1 in row idx[p], so the matrix comes straight from idx, sorted
+    or not. scipy's CSC kernel adds each column into its row in ascending
+    p: the same sums in the same order as np.add.at, and nothing larger
+    than the output is built.
     """
     rest = values.shape[idx.ndim:]
     width = int(np.prod(rest, dtype=np.intp))
-    idx = idx.reshape(-1, 1)
-    values = values.reshape(len(idx), width)
-    parts = []
-    for lo, hi in _column_chunks(len(idx), width):
-        bins = (idx * (hi - lo) + np.arange(hi - lo)).reshape(-1)
-        parts.append(np.bincount(bins, weights=values[:, lo:hi].reshape(-1),
-                                 minlength=num_rows * (hi - lo)).reshape(num_rows, hi - lo))
-    sums = parts[0] if len(parts) == 1 else np.concatenate(parts, axis=1)
-    # with no values at all, bincount returns integer zeros
-    return sums.astype(DTYPE, copy=False).reshape((num_rows,) + rest)
+    count = idx.size
+    matrix = sparse.csc_array((np.ones(count), idx.reshape(-1), np.arange(count + 1)),
+                              shape=(num_rows, count))
+    return (matrix @ values.reshape(count, width)).reshape((num_rows,) + rest)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
@@ -397,28 +382,26 @@ def span_attend(alpha: Tensor, emb: Tensor, grid) -> Tensor:
     return Tensor(out, _parents=(alpha, emb), _backward=backward)
 
 
-def _pair_weights(dim: int, w0: Tensor, tables) -> list[np.ndarray]:
+def _pair_weights(dim: int, w0: Tensor, tables: list[Tensor]) -> list[np.ndarray]:
     """w0 split by rows into W_a, W_b, W_c and one W_k per table."""
-    bounds = np.cumsum([0, dim, dim, dim] + [t.data.shape[1] for t, _ in tables])
+    bounds = np.cumsum([0, dim, dim, dim] + [t.data.shape[1] for t in tables])
     if bounds[-1] != w0.data.shape[0]:
         raise ValueError(f"pair input has {bounds[-1]} columns, w0 has "
                          f"{w0.data.shape[0]} rows")
     return [w0.data[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
-def pair_projections(g: Tensor, w0: Tensor, tables) -> list[np.ndarray]:
+def pair_projections(g: Tensor, w0: Tensor, tables: list[Tensor]) -> list[np.ndarray]:
     """[g W_a, g W_b, T_1 W_1, ..., T_n W_n]: the terms of pair_input_layer's
-    sum that one span or one table row fixes (only the T_k of tables are
-    read). A caller that takes the pairs in blocks computes them once."""
+    sum that one span or one table row fixes. A caller that takes the
+    pairs in blocks computes them once, for every block."""
     w_a, w_b, _, *w_tables = _pair_weights(g.data.shape[1], w0, tables)
-    return [g.data @ w_a, g.data @ w_b] + [
-        t.data @ w_k for (t, _), w_k in zip(tables, w_tables)]
+    return [g.data @ w_a, g.data @ w_b] + [t.data @ w_k for t, w_k in zip(tables, w_tables)]
 
 
 def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
-                     tables, projected: list[np.ndarray] | None = None,
-                     relu: bool = True, rate: float = 0.0,
-                     rng: np.random.Generator | None = None) -> Tensor:
+                     tables, projected: list[np.ndarray], relu: bool = True,
+                     rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
     """The pair scorer's first layer over pair inputs, without building
     them, as one tape node.
 
@@ -430,30 +413,27 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
         (g W_a)[rows] + (g W_b)[antecedents] + (g[rows] * g[antecedents]) W_c
         + sum_k (T_k W_k)[idx_k] + b0
 
-    (the factorisation of Kirstain et al. 2021). projected, if given, is
-    pair_projections(g, w0, tables); otherwise this call computes it.
+    (the factorisation of Kirstain et al. 2021). projected is
+    pair_projections(g, w0, [T_1, ..., T_n]).
     With relu, the layer is a hidden one: relu and dropout follow as in
     dense, and the node keeps only their output. Without, it is the
     scorer's linear output layer, and rate and rng are not read.
 
     The output is built in one piece, so a caller bounds its memory by
     the pairs it passes (the model passes at most PAIR_BLOCK). Only the
-    product term is computed per pair; backward recomputes it instead of
-    keeping it.
+    product term is computed per pair, a (pairs x g width) array that
+    backward recomputes instead of keeping.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
     tables = [(t, np.asarray(idx, dtype=np.intp)) for t, idx in tables]
     gv = g.data
-    w_a, w_b, w_c, *w_tables = _pair_weights(gv.shape[1], w0, tables)
-    if projected is None:
-        projected = pair_projections(g, w0, tables)
+    w_a, w_b, w_c, *w_tables = _pair_weights(gv.shape[1], w0, [t for t, _ in tables])
     g_wa, g_wb, *table_terms = projected
 
     def product():
         prod = gv[rows]
-        for lo, hi in _column_chunks(len(prod), gv.shape[1]):
-            prod[:, lo:hi] *= gv[ants, lo:hi]
+        prod *= gv[ants]
         return prod
 
     out = g_wa[rows]
@@ -483,9 +463,8 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
             d_prod = grad @ w_c.T
             del grad
             d_g = by_row @ w_a.T + by_ant @ w_b.T
-            for lo, hi in _column_chunks(len(rows), gv.shape[1]):
-                d_g[:, lo:hi] += _scatter_rows(d_prod[:, lo:hi] * gv[ants, lo:hi], rows, n)
-                d_g[:, lo:hi] += _scatter_rows(d_prod[:, lo:hi] * gv[rows, lo:hi], ants, n)
+            d_g += _scatter_rows(d_prod * gv[ants], rows, n)
+            d_g += _scatter_rows(d_prod * gv[rows], ants, n)
             del d_prod
             g._accumulate(d_g)
 

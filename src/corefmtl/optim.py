@@ -89,15 +89,29 @@ class AdamOptimizer:
         return {"step_count": self.step_count, "arrays": arrays}
 
     def load_state(self, state: dict):
-        self.step_count = int(state["step_count"])
-        self._m.clear()
-        self._v.clear()
+        """Restore the step count and the moments. ValueError when a moment
+        names no parameter of the groups, lacks its m/ or v/ partner, has
+        a shape other than its parameter's or holds a NaN or an infinity.
+        A parameter may have no moments: it has had no gradient yet."""
+        params = {p.name: p for tensors, _, _ in self.groups for p in tensors}
+        moments = {"m": {}, "v": {}}
         for key, arr in state["arrays"].items():
-            kind, name = key.split("/", 1)
-            arr = np.asarray(arr, dtype=DTYPE)
-            if kind == "m":
-                self._m[name] = arr.copy()
-            elif kind == "v":
-                self._v[name] = arr.copy()
-            else:
+            kind, _, name = key.partition("/")
+            if kind not in moments:
                 raise ValueError(f"unknown optimizer state key: {key}")
+            if name not in params:
+                raise ValueError(f"optimizer state {key} names no parameter")
+            arr = np.asarray(arr, dtype=DTYPE)
+            if arr.shape != params[name].data.shape:
+                raise ValueError(f"shape mismatch for optimizer state {key}: checkpoint "
+                                 f"{arr.shape}, model {params[name].data.shape}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"optimizer state {key} holds non-finite values")
+            moments[kind][name] = arr.copy()
+        for kind, other in (("m", "v"), ("v", "m")):
+            unpaired = sorted(moments[kind].keys() - moments[other].keys())
+            if unpaired:
+                raise ValueError(f"optimizer state has {kind}/{unpaired[0]} "
+                                 f"without {other}/{unpaired[0]}")
+        self.step_count = int(state["step_count"])
+        self._m, self._v = moments["m"], moments["v"]

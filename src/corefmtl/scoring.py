@@ -263,7 +263,7 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     tables = [store["pair/distance_embedding"], store["pair/same_speaker_embedding"],
               store["pair/genre_embedding"]]
     w0, b0 = ffnn_weights(store, "score/pair")[0]
-    projected = ad.pair_projections(g, w0, [(t, None) for t in tables])
+    projected = ad.pair_projections(g, w0, tables)
 
     def pair_block(g_block: Tensor, lo: int, hi: int) -> Tensor:
         # [g_i, g_j, g_i * g_j, phi] @ w0 + b0, without the (P, 3g+3f) input

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from math import isfinite
 
 import numpy as np
+import scipy
 
 from .autodiff import named_rng
 from .corpus import CorpusError, Document
@@ -159,13 +160,15 @@ class Checkpoint:
 
 
 def _platform_stamp() -> dict[str, str]:
-    """Python, numpy and BLAS versions: bitwise reproducibility of a run
-    holds only on the platform that made it."""
+    """Python, numpy, scipy and BLAS versions: bitwise reproducibility of
+    a run holds only on the platform that made it. scipy's sparse kernel
+    sets the summation order of every backward scatter."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         blas = {}
     return {"python": platform.python_version(), "numpy": np.__version__,
+            "scipy": scipy.__version__,
             "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip()}
 
 
@@ -183,15 +186,16 @@ def model_from_checkpoint(ckpt: Checkpoint) -> MtlCorefModel:
     model = MtlCorefModel(cfg.model_config(tuple(ckpt.meta["genres"])),
                           seed=cfg.seed, vocab=ckpt.meta["vocab"],
                           include_aux=ckpt.meta["include_aux"])
-    _load_params(model, ckpt.predict_params())
+    _load_state(model.store.load_state, ckpt.predict_params())
     return model
 
 
-def _load_params(model: MtlCorefModel, params: dict[str, np.ndarray]):
-    """Load checkpoint parameters into model. CheckpointError when one is
-    missing, has the wrong shape or holds a NaN or an infinity."""
+def _load_state(load, state: dict):
+    """load(state), where load is a parameter store's or an optimizer's
+    load_state. CheckpointError when an entry is missing, unknown or
+    unpaired, has the wrong shape or holds a NaN or an infinity."""
     try:
-        model.store.load_state(params)
+        load(state)
     except (KeyError, ValueError) as exc:
         # args[0] is the message
         raise CheckpointError(exc.args[0]) from None
@@ -266,9 +270,9 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     if resume_from is not None:
         if resume_from.selected is not None:
             # checked now rather than when the run ends and loads them
-            _load_params(model, resume_from.selected)
-        _load_params(model, resume_from.params)
-        opt.load_state(resume_from.opt)
+            _load_state(model.store.load_state, resume_from.selected)
+        _load_state(model.store.load_state, resume_from.params)
+        _load_state(opt.load_state, resume_from.opt)
         shuffle_rng.bit_generator.state = resume_from.meta["rng_state"]
         perm = np.array(resume_from.meta["perm"], dtype=np.intp)
         pos = int(resume_from.meta["pos"])

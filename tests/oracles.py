@@ -7,7 +7,8 @@ subset-sum dynamic program rather than the Hungarian method. Candidate
 spans come from a loop over each sentence's (start, end) pairs. Pruning
 checks each candidate against every kept span; the pair features, the
 gold antecedent mask and the coarse score matrix are built pair by pair,
-and a coarse shortlist comes from a sort of its anaphor's whole row.
+and a coarse shortlist comes from a sort of its anaphor's whole row. A
+backward scatter-sum is np.add.at.
 """
 
 from itertools import permutations
@@ -231,3 +232,11 @@ def prune_reference(scores, spans, num_tokens, ratio):
             continue
         kept.append(i)
     return sorted(kept, key=lambda i: spans[i])
+
+
+def scatter_rows_reference(values, idx, num_rows):
+    """values[p] summed into row idx[p] of a zero (num_rows, ...) array by
+    np.add.at, which adds in ascending p."""
+    out = np.zeros((num_rows,) + values.shape[np.ndim(idx):])
+    np.add.at(out, idx, values)
+    return out

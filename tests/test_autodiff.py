@@ -17,6 +17,7 @@ from corefmtl.mtl import PRESET_WEIGHTS
 from corefmtl.optim import AdamOptimizer, clip_global_norm
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import TrainConfig, train
+from oracles import scatter_rows_reference
 
 
 def finite_diff(fn, x, eps=1e-6):
@@ -182,6 +183,12 @@ def pair_layer_inputs(rng, num_spans, rows, ants, dim=3, hidden=4):
     return g, w0, b0, rows, ants, tables
 
 
+def pair_layer(g, w0, b0, rows, ants, tables, **kw):
+    """pair_input_layer with the projections it is given in the model."""
+    projected = ad.pair_projections(g, w0, [t for t, _ in tables])
+    return ad.pair_input_layer(g, w0, b0, rows, ants, tables, projected, **kw)
+
+
 class TestFusedLayers:
     @pytest.mark.parametrize("grid", [
         np.array([[0], [1], [2], [3], [3]]),   # width-1 spans
@@ -210,7 +217,7 @@ class TestFusedLayers:
         rng = np.random.default_rng(8)
         g, w0, b0, rows, ants, tables = pair_layer_inputs(rng, num_spans, rows, ants)
         hidden = w0.shape[1]
-        out = ad.pair_input_layer(g, w0, b0, rows, ants, tables, relu=False)
+        out = pair_layer(g, w0, b0, rows, ants, tables, relu=False)
 
         def reference():
             x = pair_inputs(g.data, rows, ants, [(t.data, idx) for t, idx in tables])
@@ -236,12 +243,12 @@ class TestFusedLayers:
 
         def layer():
             # one fixed mask: every evaluation draws from the same stream
-            return ad.pair_input_layer(g, w0, b0, rows, ants, tables,
-                                       rate=rate, rng=ad.named_rng(4, "mask"))
+            return pair_layer(g, w0, b0, rows, ants, tables,
+                              rate=rate, rng=ad.named_rng(4, "mask"))
 
         out = layer()
         # finite differences need every unit away from the relu kink
-        linear = ad.pair_input_layer(g, w0, b0, rows, ants, tables, relu=False)
+        linear = pair_layer(g, w0, b0, rows, ants, tables, relu=False)
         assert np.abs(linear.data).min() > 1e-3
         assert 0.0 < np.mean(out.data > 0.0) < 1.0
         (out * Tensor(weights)).sum().backward()
@@ -266,10 +273,10 @@ class TestFusedLayers:
         seed = rng.normal(size=(10, linear_in[1].shape[1]))
         seed[::3] = -seed[::3]     # negative gradients at dropped units give -0.0
 
-        out = ad.pair_input_layer(*hidden_in, rows, ants, hidden_tables,
-                                  rate=rate, rng=ad.named_rng(5, "mask"))
+        out = pair_layer(*hidden_in, rows, ants, hidden_tables,
+                         rate=rate, rng=ad.named_rng(5, "mask"))
         out.backward(seed=seed)
-        linear = ad.pair_input_layer(*linear_in[:5], linear_in[5], relu=False)
+        linear = pair_layer(*linear_in, relu=False)
         z = linear.data
         keep = 1.0 - rate
         mask = np.ones_like(z)
@@ -283,9 +290,12 @@ class TestFusedLayers:
 
     def test_pair_input_layer_checks_w0_rows(self):
         g = Tensor(np.ones((2, 3)))
+        w0 = Tensor(np.ones((10, 4)))
         with pytest.raises(ValueError, match="w0 has 10 rows"):
-            ad.pair_input_layer(g, Tensor(np.ones((10, 4))), Tensor(np.zeros(4)),
-                                [1], [0], [])
+            ad.pair_projections(g, w0, [])
+        with pytest.raises(ValueError, match="w0 has 10 rows"):
+            ad.pair_input_layer(g, w0, Tensor(np.zeros(4)), [1], [0], [],
+                                [np.ones((2, 4)), np.ones((2, 4))])
 
 
 def assert_bits_equal(got, want):
@@ -412,28 +422,56 @@ def live_tensors() -> int:
 
 
 class TestScatterRows:
-    """_scatter_rows bins CHUNK_ELEMENTS elements of (row, column) bins at
-    a time; each case below is wide enough to take several chunks."""
+    """_scatter_rows is np.add.at over zeros, bit for bit: the same sums in
+    ascending p, whatever the order of the indices."""
 
-    @pytest.mark.parametrize("case", ["flat", "negative_zeros", "empty_index", "2d_index"])
-    def test_chunked_sums_are_one_bincount(self, case):
+    CASES = ["flat", "negative_zeros", "empty_index", "2d_index", "sorted", "unsorted",
+             "inf_nan", "1d_values", "empty_row"]
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sums_equal_add_at(self, case):
         rng = np.random.default_rng(23)
-        idx_shape = {"flat": (4000,), "negative_zeros": (4000,), "empty_index": (0,),
-                     "2d_index": (80, 50)}[case]
-        # two full chunks and part of a third; with no values, the chunks
-        # take CHUNK_ELEMENTS columns each, so one output row keeps it small
-        width = 2 * ad.CHUNK_ELEMENTS // max(np.prod(idx_shape), 1) + 3
+        idx_shape = {"empty_index": (0,), "2d_index": (80, 50)}.get(case, (4000,))
+        # more than 2 ** 21 elements; with no values, one output row keeps it small
+        width = 2 * 2 ** 20 // max(np.prod(idx_shape), 1) + 3
         num_rows = 1 if case == "empty_index" else 50
         idx = rng.integers(0, num_rows, size=idx_shape)
         values = rng.normal(size=idx_shape + (width,))
         if case == "negative_zeros":
             values[rng.random(values.shape) < 0.5] = -0.0
-        assert len(ad._column_chunks(idx.size, width)) > 1
-
+        elif case == "sorted":
+            idx.sort()
+        elif case == "unsorted":
+            # descending, so each row's values come in the reverse of
+            # their order in a sorted scatter
+            idx[::-1].sort()
+        elif case == "inf_nan":
+            for special in (np.inf, -np.inf, np.nan):
+                values[rng.random(values.shape) < 0.01] = special
+        elif case == "1d_values":
+            values = values[:, 0]
+        elif case == "empty_row":
+            idx[idx == 7] = 8
         got = ad._scatter_rows(values, idx, num_rows)
-        bins = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        want = np.bincount(bins, weights=values.reshape(-1), minlength=num_rows * width)
-        assert_bits_equal(got, want.astype(np.float64).reshape(num_rows, width))
+        with np.errstate(invalid="ignore"):     # inf + -inf
+            want = scatter_rows_reference(values, idx, num_rows)
+        assert_bits_equal(got, want)
+        if case == "empty_row":
+            assert_bits_equal(got[7], np.zeros(width))
+
+    def test_peak_is_about_the_output(self):
+        """Nothing of a pair block's size is built beside the output: a
+        (2048 x 212) scatter into 400 rows peaks below twice the output."""
+        rng = np.random.default_rng(24)
+        values = rng.normal(size=(2048, 212))
+        idx = rng.integers(0, 400, size=2048)
+        tracemalloc.start()
+        try:
+            got = ad._scatter_rows(values, idx, 400)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * got.nbytes
 
 
 class TestReductionsAndLse:

@@ -8,6 +8,7 @@ import tracemalloc
 import numpy as np
 import numpy.testing as npt
 import pytest
+import scipy
 
 from corefmtl import autodiff as ad
 from corefmtl.corpus import CorpusError, Mention
@@ -158,6 +159,7 @@ class TestCheckpoint:
         meta = Checkpoint.load(path).meta
         assert meta["python"] == platform.python_version()
         assert meta["numpy"] == np.__version__
+        assert meta["scipy"] == scipy.__version__
         assert isinstance(meta["blas"], str) and meta["blas"]
 
     def test_load_rejects_foreign_npz(self, tmp_path):
@@ -309,6 +311,39 @@ class TestResume:
             model_from_checkpoint(ckpt)
         with pytest.raises(CheckpointError, match=message):
             train(docs, tiny_config(steps=4), resume_from=ckpt)
+
+    DAMAGE = {
+        "unknown_name": "optimizer state m/no/such names no parameter",
+        "m_without_v": "optimizer state has m/encoder/embedding without v/encoder/embedding",
+        "v_without_m": "optimizer state has v/encoder/embedding without m/encoder/embedding",
+        "shape": r"shape mismatch for optimizer state m/encoder/embedding: checkpoint \(1,\)",
+        "non_finite": "optimizer state v/encoder/embedding holds non-finite values",
+    }
+
+    @pytest.mark.parametrize("damage", list(DAMAGE))
+    def test_damaged_optimizer_state_is_rejected(self, docs, damage):
+        part = train(docs, tiny_config(steps=2))
+        arrays = part.checkpoint.opt["arrays"]
+        if damage == "unknown_name":
+            arrays["m/no/such"] = arrays["v/no/such"] = np.zeros(3)
+        elif damage == "m_without_v":
+            del arrays["v/encoder/embedding"]
+        elif damage == "v_without_m":
+            del arrays["m/encoder/embedding"]
+        elif damage == "shape":
+            arrays["m/encoder/embedding"] = np.zeros(1)
+        else:
+            arrays["v/encoder/embedding"][0, 0] = np.nan
+        with pytest.raises(CheckpointError, match=self.DAMAGE[damage]):
+            train(docs, tiny_config(steps=4), resume_from=part.checkpoint)
+
+    def test_parameter_without_moments_resumes(self, docs):
+        # a parameter with no gradient yet has no moments
+        part = train(docs, tiny_config(steps=2))
+        arrays = part.checkpoint.opt["arrays"]
+        del arrays["m/encoder/embedding"], arrays["v/encoder/embedding"]
+        resumed = train(docs, tiny_config(steps=3), resume_from=part.checkpoint)
+        assert "m/encoder/embedding" in resumed.checkpoint.opt["arrays"]
 
     def test_checkpoint_with_pretrained_encoder_is_rejected(self, docs):
         part = train(docs, tiny_config(steps=2))
