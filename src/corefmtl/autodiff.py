@@ -22,6 +22,13 @@ Leaves (parameters, and tensors made with requires_grad=True) keep their
 gradients; `retain_grad()` keeps an intermediate's. A graph is
 differentiated once: a second backward() through it raises.
 
+Three layers are each one tape node that keeps what its backward reads
+and no intermediate: `dense` (an FFNN hidden layer), `pair_input_layer`
+(the pair scorer's first layer) and `span_representation` (boundary
+rows, soft head and width embedding). Each does the arithmetic of the
+graph of primitive ops it replaces, in that graph's order, so values and
+gradients are bit-identical to it.
+
 `recompute(fn, x)` trades time for tape: it keeps only x and fn's
 output, and its backward runs fn again to backpropagate through it. The
 model wraps whole stages and blocks in it:
@@ -354,32 +361,84 @@ def scatter2d(values: Tensor, rows, cols, base: np.ndarray) -> Tensor:
 # -- fused span and pair layers -------------------------------------------
 
 
-def span_attend(alpha: Tensor, emb: Tensor, grid) -> Tensor:
-    """out[s] = sum_k alpha[s, k] * emb[grid[s, k]], shape (S, d).
+def span_representation(emb: Tensor, head_score: Tensor, width_table: Tensor,
+                        starts, ends, buckets, width: int) -> tuple[Tensor, np.ndarray]:
+    """Span representations g = [emb[start], emb[end], soft head, width
+    embedding], shape (S, 3d + f), as one tape node, and the soft head's
+    attention weights alpha, shape (S, width).
 
-    Accumulated one offset k at a time, forward and backward, so no
-    (S, K, d) gather of the attended rows is ever built.
+    Span s attends to its tokens start .. end through a (S, width) grid of
+    token indices, clipped at each span's end; alpha is the softmax over
+    the valid columns of the token scores emb @ head_score, and the soft
+    head is sum_k alpha[s, k] * emb[grid[s, k]], summed one offset k at a
+    time so no (S, width, d) gather is built. buckets holds each span's
+    width-embedding row. The arithmetic is that of the composed graph
+    (take_rows, a mask constant, logsumexp, sub, exp, the soft-head sum and
+    concat), so values and gradients are bit-identical to it; the node
+    keeps g, alpha, the grid, the valid mask and the (T,) token scores, and
+    backward recomputes the softmax from the token scores.
     """
-    grid = np.asarray(grid, dtype=np.intp)
-    av, ev = alpha.data, emb.data
-    out = np.zeros((grid.shape[0], ev.shape[1]), dtype=DTYPE)
-    for k in range(grid.shape[1]):
-        out += av[:, k, None] * ev[grid[:, k]]
+    starts = np.asarray(starts, dtype=np.intp)
+    ends = np.asarray(ends, dtype=np.intp)
+    buckets = np.asarray(buckets, dtype=np.intp)
+    ev = emb.data
+    num_tokens, d = ev.shape
+    widths = ends - starts + 1
+    if width < widths.max():
+        raise ValueError(f"width {width} is below the widest span's {widths.max()}")
+    offsets = np.arange(width)
+    grid = np.minimum(starts[:, None] + offsets, ends[:, None])
+    valid = offsets < widths[:, None]
+    token_scores = (ev @ head_score.data).reshape(num_tokens)
 
-    def backward(g):
-        d_alpha = np.empty_like(av) if alpha.requires_grad else None
-        d_emb = np.zeros_like(ev) if emb.requires_grad else None
-        for k in range(grid.shape[1]):
-            if d_alpha is not None:
-                d_alpha[:, k] = np.einsum("sd,sd->s", g, ev[grid[:, k]])
-            if d_emb is not None:
-                d_emb += _scatter_rows(av[:, k, None] * g, grid[:, k], ev.shape[0])
-        if d_alpha is not None:
-            alpha._accumulate(d_alpha)
-        if d_emb is not None:
-            emb._accumulate(d_emb)
+    def span_scores():
+        # clipped duplicates get -inf, so zero attention
+        return token_scores[grid] + np.where(valid, 0.0, -np.inf)
 
-    return Tensor(out, _parents=(alpha, emb), _backward=backward)
+    scores = span_scores()
+    alpha = np.exp(scores - _logsumexp_softmax(scores, axis=1)[0])
+    del scores
+
+    g = np.empty((len(starts), 3 * d + width_table.data.shape[1]), dtype=DTYPE)
+    g[:, :d] = ev[starts]
+    g[:, d:2 * d] = ev[ends]
+    attended = g[:, 2 * d:3 * d]
+    attended[...] = 0.0
+    for k in range(width):
+        attended += alpha[:, k, None] * ev[grid[:, k]]
+    g[:, 3 * d:] = width_table.data[buckets]
+
+    def backward(grad):
+        if width_table.requires_grad:
+            width_table._accumulate(_scatter_rows(grad[:, 3 * d:], buckets,
+                                                  width_table.data.shape[0]))
+        d_att = grad[:, 2 * d:3 * d]
+        d_alpha = np.empty_like(alpha)
+        for k in range(width):
+            d_alpha[:, k] = np.einsum("sd,sd->s", d_att, ev[grid[:, k]])
+        # through exp, then sub and logsumexp: d1 + (-d1).sum(1) * softmax
+        d_scores = d_alpha * alpha
+        del d_alpha
+        d_lse = (-d_scores).sum(axis=1, keepdims=True)
+        d_scores += d_lse * _logsumexp_softmax(span_scores(), axis=1)[1]
+        d_tokens = _scatter_rows(d_scores, grid, num_tokens).reshape(num_tokens, 1)
+        del d_scores
+        if head_score.requires_grad:
+            head_score._accumulate(ev.T @ d_tokens)
+        if emb.requires_grad:
+            # one term at a time, in the composed graph's order, so a
+            # gradient emb already holds is summed with each as it was
+            emb._accumulate(_scatter_rows(grad[:, :d], starts, num_tokens))
+            emb._accumulate(_scatter_rows(grad[:, d:2 * d], ends, num_tokens))
+            soft_head = np.zeros_like(ev)
+            for k in range(width):
+                soft_head += _scatter_rows(alpha[:, k, None] * d_att, grid[:, k], num_tokens)
+            emb._accumulate(soft_head)
+            del soft_head
+            emb._accumulate(d_tokens @ head_score.data.T)
+
+    return (Tensor(g, _parents=(emb, head_score, width_table), _backward=backward),
+            alpha)
 
 
 def _pair_weights(dim: int, w0: Tensor, tables: list[Tensor]) -> list[np.ndarray]:
@@ -564,15 +623,6 @@ def recompute(fn, x: Tensor) -> Tensor:
 # -- elementwise nonlinearities -------------------------------------------
 
 
-def exp(a: Tensor) -> Tensor:
-    value = np.exp(a.data)
-
-    def backward(g):
-        a._accumulate(g * value)
-
-    return Tensor(value, _parents=(a,), _backward=backward)
-
-
 def tanh(a: Tensor) -> Tensor:
     value = np.tanh(a.data)
 
@@ -600,21 +650,28 @@ def tensor_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
     return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / float(count))
 
 
+def _logsumexp_softmax(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numerically stable (logsumexp with keepdims, softmax) of a along
+    axis; -inf entries are treated as absent."""
+    mx = np.max(a, axis=axis, keepdims=True)
+    mx = np.where(np.isfinite(mx), mx, 0.0)
+    ex = np.exp(a - mx)
+    total = ex.sum(axis=axis, keepdims=True)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        value = np.log(total) + mx
+        # rows that are all -inf have total 0; their logsumexp is -inf
+        # and their softmax 0, not nan
+        soft = np.where(total > 0.0, ex / np.where(total > 0.0, total, 1.0), 0.0)
+    return value, soft
+
+
 def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
     """Numerically stable log-sum-exp; -inf entries are treated as absent.
 
     A primitive (not composed from exp/log) so rows containing -inf padding
     backprop cleanly: the gradient is the softmax, which is exactly 0 there.
     """
-    mx = np.max(a.data, axis=axis, keepdims=True)
-    mx = np.where(np.isfinite(mx), mx, 0.0)
-    ex = np.exp(a.data - mx)
-    total = ex.sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        value = np.log(total) + mx
-        # rows that are all -inf have total 0; their logsumexp is -inf
-        # and their gradient is 0, not nan
-        soft = np.where(total > 0.0, ex / np.where(total > 0.0, total, 1.0), 0.0)
+    value, soft = _logsumexp_softmax(a.data, axis)
     if not keepdims:
         value = np.squeeze(value, axis=axis)
 

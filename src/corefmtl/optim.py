@@ -82,10 +82,13 @@ class AdamOptimizer:
     # -- checkpoint support ------------------------------------------------
 
     def state(self) -> dict:
+        """The step count and the moments. The moments are handed over
+        without a copy: step() rebinds m and v to new arrays and never
+        writes into them, so a state taken earlier keeps its values."""
         arrays = {}
         for name, m in self._m.items():
-            arrays[f"m/{name}"] = m.copy()
-            arrays[f"v/{name}"] = self._v[name].copy()
+            arrays[f"m/{name}"] = m
+            arrays[f"v/{name}"] = self._v[name]
         return {"step_count": self.step_count, "arrays": arrays}
 
     def load_state(self, state: dict):

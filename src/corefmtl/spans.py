@@ -98,40 +98,19 @@ def create_span_params(store: ParameterStore, dim: int, feature_dim: int):
 def represent_spans(embeddings: Tensor, spans: SpanSet,
                     store: ParameterStore,
                     width: int | None = None) -> tuple[Tensor, np.ndarray]:
-    """Representations for all spans at once.
+    """Representations for all spans at once, as one tape node
+    (autodiff.span_representation).
 
     Returns (G, alphas): G is (S, 3d+f); alphas holds each span's head
     attention weights padded with zeros to width columns, by default the
     widest span's. Blocks of one document's spans pass the document's
-    widest, so every block's soft head sums the same columns.
+    widest, so every block's soft head sums the same columns. ValueError
+    when there are no spans or width is below the widest span.
     """
     if not len(spans):
         raise ValueError("no spans to represent")
-    starts, ends, widths = spans.starts, spans.ends, spans.widths
-    max_w = int(widths.max()) if width is None else width
-
-    # (S, max_w) token index grid, clipped at each span's end; clipped
-    # duplicates get zero attention through the mask so they contribute nothing
-    grid = starts[:, None] + np.arange(max_w)[None, :]
-    grid = np.minimum(grid, ends[:, None])
-    valid = np.arange(max_w)[None, :] < widths[:, None]
-    mask = np.where(valid, 0.0, -np.inf)
-
-    token_scores = ad.matmul(embeddings, store["span/head_score"])  # (T, 1)
-    token_scores = token_scores.reshape((embeddings.shape[0],))
-    span_scores = ad.take_rows(token_scores, grid) + ad.constant(mask)  # (S, max_w)
-    lse = ad.logsumexp(span_scores, axis=1, keepdims=True)
-    alpha = ad.exp(span_scores - lse)
-
-    attended = ad.span_attend(alpha, embeddings, grid)  # (S, d)
-
-    width_vecs = ad.take_rows(store["span/width_embedding"], bucket_index(widths))
-
-    g = ad.concat([
-        ad.take_rows(embeddings, starts),
-        ad.take_rows(embeddings, ends),
-        attended,
-        width_vecs,
-    ], axis=1)
-    return g, alpha.data
-
+    widths = spans.widths
+    return ad.span_representation(
+        embeddings, store["span/head_score"], store["span/width_embedding"],
+        spans.starts, spans.ends, bucket_index(widths),
+        int(widths.max()) if width is None else width)

@@ -313,7 +313,6 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         doc = train_docs[int(perm[pos])]
         pos += 1
 
-        model.store.zero_grad()
         # the forward pass is not kept: its span list and score tensors
         # would stay alive through backward and the optimizer step
         tot, values = model.loss(doc, weights, train_step=step)[:2]
@@ -328,6 +327,9 @@ def train(train_docs: list[Document], cfg: TrainConfig,
             raise NumericError(
                 f"non-finite gradient at step {step} on document {doc.doc_key}")
         opt.step()
+        # the gradients are spent: dropped now, they do not sit beside the
+        # next step's activations or the checkpoint's copies
+        model.store.zero_grad()
 
         rec = {"step": step, "doc_key": doc.doc_key, "loss": loss_value,
                "grad_norm": grad_norm}

@@ -8,13 +8,17 @@ spans come from a loop over each sentence's (start, end) pairs. Pruning
 checks each candidate against every kept span; the pair features, the
 gold antecedent mask and the coarse score matrix are built pair by pair,
 and a coarse shortlist comes from a sort of its anaphor's whole row. A
-backward scatter-sum is np.add.at.
+backward scatter-sum is np.add.at. Span representations are the graph of
+primitive autodiff ops that autodiff.span_representation fuses, with exp
+and the soft-head sum defined here as tape ops.
 """
 
 from itertools import permutations
 from math import ceil
 
 import numpy as np
+
+from corefmtl import autodiff as ad
 
 
 def _f1(p, r):
@@ -240,3 +244,49 @@ def scatter_rows_reference(values, idx, num_rows):
     out = np.zeros((num_rows,) + values.shape[np.ndim(idx):])
     np.add.at(out, idx, values)
     return out
+
+
+def exp(a):
+    """exp as a tape op on autodiff tensors."""
+    value = np.exp(a.data)
+
+    def backward(g):
+        a._accumulate(g * value)
+
+    return ad.Tensor(value, _parents=(a,), _backward=backward)
+
+
+def span_attend(alpha, emb, grid):
+    """out[s] = sum_k alpha[s, k] * emb[grid[s, k]] as a tape op, summed one
+    offset k at a time, forward and backward."""
+    av, ev = alpha.data, emb.data
+    out = np.zeros((grid.shape[0], ev.shape[1]))
+    for k in range(grid.shape[1]):
+        out += av[:, k, None] * ev[grid[:, k]]
+
+    def backward(g):
+        d_alpha = np.empty_like(av)
+        d_emb = np.zeros_like(ev)
+        for k in range(grid.shape[1]):
+            d_alpha[:, k] = np.einsum("sd,sd->s", g, ev[grid[:, k]])
+            d_emb += scatter_rows_reference(av[:, k, None] * g, grid[:, k], ev.shape[0])
+        alpha._accumulate(d_alpha)
+        emb._accumulate(d_emb)
+
+    return ad.Tensor(out, _parents=(alpha, emb), _backward=backward)
+
+
+def represent_spans_reference(emb, head_score, width_table, starts, ends, buckets, width):
+    """Span representations composed from autodiff ops: the boundary rows,
+    the soft head (a masked softmax of the token scores emb @ head_score
+    over each span's clipped token grid) and the width embedding,
+    concatenated. Returns (g, alpha) as tensors."""
+    grid = np.minimum(starts[:, None] + np.arange(width)[None, :], ends[:, None])
+    valid = np.arange(width)[None, :] < (ends - starts + 1)[:, None]
+    token_scores = ad.matmul(emb, head_score).reshape((emb.shape[0],))
+    scores = ad.take_rows(token_scores, grid) + ad.constant(np.where(valid, 0.0, -np.inf))
+    alpha = exp(scores - ad.logsumexp(scores, axis=1, keepdims=True))
+    g = ad.concat([ad.take_rows(emb, starts), ad.take_rows(emb, ends),
+                   span_attend(alpha, emb, grid), ad.take_rows(width_table, buckets)],
+                  axis=1)
+    return g, alpha

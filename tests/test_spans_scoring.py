@@ -176,8 +176,19 @@ class TestSpanRepresentation:
 
     def test_empty_span_list_rejected(self):
         doc = make_document([["a"]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="no spans"):
             represent_spans(embeddings_for(doc), span_set([]), toy_store())
+
+    def test_width_below_the_widest_span_rejected(self):
+        """A soft head narrower than a span would drop that span's last
+        tokens from its attention; a width that covers it is accepted."""
+        doc = make_document([["a", "b", "c", "d"]])
+        emb, store = embeddings_for(doc), toy_store()
+        spans = span_set([(0, 0, 0), (1, 3, 0)])
+        with pytest.raises(ValueError, match="below the widest span"):
+            represent_spans(emb, spans, store, width=2)
+        _, alpha = represent_spans(emb, spans, store, width=3)
+        assert alpha.shape == (2, 3)
 
 
 class TestUnaryScores:

@@ -136,6 +136,13 @@ class TestRecords:
         result = train(docs, tiny_config(steps=3), log_fn=seen.append)
         assert seen == result.records
 
+    def test_trained_model_holds_no_gradients(self, docs):
+        """Each step drops its gradients once the optimizer has used them,
+        so none sit beside the checkpoint or the returned model."""
+        result = train(docs, tiny_config(steps=2))
+        assert [p.name for p in result.model.all_parameters()
+                if p.grad is not None] == []
+
     def test_empty_corpus_rejected(self):
         with pytest.raises(ValueError, match="no training documents"):
             train([], tiny_config())
@@ -631,10 +638,31 @@ class TestBackwardMemory:
         auxiliary heads and the blocks of spans and pairs keep only their
         inputs and outputs on the tape (autodiff.recompute), the pair
         scorer's first layer is one node, and each gradient is freed once
-        its closure is done with it: 6.6 MB here, 8.2 MB when the encoder
-        and the heads kept their activations on the tape, 12.7 MB when
-        the blocks did too, 18.2 MB without any of these."""
-        assert self.step_peak(*self.model_and_document()) < 8.3e6
+        its closure is done with it: 5.5 MB here, 6.6 MB when a span
+        block's representations were a graph of twelve nodes (now one,
+        autodiff.span_representation), 8.2 MB when the encoder and the
+        heads also kept their activations on the tape, 12.7 MB when the
+        blocks did too, 18.2 MB without any of these."""
+        assert self.step_peak(*self.model_and_document()) < 6.0e6
+
+    def test_whole_train_peak(self):
+        """One step of train() at hidden 256 on a 100-token document, the
+        checkpoint included, peaks at 8.0 MB. Its parameters take 1.9 MB
+        and Adam's moments 2.7 MB; the peak was 10.8 MB when the spent
+        gradients and copies of both moments sat beside the checkpoint."""
+        _, doc = self.model_and_document(sentences=5)
+        cfg = tiny_config(steps=1, encoder=EncoderConfig(dim=32, vocab_size=64, window=1),
+                          feature_dim=8, hidden=256, max_span_width=6,
+                          task_weights=PRESET_WEIGHTS["sg_ent_infs"])
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = train([doc], cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.checkpoint.opt["step_count"] == 1
+        assert peak - start < 9.0e6
 
     def test_long_document_step_peak(self):
         """A 4000-token step: the encoder's window, concat and mix, and the
