@@ -441,6 +441,18 @@ def span_representation(emb: Tensor, head_score: Tensor, width_table: Tensor,
             alpha)
 
 
+# pairs whose gathered rows pair_input_layer holds at a time
+GATHER_ROWS = 128
+
+
+def _gather_rows(table: np.ndarray, idx: np.ndarray):
+    """(chunk, table[idx[chunk]]) for slices chunk that cover idx in
+    order, GATHER_ROWS entries each, the last one the rest."""
+    for lo in range(0, len(idx), GATHER_ROWS):
+        chunk = slice(lo, lo + GATHER_ROWS)
+        yield chunk, table[idx[chunk]]
+
+
 def _pair_weights(dim: int, w0: Tensor, tables: list[Tensor]) -> list[np.ndarray]:
     """w0 split by rows into W_a, W_b, W_c and one W_k per table."""
     bounds = np.cumsum([0, dim, dim, dim] + [t.data.shape[1] for t in tables])
@@ -481,7 +493,13 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
     The output is built in one piece, so a caller bounds its memory by
     the pairs it passes (the model passes at most PAIR_BLOCK). Only the
     product term is computed per pair, a (pairs x g width) array that
-    backward recomputes instead of keeping.
+    backward recomputes instead of keeping. It is multiplied by W_c first
+    and freed before the sum is built. The sum starts from that product
+    and adds the other terms in place, GATHER_ROWS pairs at a time
+    (_gather_rows), in the order of the formula above: the first two
+    terms' sum, plus the product, plus each table term, plus b0. So no
+    other (pairs x g width) or (pairs x hidden) gather is made, and every
+    bit is that of the whole gathers added in turn.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
@@ -492,15 +510,19 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
 
     def product():
         prod = gv[rows]
-        prod *= gv[ants]
+        for chunk, part in _gather_rows(gv, ants):
+            prod[chunk] *= part
         return prod
 
-    out = g_wa[rows]
-    out += g_wb[ants]
-    out += product() @ w_c
-    for (_, idx), term in zip(tables, table_terms):
-        out += term[idx]
-    out += b0.data
+    out = product() @ w_c
+    for chunk, part in _gather_rows(g_wa, rows):
+        part += g_wb[ants[chunk]]
+        # adding the first two terms' sum to the product is adding the
+        # product to their sum, bit for bit
+        out[chunk] += part
+        for (_, idx), term in zip(tables, table_terms):
+            out[chunk] += term[idx[chunk]]
+        out[chunk] += b0.data
     scale = _relu_dropout(out, rate, rng) if relu else None
 
     def backward(grad):

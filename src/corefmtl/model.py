@@ -139,6 +139,11 @@ class MtlCorefModel:
         kept spans' representations. The tape then grows with the tokens
         and the kept spans, not with the candidate spans or the pairs
         times the hidden size.
+
+        Nothing after the kept spans' representations reads the token
+        embeddings, so forward drops them there: without a tape they are
+        freed before the shortlist and the pair scorer run, and with one
+        the tape keeps them for backward.
         """
         cfg = self.config
         emb = encode(doc, cfg.encoder, self.store, self.vocab_index, self.features)
@@ -163,6 +168,7 @@ class MtlCorefModel:
         kept = prune_spans(combined.data, spans, doc.num_tokens, cfg.prune_ratio)
         kept_spans = spans[kept]
         g_kept, _ = represent_spans(emb, kept_spans, self.store, width)
+        del emb
         combined_kept = ad.take_rows(combined, kept)
 
         shortlists = coarse_scores(g_kept, combined_kept, self.store,

@@ -14,22 +14,25 @@ EPS = 1e-8
 
 
 def clip_global_norm(tensors: list[Tensor], max_norm: float) -> float:
-    """Scale all gradients in place so their joint L2 norm is <= max_norm.
+    """Scale all gradients so their joint L2 norm is <= max_norm.
 
     Returns the pre-clip norm. Tensors without gradients are skipped.
+    Each gradient is rebound to a scaled copy, never written into, as two
+    tensors may share a gradient array. The clip keeps no reference to
+    the old gradients, so it holds at most one gradient's worth more than
+    it was given, and sums the squares one tensor at a time, in order.
     """
-    grads = [t.grad for t in tensors if t.grad is not None]
-    if not grads:
+    tensors = [t for t in tensors if t.grad is not None]
+    if not tensors:
         return 0.0
     total = 0.0
-    for g in grads:
-        total += float(np.sum(g * g))
+    for t in tensors:
+        total += float(np.sum(t.grad * t.grad))
     norm = float(np.sqrt(total))
     if norm > max_norm and norm > 0.0:
         scale = max_norm / norm
         for t in tensors:
-            if t.grad is not None:
-                t.grad = t.grad * scale
+            t.grad = t.grad * scale
     return norm
 
 

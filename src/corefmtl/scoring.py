@@ -157,9 +157,17 @@ def coarse_scores(g: Tensor, combined: Tensor, store: ParameterStore,
 
     A block of anaphors (autodiff.row_blocks) is scored against the
     antecedents COARSE_COLUMNS columns at a time, and each row keeps a
-    running top k of what it has seen, so the working set is (anaphor
-    block x (top_k + COARSE_COLUMNS)) however long the document is. Each
-    column block is g_w[lo:hi] @ g[c0:c1].T; on OpenBLAS 0.3.31 that is
+    running top k of what it has seen. That top k takes in a column
+    block's keys COARSE_COLUMNS rows at a time, in place, and rows whose
+    anaphors all come before the column block skip it. So the working set
+    is the block's running top k and one (anaphor block x COARSE_COLUMNS)
+    block of scores, plus one (COARSE_COLUMNS x (top_k + COARSE_COLUMNS))
+    pool of complex keys and its argpartition, however long the document
+    is. argpartition ranks each row on its own, so a chunk of rows merges
+    as it would within the whole block, and a column block a row skips
+    holds only _NOTHING keys for it. Each column block of
+    scores is g_w[lo:hi] @ g[c0:c1].T, whole, as row slices of a product
+    need not be bit-equal to it; on OpenBLAS 0.3.31 it is
     bit-equal to the same columns of the whole g_w[lo:hi] @ g[:hi].T,
     except the last hi mod 8 columns of a block ending at hi when there is
     more than one block. Each candidate j of row i is ranked by the
@@ -185,17 +193,24 @@ def coarse_scores(g: Tensor, combined: Tensor, store: ParameterStore,
         best = np.full((hi - first, top_k), _NOTHING)
         for c0 in range(0, hi - 1, COARSE_COLUMNS):
             c1 = min(c0 + COARSE_COLUMNS, hi)
-            # the running top k, then this column block's keys
-            pool = np.empty((hi - first, top_k + c1 - c0), dtype=np.complex128)
-            pool[:, :top_k] = best
-            key = pool[:, top_k:]
-            np.add(cv[first:hi, None], cv[c0:c1], out=key.real)
-            key.real += (g_w[lo:hi] @ gv[c0:c1].T)[first - lo:]
-            np.negative(key.real, out=key.real)
-            key.imag = -np.arange(c0, c1)
-            key[np.arange(c0, c1) >= np.arange(first, hi)[:, None]] = _NOTHING
-            best = np.take_along_axis(
-                pool, np.argpartition(pool, top_k - 1, axis=1)[:, :top_k], axis=1)
+            cols = np.arange(c0, c1)
+            scores = g_w[lo:hi] @ gv[c0:c1].T
+            for r0 in range(first, hi, COARSE_COLUMNS):
+                r1 = min(r0 + COARSE_COLUMNS, hi)
+                if r1 - 1 <= c0:
+                    continue  # every column is at or after these anaphors
+                # these rows' running top k, then this column block's keys
+                pool = np.empty((r1 - r0, top_k + c1 - c0), dtype=np.complex128)
+                pool[:, :top_k] = best[r0 - first:r1 - first]
+                key = pool[:, top_k:]
+                np.add(cv[r0:r1, None], cv[c0:c1], out=key.real)
+                key.real += scores[r0 - lo:r1 - lo]
+                np.negative(key.real, out=key.real)
+                key.imag = -cols
+                key[cols >= np.arange(r0, r1)[:, None]] = _NOTHING
+                best[r0 - first:r1 - first] = np.take_along_axis(
+                    pool, np.argpartition(pool, top_k - 1, axis=1)[:, :top_k], axis=1)
+            del scores  # before the next column block's is made
         antecedents[indptr[first]:indptr[hi]] = np.sort(-best.imag, axis=1).ravel()
     return PairIndex(indptr, antecedents)
 

@@ -10,7 +10,8 @@ gold antecedent mask and the coarse score matrix are built pair by pair,
 and a coarse shortlist comes from a sort of its anaphor's whole row. A
 backward scatter-sum is np.add.at. Span representations are the graph of
 primitive autodiff ops that autodiff.span_representation fuses, with exp
-and the soft-head sum defined here as tape ops.
+and the soft-head sum defined here as tape ops. The pair scorer's first layer is
+autodiff.pair_input_layer's arithmetic with every gather made whole.
 """
 
 from itertools import permutations
@@ -290,3 +291,55 @@ def represent_spans_reference(emb, head_score, width_table, starts, ends, bucket
                    span_attend(alpha, emb, grid), ad.take_rows(width_table, buckets)],
                   axis=1)
     return g, alpha
+
+
+def pair_input_layer_reference(g, w0, b0, rows, antecedents, tables, projected,
+                               relu=True, rate=0.0, rng=None):
+    """autodiff.pair_input_layer with each pair gather made for every pair
+    at once: the sum (g W_a)[rows] + (g W_b)[antecedents] +
+    (g[rows] * g[antecedents]) W_c + sum_k (T_k W_k)[idx_k] + b0, added
+    in that order, then relu and dropout, as one tape op."""
+    rows = np.asarray(rows, dtype=np.intp)
+    ants = np.asarray(antecedents, dtype=np.intp)
+    tables = [(t, np.asarray(idx, dtype=np.intp)) for t, idx in tables]
+    gv = g.data
+    w_a, w_b, w_c, *w_tables = ad._pair_weights(gv.shape[1], w0, [t for t, _ in tables])
+    g_wa, g_wb, *table_terms = projected
+
+    def product():
+        prod = gv[rows]
+        prod *= gv[ants]
+        return prod
+
+    out = g_wa[rows]
+    out += g_wb[ants]
+    out += product() @ w_c
+    for (_, idx), term in zip(tables, table_terms):
+        out += term[idx]
+    out += b0.data
+    scale = ad._relu_dropout(out, rate, rng) if relu else None
+
+    def backward(grad):
+        if relu:
+            grad = ad._relu_dropout_grad(grad, out, scale)
+        n = gv.shape[0]
+        by_row = ad._scatter_rows(grad, rows, n)
+        by_ant = ad._scatter_rows(grad, ants, n)
+        by_table = [ad._scatter_rows(grad, idx, t.data.shape[0]) for t, idx in tables]
+        b0._accumulate(grad.sum(axis=0))
+        if w0.requires_grad:
+            w0._accumulate(np.concatenate(
+                [gv.T @ by_row, gv.T @ by_ant, product().T @ grad]
+                + [t.data.T @ by_t for (t, _), by_t in zip(tables, by_table)]))
+        for (t, _), by_t, w_k in zip(tables, by_table, w_tables):
+            if t.requires_grad:
+                t._accumulate(by_t @ w_k.T)
+        if g.requires_grad:
+            d_prod = grad @ w_c.T
+            d_g = by_row @ w_a.T + by_ant @ w_b.T
+            d_g += ad._scatter_rows(d_prod * gv[ants], rows, n)
+            d_g += ad._scatter_rows(d_prod * gv[rows], ants, n)
+            g._accumulate(d_g)
+
+    return ad.Tensor(out, _parents=(g, w0, b0) + tuple(t for t, _ in tables),
+                     _backward=backward)

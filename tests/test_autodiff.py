@@ -18,7 +18,8 @@ from corefmtl.optim import AdamOptimizer, clip_global_norm
 from corefmtl.spans import bucket_index
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import TrainConfig, train
-from oracles import represent_spans_reference, scatter_rows_reference
+from oracles import (pair_input_layer_reference, represent_spans_reference,
+                     scatter_rows_reference)
 
 
 def finite_diff(fn, x, eps=1e-6):
@@ -327,6 +328,42 @@ class TestFusedLayers:
         for got, want in zip(list(hidden_in) + [t for t, _ in hidden_tables],
                              list(linear_in[:3]) + [t for t, _ in linear_in[5]]):
             assert_bits_equal(got.grad, want.grad)
+
+    @pytest.mark.parametrize("extra", [-(ad.GATHER_ROWS - 1), -1, 0, 1,
+                                       2 * ad.GATHER_ROWS + 5],
+                             ids=["one", "chunk-1", "chunk", "chunk+1", "3chunk+5"])
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu_dropout", "linear"])
+    def test_pair_input_layer_bit_equal_to_whole_gathers(self, extra, relu):
+        """Values and every gradient bit-equal to the layer with each gather
+        made for every pair at once (oracles.pair_input_layer_reference),
+        at pair counts on both sides of GATHER_ROWS and its multiples,
+        with relu and dropout, and in the linear form. The upstream
+        gradient has signed zeros, and g already holds a gradient when the
+        node's term arrives."""
+        num_pairs = ad.GATHER_ROWS + extra
+        rng = np.random.default_rng(num_pairs)
+        rows = rng.integers(1, 40, size=num_pairs)
+        ants = rng.integers(0, rows)
+        inputs = pair_layer_inputs(rng, 40, rows, ants, dim=6, hidden=5)
+        upstream = rng.normal(size=(num_pairs, 5))
+        upstream[rng.random(upstream.shape) < 0.2] = -0.0
+        earlier = rng.normal(size=(40, 6))
+        kw = dict(relu=True, rate=0.3) if relu else dict(relu=False)
+
+        def run(layer):
+            g, w0, b0 = (Tensor(t.data.copy(), requires_grad=True) for t in inputs[:3])
+            tables = [(Tensor(t.data.copy(), requires_grad=True), idx)
+                      for t, idx in inputs[5]]
+            g.grad = earlier.copy()
+            projected = ad.pair_projections(g, w0, [t for t, _ in tables])
+            out = layer(g, w0, b0, rows, ants, tables, projected,
+                        rng=ad.named_rng(6, "mask"), **kw)
+            out.backward(seed=upstream)
+            return [out.data, g.grad, w0.grad, b0.grad] + [t.grad for t, _ in tables]
+
+        for got, want in zip(run(ad.pair_input_layer), run(pair_input_layer_reference),
+                             strict=True):
+            assert_bits_equal(got, want)
 
     def test_pair_input_layer_checks_w0_rows(self):
         g = Tensor(np.ones((2, 3)))
@@ -716,6 +753,35 @@ class TestOptim:
         npt.assert_allclose(norm, expected)
         joint = np.sqrt((a.grad ** 2).sum() + (b.grad ** 2).sum())
         npt.assert_allclose(joint, 1.0)
+
+    def test_clip_global_norm_frees_each_old_gradient(self):
+        """Four 2 MB gradients: the clip holds one scaled copy or one square
+        at a time above them, where keeping every old gradient alive until
+        the end held all four copies (8 MB). The bits are those of a
+        gradient times max_norm / norm, and a skipped tensor keeps None."""
+        rng = np.random.default_rng(3)
+        tensors = [Tensor(np.zeros(1), requires_grad=True, name=str(i)) for i in range(5)]
+        want = [rng.normal(size=250_000) for _ in range(4)]
+        gc.collect()
+        # traced from before the gradients exist, so freeing them counts
+        tracemalloc.start()
+        try:
+            for t, g in zip(tensors, want):
+                t.grad = g.copy()
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            norm = clip_global_norm(tensors, 1.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 1.5 * want[0].nbytes
+        total = 0.0
+        for g in want:
+            total += float(np.sum(g * g))
+        assert norm == np.sqrt(total)
+        for t, g in zip(tensors, want):
+            assert_bits_equal(t.grad, g * (1.0 / norm))
+        assert tensors[4].grad is None
 
     def test_adam_first_step_size(self):
         """With a constant gradient the first Adam step is about -lr."""

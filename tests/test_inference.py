@@ -228,10 +228,13 @@ class TestTapeFreePrediction:
                 assert t._parents == () and t._backward is None, name
 
     def test_predict_and_taped_forward_peaks_are_bounded(self):
-        """Prediction builds no tape and scores in blocks: 4.5 MB on a
-        1000-token document. A taped forward keeps only the blocks' scores
-        of its spans and pairs (autodiff.recompute): 8.9 MB, 20.8 MB when
-        their activations waited on the tape."""
+        """Prediction builds no tape and scores in blocks: 2.5 MB on a
+        1000-token document, 3.6 MB when the token embeddings lived to the
+        end and the coarse merge and the pair scorer's first layer took a
+        whole block of rows at a time. A taped
+        forward keeps only the blocks' scores of its spans and pairs
+        (autodiff.recompute): 3.5 MB, 20.8 MB when their activations
+        waited on the tape."""
         docs = generate_corpus(2, seed=5)
         model = small_model(docs)
         rng = np.random.default_rng(0)
@@ -245,11 +248,14 @@ class TestTapeFreePrediction:
         assert taped_peak < 11.0e6
 
     def test_long_document_predict_peak_is_bounded(self):
-        """A 6000-token document peaks at 12.0 MB: the candidate spans are
-        three int arrays and the coarse shortlist scores a block of
-        anaphors a column block at a time. With a SpanCandidate per span
-        and an (anaphor block x kept) block of coarse scores it peaked at
-        29.0 MB."""
+        """A 6000-token document peaks at 8.0 MB: the candidate spans are
+        three int arrays, the coarse shortlist scores a block of anaphors
+        a column block at a time and merges its running top k a chunk of
+        rows at a time, the pair scorer's first layer gathers a chunk of
+        pairs at a time, and the token embeddings are dropped once the
+        kept spans are represented. With those three transients as large
+        as a block it peaked at 11.9 MB; with a SpanCandidate per span and
+        an (anaphor block x kept) block of coarse scores, at 29.0 MB."""
         docs = generate_corpus(2, seed=5)
         model = small_model(docs)
         rng = np.random.default_rng(0)
@@ -258,7 +264,7 @@ class TestTapeFreePrediction:
                              for _ in range(300)])
         assert doc.num_tokens == 6000
         predict_peak, _ = peak_bytes(predict_document, model, doc)
-        assert predict_peak < 14.0e6
+        assert predict_peak < 10.0e6
 
 
 def decoded(fp, doc):

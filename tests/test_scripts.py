@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from corefmtl.training import _platform_stamp
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -21,3 +23,28 @@ def test_digest_prints_the_stamp_and_four_digests():
     assert list(lines) == list(_platform_stamp()) + names
     assert {key: lines[key] for key in _platform_stamp()} == _platform_stamp()
     assert all(re.fullmatch(r"[0-9a-f]{16}", lines[name]) for name in names)
+
+
+@pytest.mark.parametrize("mode,stages", [
+    ("predict", ["coarse_scores", "score_matrix", "decode_antecedents"]),
+    ("train", ["score_matrix", "backward", "backward/represent_spans", "adam_step"]),
+])
+def test_stage_peaks_prints_entry_peak_and_exit_per_stage(mode, stages):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "stage_peaks.py"), "--workload",
+         "short-doc", mode],
+        cwd=ROOT, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *lines = proc.stdout.splitlines()
+    assert header.split() == ["stage", "calls", "entry_mib", "peak_mib", "exit_mib"]
+    rows = {}
+    for line in lines:
+        path, calls, *mib = line.split()
+        rows[path] = (int(calls), *map(float, mib))
+    whole = "predict_document" if mode == "predict" else "train"
+    assert list(rows)[-1] == whole and rows[whole][0] == 1
+    for name in stages:
+        assert f"{whole}/{name}" in rows
+    for path, (calls, entry, peak, exit_) in rows.items():
+        assert calls >= 1 and peak >= max(entry, exit_), path
+        assert peak <= rows[whole][2], path

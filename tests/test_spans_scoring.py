@@ -611,7 +611,10 @@ class TestArrayPipelineAgainstOracles:
         levels they tie often (both zeros included), from 101 rarely. A
         NaN score sorts last, as in the reference's lexsort. Kept counts
         fall on both sides of the column-block and anaphor-block
-        boundaries, and some shortlists are shorter than top_k."""
+        boundaries, and some shortlists are shorter than top_k. An
+        anaphor block of 16 rows merges its running top k in two chunks
+        of COARSE_COLUMNS rows, and a chunk whose anaphors all come
+        before a column block skips it."""
         monkeypatch.setattr(scoring, "COARSE_COLUMNS", 8)
         monkeypatch.setattr(ad, "PAIR_BLOCK", 16)
         rng = np.random.default_rng(top_k + levels)
