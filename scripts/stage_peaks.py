@@ -16,7 +16,10 @@ Inside this process only, each stage function the forward pass calls
 (the names corefmtl.model reads) is wrapped, and so are the decoding
 stages (predict) or the losses, `Tensor.backward`, gradient clipping and
 the optimizer step (train). A stage called within another is listed
-under the caller's name, as in `backward/represent_spans`. For each
+under the caller's name, as in `backward/represent_spans`. The backward
+pass of each recompute rerun (`autodiff.recompute`) is listed under its
+site: `backward/span_block`, `backward/pair_block` and `backward/head`;
+the rerun's forward stages are listed under `backward` itself. For each
 stage, in the order of its first call, the script prints its number of
 calls and, of the call that peaked highest, the traced memory at entry,
 its peak and the traced memory at exit, in MiB. The last row is the
@@ -36,6 +39,9 @@ MIB = 2 ** 20
 FORWARD_STAGES = ("encode", "enumerate_spans", "represent_spans", "unary_score_tensors",
                   "prune_spans", "coarse_scores", "pair_features", "score_matrix",
                   "head_logits")
+# a recompute site's row is named after the function it reruns
+# (span_block, pair_block), except the heads', which rerun ffnn
+RERUN_SITES = {"ffnn": "head"}
 LOSS_STAGES = ("gold_antecedent_mask", "coref_loss_from_matrix", "assign_aux_labels",
                "aux_losses", "mention_labels", "mention_scorer_loss", "total_loss")
 
@@ -49,19 +55,44 @@ class StagePeaks:
     def __init__(self):
         self.stack: list[list] = []   # [path, entry, peak so far] per open call
         self.stats: dict[str, list] = {}  # path: [calls, entry, peak, exit]
+        self.reruns: dict[int, str] = {}  # id of a rerun's output: its site
 
-    def wrap(self, owner, attr: str, name: str | None = None):
+    def wrap(self, owner, attr: str, name=None):
+        """Measure owner.attr under name, attr by default; a callable name
+        gives the name of each call from its arguments."""
         fn = getattr(owner, attr)
 
         @functools.wraps(fn)
         def measured(*args, **kwargs):
-            self._enter(name or attr)
+            self._enter(name(*args) if callable(name) else name or attr)
             try:
                 return fn(*args, **kwargs)
             finally:
                 self._exit()
 
         setattr(owner, attr, measured)
+
+    def label_reruns(self, autodiff):
+        """Name the backward() of each recompute rerun after its site
+        (RERUN_SITES). The rerun's output is the one tensor that fn
+        returns with a tape; the forward pass runs fn under no_grad()."""
+        recompute = autodiff.recompute
+
+        def labelled(fn, x):
+            site = getattr(fn, "func", fn).__name__
+            site = RERUN_SITES.get(site, site)
+
+            def rerun(leaf):
+                out = fn(leaf)
+                if out.requires_grad:
+                    self.reruns[id(out)] = site
+                return out
+
+            return recompute(rerun, x)
+
+        autodiff.recompute = labelled
+        self.wrap(autodiff.Tensor, "backward",
+                  lambda tensor, *_: self.reruns.pop(id(tensor), "backward"))
 
     def _enter(self, name: str):
         current, peak = tracemalloc.get_traced_memory()
@@ -111,12 +142,14 @@ def stage_peaks(workload: str, mode: str) -> list[str]:
             inference.predict_document(trained, largest)
     else:
         stages += [(model, name) for name in LOSS_STAGES]
-        stages += [(autodiff.Tensor, "backward"), (training, "clip_global_norm"),
+        stages += [(training, "clip_global_norm"),
                    (optim.AdamOptimizer, "step", "adam_step"), (training, "train")]
 
         def call():
             training.train([largest_train], cfg)
     peaks = StagePeaks()
+    if mode == "train":
+        peaks.label_reruns(autodiff)
     for stage in stages:
         peaks.wrap(*stage)
     tracemalloc.start()

@@ -22,26 +22,33 @@ Leaves (parameters, and tensors made with requires_grad=True) keep their
 gradients; `retain_grad()` keeps an intermediate's. A graph is
 differentiated once: a second backward() through it raises.
 
-Three layers are each one tape node that keeps what its backward reads
+Four layers are each one tape node that keeps what its backward reads
 and no intermediate: `dense` (an FFNN hidden layer), `pair_input_layer`
-(the pair scorer's first layer) and `span_representation` (boundary
-rows, soft head and width embedding). Each does the arithmetic of the
+(the pair scorer's first layer), `span_representation` (boundary rows,
+soft head and width embedding) and `window_mix` (the toy encoder's
+window context, concat, mix and tanh). Each does the arithmetic of the
 graph of primitive ops it replaces, in that graph's order, so values and
 gradients are bit-identical to it.
 
 `recompute(fn, x)` trades time for tape: it keeps only x and fn's
 output, and its backward runs fn again to backpropagate through it. The
-model wraps whole stages and blocks in it:
-- the toy encoder: its window context, concat, mix and tanh, over the
-  embedding lookup;
+model wraps whole blocks and heads in it:
 - each block of candidate spans: span representations and both unary
   scorers, over the token embeddings;
 - each block of pairs: the pair scorer, over the kept spans'
   representations;
 - each auxiliary head, over the kept spans' representations.
-So a training step's tape holds each stage's output, not its (rows x
-hidden) activations, and backward rebuilds and frees one stage's or
-block's graph at a time.
+So a training step's tape holds each block's or head's output, not its
+(rows x hidden) activations, and backward rebuilds and frees one block's
+or head's graph at a time.
+
+A block holds PAIR_BLOCK (512) rows. Every per-block activation, dropout
+mask and rerun grows with it, and a block's rerun in backward sets the
+peak of a training step: on a 1000-token document at hidden 150, a
+one-step train() peaks 3.1 MiB lower in blocks of 512 rows than of 1024,
+and only 0.5 MiB lower again in blocks of 256, for twice the blocks. The
+block size fixes the dropout streams (one per block) and the row splits
+of each block's products, so changing it changes the trained bits.
 """
 
 import contextlib
@@ -67,7 +74,7 @@ def no_grad():
 
 
 # rows of spans, anaphors or pairs in one block of the model's forward pass
-PAIR_BLOCK = 1024
+PAIR_BLOCK = 512
 
 
 def row_blocks(n: int) -> list[tuple[int, int]]:
@@ -441,6 +448,77 @@ def span_representation(emb: Tensor, head_score: Tensor, width_table: Tensor,
             alpha)
 
 
+def _window_shifts(num_rows: int, window: int):
+    """(source row, weight) of each shift -window .. window in turn, made
+    as the shift is used: row t takes row t + shift (clipped) with weight
+    1 / (rows in t's window), or 0 where t + shift is outside the rows.
+    Shifts beyond the rows would add only zero-weight terms, so a window
+    wider than num_rows - 1 runs as num_rows - 1."""
+    window = min(window, max(num_rows - 1, 0))
+    pos = np.arange(num_rows)
+    count = np.minimum(pos + window, num_rows - 1) - np.maximum(pos - window, 0) + 1
+    for shift in range(-window, window + 1):
+        src = pos + shift
+        inside = (src >= 0) & (src < num_rows)
+        yield np.clip(src, 0, num_rows - 1), np.where(inside, 1.0 / count, 0.0)[:, None]
+
+
+def window_context(x: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
+    """Write into out, and return it, row t = the mean of x's rows
+    max(0, t - window) .. min(T - 1, t + window), summed one shift at a
+    time (_window_shifts) in shift order: memory stays O(T * d) however
+    long x is."""
+    for k, (src, weight) in enumerate(_window_shifts(len(x), window)):
+        term = x[src]
+        term *= weight
+        if k == 0:
+            out[...] = term
+        else:
+            out += term
+        del term  # before the next shift's is gathered
+    return out
+
+
+def window_mix(emb: Tensor, w: Tensor, b: Tensor, window: int) -> Tensor:
+    """tanh([emb, window_context(emb)] @ w + b), the toy encoder over its
+    embedding lookup, as one tape node that keeps only its output.
+
+    The arithmetic is that of the composed graph (a take_rows times a
+    weight constant per shift, their sum, concat, matmul, add and tanh),
+    so values and gradients are bit-identical to it. Backward recomputes
+    the context and the concat for w's gradient, and hands emb the concat
+    slice's gradient first, then one scatter per shift, in shift order,
+    as that graph does.
+    """
+    ev = emb.data
+    num_rows, d = ev.shape
+
+    def inputs() -> np.ndarray:
+        cat = np.empty((num_rows, 2 * d), dtype=DTYPE)
+        cat[:, :d] = ev
+        window_context(ev, window, cat[:, d:])
+        return cat
+
+    out = inputs() @ w.data
+    out += b.data
+    np.tanh(out, out=out)
+
+    def backward(grad):
+        d_mixed = grad * (1.0 - out * out)
+        del grad
+        b._accumulate(d_mixed.sum(axis=0))
+        if w.requires_grad:
+            w._accumulate(inputs().T @ d_mixed)
+        if emb.requires_grad:
+            d_cat = d_mixed @ w.data.T
+            del d_mixed
+            emb._accumulate(d_cat[:, :d])
+            for src, weight in _window_shifts(num_rows, window):
+                emb._accumulate(_scatter_rows(d_cat[:, d:] * weight, src, num_rows))
+
+    return Tensor(out, _parents=(emb, w, b), _backward=backward)
+
+
 # pairs whose gathered rows pair_input_layer holds at a time
 GATHER_ROWS = 128
 
@@ -500,6 +578,16 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
     terms' sum, plus the product, plus each table term, plus b0. So no
     other (pairs x g width) or (pairs x hidden) gather is made, and every
     bit is that of the whole gathers added in turn.
+
+    Backward builds g's gradient one term at a time, in the formula's
+    order: by_row @ W_a.T, then by_ant @ W_b.T added in place, each
+    scatter of the gradient (by_row, by_ant) freed once used. The
+    product's two terms reuse their arrays: the first is g[antecedents]
+    multiplied in place by the product's gradient, and the second is that
+    gradient multiplied in place by g[rows], GATHER_ROWS pairs at a time.
+    So backward holds at most one (pairs x g width) temporary beside the
+    product's gradient, and both (kept spans x hidden) scatters are gone
+    before it is made.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
@@ -540,14 +628,23 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
         for (t, _), by_t, w_k in zip(tables, by_table, w_tables):
             if t.requires_grad:
                 t._accumulate(by_t @ w_k.T)
-        if g.requires_grad:
-            d_prod = grad @ w_c.T
-            del grad
-            d_g = by_row @ w_a.T + by_ant @ w_b.T
-            d_g += _scatter_rows(d_prod * gv[ants], rows, n)
-            d_g += _scatter_rows(d_prod * gv[rows], ants, n)
-            del d_prod
-            g._accumulate(d_g)
+        if not g.requires_grad:
+            return
+        d_prod = grad @ w_c.T
+        del grad
+        d_g = by_row @ w_a.T
+        del by_row
+        d_g += by_ant @ w_b.T
+        del by_ant
+        term = gv[ants]
+        term *= d_prod
+        d_g += _scatter_rows(term, rows, n)
+        del term
+        for chunk, part in _gather_rows(gv, rows):
+            d_prod[chunk] *= part
+        d_g += _scatter_rows(d_prod, ants, n)
+        del d_prod
+        g._accumulate(d_g)
 
     return Tensor(out, _parents=(g, w0, b0) + tuple(t for t, _ in tables),
                   _backward=backward)
@@ -618,15 +715,15 @@ def recompute(fn, x: Tensor) -> Tensor:
     embeddings under the span blocks). It is the inline graph's when fn
     reads x in one place only, so the leaf's gradient is a single term
     (each auxiliary head's first layer), or when nothing outside fn reads
-    x, so the leaf's gradient is all of x's (the toy encoder's mix).
-    Gradients of the parameters fn reads accumulate directly. fn must
-    compute the same values both times: a dropout mask must come from a
-    stream fn seeds itself. A recompute within fn would run its own fn a
-    third time, so the model nests none. Under no_grad() this is fn(x).
+    x, so the leaf's gradient is all of x's. Gradients of the parameters
+    fn reads accumulate directly. fn must compute the same values both
+    times: a dropout mask must come from a stream fn seeds itself. A
+    recompute within fn would run its own fn a third time, so the model
+    nests none. Under no_grad() this is fn(x).
 
-    The model's sites: the toy encoder (encoder.toy_encode), each block of
-    candidate spans (MtlCorefModel.forward), each block of pairs
-    (scoring.score_matrix) and each auxiliary head (mtl.head_logits).
+    The model's sites: each block of candidate spans
+    (MtlCorefModel.forward), each block of pairs (scoring.score_matrix)
+    and each auxiliary head (mtl.head_logits).
     """
     if not _GRAD_ENABLED.get():
         return fn(x)
@@ -642,16 +739,7 @@ def recompute(fn, x: Tensor) -> Tensor:
     return Tensor(out, requires_grad=True, _parents=(x,), _backward=backward)
 
 
-# -- elementwise nonlinearities -------------------------------------------
-
-
-def tanh(a: Tensor) -> Tensor:
-    value = np.tanh(a.data)
-
-    def backward(g):
-        a._accumulate(g * (1.0 - value * value))
-
-    return Tensor(value, _parents=(a,), _backward=backward)
+# -- reductions -----------------------------------------------------------
 
 
 def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:

@@ -105,37 +105,12 @@ def create_encoder_params(store: ParameterStore, cfg: EncoderConfig, vocab: list
         store.create("encoder/adapt_b", (cfg.dim,), init="zeros")
 
 
-def _window_context(emb: Tensor, window: int) -> Tensor:
-    """Row t is the mean of emb rows max(0, t - window) .. min(T - 1, t + window),
-    summed one shift at a time: memory stays O(T * d) however long the
-    document. Shifts beyond the document would add only zero-weight
-    terms, so a window wider than T - 1 runs as T - 1."""
-    n = emb.shape[0]
-    window = min(window, max(n - 1, 0))
-    pos = np.arange(n)
-    count = np.minimum(pos + window, n - 1) - np.maximum(pos - window, 0) + 1
-    ctx = None
-    for shift in range(-window, window + 1):
-        src = pos + shift
-        inside = (src >= 0) & (src < n)
-        weight = ad.constant(np.where(inside, 1.0 / count, 0.0)[:, None])
-        term = ad.take_rows(emb, np.clip(src, 0, n - 1)) * weight
-        ctx = term if ctx is None else ctx + term
-    return ctx
-
-
 def toy_encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
                vocab_index: dict[str, int]) -> Tensor:
     ids = np.array([vocab_index.get(tok, 0) for tok in doc.flat_tokens()],
                    dtype=np.intp)
     emb = ad.take_rows(store["encoder/embedding"], ids)
-
-    def mix(e: Tensor) -> Tensor:
-        ctx = _window_context(e, cfg.window)
-        mixed = ad.matmul(ad.concat([e, ctx], axis=1), store["encoder/mix_w"])
-        return ad.tanh(mixed + store["encoder/mix_b"])
-
-    return ad.recompute(mix, emb)
+    return ad.window_mix(emb, store["encoder/mix_w"], store["encoder/mix_b"], cfg.window)
 
 
 def encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
@@ -144,9 +119,10 @@ def encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
     """Contextual embeddings, shape (num_tokens, cfg.dim): the adapter over
     the document's rows of features if given, else the toy encoder.
 
-    With a tape, the toy encoder's window context, concat, mix and tanh
-    run inside one autodiff.recompute over the embedding lookup: the tape
-    keeps that lookup and the embeddings, and backward rebuilds the rest."""
+    The toy encoder's window context, concat, mix and tanh are one tape
+    node over the embedding lookup (autodiff.window_mix): the tape keeps
+    that lookup and the embeddings, and backward recomputes the context
+    and the concat."""
     if features is not None:
         feats = ad.constant(features.rows(doc))
         return ad.matmul(feats, store["encoder/adapt_w"]) + store["encoder/adapt_b"]

@@ -130,15 +130,16 @@ class MtlCorefModel:
         all candidate spans only the mention and combined scores are kept,
         and the kept spans are represented again, in one piece.
 
-        With a tape, four stages run inside autodiff.recompute, so the
-        tape keeps their outputs and backward rebuilds one stage's or
-        block's graph at a time: the toy encoder (encode), over the
-        embedding lookup; each block of spans, represented and
+        With a tape, three sites run inside autodiff.recompute, so the
+        tape keeps their outputs and backward rebuilds one block's or
+        head's graph at a time: each block of spans, represented and
         scored over the token embeddings; each block of pairs in
         score_matrix; and each auxiliary head in head_logits, over the
-        kept spans' representations. The tape then grows with the tokens
-        and the kept spans, not with the candidate spans or the pairs
-        times the hidden size.
+        kept spans' representations. The toy encoder (encode) is one tape
+        node over the embedding lookup (autodiff.window_mix) that keeps
+        only its output. The tape then grows with the tokens and the kept
+        spans, not with the candidate spans or the pairs times the hidden
+        size.
 
         Nothing after the kept spans' representations reads the token
         embeddings, so forward drops them there: without a tape they are

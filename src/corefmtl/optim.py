@@ -41,6 +41,12 @@ class AdamOptimizer:
 
     param_groups: list of (tensors, learning_rate, weight_decay) triples.
     Every tensor must carry a unique name; state is stored per name.
+
+    step() drops each parameter's gradient (sets its grad to None) once
+    it has built that parameter's new moments, so the step never holds
+    every gradient beside both new moments: the gradients are spent, and
+    the caller zeroes them after the step anyway. The update's arithmetic
+    is unchanged.
     """
 
     def __init__(self, param_groups):
@@ -67,7 +73,7 @@ class AdamOptimizer:
             for p in tensors:
                 if p.grad is None:
                     continue
-                g = p.grad
+                g, p.grad = p.grad, None
                 m = self._m.get(p.name)
                 v = self._v.get(p.name)
                 if m is None:
@@ -75,6 +81,7 @@ class AdamOptimizer:
                     v = np.zeros_like(p.data)
                 m = BETA1 * m + (1.0 - BETA1) * g
                 v = BETA2 * v + (1.0 - BETA2) * (g * g)
+                del g
                 self._m[p.name] = m
                 self._v[p.name] = v
                 update = (m / bc1) / (np.sqrt(v / bc2) + EPS)

@@ -18,6 +18,7 @@ trained directly as a binary mention detector over every candidate span
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from itertools import chain
 from math import ceil
 
 import numpy as np
@@ -68,6 +69,9 @@ def unary_mix(markable: Tensor, mention: Tensor, store: ParameterStore) -> Tenso
 
 # -- pruning -------------------------------------------------------------------
 
+# candidates of the pruning walk's order turned into Python ints at a time
+PRUNE_CHUNK = 1024
+
 
 def prune_spans(scores: np.ndarray, spans: SpanSet, num_tokens: int,
                 ratio: float = 0.4) -> np.ndarray:
@@ -90,7 +94,9 @@ def prune_spans(scores: np.ndarray, spans: SpanSet, num_tokens: int,
     furthest_end: dict[int, int] = {}
     earliest_start: dict[int, int] = {}
     kept: list[int] = []
-    for i, s, e in zip(order.tolist(), starts[order].tolist(), ends[order].tolist()):
+    chunks = (order[lo:lo + PRUNE_CHUNK] for lo in range(0, len(order), PRUNE_CHUNK))
+    for i, s, e in chain.from_iterable(
+            zip(c.tolist(), starts[c].tolist(), ends[c].tolist()) for c in chunks):
         if len(kept) >= limit:
             break
         if (any(furthest_end.get(t, e) > e for t in range(s + 1, e + 1))

@@ -11,7 +11,9 @@ and a coarse shortlist comes from a sort of its anaphor's whole row. A
 backward scatter-sum is np.add.at. Span representations are the graph of
 primitive autodiff ops that autodiff.span_representation fuses, with exp
 and the soft-head sum defined here as tape ops. The pair scorer's first layer is
-autodiff.pair_input_layer's arithmetic with every gather made whole.
+autodiff.pair_input_layer's arithmetic with every gather made whole. The
+toy encoder's mix is the graph of primitive autodiff ops that
+autodiff.window_mix fuses, with tanh defined here as a tape op.
 """
 
 from itertools import permutations
@@ -257,6 +259,16 @@ def exp(a):
     return ad.Tensor(value, _parents=(a,), _backward=backward)
 
 
+def tanh(a):
+    """tanh as a tape op on autodiff tensors."""
+    value = np.tanh(a.data)
+
+    def backward(g):
+        a._accumulate(g * (1.0 - value * value))
+
+    return ad.Tensor(value, _parents=(a,), _backward=backward)
+
+
 def span_attend(alpha, emb, grid):
     """out[s] = sum_k alpha[s, k] * emb[grid[s, k]] as a tape op, summed one
     offset k at a time, forward and backward."""
@@ -343,3 +355,22 @@ def pair_input_layer_reference(g, w0, b0, rows, antecedents, tables, projected,
 
     return ad.Tensor(out, _parents=(g, w0, b0) + tuple(t for t, _ in tables),
                      _backward=backward)
+
+
+def window_mix_reference(emb, w, b, window):
+    """tanh(concat([emb, context]) @ w + b) composed from autodiff ops,
+    where row t of the context is the mean of emb rows max(0, t - window)
+    .. min(T - 1, t + window): one take_rows times a weight constant per
+    shift, summed in shift order."""
+    n = emb.shape[0]
+    window = min(window, max(n - 1, 0))
+    pos = np.arange(n)
+    count = np.minimum(pos + window, n - 1) - np.maximum(pos - window, 0) + 1
+    ctx = None
+    for shift in range(-window, window + 1):
+        src = pos + shift
+        inside = (src >= 0) & (src < n)
+        weight = ad.constant(np.where(inside, 1.0 / count, 0.0)[:, None])
+        term = ad.take_rows(emb, np.clip(src, 0, n - 1)) * weight
+        ctx = term if ctx is None else ctx + term
+    return tanh(ad.matmul(ad.concat([emb, ctx], axis=1), w) + b)

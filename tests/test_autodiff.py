@@ -11,7 +11,7 @@ import pytest
 
 from corefmtl import autodiff as ad
 from corefmtl.autodiff import ParameterStore, Tensor
-from corefmtl.encoder import EncoderConfig
+from corefmtl.encoder import EncoderConfig, create_encoder_params
 from corefmtl.layers import create_ffnn, ffnn
 from corefmtl.mtl import PRESET_WEIGHTS
 from corefmtl.optim import AdamOptimizer, clip_global_norm
@@ -19,7 +19,7 @@ from corefmtl.spans import bucket_index
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import TrainConfig, train
 from oracles import (pair_input_layer_reference, represent_spans_reference,
-                     scatter_rows_reference)
+                     scatter_rows_reference, window_mix_reference)
 
 
 def finite_diff(fn, x, eps=1e-6):
@@ -38,22 +38,8 @@ def finite_diff(fn, x, eps=1e-6):
     return g
 
 
-def check_unary(op, shape=(3, 4), seed=0):
-    rng = np.random.default_rng(seed)
-    data = rng.normal(size=shape)
-    x = Tensor(data.copy(), requires_grad=True)
-
-    def value():
-        return float(op(x).sum().item())
-
-    out = op(x).sum()
-    out.backward()
-    npt.assert_allclose(x.grad, finite_diff(value, x.data), rtol=1e-6, atol=1e-8)
-
-
 class TestElementwise:
-    def test_tanh_and_relu(self):
-        check_unary(ad.tanh)
+    def test_relu(self):
         # keep values away from the relu kink
         rng = np.random.default_rng(1)
         data = rng.normal(size=(5, 3))
@@ -427,6 +413,64 @@ class TestDense:
         assert_bits_equal(b.grad, d.sum(axis=0))
         assert_bits_equal(x.grad, d @ wv.T)
         assert_bits_equal(w.grad, xv.T @ d)
+
+
+class TestWindowMix:
+    # (tokens, window): windows 0, 1 and 2, one wider than the document,
+    # and a one-token document
+    CASES = pytest.mark.parametrize("num_tokens,window", [
+        (9, 0), (9, 1), (9, 2), (5, 7), (1, 1)], ids=["w0", "w1", "w2", "wide", "one"])
+
+    def encoder_inputs(self, num_tokens, window, dim=3, vocab=6):
+        """The toy encoder's parameters and token ids, repeats included."""
+        store = ParameterStore(num_tokens + window)
+        create_encoder_params(store, EncoderConfig(dim=dim, window=window),
+                              [str(i) for i in range(vocab)])
+        ids = np.random.default_rng(window).integers(0, vocab + 1, size=num_tokens)
+        return store, ids
+
+    PARAMS = ("encoder/embedding", "encoder/mix_w", "encoder/mix_b")
+
+    @staticmethod
+    def mix_output(mix, store, ids, window):
+        return mix(ad.take_rows(store["encoder/embedding"], ids), store["encoder/mix_w"],
+                   store["encoder/mix_b"], window)
+
+    def run(self, mix, store, ids, window, upstream):
+        """mix over the embedding lookup; its output and, after backward
+        from upstream, the encoder's gradients."""
+        store.zero_grad()
+        out = self.mix_output(mix, store, ids, window)
+        out.backward(upstream)
+        return [out.data] + [store[name].grad for name in self.PARAMS]
+
+    @CASES
+    def test_bit_equal_to_the_composed_graph(self, num_tokens, window):
+        """Values and the embedding, mix_w and mix_b gradients are those
+        of the graph the node fuses (oracles.window_mix_reference), bit for
+        bit, with signed zeros in the upstream gradient."""
+        store, ids = self.encoder_inputs(num_tokens, window)
+        rng = np.random.default_rng(num_tokens)
+        upstream = rng.normal(size=(num_tokens, 3))
+        upstream[rng.random(upstream.shape) < 0.3] = -0.0
+        for got, want in zip(self.run(ad.window_mix, store, ids, window, upstream),
+                             self.run(window_mix_reference, store, ids, window, upstream),
+                             strict=True):
+            assert_bits_equal(got, want)
+
+    @CASES
+    def test_finite_differences(self, num_tokens, window):
+        store, ids = self.encoder_inputs(num_tokens, window)
+        weights = np.random.default_rng(23).normal(size=(num_tokens, 3))
+        self.run(ad.window_mix, store, ids, window, weights)
+
+        def value():
+            with ad.no_grad():
+                out = self.mix_output(ad.window_mix, store, ids, window)
+            return float((out.data * weights).sum())
+
+        for t in (store[name] for name in self.PARAMS):
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
 
 
 class TestRecompute:
@@ -826,6 +870,19 @@ class TestOptim:
             return p.data
 
         npt.assert_array_equal(run(6), run(6, reload_at=3))
+
+    def test_step_drops_each_gradient(self):
+        """step() drops a parameter's gradient once it has built its
+        moments; a parameter without a gradient is skipped."""
+        stepped = [Tensor(np.array([1.0, -2.0]), requires_grad=True, name=name)
+                   for name in ("a", "b")]
+        idle = Tensor(np.array([3.0]), requires_grad=True, name="c")
+        opt = AdamOptimizer([(stepped, 0.05, 0.0), ([idle], 0.05, 0.01)])
+        for p in stepped:
+            p.grad = np.array([0.3, -0.1])
+        opt.step()
+        assert [p.grad for p in stepped + [idle]] == [None] * 3
+        assert sorted(opt.state()["arrays"]) == ["m/a", "m/b", "v/a", "v/b"]
 
     def test_state_is_not_changed_by_a_later_step(self):
         """state() hands over the moments without a copy; step() rebinds

@@ -6,6 +6,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from corefmtl import autodiff as ad
 from corefmtl.autodiff import ParameterStore, Tensor
 from corefmtl.cli import main
 from corefmtl.config import load_config
@@ -15,7 +16,6 @@ from corefmtl.encoder import (
     FeatureFile,
     build_vocab,
     create_encoder_params,
-    _window_context,
     encode,
 )
 from corefmtl.synthetic import generate_corpus
@@ -124,14 +124,21 @@ def dense_window_average(num_tokens, window):
 class TestWindowContext:
     @pytest.mark.parametrize("num_tokens,window", [(1, 1), (2, 3), (7, 0), (9, 1), (12, 2)])
     def test_matches_the_dense_definition(self, num_tokens, window):
+        """autodiff.window_context, and the context's gradient within
+        autodiff.window_mix: with w = [0; I] and b = 0 the mix is
+        tanh(context), so emb's gradient is dense.T @ (seed * tanh')."""
         rng = np.random.default_rng(num_tokens)
         emb = Tensor(rng.normal(size=(num_tokens, 3)), requires_grad=True)
-        ctx = _window_context(emb, window)
         dense = dense_window_average(num_tokens, window)
-        npt.assert_allclose(ctx.data, dense @ emb.data, rtol=1e-13, atol=1e-15)
-        seed = rng.normal(size=ctx.shape)
-        ctx.backward(seed)
-        npt.assert_allclose(emb.grad, dense.T @ seed, rtol=1e-13, atol=1e-15)
+        ctx = ad.window_context(emb.data, window, np.empty((num_tokens, 3)))
+        npt.assert_allclose(ctx, dense @ emb.data, rtol=1e-13, atol=1e-15)
+        w = Tensor(np.vstack([np.zeros((3, 3)), np.eye(3)]))
+        out = ad.window_mix(emb, w, Tensor(np.zeros(3)), window)
+        npt.assert_allclose(out.data, np.tanh(dense @ emb.data), rtol=1e-13, atol=1e-15)
+        seed = rng.normal(size=out.shape)
+        out.backward(seed)
+        npt.assert_allclose(emb.grad, dense.T @ (seed * (1.0 - out.data ** 2)),
+                            rtol=1e-13, atol=1e-15)
 
     def test_window_wider_than_the_document(self):
         # shifts past the document add nothing, so they must cost nothing too

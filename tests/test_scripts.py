@@ -27,7 +27,8 @@ def test_digest_prints_the_stamp_and_four_digests():
 
 @pytest.mark.parametrize("mode,stages", [
     ("predict", ["coarse_scores", "score_matrix", "decode_antecedents"]),
-    ("train", ["score_matrix", "backward", "backward/represent_spans", "adam_step"]),
+    ("train", ["score_matrix", "backward", "backward/represent_spans", "backward/span_block",
+               "backward/pair_block", "backward/head", "adam_step"]),
 ])
 def test_stage_peaks_prints_entry_peak_and_exit_per_stage(mode, stages):
     proc = subprocess.run(

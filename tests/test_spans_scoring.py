@@ -307,6 +307,48 @@ class TestPruneSpans:
         want = prune_reference(scores, [c.span for c in spans], n_tokens, ratio)
         assert prune_spans(scores, spans, n_tokens, ratio).tolist() == want
 
+    def test_budget_fills_inside_the_first_chunk(self, monkeypatch):
+        """The walk stops inside its first chunk of PRUNE_CHUNK candidates
+        and keeps what the pairwise reference keeps."""
+        monkeypatch.setattr(scoring, "PRUNE_CHUNK", 8)
+        rng = np.random.default_rng(4)
+        spans = span_set([cand(s, min(s + w, 19)) for s in range(20) for w in (0, 2)])
+        scores = rng.normal(size=len(spans))
+        want = prune_reference(scores, [c.span for c in spans], 10, 0.4)
+        kept = prune_spans(scores, spans, num_tokens=10, ratio=0.4)
+        assert kept.tolist() == want
+        order = np.lexsort((spans.ends, spans.starts, -scores))
+        assert len(kept) == 4 and set(kept) <= set(order[:scoring.PRUNE_CHUNK])
+
+    def test_crossing_check_spans_a_chunk_boundary(self, monkeypatch):
+        """Chunks of two candidates: (1, 3) in the second chunk crosses
+        (0, 2), kept in the first, and (4, 6) in the third crosses (3, 4),
+        kept in the second; both are skipped, as in the reference."""
+        monkeypatch.setattr(scoring, "PRUNE_CHUNK", 2)
+        spans = span_set([cand(0, 2), cand(5, 5), cand(1, 3), cand(3, 4), cand(4, 6)])
+        scores = np.array([5.0, 4.0, 3.0, 2.0, 1.0])
+        kept = prune_spans(scores, spans, num_tokens=100, ratio=0.4)
+        assert kept.tolist() == [0, 3, 1]
+        assert kept.tolist() == prune_reference(scores, [c.span for c in spans], 100, 0.4)
+
+    @settings(max_examples=50, deadline=None)
+    @given(st.integers(0, 10 ** 6), st.sampled_from([1, 2, 3, 7]))
+    def test_chunked_walk_matches_the_pairwise_crossing_check(self, seed, chunk):
+        rng = np.random.default_rng(seed)
+        n_tokens = int(rng.integers(1, 40))
+        starts = rng.integers(0, n_tokens, size=int(rng.integers(1, 60)))
+        ends = np.minimum(starts + rng.integers(0, 8, size=len(starts)), n_tokens - 1)
+        spans = span_set([cand(int(s), int(e)) for s, e in zip(starts, ends)])
+        scores = rng.integers(0, 4, size=len(spans)).astype(float)
+        ratio = float(rng.uniform(0.1, 1.5))
+        want = prune_reference(scores, [c.span for c in spans], n_tokens, ratio)
+        default = scoring.PRUNE_CHUNK
+        scoring.PRUNE_CHUNK = chunk  # hypothesis runs every example in one test call
+        try:
+            assert prune_spans(scores, spans, n_tokens, ratio).tolist() == want
+        finally:
+            scoring.PRUNE_CHUNK = default
+
     @settings(max_examples=100, deadline=None)
     @given(st.integers(0, 10 ** 6), st.integers(4, 18))
     def test_invariants_on_random_inputs(self, seed, n_tokens):

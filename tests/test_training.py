@@ -30,6 +30,7 @@ from corefmtl.training import (
     train,
 )
 from helpers import make_document
+from oracles import window_mix_reference
 
 
 def tiny_config(**kw):
@@ -614,7 +615,7 @@ class TestBackwardMemory:
         returns. The blocks of spans and pairs keep only their scores on
         the tape, and backward rebuilds one block's activations at a time
         (autodiff.recompute): a 2000-token step in blocks of 64 rows peaks
-        at 19.4 MB, 48.1 MB when the blocks' activations waited on the
+        at 9.6 MB, 48.1 MB when the blocks' activations waited on the
         tape."""
         model, doc = self.model_and_document()
         tracemalloc.start()
@@ -634,11 +635,12 @@ class TestBackwardMemory:
         assert self.step_peak(model, doc) < 35.0e6
 
     def test_training_step_peak(self):
-        """The peak of a whole step's loss and backward. The encoder, the
-        auxiliary heads and the blocks of spans and pairs keep only their
-        inputs and outputs on the tape (autodiff.recompute), the pair
-        scorer's first layer is one node, and each gradient is freed once
-        its closure is done with it: 5.5 MB here, 6.6 MB when a span
+        """The peak of a whole step's loss and backward. The auxiliary
+        heads and the blocks of spans and pairs keep only their inputs and
+        outputs on the tape (autodiff.recompute), the encoder's mix and the
+        pair scorer's first layer are each one node, and each gradient is
+        freed once its closure is done with it: 3.3 MB here, 5.5 MB in
+        blocks of 1024 rows with the encoder rerun in backward, 6.6 MB when a span
         block's representations were a graph of twelve nodes (now one,
         autodiff.span_representation), 8.2 MB when the encoder and the
         heads also kept their activations on the tape, 12.7 MB when the
@@ -647,7 +649,7 @@ class TestBackwardMemory:
 
     def test_whole_train_peak(self):
         """One step of train() at hidden 256 on a 100-token document, the
-        checkpoint included, peaks at 8.0 MB. Its parameters take 1.9 MB
+        checkpoint included, peaks at 7.9 MB. Its parameters take 1.9 MB
         and Adam's moments 2.7 MB; the peak was 10.8 MB when the spent
         gradients and copies of both moments sat beside the checkpoint."""
         _, doc = self.model_and_document(sentences=5)
@@ -667,11 +669,32 @@ class TestBackwardMemory:
     def test_long_document_step_peak(self):
         """A 4000-token step: the encoder's window, concat and mix, and the
         heads' hidden layers, are rebuilt in backward rather than kept on
-        the tape, so the step peaks at 21.8 MB, 35.2 MB when they waited
-        on the tape."""
+        the tape, so the step peaks at 17.1 MB (20.2 MB in blocks of 1024
+        rows with the encoder's whole graph rerun), 35.2 MB when they
+        waited on the tape."""
         model, doc = self.model_and_document(sentences=200)
         assert doc.num_tokens == 4000
         assert self.step_peak(model, doc) < 27.0e6
+
+    def test_benchmark_shape_step_peak(self):
+        """A step at the benchmark's long-document shape: 1000 tokens in
+        20-token sentences, hidden 150, encoder dim 64, spans up to 30
+        tokens wide, two hidden layers per FFNN, dropout 0.3. In blocks of
+        512 rows, with the toy encoder one tape node (autodiff.window_mix)
+        and a pair backward that frees each kept-span gradient term once
+        used, it peaks at 12.5 MB; 15.4 MB in blocks of 1024 with the
+        encoder's rerun and the old pair backward, 13.2 MB with only the
+        blocks halved."""
+        cfg = tiny_config(encoder=EncoderConfig(dim=64, window=1), feature_dim=20,
+                          hidden=150, ffnn_depth=2, dropout=0.3, max_span_width=30,
+                          top_antecedents=50)
+        vocab = build_vocab(generate_corpus(2, seed=5), cfg.encoder.vocab_size)
+        model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, vocab)
+        rng = np.random.default_rng(0)
+        doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
+                             for _ in range(50)])
+        assert doc.num_tokens == 1000
+        assert self.step_peak(model, doc) < 13.5e6
 
     def step_peak(self, model, doc) -> int:
         """Bytes a step's loss and backward add at their peak."""
@@ -733,24 +756,42 @@ class TestBlockRecompute:
             else:
                 npt.assert_array_equal(got, want, err_msg=name)
 
-    # the recompute sites of the encoder and of the auxiliary heads
-    OUTER_SITES = {"toy_encode.<locals>.mix", "ffnn"}
+    # the recompute site of the auxiliary heads
+    HEAD_SITE = "ffnn"
 
-    @pytest.mark.parametrize("encoder", ["toy", "features"])
-    def test_encoder_and_head_recompute_equal_the_inline_graph(
-            self, monkeypatch, tmp_path, encoder):
-        """The toy encoder and each auxiliary head run inside one autodiff.
-        recompute whose input's gradient is the inline graph's: a head's
-        first layer reads the kept spans once, and nothing outside the
-        encoder's recompute reads the embedding lookup. With the span and
-        pair blocks left as they are, the loss and every gradient,
-        encoder/ included, are bit-equal to a step that runs the encoder
-        and the heads inline; the features adapter is inline already."""
-        monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
+    def step(self, doc, cfg, vocab):
+        """The loss of one sg_ent_infs step in blocks of 3 rows, and every
+        parameter's gradient."""
+        model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, vocab)
+        tot, _, _ = model.loss(doc, PRESET_WEIGHTS["sg_ent_infs"], train_step=1)
+        tot.backward()
+        return tot.item(), {name: model.store[name].grad
+                            for name in model.store.names()
+                            if model.store[name].grad is not None}
+
+    def assert_steps_bit_equal(self, first, second):
+        (loss, grads), (other_loss, other) = first, second
+        assert loss == other_loss
+        assert grads.keys() == other.keys()
+        assert any(name.startswith("encoder/") for name in grads)
+        for name, want in other.items():
+            npt.assert_array_equal(grads[name], want, err_msg=name)
+
+    def step_inputs(self):
         docs = generate_corpus(2, seed=5)
         doc = max(docs, key=lambda d: d.num_tokens)
         cfg = tiny_config(dropout=0.3)
-        vocab = build_vocab(docs, cfg.encoder.vocab_size)
+        return doc, cfg, build_vocab(docs, cfg.encoder.vocab_size)
+
+    @pytest.mark.parametrize("encoder", ["toy", "features"])
+    def test_head_recompute_equals_the_inline_graph(self, monkeypatch, tmp_path, encoder):
+        """Each auxiliary head runs inside one autodiff.recompute whose
+        input's gradient is the inline graph's: a head's first layer reads
+        the kept spans once. With the span and pair blocks left as they
+        are, the loss and every gradient, encoder/ included, are bit-equal
+        to a step that runs the heads inline."""
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
+        doc, cfg, vocab = self.step_inputs()
         if encoder == "features":
             path = tmp_path / "features.npz"
             rng = np.random.default_rng(2)
@@ -759,35 +800,32 @@ class TestBlockRecompute:
             cfg = tiny_config(dropout=0.3,
                               encoder=EncoderConfig(dim=8, features=str(path)))
             vocab = []
-
-        def step():
-            model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, vocab)
-            tot, _, _ = model.loss(doc, PRESET_WEIGHTS["sg_ent_infs"], train_step=1)
-            tot.backward()
-            return tot.item(), {name: model.store[name].grad
-                                for name in model.store.names()
-                                if model.store[name].grad is not None}
-
         blocked = ad.recompute
         inlined = []
 
-        def inline_outer_sites(fn, x):
+        def inline_heads(fn, x):
             site = getattr(fn, "func", fn).__qualname__
-            if site not in self.OUTER_SITES:
+            if site != self.HEAD_SITE:
                 return blocked(fn, x)
             inlined.append(site)
             return fn(x)
 
-        loss, grads = step()
-        monkeypatch.setattr(ad, "recompute", inline_outer_sites)
-        inline_loss, inline = step()
-        mix = ["toy_encode.<locals>.mix"] if encoder == "toy" else []
-        assert inlined == mix + ["ffnn"] * 3
-        assert loss == inline_loss
-        assert grads.keys() == inline.keys()
-        assert any(name.startswith("encoder/") for name in grads)
-        for name, want in inline.items():
-            npt.assert_array_equal(grads[name], want, err_msg=name)
+        first = self.step(doc, cfg, vocab)
+        monkeypatch.setattr(ad, "recompute", inline_heads)
+        second = self.step(doc, cfg, vocab)
+        assert inlined == [self.HEAD_SITE] * 3
+        self.assert_steps_bit_equal(first, second)
+
+    def test_fused_encoder_equals_the_composed_graph(self, monkeypatch):
+        """The toy encoder's mix is one tape node (autodiff.window_mix):
+        with everything else as it is, the loss and every gradient,
+        encoder/ included, are bit-equal to a step that builds the
+        composed graph (oracles.window_mix_reference) instead."""
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
+        doc, cfg, vocab = self.step_inputs()
+        fused = self.step(doc, cfg, vocab)
+        monkeypatch.setattr(ad, "window_mix", window_mix_reference)
+        self.assert_steps_bit_equal(fused, self.step(doc, cfg, vocab))
 
 
 class TestStability:
