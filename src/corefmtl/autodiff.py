@@ -142,14 +142,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data)
 
@@ -225,15 +217,13 @@ class Tensor:
     def __mul__(self, other):
         return mul(self, as_tensor(other))
 
-    def sum(self, axis=None, keepdims=False):
-        return tensor_sum(self, axis=axis, keepdims=keepdims)
+    def sum(self):
+        return tensor_sum(self)
 
-    def mean(self, axis=None, keepdims=False):
-        return tensor_mean(self, axis=axis, keepdims=keepdims)
+    def mean(self):
+        return tensor_mean(self)
 
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape):
         return reshape(self, shape)
 
 
@@ -243,8 +233,8 @@ def as_tensor(value) -> Tensor:
     return Tensor(np.asarray(value, dtype=DTYPE))
 
 
-def constant(value, name=None) -> Tensor:
-    return Tensor(np.asarray(value, dtype=DTYPE), name=name)
+def constant(value) -> Tensor:
+    return Tensor(np.asarray(value, dtype=DTYPE))
 
 
 # -- arithmetic -----------------------------------------------------------
@@ -742,22 +732,17 @@ def recompute(fn, x: Tensor) -> Tensor:
 # -- reductions -----------------------------------------------------------
 
 
-def tensor_sum(a: Tensor, axis=None, keepdims=False) -> Tensor:
+def tensor_sum(a: Tensor) -> Tensor:
+    """The sum of all of a's entries, a scalar."""
     def backward(g):
-        if axis is not None and not keepdims:
-            axes = axis if isinstance(axis, tuple) else (axis,)
-            g = np.expand_dims(g, axes)
         a._accumulate(np.broadcast_to(g, a.data.shape).copy())
 
-    return Tensor(a.data.sum(axis=axis, keepdims=keepdims), _parents=(a,),
-                  _backward=backward)
+    return Tensor(a.data.sum(), _parents=(a,), _backward=backward)
 
 
-def tensor_mean(a: Tensor, axis=None, keepdims=False) -> Tensor:
-    count = a.data.size if axis is None else np.prod(
-        [a.data.shape[ax] for ax in (axis if isinstance(axis, tuple) else (axis,))]
-    )
-    return tensor_sum(a, axis=axis, keepdims=keepdims) * (1.0 / float(count))
+def tensor_mean(a: Tensor) -> Tensor:
+    """The mean of all of a's entries, a scalar."""
+    return tensor_sum(a) * (1.0 / float(a.data.size))
 
 
 def _logsumexp_softmax(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:

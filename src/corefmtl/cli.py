@@ -15,6 +15,7 @@ from .corpus import (CorpusError, Document, apply_sidecar, load_documents,
 from .error_analysis import contrast, format_contrast
 from .evaluation import EvaluationError, evaluate, format_report, report_to_dict
 from .inference import predict_document
+from .mtl import PRESET_WEIGHTS
 from .training import (Checkpoint, CheckpointError, NumericError,
                        model_from_checkpoint, train)
 
@@ -140,8 +141,7 @@ def build_parser() -> _Parser:
     p_train = sub.add_parser("train", help="train a model")
     p_train.add_argument("corpus", nargs="+", help="training files (.conll/.jsonl)")
     p_train.add_argument("--config", help="INI config file")
-    p_train.add_argument("--preset", help="task weight preset "
-                         "(baseline, sg, sg_ent, sg_ent_infs)")
+    p_train.add_argument("--preset", help=f"task weight preset ({', '.join(PRESET_WEIGHTS)})")
     p_train.add_argument("--seed", type=int, help="override training.seed")
     p_train.add_argument("--sidecar", action="append",
                          help="mention annotation TSV (repeatable)")

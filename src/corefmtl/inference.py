@@ -29,12 +29,6 @@ def decode_antecedents(scores: np.ndarray, shortlists: PairIndex) -> list[int | 
     return [j if j >= 0 else None for j in picked.tolist()]
 
 
-def _softmax(logits: np.ndarray) -> np.ndarray:
-    mx = logits.max(axis=-1, keepdims=True)
-    ex = np.exp(logits - mx)
-    return ex / ex.sum(axis=-1, keepdims=True)
-
-
 def build_clusters(antecedents: list[int | None], kept_spans, doc_key: str,
                    singleton_probs: np.ndarray | None = None,
                    type_logits: np.ndarray | None = None,
@@ -91,7 +85,7 @@ def predict_document(model: MtlCorefModel, doc: Document,
     antecedents = decode_antecedents(fp.scores.data, fp.shortlists)
     singleton_probs = type_logits = status_logits = None
     if model.include_aux:
-        singleton_probs = _softmax(fp.logits["singleton"].data)[:, 1]
+        singleton_probs = ad._logsumexp_softmax(fp.logits["singleton"].data, axis=1)[1][:, 1]
         type_logits = fp.logits["entity_type"].data
         status_logits = fp.logits["info_status"].data
     return build_clusters(antecedents, fp.kept_spans, doc.doc_key,

@@ -152,10 +152,9 @@ class MtlCorefModel:
         width = int(spans.widths.max(initial=1))
 
         def span_block(e: Tensor, lo: int, hi: int) -> Tensor:
-            markable, mention, _ = unary_score_tensors(
+            return ad.concat(unary_score_tensors(
                 represent_spans(e, spans[lo:hi], self.store, width)[0],
-                self.store, cfg.dropout, train_step, block=lo)
-            return ad.concat([markable, mention])
+                self.store, cfg.dropout, train_step, block=lo))
 
         mention, combined = [], []
         for lo, hi in ad.row_blocks(len(spans)):

@@ -47,17 +47,16 @@ def create_scoring_params(store: ParameterStore, g_dim: int, hidden: int,
 
 def unary_score_tensors(g: Tensor, store: ParameterStore, dropout: float = 0.0,
                         step: int | None = None,
-                        block: int = 0) -> tuple[Tensor, Tensor, Tensor]:
-    """(markable, mention, combined) score vectors, each shaped (S,). block
-    is the first row of g among the document's spans (ffnn's block).
+                        block: int = 0) -> tuple[Tensor, Tensor]:
+    """(markable, mention) score vectors, each shaped (S,). block is the
+    first row of g among the document's spans (ffnn's block).
 
     The model runs this, span representations included, inside one
-    autodiff.recompute per block of spans, which keeps only the markable
-    and mention scores; it mixes them outside the rerun (unary_mix)."""
+    autodiff.recompute per block of spans, which keeps only these two
+    scores; it mixes them outside the rerun (unary_mix)."""
     n = g.shape[0]
-    markable, mention = (ffnn(g, store, prefix, dropout, step, block=block).reshape((n,))
-                         for prefix in ("score/markable", "score/mention"))
-    return markable, mention, unary_mix(markable, mention, store)
+    return tuple(ffnn(g, store, prefix, dropout, step, block=block).reshape((n,))
+                 for prefix in ("score/markable", "score/mention"))
 
 
 def unary_mix(markable: Tensor, mention: Tensor, store: ParameterStore) -> Tensor:

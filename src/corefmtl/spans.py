@@ -32,7 +32,6 @@ class SpanCandidate:
 
     start: int
     end: int
-    sentence: int
 
     @property
     def width(self) -> int:
@@ -45,14 +44,12 @@ class SpanCandidate:
 
 @dataclass(frozen=True, eq=False)
 class SpanSet:
-    """Candidate spans as three int arrays: inclusive token bounds and the
-    sentence of each span. Slicing or indexing with an int array gives a
-    SpanSet; indexing with an int gives one SpanCandidate, and iteration
-    yields them in order."""
+    """Candidate spans as two int arrays, their inclusive token bounds.
+    Slicing or indexing with an int array gives a SpanSet; indexing with an
+    int gives one SpanCandidate, and iteration yields them in order."""
 
     starts: np.ndarray
     ends: np.ndarray
-    sentence: np.ndarray
 
     @property
     def widths(self) -> np.ndarray:
@@ -63,14 +60,12 @@ class SpanSet:
 
     def __getitem__(self, index):
         if isinstance(index, (int, np.integer)):
-            return SpanCandidate(int(self.starts[index]), int(self.ends[index]),
-                                 int(self.sentence[index]))
-        return SpanSet(self.starts[index], self.ends[index], self.sentence[index])
+            return SpanCandidate(int(self.starts[index]), int(self.ends[index]))
+        return SpanSet(self.starts[index], self.ends[index])
 
     def __iter__(self):
-        for start, end, sent in zip(self.starts.tolist(), self.ends.tolist(),
-                                    self.sentence.tolist()):
-            yield SpanCandidate(start, end, sent)
+        for start, end in zip(self.starts.tolist(), self.ends.tolist()):
+            yield SpanCandidate(start, end)
 
 
 def enumerate_spans(doc: Document, max_span_width: int = 30) -> SpanSet:
@@ -80,14 +75,13 @@ def enumerate_spans(doc: Document, max_span_width: int = 30) -> SpanSet:
     if max_span_width < 1:
         raise ValueError("max_span_width must be >= 1")
     lengths = np.array([len(sent) for sent in doc.sentences], dtype=np.intp)
-    sentence_of = np.repeat(np.arange(len(lengths)), lengths)
     sentence_end = np.repeat(np.cumsum(lengths), lengths)  # exclusive
-    tokens = np.arange(len(sentence_of))
+    tokens = np.arange(len(sentence_end))
     counts = np.minimum(sentence_end - tokens, max_span_width)
     starts = np.repeat(tokens, counts)
     first = np.cumsum(counts) - counts  # each token's first span
     ends = starts + np.arange(len(starts)) - np.repeat(first, counts)
-    return SpanSet(starts, ends, np.repeat(sentence_of, counts))
+    return SpanSet(starts, ends)
 
 
 def create_span_params(store: ParameterStore, dim: int, feature_dim: int):

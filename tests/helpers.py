@@ -27,10 +27,9 @@ def make_document(sentences, clusters=(), mentions=None, doc_key="test/doc_0",
 
 
 def span_set(spans) -> SpanSet:
-    """The SpanSet of SpanCandidates or (start, end, sentence) tuples."""
-    rows = [(c.start, c.end, c.sentence) if isinstance(c, SpanCandidate) else c
-            for c in spans]
-    return SpanSet(*np.array(rows, dtype=np.intp).reshape(-1, 3).T)
+    """The SpanSet of SpanCandidates or (start, end) tuples."""
+    rows = [c.span if isinstance(c, SpanCandidate) else c for c in spans]
+    return SpanSet(*np.array(rows, dtype=np.intp).reshape(-1, 2).T)
 
 
 def pair_index(shortlists) -> PairIndex:

@@ -149,14 +149,14 @@ def bucket_reference(n):
 
 
 def enumerate_spans_reference(sentence_lengths, max_span_width):
-    """(start, end, sentence) of every span of width <= max_span_width
-    inside one sentence, by a loop over each sentence's token pairs."""
+    """(start, end) of every span of width <= max_span_width inside one
+    sentence, by a loop over each sentence's token pairs."""
     out = []
     offset = 0
-    for si, n in enumerate(sentence_lengths):
+    for n in sentence_lengths:
         for i in range(n):
             for j in range(i, min(i + max_span_width, n)):
-                out.append((offset + i, offset + j, si))
+                out.append((offset + i, offset + j))
         offset += n
     return out
 

@@ -189,7 +189,7 @@ def test_dummy_pruning_and_decode_invariants(capfd):
         for _ in range(200):
             num_tokens = int(rng.integers(8, 40))
             width = int(rng.integers(1, 5))
-            spans = [SpanCandidate(s, e, 0)
+            spans = [SpanCandidate(s, e)
                      for s in range(num_tokens)
                      for e in range(s, min(s + width, num_tokens))]
             scores = rng.normal(size=len(spans))
@@ -209,7 +209,7 @@ def test_dummy_pruning_and_decode_invariants(capfd):
         # greedy decoding equals the transitive closure of the picked links
         for _ in range(200):
             n = int(rng.integers(1, 11))
-            kept_spans = [SpanCandidate(2 * i, 2 * i + int(rng.integers(0, 2)), 0)
+            kept_spans = [SpanCandidate(2 * i, 2 * i + int(rng.integers(0, 2)))
                           for i in range(n)]
             shortlists, rows = [], []
             for i in range(n):

@@ -596,12 +596,12 @@ class TestScatterRows:
 
 
 class TestReductionsAndLse:
-    def test_sum_axis_keepdims(self):
+    def test_sum_reduces_every_entry(self):
         x = Tensor(np.arange(12.0).reshape(3, 4), requires_grad=True)
-        out = ad.tensor_sum(x, axis=1)
-        assert out.shape == (3,)
-        out.backward(seed=np.array([1.0, 2.0, 3.0]))
-        npt.assert_allclose(x.grad, np.repeat([[1.0], [2.0], [3.0]], 4, axis=1))
+        out = x.sum()
+        assert out.shape == () and out.item() == 66.0
+        out.backward(seed=np.array(2.0))
+        npt.assert_allclose(x.grad, np.full((3, 4), 2.0))
 
     def test_mean(self):
         x = Tensor(np.ones((2, 5)), requires_grad=True)

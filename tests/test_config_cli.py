@@ -410,6 +410,14 @@ class TestExitCodes:
             main(["--help"])
         assert exc.value.code == 0
 
+    def test_train_help_lists_every_preset(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["train", "--help"])
+        assert exc.value.code == 0
+        text = " ".join(capsys.readouterr().out.split())
+        listed = re.search(r"task weight preset \(([^)]*)\)", text).group(1)
+        assert listed.split(", ") == list(PRESET_WEIGHTS)
+
     def test_missing_subcommand_is_usage_error(self, capsys):
         assert main([]) == 1
         assert "usage error" in capsys.readouterr().err

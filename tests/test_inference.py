@@ -29,8 +29,8 @@ from corefmtl.training import TrainConfig, train
 from helpers import make_document, pair_index, spans_to_clusters
 
 
-def cand(s, e, sent=0):
-    return SpanCandidate(s, e, sent)
+def cand(s, e):
+    return SpanCandidate(s, e)
 
 
 def score_matrix(rows):

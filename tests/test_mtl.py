@@ -33,8 +33,8 @@ from oracles import gold_mask_reference, random_partition
 
 
 def one_sentence(*spans):
-    """The SpanSet of (start, end) pairs, all in sentence 0."""
-    return span_set([(s, e, 0) for s, e in spans])
+    """The SpanSet of (start, end) pairs."""
+    return span_set(spans)
 
 
 class TestTaskWeights:

@@ -16,6 +16,7 @@ from corefmtl.scoring import (
     pair_features,
     prune_spans,
     score_matrix,
+    unary_mix,
     unary_score_tensors,
 )
 from corefmtl.spans import (
@@ -85,9 +86,9 @@ class TestBuckets:
 class TestEnumerateSpans:
     def test_small_document(self):
         doc = make_document([["a", "b"], ["c"]])
-        spans = enumerate_spans(doc)
-        assert [(s.start, s.end, s.sentence) for s in spans] == [
-            (0, 0, 0), (0, 1, 0), (1, 1, 0), (2, 2, 1)]
+        spans = [s.span for s in enumerate_spans(doc)]
+        assert spans == [(0, 0), (0, 1), (1, 1), (2, 2)]
+        assert spans == enumerate_spans_reference([2, 1], 30)
 
     def test_never_crosses_sentences(self):
         doc = make_document([["a"] * 4, ["b"] * 3])
@@ -139,14 +140,14 @@ class TestSpanRepresentation:
         doc = make_document([["only"]])
         store = toy_store()
         _, alpha = represent_spans(embeddings_for(doc),
-                                   span_set([SpanCandidate(0, 0, 0)]), store)
+                                   span_set([SpanCandidate(0, 0)]), store)
         npt.assert_allclose(alpha, [[1.0]])
 
     def test_soft_head_matches_manual_softmax(self):
         doc = make_document([["a", "b", "c"]])
         store = toy_store()
         emb = embeddings_for(doc)
-        g, alpha = represent_spans(emb, span_set([SpanCandidate(0, 2, 0)]), store)
+        g, alpha = represent_spans(emb, span_set([SpanCandidate(0, 2)]), store)
         scores = emb.data @ store["span/head_score"].data[:, 0]
         weights = np.exp(scores - scores.max())
         weights /= weights.sum()
@@ -158,7 +159,7 @@ class TestSpanRepresentation:
         doc = make_document([["w"] * 8])
         store = toy_store()
         emb = embeddings_for(doc)
-        g, _ = represent_spans(emb, span_set([(0, 4, 0), (1, 5, 0)]), store)
+        g, _ = represent_spans(emb, span_set([(0, 4), (1, 5)]), store)
         # widths 5 and 5 share bucket 4
         npt.assert_array_equal(g.data[0, 3 * DIM:], g.data[1, 3 * DIM:])
         npt.assert_array_equal(g.data[0, 3 * DIM:],
@@ -184,7 +185,7 @@ class TestSpanRepresentation:
         tokens from its attention; a width that covers it is accepted."""
         doc = make_document([["a", "b", "c", "d"]])
         emb, store = embeddings_for(doc), toy_store()
-        spans = span_set([(0, 0, 0), (1, 3, 0)])
+        spans = span_set([(0, 0), (1, 3)])
         with pytest.raises(ValueError, match="below the widest span"):
             represent_spans(emb, spans, store, width=2)
         _, alpha = represent_spans(emb, spans, store, width=3)
@@ -197,12 +198,13 @@ class TestUnaryScores:
         spans = enumerate_spans(doc, max_span_width=2)
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
-        markable, mention, combined = unary_score_tensors(g, store)
+        markable, mention = unary_score_tensors(g, store)
+        combined = unary_mix(markable, mention, store)
         # both betas initialize to 0.5
         npt.assert_allclose(combined.data,
                             0.5 * markable.data + 0.5 * mention.data, rtol=1e-12)
         store["score/beta"].data[:] = [0.25, 2.0]
-        _, _, combined2 = unary_score_tensors(g, store)
+        combined2 = unary_mix(markable, mention, store)
         npt.assert_allclose(combined2.data,
                             0.25 * markable.data + 2.0 * mention.data, rtol=1e-12)
 
@@ -211,7 +213,7 @@ class TestUnaryScores:
         spans = enumerate_spans(doc, max_span_width=2)
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
-        markable, mention, _ = unary_score_tensors(g, store)
+        markable, mention = unary_score_tensors(g, store)
         assert not np.allclose(markable.data, mention.data)
 
     def test_activation_is_looked_up_when_the_scorers_run(self, monkeypatch):
@@ -240,14 +242,14 @@ class TestUnaryScores:
         spans = enumerate_spans(doc)
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
-        _, _, combined = unary_score_tensors(g, store)
+        combined = unary_mix(*unary_score_tensors(g, store), store)
         combined.sum().backward()
         assert store["score/beta"].grad is not None
         assert store["score/beta"].grad.shape == (2,)
 
 
-def cand(s, e, sent=0):
-    return SpanCandidate(s, e, sent)
+def cand(s, e):
+    return SpanCandidate(s, e)
 
 
 class TestPruneSpans:
@@ -376,7 +378,7 @@ class TestCoarseShortlist:
         store = toy_store(seed)
         emb = embeddings_for(doc, seed)
         g, _ = represent_spans(emb, spans, store)
-        _, _, combined = unary_score_tensors(g, store)
+        combined = unary_mix(*unary_score_tensors(g, store), store)
         return g, combined, store, coarse_scores(g, combined, store, top_k=top_k)
 
     def test_shortlists_are_earlier_ascending_capped(self):
@@ -434,7 +436,7 @@ class TestCoarseShortlist:
         store = toy_store()
         emb = embeddings_for(doc)
         g, _ = represent_spans(emb, spans, store)
-        _, _, combined = unary_score_tensors(g, store)
+        combined = unary_mix(*unary_score_tensors(g, store), store)
         before = None if store["score/coarse_bilinear"].grad is None else True
         coarse_scores(g, combined, store)
         assert store["score/coarse_bilinear"].grad is before is None
@@ -449,7 +451,7 @@ class TestPairFeatures:
 
     def features(self, genre_id):
         doc = self.doc_with_speakers()
-        kept = span_set([cand(0, 0, 0), cand(1, 1, 0), cand(2, 2, 1), cand(3, 3, 1)])
+        kept = span_set([cand(0, 0), cand(1, 1), cand(2, 2), cand(3, 3)])
         shortlists = pair_index([np.arange(i, dtype=np.intp) for i in range(4)])
         pf = pair_features(kept, doc, shortlists, genre_id=genre_id)
         return pf, pf.feature_ids(0, len(pf.rows))
@@ -509,7 +511,7 @@ class TestScoreMatrix:
         store = toy_store(seed)
         emb = embeddings_for(doc, seed)
         g, _ = represent_spans(emb, spans, store)
-        _, _, combined = unary_score_tensors(g, store)
+        combined = unary_mix(*unary_score_tensors(g, store), store)
         shortlists = coarse_scores(g, combined, store, top_k=top_k)
         pairs = pair_features(spans, doc, shortlists, genre_id=1)
         m = score_matrix(g, combined, pairs, store)
@@ -557,7 +559,7 @@ class TestScoreMatrix:
         spans = span_set([cand(0, 0)])
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
-        _, _, combined = unary_score_tensors(g, store)
+        combined = unary_mix(*unary_score_tensors(g, store), store)
         shortlists = coarse_scores(g, combined, store)
         assert len(shortlists[0]) == 0
         m = score_matrix(g, combined, pair_features(spans, doc, shortlists, 0), store)
@@ -567,7 +569,7 @@ class TestScoreMatrix:
         doc, spans, store, g, combined, shortlists, _ = self.build()
         pairs = pair_features(spans, doc, shortlists, 1)
         m = score_matrix(g, combined, pairs, store)
-        finite = ad.take_rows(m.reshape((m.size,)),
+        finite = ad.take_rows(m.reshape((m.data.size,)),
                               np.flatnonzero(np.isfinite(m.data)))
         finite.sum().backward()
         for name in ("score/pair/out_w", "pair/distance_embedding",
@@ -585,7 +587,7 @@ class TestScoreMatrix:
         for name in store.names():
             store[name].data += rng.normal(scale=0.1, size=store[name].data.shape)
         g, _ = represent_spans(embeddings_for(doc, seed), spans, store)
-        _, _, combined = unary_score_tensors(g, store)
+        combined = unary_mix(*unary_score_tensors(g, store), store)
         shortlists = coarse_scores(g, combined, store)
         pairs = pair_features(spans, doc, shortlists, 0)
         m = score_matrix(g, combined, pairs, store)
@@ -618,14 +620,13 @@ class TestArrayPipelineAgainstOracles:
         lengths = random_sentence_lengths(rng, width)
         spans = enumerate_spans(make_document([["w"] * n for n in lengths]), width)
         want = enumerate_spans_reference(lengths, width)
-        for array in (spans.starts, spans.ends, spans.sentence):
+        for array in (spans.starts, spans.ends):
             assert array.dtype == np.intp
-        assert list(zip(spans.starts.tolist(), spans.ends.tolist(),
-                        spans.sentence.tolist())) == want
-        assert [(c.start, c.end, c.sentence) for c in spans] == want
+        assert list(zip(spans.starts.tolist(), spans.ends.tolist())) == want
+        assert [c.span for c in spans] == want
         if want:
             i = int(rng.integers(len(want)))
-            assert (spans[i].start, spans[i].end, spans[i].sentence) == want[i]
+            assert spans[i].span == want[i]
             part = spans[i:]
             assert len(part) == len(want) - i and part[0] == spans[i]
 

@@ -756,6 +756,32 @@ class TestBlockRecompute:
             else:
                 npt.assert_array_equal(got, want, err_msg=name)
 
+    def test_backward_consumes_every_tape_node(self, monkeypatch):
+        """Every tensor a training step builds with a backward closure, the
+        reruns of its recompute nodes included, is released by backward():
+        a step builds no node that nothing reads. The document runs in
+        several blocks of spans and of pairs, and each auxiliary head has a
+        labelled kept span, so each head's loss reads its logits."""
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 64)
+        doc, cfg, vocab = self.step_inputs()
+        model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, vocab)
+        built = []
+        init = ad.Tensor.__init__
+
+        def recording_init(tensor, *args, **kwargs):
+            init(tensor, *args, **kwargs)
+            if tensor._backward is not None:
+                built.append(tensor)
+
+        monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
+        tot, _, fp = model.loss(doc, PRESET_WEIGHTS["sg_ent_infs"], train_step=1)
+        labels = mtl.assign_aux_labels(fp.kept_spans, doc)
+        assert all((labels[task] >= 0).any() for task in mtl.HEAD_LABELS)
+        assert len(ad.row_blocks(len(fp.spans))) > 2
+        tot.backward()
+        unconsumed = [t for t in built if t._backward is not ad._released]
+        assert not unconsumed, f"{len(unconsumed)} of {len(built)} nodes never consumed"
+
     # the recompute site of the auxiliary heads
     HEAD_SITE = "ffnn"
 
