@@ -7,7 +7,7 @@ reproducible on a fixed seed.
 
 Inside `no_grad()` no tape is built: an op's output has no parents and
 no backward closure, so inference frees each intermediate as soon as the
-caller drops it. The model takes spans, anaphors and pairs in blocks of
+caller drops it. The model takes spans and pairs in blocks of
 `PAIR_BLOCK` rows (`row_blocks`), with or without a tape, so prediction
 memory grows with the block, not with spans or pairs times the hidden
 size, and each block's backward builds only that block's gradients.
@@ -73,7 +73,7 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
-# rows of spans, anaphors or pairs in one block of the model's forward pass
+# rows of spans or pairs in one block of the model's forward pass
 PAIR_BLOCK = 512
 
 
@@ -824,7 +824,11 @@ class ParameterStore:
             t.grad = None
 
     def state(self) -> dict[str, np.ndarray]:
-        return {n: self._params[n].data.copy() for n in self.names()}
+        """Every parameter's array, by name, handed over without a copy:
+        the optimizer and load_state rebind .data to new arrays and never
+        write into it, so a state taken earlier keeps its values. Code that
+        writes into .data in place must not hold a state across the write."""
+        return {n: self._params[n].data for n in self.names()}
 
     def load_state(self, state: dict):
         for name, t in self._params.items():

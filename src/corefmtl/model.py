@@ -61,7 +61,7 @@ class ForwardPass:
     spans: SpanSet
     kept: np.ndarray            # indices into spans, in (start, end) order
     kept_spans: SpanSet
-    mention: Tensor             # over all candidate spans
+    mention: Tensor | None      # over all candidate spans, for the singleton task
     combined: Tensor            # over all candidate spans
     shortlists: PairIndex
     scores: Tensor              # (S_kept, num_slots + 1); column 0 is the dummy
@@ -124,11 +124,13 @@ class MtlCorefModel:
         need_heads names the auxiliary heads to compute (all, at inference,
         when the model has them).
 
-        The spans, the coarse shortlist's anaphors and the pairs go
-        through their scorers in blocks of autodiff.PAIR_BLOCK rows, with
-        or without a tape, and each block draws its own dropout masks: of
-        all candidate spans only the mention and combined scores are kept,
-        and the kept spans are represented again, in one piece.
+        The spans and the pairs go through their scorers in blocks of
+        autodiff.PAIR_BLOCK rows, with or without a tape, and each block
+        draws its own dropout masks: of all candidate spans only the
+        combined scores are kept (and the mention scores, when need_heads
+        holds the singleton task), and the kept spans are represented
+        again, in one piece. The coarse shortlist ranks its anaphors
+        scoring.COARSE_ROWS at a time.
 
         With a tape, three sites run inside autodiff.recompute, so the
         tape keeps their outputs and backward rebuilds one block's or
@@ -164,7 +166,9 @@ class MtlCorefModel:
             mention.append(block_mention)
             combined.append(unary_mix(ad.take_rows(both, np.arange(n)), block_mention,
                                       self.store))
-        mention, combined = ad.join_blocks(mention), ad.join_blocks(combined)
+        combined = ad.join_blocks(combined)
+        # only the singleton task reads every candidate's mention score
+        mention = ad.join_blocks(mention) if "singleton" in need_heads else None
         kept = prune_spans(combined.data, spans, doc.num_tokens, cfg.prune_ratio)
         kept_spans = spans[kept]
         g_kept, _ = represent_spans(emb, kept_spans, self.store, width)

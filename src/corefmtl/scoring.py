@@ -110,8 +110,8 @@ def prune_spans(scores: np.ndarray, spans: SpanSet, num_tokens: int,
 
 # -- coarse shortlist ------------------------------------------------------------
 
-# antecedent columns of the coarse scores taken at a time
-COARSE_COLUMNS = 128
+# anaphors of the coarse scores ranked at a time
+COARSE_ROWS = 32
 # the rank key of no antecedent, after every real one (coarse_scores)
 _NOTHING = complex(np.nan, 1.0)
 
@@ -160,27 +160,18 @@ def coarse_scores(g: Tensor, combined: Tensor, store: ParameterStore,
     higher index), and lists them in ascending order. Returns the
     shortlists as one PairIndex.
 
-    A block of anaphors (autodiff.row_blocks) is scored against the
-    antecedents COARSE_COLUMNS columns at a time, and each row keeps a
-    running top k of what it has seen. That top k takes in a column
-    block's keys COARSE_COLUMNS rows at a time, in place, and rows whose
-    anaphors all come before the column block skip it. So the working set
-    is the block's running top k and one (anaphor block x COARSE_COLUMNS)
-    block of scores, plus one (COARSE_COLUMNS x (top_k + COARSE_COLUMNS))
-    pool of complex keys and its argpartition, however long the document
-    is. argpartition ranks each row on its own, so a chunk of rows merges
-    as it would within the whole block, and a column block a row skips
-    holds only _NOTHING keys for it. Each column block of
-    scores is g_w[lo:hi] @ g[c0:c1].T, whole, as row slices of a product
-    need not be bit-equal to it; on OpenBLAS 0.3.31 it is
-    bit-equal to the same columns of the whole g_w[lo:hi] @ g[:hi].T,
-    except the last hi mod 8 columns of a block ending at hi when there is
-    more than one block. Each candidate j of row i is ranked by the
-    complex key -score - j*1j: numpy orders complex numbers by real part,
-    then imaginary part, and a NaN real part last, so one argpartition
-    per row takes the top k in exactly this order. A column at or after
-    the anaphor, and an empty slot of the running top k, hold _NOTHING,
-    which ranks after every real candidate, a NaN score included.
+    Spans past the first top_k + 1 are ranked COARSE_ROWS anaphors at a
+    time: a chunk r0 .. r1 - 1 takes one product (g[r0:r1] W) g[:r1 - 1]^T,
+    so the working set is one (COARSE_ROWS x S) block of scores, its
+    complex keys and their argpartition, however long the document is.
+    Each candidate j of row i is ranked by the complex key -score - j*1j:
+    numpy orders complex numbers by real part, then imaginary part, and a
+    NaN real part last, so one argpartition per row takes the top k in
+    exactly this order, and its column indices are the antecedents. A
+    column at or after the anaphor holds _NOTHING, which ranks after
+    every real candidate, a NaN score included. A product of another
+    shape may round a score's last bits differently, so the chunk size
+    can change which of two near-equal candidates a row keeps.
     """
     gv, cv = g.data, combined.data
     n = len(gv)
@@ -190,33 +181,19 @@ def coarse_scores(g: Tensor, combined: Tensor, store: ParameterStore,
     for i in range(min(n, top_k + 1)):
         # a span with at most top_k earlier spans takes all of them
         antecedents[indptr[i]:indptr[i + 1]] = np.arange(i)
-    g_w = gv @ store["score/coarse_bilinear"].data
-    for lo, hi in ad.row_blocks(n):
-        first = max(lo, top_k + 1)  # the block's first anaphor to rank
-        if first >= hi:
-            continue
-        best = np.full((hi - first, top_k), _NOTHING)
-        for c0 in range(0, hi - 1, COARSE_COLUMNS):
-            c1 = min(c0 + COARSE_COLUMNS, hi)
-            cols = np.arange(c0, c1)
-            scores = g_w[lo:hi] @ gv[c0:c1].T
-            for r0 in range(first, hi, COARSE_COLUMNS):
-                r1 = min(r0 + COARSE_COLUMNS, hi)
-                if r1 - 1 <= c0:
-                    continue  # every column is at or after these anaphors
-                # these rows' running top k, then this column block's keys
-                pool = np.empty((r1 - r0, top_k + c1 - c0), dtype=np.complex128)
-                pool[:, :top_k] = best[r0 - first:r1 - first]
-                key = pool[:, top_k:]
-                np.add(cv[r0:r1, None], cv[c0:c1], out=key.real)
-                key.real += scores[r0 - lo:r1 - lo]
-                np.negative(key.real, out=key.real)
-                key.imag = -cols
-                key[cols >= np.arange(r0, r1)[:, None]] = _NOTHING
-                best[r0 - first:r1 - first] = np.take_along_axis(
-                    pool, np.argpartition(pool, top_k - 1, axis=1)[:, :top_k], axis=1)
-            del scores  # before the next column block's is made
-        antecedents[indptr[first]:indptr[hi]] = np.sort(-best.imag, axis=1).ravel()
+    w = store["score/coarse_bilinear"].data
+    for r0 in range(top_k + 1, n, COARSE_ROWS):
+        r1 = min(r0 + COARSE_ROWS, n)
+        cols = np.arange(r1 - 1)
+        key = np.empty((r1 - r0, r1 - 1), dtype=np.complex128)
+        np.add(cv[r0:r1, None], cv[:r1 - 1], out=key.real)
+        key.real += (gv[r0:r1] @ w) @ gv[:r1 - 1].T
+        np.negative(key.real, out=key.real)
+        key.imag = -cols
+        key[cols >= np.arange(r0, r1)[:, None]] = _NOTHING
+        top = np.argpartition(key, top_k - 1, axis=1)[:, :top_k]
+        antecedents[indptr[r0]:indptr[r1]] = np.sort(top, axis=1).ravel()
+        del key, top  # before the next chunk's are made
     return PairIndex(indptr, antecedents)
 
 

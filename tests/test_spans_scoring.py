@@ -1,5 +1,7 @@
 """Span enumeration, representations, pruning, shortlists, pair scores."""
 
+import tracemalloc
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -411,8 +413,8 @@ class TestCoarseShortlist:
     @pytest.mark.parametrize("top_k", [1, 4, 50])
     def test_matches_a_sort_of_each_whole_row(self, top_k, monkeypatch):
         """Integer-valued scores from three levels each tie often; the
-        shortlists equal a full sort of each row, in anaphor blocks of 7."""
-        monkeypatch.setattr(ad, "PAIR_BLOCK", 7)
+        shortlists equal a full sort of each row, in chunks of 7 anaphors."""
+        monkeypatch.setattr(scoring, "COARSE_ROWS", 7)
         rng = np.random.default_rng(31)
         for _ in range(20):
             n = int(rng.integers(1, 80))
@@ -429,6 +431,28 @@ class TestCoarseShortlist:
                 want = top_k_reference(combined[i] + combined[:i] + coarse[i, :i], top_k)
                 assert got.dtype == want.dtype
                 npt.assert_array_equal(got, want)
+
+    def test_memory_is_bounded_by_a_chunk_of_anaphors(self):
+        """4000 kept spans of width 212, the shape of a 10,000-token
+        document at encoder dim 64: besides its 1.6 MB of shortlists, the
+        call holds one chunk's scores, complex keys and argpartition, 4.8
+        MB in all; 10.1 MB when it held g·W for the whole document and a
+        running top k per anaphor."""
+        rng = np.random.default_rng(0)
+        g = Tensor(rng.normal(size=(4000, 212)))
+        combined = Tensor(rng.normal(size=4000))
+        store = ParameterStore(0)
+        store.create("score/coarse_bilinear", (212, 212))
+        with ad.no_grad():
+            tracemalloc.start()
+            try:
+                start, _ = tracemalloc.get_traced_memory()
+                index = coarse_scores(g, combined, store)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+        assert len(index.antecedents) == 4000 * 50 - 25 * 51
+        assert peak - start < 7.5e6
 
     def test_no_gradient_through_selection(self):
         doc = make_document([["w"] * 4])
@@ -648,20 +672,18 @@ class TestArrayPipelineAgainstOracles:
     @pytest.mark.parametrize("levels,nan", [(1, False), (50, False), (1, True)],
                              ids=["ties", "spread", "nan"])
     @pytest.mark.parametrize("top_k", [1, 3, 8, 20])
-    def test_column_blocks_match_a_sort_of_each_whole_row(self, top_k, levels, nan,
-                                                          monkeypatch):
+    def test_row_chunks_match_a_sort_of_each_whole_row(self, top_k, levels, nan,
+                                                       monkeypatch):
         """Integer-valued scores, so every product is exact: from three
         levels they tie often (both zeros included), from 101 rarely. A
-        NaN score sorts last, as in the reference's lexsort. Kept counts
-        fall on both sides of the column-block and anaphor-block
-        boundaries, and some shortlists are shorter than top_k. An
-        anaphor block of 16 rows merges its running top k in two chunks
-        of COARSE_COLUMNS rows, and a chunk whose anaphors all come
-        before a column block skips it."""
-        monkeypatch.setattr(scoring, "COARSE_COLUMNS", 8)
-        monkeypatch.setattr(ad, "PAIR_BLOCK", 16)
+        NaN score sorts last, as in the reference's lexsort. The anaphors
+        after the first top_k + 1 are ranked in chunks of COARSE_ROWS = 8,
+        and kept counts fall on both sides of top_k + 1 and of the chunk
+        boundaries; the first top_k rows' shortlists are shorter than
+        top_k."""
+        monkeypatch.setattr(scoring, "COARSE_ROWS", 8)
         rng = np.random.default_rng(top_k + levels)
-        sizes = {1, 2, top_k, top_k + 1, top_k + 2, 7, 8, 9, 15, 16, 17, 24, 25, 33, 47}
+        sizes = {1, 2, 7, 8, 9, 33, 47} | {top_k + d for d in (0, 1, 2, 8, 9, 10, 16, 17, 18)}
         for n in sorted(sizes):
             g = rng.integers(-levels, levels + 1, size=(n, 3)).astype(np.float64)
             combined = rng.integers(-levels, levels + 1, size=n) * 1.0

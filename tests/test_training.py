@@ -573,7 +573,9 @@ class TestMentionScorerSupervision:
         model = MtlCorefModel(cfg.model_config((doc.genre,) if doc.genre else ()),
                               cfg.seed, vocab)
         tot, _, fp = model.loss(doc, weights)
-        fp.mention.retain_grad()
+        fp.combined.retain_grad()
+        if fp.mention is not None:
+            fp.mention.retain_grad()
         tot.backward()
         gold = doc.mention_map()
         kept = set(fp.kept)
@@ -591,8 +593,11 @@ class TestMentionScorerSupervision:
                    for t in model.store.tensors("score/mention/"))
 
     def test_coref_only_sends_unkept_spans_no_gradient(self):
+        """Without the singleton task no mention vector is built, and the
+        unary scores of unkept gold spans get no gradient."""
         _, fp, unkept = self.backprop(TaskWeights(1.0, 0.0, 0.0, 0.0))
-        assert np.all(fp.mention.grad[unkept] == 0.0)
+        assert fp.mention is None
+        assert np.all(fp.combined.grad[unkept] == 0.0)
 
 
 class TestBackwardMemory:
@@ -647,11 +652,10 @@ class TestBackwardMemory:
         blocks did too, 18.2 MB without any of these."""
         assert self.step_peak(*self.model_and_document()) < 6.0e6
 
-    def test_whole_train_peak(self):
-        """One step of train() at hidden 256 on a 100-token document, the
-        checkpoint included, peaks at 7.9 MB. Its parameters take 1.9 MB
-        and Adam's moments 2.7 MB; the peak was 10.8 MB when the spent
-        gradients and copies of both moments sat beside the checkpoint."""
+    def train_one_step(self):
+        """One step of train() at hidden 256 on a 100-token document: the
+        result, and the bytes traced at its end and at its peak, above
+        those at its start."""
         _, doc = self.model_and_document(sentences=5)
         cfg = tiny_config(steps=1, encoder=EncoderConfig(dim=32, vocab_size=64, window=1),
                           feature_dim=8, hidden=256, max_span_width=6,
@@ -660,11 +664,29 @@ class TestBackwardMemory:
         try:
             start, _ = tracemalloc.get_traced_memory()
             result = train([doc], cfg)
-            _, peak = tracemalloc.get_traced_memory()
+            held, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
+        return result, held - start, peak - start
+
+    def test_whole_train_peak(self):
+        """One step of train(), the checkpoint included, peaks at 7.9 MB.
+        Its parameters take 1.9 MB and Adam's moments 2.7 MB; the peak was
+        10.8 MB when the spent gradients and copies of both moments sat
+        beside the checkpoint."""
+        result, _, peak = self.train_one_step()
         assert result.checkpoint.opt["step_count"] == 1
-        assert peak - start < 9.0e6
+        assert peak < 9.0e6
+
+    def test_train_result_holds_each_parameter_once(self):
+        """The checkpoint of a one-step train() shares the model's
+        parameter arrays (ParameterStore.state) and Adam's moments, so the
+        result holds the parameters (1.9 MB) and the moments (2.7 MB) once
+        each: 4.7 MB, 6.7 MB when the checkpoint copied the parameters."""
+        result, held, _ = self.train_one_step()
+        params = sum(a.nbytes for a in result.model.store.state().values())
+        moments = sum(a.nbytes for a in result.checkpoint.opt["arrays"].values())
+        assert held < moments + 1.5 * params
 
     def test_long_document_step_peak(self):
         """A 4000-token step: the encoder's window, concat and mix, and the
@@ -756,12 +778,15 @@ class TestBlockRecompute:
             else:
                 npt.assert_array_equal(got, want, err_msg=name)
 
-    def test_backward_consumes_every_tape_node(self, monkeypatch):
+    @pytest.mark.parametrize("preset", ["sg_ent_infs", "baseline"])
+    def test_backward_consumes_every_tape_node(self, monkeypatch, preset):
         """Every tensor a training step builds with a backward closure, the
         reruns of its recompute nodes included, is released by backward():
         a step builds no node that nothing reads. The document runs in
         several blocks of spans and of pairs, and each auxiliary head has a
-        labelled kept span, so each head's loss reads its logits."""
+        labelled kept span, so each head's loss reads its logits. Without
+        the singleton task no loss reads the candidates' mention scores,
+        so the step joins no mention vector."""
         monkeypatch.setattr(ad, "PAIR_BLOCK", 64)
         doc, cfg, vocab = self.step_inputs()
         model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, vocab)
@@ -774,7 +799,7 @@ class TestBlockRecompute:
                 built.append(tensor)
 
         monkeypatch.setattr(ad.Tensor, "__init__", recording_init)
-        tot, _, fp = model.loss(doc, PRESET_WEIGHTS["sg_ent_infs"], train_step=1)
+        tot, _, fp = model.loss(doc, PRESET_WEIGHTS[preset], train_step=1)
         labels = mtl.assign_aux_labels(fp.kept_spans, doc)
         assert all((labels[task] >= 0).any() for task in mtl.HEAD_LABELS)
         assert len(ad.row_blocks(len(fp.spans))) > 2
