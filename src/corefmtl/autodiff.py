@@ -23,12 +23,13 @@ gradients; `retain_grad()` keeps an intermediate's. A graph is
 differentiated once: a second backward() through it raises.
 
 Four layers are each one tape node that keeps what its backward reads
-and no intermediate: `dense` (an FFNN hidden layer), `pair_input_layer`
-(the pair scorer's first layer), `span_representation` (boundary rows,
-soft head and width embedding) and `window_mix` (the toy encoder's
-window context, concat, mix and tanh). Each does the arithmetic of the
-graph of primitive ops it replaces, in that graph's order, so values and
-gradients are bit-identical to it.
+and no intermediate, and every product on a tape is one of theirs:
+`dense` (an FFNN layer, hidden or output, and the features adapter),
+`pair_input_layer` (the pair scorer's first layer), `span_representation`
+(boundary rows, soft head and width embedding) and `window_mix` (the toy
+encoder's window context, concat, mix and tanh). Each does the arithmetic
+of the graph of primitive ops it replaces, in that graph's order, so
+values and gradients are bit-identical to it.
 
 `recompute(fn, x)` trades time for tape: it keeps only x and fn's
 output, and its backward runs fn again to backpropagate through it. The
@@ -264,19 +265,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(a.data * b.data, _parents=(a, b), _backward=backward)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.data.ndim != 2 or b.data.ndim != 2:
-        raise ValueError(f"matmul expects 2-D operands, got {a.data.shape} @ {b.data.shape}")
-
-    def backward(g):
-        if a.requires_grad:
-            a._accumulate(g @ b.data.T)
-        if b.requires_grad:
-            b._accumulate(a.data.T @ g)
-
-    return Tensor(a.data @ b.data, _parents=(a, b), _backward=backward)
-
-
 # -- shape ops ------------------------------------------------------------
 
 
@@ -393,7 +381,7 @@ def span_representation(emb: Tensor, head_score: Tensor, width_table: Tensor,
         return token_scores[grid] + np.where(valid, 0.0, -np.inf)
 
     scores = span_scores()
-    alpha = np.exp(scores - _logsumexp_softmax(scores, axis=1)[0])
+    alpha = np.exp(scores - _logsumexp_softmax(scores)[0])
     del scores
 
     g = np.empty((len(starts), 3 * d + width_table.data.shape[1]), dtype=DTYPE)
@@ -417,7 +405,7 @@ def span_representation(emb: Tensor, head_score: Tensor, width_table: Tensor,
         d_scores = d_alpha * alpha
         del d_alpha
         d_lse = (-d_scores).sum(axis=1, keepdims=True)
-        d_scores += d_lse * _logsumexp_softmax(span_scores(), axis=1)[1]
+        d_scores += d_lse * _logsumexp_softmax(span_scores())[1]
         d_tokens = _scatter_rows(d_scores, grid, num_tokens).reshape(num_tokens, 1)
         del d_scores
         if head_score.requires_grad:
@@ -671,18 +659,19 @@ def _relu_dropout_grad(grad: np.ndarray, out: np.ndarray, scale) -> np.ndarray:
 
 
 def dense(x: Tensor, w: Tensor, b: Tensor, rate: float = 0.0,
-          rng: np.random.Generator | None = None) -> Tensor:
-    """relu(x @ w + b) with inverted dropout (_relu_dropout), as one tape
-    node that keeps only its output. The arithmetic is that of matmul,
-    add, relu and a multiply by mask / (1 - rate) in turn, so values and
-    gradients are bit-identical to that composition.
+          rng: np.random.Generator | None = None, *, relu: bool = True) -> Tensor:
+    """x @ w + b, then, with relu (a hidden layer), relu and inverted
+    dropout (_relu_dropout), as one tape node that keeps only its output;
+    without relu, rate and rng are not read. The arithmetic is that of
+    matmul, add and, with relu, relu and a multiply by mask / (1 - rate)
+    in turn, so values and gradients are bit-identical to that composition.
     """
     out = x.data @ w.data
     out += b.data
-    scale = _relu_dropout(out, rate, rng)
+    scale = _relu_dropout(out, rate, rng) if relu else None
 
     def backward(g):
-        d = _relu_dropout_grad(g, out, scale)
+        d = _relu_dropout_grad(g, out, scale) if relu else g
         del g
         b._accumulate(d.sum(axis=0))
         if x.requires_grad:
@@ -745,13 +734,13 @@ def tensor_mean(a: Tensor) -> Tensor:
     return tensor_sum(a) * (1.0 / float(a.data.size))
 
 
-def _logsumexp_softmax(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray]:
-    """Numerically stable (logsumexp with keepdims, softmax) of a along
-    axis; -inf entries are treated as absent."""
-    mx = np.max(a, axis=axis, keepdims=True)
+def _logsumexp_softmax(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerically stable (logsumexp with keepdims, softmax) of each row
+    of the 2-D array a; -inf entries are treated as absent."""
+    mx = np.max(a, axis=1, keepdims=True)
     mx = np.where(np.isfinite(mx), mx, 0.0)
     ex = np.exp(a - mx)
-    total = ex.sum(axis=axis, keepdims=True)
+    total = ex.sum(axis=1, keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         value = np.log(total) + mx
         # rows that are all -inf have total 0; their logsumexp is -inf
@@ -760,22 +749,18 @@ def _logsumexp_softmax(a: np.ndarray, axis: int) -> tuple[np.ndarray, np.ndarray
     return value, soft
 
 
-def logsumexp(a: Tensor, axis: int = -1, keepdims: bool = False) -> Tensor:
-    """Numerically stable log-sum-exp; -inf entries are treated as absent.
+def logsumexp(a: Tensor) -> Tensor:
+    """Numerically stable log-sum-exp of each row; -inf entries are absent.
 
     A primitive (not composed from exp/log) so rows containing -inf padding
     backprop cleanly: the gradient is the softmax, which is exactly 0 there.
     """
-    value, soft = _logsumexp_softmax(a.data, axis)
-    if not keepdims:
-        value = np.squeeze(value, axis=axis)
+    value, soft = _logsumexp_softmax(a.data)
 
     def backward(g):
-        if not keepdims:
-            g = np.expand_dims(g, axis)
-        a._accumulate(g * soft)
+        a._accumulate(g[:, None] * soft)
 
-    return Tensor(value, _parents=(a,), _backward=backward)
+    return Tensor(value[:, 0], _parents=(a,), _backward=backward)
 
 
 # -- parameters -----------------------------------------------------------

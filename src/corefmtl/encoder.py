@@ -119,13 +119,13 @@ def encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
     """Contextual embeddings, shape (num_tokens, cfg.dim): the adapter over
     the document's rows of features if given, else the toy encoder.
 
-    The toy encoder's window context, concat, mix and tanh are one tape
-    node over the embedding lookup (autodiff.window_mix): the tape keeps
-    that lookup and the embeddings, and backward recomputes the context
-    and the concat."""
+    The adapter is one linear autodiff.dense node. The toy encoder's
+    window context, concat, mix and tanh are one tape node over the
+    embedding lookup (autodiff.window_mix): the tape keeps that lookup and
+    the embeddings, and backward recomputes the context and the concat."""
     if features is not None:
-        feats = ad.constant(features.rows(doc))
-        return ad.matmul(feats, store["encoder/adapt_w"]) + store["encoder/adapt_b"]
+        return ad.dense(ad.constant(features.rows(doc)), store["encoder/adapt_w"],
+                        store["encoder/adapt_b"], relu=False)
     if vocab_index is None:
         raise ValueError("toy encoder needs a vocabulary index")
     return toy_encode(doc, cfg, store, vocab_index)

@@ -85,7 +85,7 @@ def predict_document(model: MtlCorefModel, doc: Document,
     antecedents = decode_antecedents(fp.scores.data, fp.shortlists)
     singleton_probs = type_logits = status_logits = None
     if model.include_aux:
-        singleton_probs = ad._logsumexp_softmax(fp.logits["singleton"].data, axis=1)[1][:, 1]
+        singleton_probs = ad._logsumexp_softmax(fp.logits["singleton"].data)[1][:, 1]
         type_logits = fp.logits["entity_type"].data
         status_logits = fp.logits["info_status"].data
     return build_clusters(antecedents, fp.kept_spans, doc.doc_key,

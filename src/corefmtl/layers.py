@@ -1,6 +1,7 @@
 """Feed-forward blocks shared by the span scorers and classification heads."""
 
 from collections.abc import Callable
+from functools import partial
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor, named_rng
@@ -33,7 +34,7 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
          dropout: float = 0.0, step: int | None = None,
          first_layer: Callable[..., Tensor] | None = None, block: int = 0) -> Tensor:
     """Apply the named feed-forward block: ReLU hidden layers, then a
-    linear output layer.
+    linear output layer, each one autodiff.dense node (but first_layer's).
 
     Dropout applies in training only, when step is given, and draws from
     the named block's own stream for that step. block is the first row of
@@ -44,10 +45,9 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
 
     first_layer, if given, builds the first layer for an input x that is
     never built (the pair scorer's); x is then None. It is called as
-    first_layer(w, b, relu=..., rate=..., rng=...) with that layer's
-    weights: relu is False when the first layer is the linear output
-    layer (depth 0), and rate and rng are the dropout a hidden layer
-    applies.
+    first_layer(w, b, relu=..., rate=..., rng=...), as dense is without x:
+    relu is False when the first layer is the linear output layer (depth
+    0), and rate and rng are the dropout a hidden layer applies.
     """
     weights = ffnn_weights(store, prefix)
     depth = len(weights) - 1
@@ -57,13 +57,8 @@ def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
                         *([block] if block else []))
     h = x
     for layer, (w, b) in enumerate(weights):
-        hidden = layer < depth
-        if layer == 0 and first_layer is not None:
-            h = first_layer(w, b, relu=hidden, rate=dropout, rng=rng)
-        elif hidden:
-            # looked up when ffnn runs, so that a wrapper installed on the
-            # autodiff module (a tracer's) also sees these calls
-            h = ad.dense(h, w, b, dropout, rng)
-        else:
-            h = ad.matmul(h, w) + b
+        # ad.dense is looked up when ffnn runs, so that a wrapper installed
+        # on the autodiff module (a tracer's) also sees these calls
+        build = first_layer if layer == 0 and first_layer else partial(ad.dense, h)
+        h = build(w, b, relu=layer < depth, rate=dropout, rng=rng)
     return h

@@ -121,7 +121,7 @@ def cross_entropy(logits: Tensor, labels: np.ndarray) -> Tensor:
         return ad.constant(0.0)
     sel = ad.take_rows(logits, keep)
     n, c = sel.shape
-    lse = ad.logsumexp(sel, axis=1)
+    lse = ad.logsumexp(sel)
     flat = sel.reshape((n * c,))
     gold = ad.take_rows(flat, np.arange(n) * c + labels[keep])
     return (lse - gold).mean()
@@ -165,9 +165,9 @@ def coref_loss_from_matrix(scores: Tensor, gold_mask: np.ndarray) -> Tensor:
     """
     if scores.shape != gold_mask.shape:
         raise ValueError("score matrix and gold mask disagree in shape")
-    denom = ad.logsumexp(scores, axis=1)
+    denom = ad.logsumexp(scores)
     masked = scores + ad.constant(np.where(gold_mask, 0.0, -np.inf))
-    numer = ad.logsumexp(masked, axis=1)
+    numer = ad.logsumexp(masked)
     return (denom - numer).sum()
 
 

@@ -140,14 +140,17 @@ class Checkpoint:
         for key, arr in entries.items():
             tag, _, rest = key.partition("/")
             if key == "meta":
-                meta = json.loads(str(arr[()]))
+                meta = arr
             elif tag == "param":
                 params[rest] = arr
             elif tag == "selected":
                 selected[rest] = arr
             elif tag in ("opt", "opt_main", "opt_aux"):
                 if rest == "step_count":
-                    opt["step_count"] = int(arr[()])
+                    if arr.shape != () or arr.dtype.kind not in "iu":
+                        raise CheckpointError(f"{path}: not a training checkpoint "
+                                              "(step_count is not an integer)")
+                    opt["step_count"] = int(arr)
                 else:
                     opt["arrays"][rest] = arr
             else:
@@ -155,6 +158,13 @@ class Checkpoint:
                                       f"(unexpected entry {key!r})")
         if meta is None:
             raise CheckpointError(f"{path}: not a training checkpoint (no meta entry)")
+        try:
+            meta = json.loads(str(meta[()]))
+        except ValueError:
+            meta = None
+        if not isinstance(meta, dict):
+            raise CheckpointError(f"{path}: not a training checkpoint "
+                                  "(meta is not a JSON object)")
         return cls(params=params, selected=selected or None,
                    opt=opt, meta=meta)
 
@@ -174,11 +184,17 @@ def _platform_stamp() -> dict[str, str]:
 
 def model_from_checkpoint(ckpt: Checkpoint) -> MtlCorefModel:
     """Rebuild the model a checkpoint holds. CheckpointError when its meta
-    lacks a key the model needs or its parameters do not fit that model."""
+    lacks or mistypes a key the model needs or its parameters do not fit."""
     missing = [key for key in ("config", "genres", "vocab", "include_aux")
                if key not in ckpt.meta]
     if missing:
         raise CheckpointError(f"checkpoint meta lacks {', '.join(missing)}")
+    for key in ("genres", "vocab"):
+        value = ckpt.meta[key]
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise CheckpointError(f"checkpoint meta {key} is not a list of strings")
+    if not isinstance(ckpt.meta["include_aux"], bool):
+        raise CheckpointError("checkpoint meta include_aux is not true or false")
     try:
         cfg = config_from_dict(ckpt.meta["config"])
     except (KeyError, TypeError, ValueError) as exc:
@@ -228,6 +244,9 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         doc.validate()
         if doc.num_tokens == 0:
             raise CorpusError(f"{doc.doc_key}: training document has no tokens")
+    # a bad dev document fails now, not at the first evaluation
+    for doc in dev_docs or []:
+        doc.validate()
     weights = cfg.task_weights
     include_aux = bool(weights.aux_tasks() if include_aux is None else include_aux)
 

@@ -259,6 +259,18 @@ def exp(a):
     return ad.Tensor(value, _parents=(a,), _backward=backward)
 
 
+def matmul(a, b):
+    """a @ b as a tape op on 2-D autodiff tensors; an operand that needs no
+    gradient gets none computed."""
+    def backward(g):
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
+
+    return ad.Tensor(a.data @ b.data, _parents=(a, b), _backward=backward)
+
+
 def tanh(a):
     """tanh as a tape op on autodiff tensors."""
     value = np.tanh(a.data)
@@ -296,9 +308,9 @@ def represent_spans_reference(emb, head_score, width_table, starts, ends, bucket
     concatenated. Returns (g, alpha) as tensors."""
     grid = np.minimum(starts[:, None] + np.arange(width)[None, :], ends[:, None])
     valid = np.arange(width)[None, :] < (ends - starts + 1)[:, None]
-    token_scores = ad.matmul(emb, head_score).reshape((emb.shape[0],))
+    token_scores = matmul(emb, head_score).reshape((emb.shape[0],))
     scores = ad.take_rows(token_scores, grid) + ad.constant(np.where(valid, 0.0, -np.inf))
-    alpha = exp(scores - ad.logsumexp(scores, axis=1, keepdims=True))
+    alpha = exp(scores - ad.logsumexp(scores).reshape((len(grid), 1)))
     g = ad.concat([ad.take_rows(emb, starts), ad.take_rows(emb, ends),
                    span_attend(alpha, emb, grid), ad.take_rows(width_table, buckets)],
                   axis=1)
@@ -373,4 +385,4 @@ def window_mix_reference(emb, w, b, window):
         weight = ad.constant(np.where(inside, 1.0 / count, 0.0)[:, None])
         term = ad.take_rows(emb, np.clip(src, 0, n - 1)) * weight
         ctx = term if ctx is None else ctx + term
-    return tanh(ad.matmul(ad.concat([emb, ctx], axis=1), w) + b)
+    return tanh(matmul(ad.concat([emb, ctx], axis=1), w) + b)

@@ -18,7 +18,7 @@ from corefmtl.optim import AdamOptimizer, clip_global_norm
 from corefmtl.spans import bucket_index
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import TrainConfig, train
-from oracles import (pair_input_layer_reference, represent_spans_reference,
+from oracles import (matmul, pair_input_layer_reference, represent_spans_reference,
                      scatter_rows_reference, window_mix_reference)
 
 
@@ -64,23 +64,51 @@ class TestElementwise:
         npt.assert_allclose(a.grad, np.broadcast_to(b.data, (4, 3)))
 
 
-class TestMatmulEinsum:
-    def test_matmul_grads(self):
-        rng = np.random.default_rng(4)
-        a = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-        b = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-        w = rng.normal(size=(3, 2))
-        (ad.matmul(a, b) * Tensor(w)).sum().backward()
-        npt.assert_allclose(a.grad, w @ b.data.T)
-        npt.assert_allclose(b.grad, a.data.T @ w)
+class TestLinearDense:
+    """dense(relu=False): an FFNN output layer and the features adapter."""
 
-    def test_matmul_skips_constant_operand(self):
+    def test_bit_equal_to_matmul_plus_bias(self):
+        """Value and gradients those of oracles.matmul(x, w) + b, under an
+        upstream gradient with signed zeros; rate and rng are not read."""
+        rng = np.random.default_rng(4)
+        xv, wv, bv = rng.normal(size=(30, 5)), rng.normal(size=(5, 6)), rng.normal(size=6)
+        seed = rng.normal(size=(30, 6))
+        seed[::4] = 0.0
+        seed[1::4] = -0.0
+        seed[:, 2] = -0.0
+        (x, w, b), (x_ref, w_ref, b_ref) = ([Tensor(v, requires_grad=True) for v in (xv, wv, bv)]
+                                            for _ in range(2))
+        stream = ad.named_rng(5, "mask")
+        out = ad.dense(x, w, b, 0.3, stream, relu=False)
+        out.backward(seed=seed)
+        ref = matmul(x_ref, w_ref) + b_ref
+        ref.backward(seed=seed)
+        assert_bits_equal(out.data, ref.data)
+        for got, want in zip((x, w, b), (x_ref, w_ref, b_ref)):
+            assert_bits_equal(got.grad, want.grad)
+        assert stream.random() == ad.named_rng(5, "mask").random()
+
+    def test_finite_differences(self):
+        rng = np.random.default_rng(7)
+        x = Tensor(rng.normal(size=(6, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+        b = Tensor(rng.normal(size=(4,)), requires_grad=True)
+        weights = Tensor(rng.normal(size=(6, 4)))
+        (ad.dense(x, w, b, relu=False) * weights).sum().backward()
+
+        def value():
+            return float((ad.dense(x, w, b, relu=False).data * weights.data).sum())
+
+        for t in (x, w, b):
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
+
+    def test_skips_constant_input(self):
         # the (500, 500) gradient of the constant would be 2 MB; the
         # backward pass must not build it
         rng = np.random.default_rng(4)
         window = ad.constant(rng.normal(size=(500, 500)))
         x = Tensor(rng.normal(size=(500, 2)), requires_grad=True)
-        out = ad.matmul(window, x).sum()
+        out = ad.dense(window, x, Tensor(np.zeros(2)), relu=False).sum()
         tracemalloc.start()
         try:
             out.backward()
@@ -611,7 +639,7 @@ class TestReductionsAndLse:
     def test_logsumexp_matches_numpy(self):
         rng = np.random.default_rng(6)
         x = Tensor(rng.normal(size=(4, 5)) * 10, requires_grad=True)
-        out = ad.logsumexp(x, axis=1)
+        out = ad.logsumexp(x)
         ref = np.log(np.exp(x.data).sum(axis=1))
         npt.assert_allclose(out.data, ref, rtol=1e-12)
         out.sum().backward()
@@ -621,7 +649,7 @@ class TestReductionsAndLse:
     def test_logsumexp_ignores_neg_inf(self):
         """Padding entries at -inf contribute neither value nor gradient."""
         x = Tensor(np.array([[1.0, -np.inf, 2.0]]), requires_grad=True)
-        out = ad.logsumexp(x, axis=1)
+        out = ad.logsumexp(x)
         npt.assert_allclose(out.data, np.log(np.exp(1) + np.exp(2)))
         out.sum().backward()
         assert x.grad[0, 1] == 0.0
@@ -629,7 +657,7 @@ class TestReductionsAndLse:
 
     def test_logsumexp_all_neg_inf_row(self):
         x = Tensor(np.array([[-np.inf, -np.inf], [0.0, 1.0]]), requires_grad=True)
-        out = ad.logsumexp(x, axis=1)
+        out = ad.logsumexp(x)
         assert out.data[0] == -np.inf
         # backprop through the finite row only; the empty row must not
         # poison the gradient with nans
@@ -669,7 +697,7 @@ class TestGraphRelease:
         w = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
         b = Tensor(np.zeros(4), requires_grad=True)
         hidden = ad.dense(x, w, b)
-        lse = ad.logsumexp(hidden, axis=1)
+        lse = ad.logsumexp(hidden)
         return (x, w, b), (hidden, lse, lse.sum())
 
     def test_backward_frees_intermediates_and_keeps_leaf_gradients(self):
@@ -705,7 +733,7 @@ class TestNoGrad:
         x = Tensor(np.ones((2, 2)), requires_grad=True)
         with ad.no_grad():
             y = ad.dense(x, x, Tensor(np.ones(2), requires_grad=True))
-            z = ad.logsumexp(y, axis=1)
+            z = ad.logsumexp(y)
         for t in (y, z):
             assert not t.requires_grad
             assert t._parents == ()

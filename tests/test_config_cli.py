@@ -470,22 +470,41 @@ class TestExitCodes:
         ("missing_param", "checkpoint is missing parameter"),
         ("wrong_shape", "shape mismatch"),
         ("nan_param", "checkpoint parameter score/pair/w0 holds non-finite values"),
+        ("meta_not_json", "not a training checkpoint (meta is not a JSON object)"),
+        ("meta_not_object", "not a training checkpoint (meta is not a JSON object)"),
+        ("genres_not_list", "checkpoint meta genres is not a list of strings"),
+        ("vocab_not_list", "checkpoint meta vocab is not a list of strings"),
+        ("vocab_not_strings", "checkpoint meta vocab is not a list of strings"),
+        ("include_aux_not_bool", "checkpoint meta include_aux is not true or false"),
+        ("step_count_not_scalar", "not a training checkpoint (step_count is not an integer)"),
     ], ids=["empty_meta", "no_config", "no_genres", "no_vocab", "no_include_aux",
             "bad_config", "tanh_config", "pretrained_config", "clip_config",
             "missing_param",
-            "wrong_shape", "nan_param"])
+            "wrong_shape", "nan_param", "meta_not_json", "meta_not_object",
+            "genres_not_list", "vocab_not_list", "vocab_not_strings",
+            "include_aux_not_bool", "step_count_not_scalar"])
     def test_damaged_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
                                               damage, message):
         path = tmp_path / "damaged.npz"
-        if damage == "empty_meta":
+        meta_text = {"empty_meta": "{}", "meta_not_json": "{config",
+                     "meta_not_object": "0.0"}
+        if damage in meta_text:
             with open(path, "wb") as fh:
-                np.savez(fh, meta=np.array("{}"))
+                np.savez(fh, meta=np.array(meta_text[damage]))
         else:
             ckpt = Checkpoint.load(workdir / "run" / "checkpoint.npz")
             params = ckpt.predict_params()
             name = "score/pair/w0"
             if damage.startswith("no_"):
                 del ckpt.meta[damage[3:]]
+            elif damage in ("genres_not_list", "vocab_not_list"):
+                ckpt.meta[damage.partition("_")[0]] = 5
+            elif damage == "vocab_not_strings":
+                ckpt.meta["vocab"] = [[1]]
+            elif damage == "include_aux_not_bool":
+                ckpt.meta["include_aux"] = "yes"
+            elif damage == "step_count_not_scalar":
+                ckpt.opt["step_count"] = [1, 2]
             elif damage == "bad_config":
                 ckpt.meta["config"] = {"hidden": 8}
             elif damage == "tanh_config":

@@ -220,7 +220,8 @@ class TestUnaryScores:
 
     def test_activation_is_looked_up_when_the_scorers_run(self, monkeypatch):
         """A wrapper installed on autodiff.dense after import, as a tracer
-        installs one, sees every hidden layer of both scorers."""
+        installs one, sees every layer of both scorers, output layers
+        included."""
         doc = make_document([["a", "b", "c"]])
         spans = enumerate_spans(doc, max_span_width=2)
         store = toy_store()
@@ -228,7 +229,7 @@ class TestUnaryScores:
         calls = []
         monkeypatch.setattr(ad, "dense", record_shapes(ad.dense, calls))
         unary_score_tensors(g, store)
-        assert calls == [(len(spans), HIDDEN)] * 4
+        assert calls == [(len(spans), HIDDEN), (len(spans), HIDDEN), (len(spans), 1)] * 2
 
     def test_ffnn_depth_is_read_from_the_store(self, monkeypatch):
         store = ParameterStore(1)
@@ -236,8 +237,24 @@ class TestUnaryScores:
         calls = []
         monkeypatch.setattr(ad, "dense", record_shapes(ad.dense, calls))
         out = ffnn(Tensor(np.ones((4, 5))), store, "block")
-        assert calls == [(4, HIDDEN)] * 3
+        assert calls == [(4, HIDDEN)] * 3 + [(4, 2)]
         assert out.shape == (4, 2)
+
+    @pytest.mark.parametrize("depth", [0, 1, 3])
+    def test_ffnn_is_one_tape_node_per_layer(self, depth):
+        """depth hidden layers and the output layer: depth + 1 nodes
+        between the input and the output, and nothing else on the tape."""
+        store = ParameterStore(1)
+        create_ffnn(store, "block", 5, HIDDEN, 2, depth=depth)
+        x = Tensor(named_rng(2, "x").normal(size=(4, 5)), requires_grad=True)
+        out = ffnn(x, store, "block", dropout=0.3, step=1)
+        nodes, stack = set(), [out]
+        while stack:
+            node = stack.pop()
+            if node._backward is not None and id(node) not in nodes:
+                nodes.add(id(node))
+                stack.extend(node._parents)
+        assert len(nodes) == depth + 1
 
     def test_beta_receives_gradient(self):
         doc = make_document([["a", "b"]])

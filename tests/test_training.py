@@ -431,6 +431,19 @@ class TestZeroTokenDocuments:
             train(docs + [empty], tiny_config())
 
 
+class TestDevDocuments:
+    def test_invalid_dev_document_fails_before_step_one(self, docs):
+        shared = make_document([["Ana", "saw", "Bo"]], clusters=[[(0, 0), (1, 1)],
+                                                                [(0, 0), (2, 2)]],
+                               doc_key="test/shared_span")
+        records = []
+        with pytest.raises(CorpusError, match=r"test/shared_span: span \(0, 0\) "
+                                              "appears in clusters 0 and 1"):
+            train(docs, tiny_config(steps=2, eval_every=2), dev_docs=[shared],
+                  log_fn=records.append)
+        assert records == []
+
+
 class TestZeroPairStep:
     def test_pair_parameters_untouched_without_pairs(self):
         # two tokens at prune ratio 0.4 keep one span, so no pair is scored:
