@@ -7,6 +7,7 @@ error, 3 numeric failure during training.
 import argparse
 import json
 import sys
+from math import isnan
 from pathlib import Path
 
 from .config import ConfigError, load_config, render_config
@@ -44,6 +45,13 @@ def _load_corpus(paths, sidecar_paths) -> list[Document]:
     if rows:
         docs = apply_sidecar(docs, rows)
     return docs
+
+
+def _threshold(text: str) -> float:
+    value = float(text)
+    if isnan(value):
+        raise argparse.ArgumentTypeError(f"threshold {text!r} is not a number")
+    return value
 
 
 def cmd_train(args) -> int:
@@ -157,7 +165,7 @@ def build_parser() -> _Parser:
     p_pred.add_argument("--sidecar", action="append")
     p_pred.add_argument("--out", required=True, help="predictions (.jsonl)")
     p_pred.add_argument("--conll", help="also write CoNLL here")
-    p_pred.add_argument("--threshold", type=float, default=0.5,
+    p_pred.add_argument("--threshold", type=_threshold, default=0.5,
                         help="singleton emission probability threshold")
     p_pred.add_argument("--no-singletons", action="store_true",
                         help="emit clusters only")

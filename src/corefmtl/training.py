@@ -4,8 +4,9 @@ One document per step. One AdamW optimizer updates three parameter
 groups: the encoder, the coreference task (spans, scorers), and the
 auxiliary heads, which get no weight decay.
 Runs are bitwise reproducible for a fixed (corpus, config, seed): every
-random stream is derived by name, and checkpoints carry enough state to
-resume mid-run with an identical trajectory.
+random stream is derived by name from the seed (and, for dropout, the
+step), so a checkpoint holds no random state, and a resumed run follows the
+trajectory of an uninterrupted one.
 """
 
 import dataclasses
@@ -13,6 +14,7 @@ import json
 import platform
 import zipfile
 from dataclasses import dataclass, field
+from itertools import islice
 from math import isfinite
 
 import numpy as np
@@ -57,6 +59,8 @@ class TrainConfig(ModelStructure):
             raise ValueError(f"select must be 'best' or 'final', got {self.select!r}")
         if self.steps <= 0:
             raise ValueError(f"steps must be > 0, got {self.steps}")
+        if self.eval_every < 0:
+            raise ValueError(f"eval_every must be >= 0, got {self.eval_every}")
         rates = (self.task_learning_rate, self.encoder_learning_rate)
         if not all(isfinite(lr) and lr > 0 for lr in rates):
             raise ValueError(f"learning rates must be finite and > 0, got {rates}")
@@ -226,6 +230,22 @@ class TrainResult:
     best_avg_f1: float | None
 
 
+def _new_model(docs, cfg: TrainConfig, include_aux: bool) -> MtlCorefModel:
+    """A freshly initialised model with a genre row for each genre of docs
+    and their vocabulary (none for a features model: it reads no token ids)."""
+    genres = tuple(sorted({d.genre for d in docs}))
+    vocab = [] if cfg.encoder.features else build_vocab(docs, cfg.encoder.vocab_size)
+    return MtlCorefModel(cfg.model_config(genres), cfg.seed, vocab, include_aux)
+
+
+def _document_order(seed: int, n: int):
+    """The index of each step's training document, without end: one
+    permutation of range(n) per epoch, from the seed's "shuffle" stream."""
+    rng = named_rng(seed, "shuffle")
+    while True:
+        yield from rng.permutation(n).tolist()
+
+
 def train(train_docs: list[Document], cfg: TrainConfig,
           dev_docs: list[Document] | None = None,
           include_aux: bool | None = None,
@@ -237,9 +257,15 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     weight is positive. Passing True with all-zero auxiliary weights is the
     instrumented-baseline mode: the heads exist but contribute nothing,
     and the loss trajectory matches include_aux=False bit for bit.
+
+    dev_docs are evaluated every eval_every steps (0: never) and at the last
+    step. resume_from continues a checkpoint's run to cfg.steps; its config
+    (apart from steps) and include_aux must be this run's. It holds no random
+    state: the document order is a function of the seed and the number of
+    documents, so a resume needs the same documents in the same order.
     """
     if not train_docs:
-        raise ValueError("no training documents")
+        raise CorpusError("no training documents")
     for doc in train_docs:
         doc.validate()
         if doc.num_tokens == 0:
@@ -250,12 +276,18 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     weights = cfg.task_weights
     include_aux = bool(weights.aux_tasks() if include_aux is None else include_aux)
 
-    genres = tuple(sorted({d.genre for d in train_docs}))
-    # a features model reads no token ids
-    vocab = [] if cfg.encoder.features else build_vocab(train_docs, cfg.encoder.vocab_size)
-
-    if resume_from is not None:
+    start_step = 0
+    best_step = best_avg_f1 = best_params = None
+    if resume_from is None:
+        model = _new_model(train_docs, cfg, include_aux)
+    else:
+        # checks the meta and the selected parameters now rather than when
+        # the run ends and loads them
+        model = model_from_checkpoint(resume_from)
         saved = resume_from.meta
+        start_step = saved.get("step")
+        if type(start_step) is not int or start_step < 0:
+            raise CheckpointError(f"checkpoint meta step {start_step!r} is not a count")
         # the step horizon may grow on resume; everything else must match
         saved_cfg = dataclasses.replace(config_from_dict(saved["config"]),
                                         steps=cfg.steps)
@@ -263,13 +295,16 @@ def train(train_docs: list[Document], cfg: TrainConfig,
             raise ValueError("resume config differs from the checkpoint's")
         if saved["include_aux"] != include_aux:
             raise ValueError("resume include_aux differs from the checkpoint's")
-        if cfg.steps < saved["step"]:
+        if cfg.steps < start_step:
             raise ValueError(f"resume to step {cfg.steps} is before the "
-                             f"checkpoint's step {saved['step']}")
-        genres = tuple(saved["genres"])
-        vocab = list(saved["vocab"])
-
-    model = MtlCorefModel(cfg.model_config(genres), cfg.seed, vocab, include_aux)
+                             f"checkpoint's step {start_step}")
+        # the dev selection so far; the checkpoint holds the best parameters
+        # apart only when they are not its own step's
+        best_step, best_avg_f1 = saved.get("best_step"), saved.get("best_avg_f1")
+        if resume_from.selected is not None:
+            best_params = resume_from.selected
+        elif best_step == start_step:
+            best_params = resume_from.params
     if model.features is not None:
         model.features.require(d.doc_key for d in train_docs + (dev_docs or []))
     opt = AdamOptimizer([
@@ -277,61 +312,15 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         (model.task_parameters(), cfg.task_learning_rate, cfg.weight_decay),
         (model.aux_parameters(), cfg.task_learning_rate, 0.0),
     ])
-
-    shuffle_rng = named_rng(cfg.seed, "shuffle")
-    perm = shuffle_rng.permutation(len(train_docs))
-    pos = 0
-    start_step = 0
-    best_step = None
-    best_avg_f1 = None
-    best_params = None
-
     if resume_from is not None:
-        if resume_from.selected is not None:
-            # checked now rather than when the run ends and loads them
-            _load_state(model.store.load_state, resume_from.selected)
         _load_state(model.store.load_state, resume_from.params)
         _load_state(opt.load_state, resume_from.opt)
-        shuffle_rng.bit_generator.state = resume_from.meta["rng_state"]
-        perm = np.array(resume_from.meta["perm"], dtype=np.intp)
-        pos = int(resume_from.meta["pos"])
-        start_step = int(resume_from.meta["step"])
-        # the dev selection so far; the checkpoint holds the best parameters
-        # apart only when they are not its own step's
-        best_step = resume_from.meta.get("best_step")
-        best_avg_f1 = resume_from.meta.get("best_avg_f1")
-        if resume_from.selected is not None:
-            best_params = resume_from.selected
-        elif best_step == start_step:
-            best_params = resume_from.params
 
     records: list[dict] = []
-    last_eval_step = None
     all_params = model.all_parameters()
-
-    def run_eval(step):
-        nonlocal best_step, best_avg_f1, best_params, last_eval_step
-        preds = [predict_document(model, d) for d in dev_docs]
-        report = evaluate(dev_docs, preds)
-        rec = {"step": step, "dev_avg_f1": report.avg_f1,
-               "dev_muc_f1": report.muc.f1, "dev_b_cubed_f1": report.b_cubed.f1,
-               "dev_ceaf_phi4_f1": report.ceaf_phi4.f1}
-        records.append(rec)
-        last_eval_step = step
-        if log_fn:
-            log_fn(rec)
-        if best_avg_f1 is None or report.avg_f1 > best_avg_f1:
-            best_avg_f1 = report.avg_f1
-            best_step = step
-            best_params = model.store.state()
-
-    for step in range(start_step + 1, cfg.steps + 1):
-        if pos >= len(perm):
-            perm = shuffle_rng.permutation(len(train_docs))
-            pos = 0
-        doc = train_docs[int(perm[pos])]
-        pos += 1
-
+    order = islice(_document_order(cfg.seed, len(train_docs)), start_step, None)
+    for step, index in zip(range(start_step + 1, cfg.steps + 1), order):
+        doc = train_docs[index]
         # the forward pass is not kept: its span list and score tensors
         # would stay alive through backward and the optimizer step
         tot, values = model.loss(doc, weights, train_step=step)[:2]
@@ -356,11 +345,18 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         records.append(rec)
         if log_fn:
             log_fn(rec)
-        if dev_docs and cfg.eval_every > 0 and step % cfg.eval_every == 0:
-            run_eval(step)
-
-    if dev_docs and cfg.steps > start_step and last_eval_step != cfg.steps:
-        run_eval(cfg.steps)
+        if dev_docs and (step == cfg.steps
+                         or cfg.eval_every and step % cfg.eval_every == 0):
+            report = evaluate(dev_docs, [predict_document(model, d) for d in dev_docs])
+            rec = {"step": step, "dev_avg_f1": report.avg_f1,
+                   "dev_muc_f1": report.muc.f1, "dev_b_cubed_f1": report.b_cubed.f1,
+                   "dev_ceaf_phi4_f1": report.ceaf_phi4.f1}
+            records.append(rec)
+            if log_fn:
+                log_fn(rec)
+            if best_avg_f1 is None or report.avg_f1 > best_avg_f1:
+                best_step, best_avg_f1 = step, report.avg_f1
+                best_params = model.store.state()
 
     final_params = model.store.state()
     selected = None
@@ -371,12 +367,9 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     meta = {
         "config": config_to_dict(cfg),
         "include_aux": include_aux,
-        "vocab": vocab,
-        "genres": list(genres),
+        "vocab": model.vocab,
+        "genres": list(model.config.genres),
         "step": cfg.steps,
-        "rng_state": shuffle_rng.bit_generator.state,
-        "perm": [int(i) for i in perm],
-        "pos": pos,
         "best_step": best_step,
         "best_avg_f1": best_avg_f1,
         **_platform_stamp(),
@@ -411,9 +404,7 @@ def gradient_check(doc: Document, cfg: TrainConfig,
         weights = TaskWeights(1.0, 1.0, 1.0, 1.0)
     doc.validate()
     cfg = dataclasses.replace(cfg, dropout=0.0)
-    genres = (doc.genre,) if doc.genre else ()
-    vocab = [] if cfg.encoder.features else build_vocab([doc], cfg.encoder.vocab_size)
-    model = MtlCorefModel(cfg.model_config(genres), cfg.seed, vocab, include_aux)
+    model = _new_model([doc], cfg, include_aux)
 
     def loss_value() -> float:
         tot, _, _ = model.loss(doc, weights)

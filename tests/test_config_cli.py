@@ -109,6 +109,7 @@ class TestLoadConfig:
         ("training.clip_norm", "-1", "clip_norm must be finite and > 0"),
         ("training.clip_norm", "nan", "clip_norm must be finite and > 0"),
         ("training.weight_decay", "-1", "weight_decay must be finite and >= 0"),
+        ("training.eval_every", "-1", "eval_every must be >= 0"),
         ("model.hidden", "-1", "hidden must be >= 1"),
         ("model.hidden", "0", "hidden must be >= 1"),
         ("model.feature_dim", "-2", "feature_dim must be >= 0"),
@@ -665,6 +666,24 @@ class TestExitCodes:
         assert code == 2
         assert "test/no_sentences: training document has no tokens" \
             in capsys.readouterr().err
+
+    def test_empty_training_corpus_is_data_error(self, workdir, tmp_path, capsys):
+        empty = tmp_path / "empty.conll"
+        empty.write_text("", encoding="utf-8")
+        code = main(["train", str(empty), "--config", str(workdir / "tiny.ini"),
+                     "--out", str(tmp_path / "out")])
+        assert code == 2
+        assert "error: no training documents" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("threshold", ["nan", "NaN"])
+    def test_nan_threshold_is_usage_error(self, workdir, tmp_path, capsys,
+                                          threshold):
+        code = main(["predict", str(workdir / "train.jsonl"),
+                     "--checkpoint", str(workdir / "run" / "checkpoint.npz"),
+                     "--threshold", threshold, "--out", str(tmp_path / "p.jsonl")])
+        assert code == 1
+        assert f"threshold {threshold!r} is not a number" in capsys.readouterr().err
+        assert not (tmp_path / "p.jsonl").exists()
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_numeric_failure_exit_code(self, workdir, tmp_path, capsys):

@@ -4,6 +4,7 @@ import dataclasses
 import json
 import platform
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import numpy.testing as npt
@@ -23,6 +24,7 @@ from corefmtl.training import (
     CheckpointError,
     NumericError,
     TrainConfig,
+    _document_order,
     config_from_dict,
     config_to_dict,
     gradient_check,
@@ -125,12 +127,33 @@ class TestRecords:
         assert {"loss_coref", "loss_singleton", "loss_entity_type"} <= set(rec)
         assert "loss_info_status" not in rec
 
-    def test_dev_eval_records(self, docs):
-        result = train(docs, tiny_config(steps=4, eval_every=2),
-                       dev_docs=docs[:1])
+    @pytest.mark.parametrize("steps,eval_every,resume_step,expected", [
+        (4, 2, None, [2, 4]),
+        (5, 2, None, [2, 4, 5]),
+        (3, 0, None, [3]),
+        (5, 2, 4, [5]),
+    ])
+    def test_dev_eval_records(self, docs, steps, eval_every, resume_step, expected):
+        """Every eval_every-th step and the last step are evaluated; a
+        resumed run evaluates only its own steps."""
+        def run(steps, resume_from=None):
+            return train(docs, tiny_config(steps=steps, eval_every=eval_every),
+                         dev_docs=docs[:1], resume_from=resume_from)
+
+        result = run(steps, run(resume_step).checkpoint if resume_step else None)
         evals = [r for r in result.records if "dev_avg_f1" in r]
-        assert [r["step"] for r in evals] == [2, 4]
+        assert [r["step"] for r in evals] == expected
         assert {"dev_muc_f1", "dev_b_cubed_f1", "dev_ceaf_phi4_f1"} <= set(evals[0])
+
+    def test_document_order_is_the_seeds_permutations(self, docs):
+        """One permutation of the documents per epoch, drawn one after
+        another from the seed's "shuffle" stream; the run follows it."""
+        rng = ad.named_rng(3, "shuffle")
+        expected = np.concatenate([rng.permutation(len(docs)) for _ in range(3)])
+        assert list(islice(_document_order(3, len(docs)), 9)) == expected.tolist()
+        result = train(docs, tiny_config(steps=8, seed=3))
+        assert [r["doc_key"] for r in result.records] == \
+            [docs[i].doc_key for i in expected[:8]]
 
     def test_log_fn_sees_every_record(self, docs):
         seen = []
@@ -279,6 +302,50 @@ class TestResume:
                         resume_from=loaded)
         assert loss_trace(resumed) == loss_trace(full)[3:]
         assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
+
+    @pytest.mark.parametrize("perm", ["own", "foreign"])
+    def test_checkpoint_with_shuffle_state_resumes(self, docs, tmp_path, perm):
+        """Checkpoints once stored the shuffle stream's state, its current
+        permutation and the position in it. The document order is now drawn
+        from the seed, so these keys are ignored, even when they are wrong."""
+        full = train(docs, tiny_config(steps=6))
+        # mid-epoch: the next step's document was at perm[2]
+        part = train(docs, tiny_config(steps=2))
+        rng = ad.named_rng(3, "shuffle")
+        own = rng.permutation(len(docs)).tolist()
+        part.checkpoint.meta.update(rng_state=rng.bit_generator.state, pos=2,
+                                    perm=own if perm == "own" else [7, 8, 9])
+        path = tmp_path / "old.npz"
+        part.checkpoint.save(path)
+        loaded = Checkpoint.load(path)
+        assert {"rng_state", "perm", "pos"} <= set(loaded.meta)
+        resumed = train(docs, tiny_config(steps=6), resume_from=loaded)
+        assert loss_trace(resumed) == loss_trace(full)[2:]
+        assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
+        assert not {"rng_state", "perm", "pos"} & set(resumed.checkpoint.meta)
+
+    # (meta key, damaged value or None to delete the key, error message)
+    DAMAGED_META = {
+        "no_step": ("step", None, "step None is not a count"),
+        "step_string": ("step", "2", "step '2' is not a count"),
+        "step_negative": ("step", -1, "step -1 is not a count"),
+        "step_bool": ("step", True, "step True is not a count"),
+        "genres_not_list": ("genres", 5, "genres is not a list of strings"),
+        "vocab_not_strings": ("vocab", [[1]], "vocab is not a list of strings"),
+        "config_incomplete": ("config", {"hidden": 8}, "config is not valid"),
+        "no_include_aux": ("include_aux", None, "lacks include_aux"),
+    }
+
+    @pytest.mark.parametrize("damage", list(DAMAGED_META))
+    def test_damaged_meta_is_rejected(self, docs, damage):
+        key, value, message = self.DAMAGED_META[damage]
+        ckpt = train(docs, tiny_config(steps=2)).checkpoint
+        if value is None:
+            del ckpt.meta[key]
+        else:
+            ckpt.meta[key] = value
+        with pytest.raises(CheckpointError, match=message):
+            train(docs, tiny_config(steps=4), resume_from=ckpt)
 
     def test_checkpoint_with_other_activation_is_rejected(self, docs):
         part = train(docs, tiny_config(steps=2))
@@ -484,6 +551,7 @@ class TestConfigValidation:
         ("weight_decay", float("inf"), "weight_decay must be finite and >= 0"),
         ("task_learning_rate", float("nan"), "learning rates must be finite and > 0"),
         ("encoder_learning_rate", float("inf"), "learning rates must be finite and > 0"),
+        ("eval_every", -1, "eval_every must be >= 0"),
     ])
     def test_bad_value_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
