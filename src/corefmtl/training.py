@@ -128,7 +128,8 @@ class Checkpoint:
 
     @classmethod
     def load(cls, path) -> "Checkpoint":
-        """Read a checkpoint. The opt_main/ and opt_aux/ entries of older
+        """Read a checkpoint's archive; its meta is checked where it is read
+        (_checkpoint_meta). The opt_main/ and opt_aux/ entries of older
         checkpoints (two optimizers stepped together, over disjoint
         parameters) fold into the one optimizer state."""
         try:
@@ -139,31 +140,31 @@ class Checkpoint:
             raise CheckpointError(f"{path}: not a training checkpoint "
                                   "(not a readable .npz archive)") from None
         params, selected = {}, {}
-        opt = {"step_count": 0, "arrays": {}}
-        meta = None
+        opt = {"arrays": {}}
+        meta_text = None
         for key, arr in entries.items():
             tag, _, rest = key.partition("/")
             if key == "meta":
-                meta = arr
+                meta_text = str(arr[()])
             elif tag == "param":
                 params[rest] = arr
             elif tag == "selected":
                 selected[rest] = arr
             elif tag in ("opt", "opt_main", "opt_aux"):
-                if rest == "step_count":
-                    if arr.shape != () or arr.dtype.kind not in "iu":
-                        raise CheckpointError(f"{path}: not a training checkpoint "
-                                              "(step_count is not an integer)")
-                    opt["step_count"] = int(arr)
-                else:
+                if rest != "step_count":
                     opt["arrays"][rest] = arr
+                elif "step_count" in opt and not np.array_equal(opt["step_count"], arr):
+                    raise CheckpointError(f"{path}: not a training checkpoint "
+                                          "(its optimizers' step counts differ)")
+                else:
+                    opt["step_count"] = arr[()]
             else:
                 raise CheckpointError(f"{path}: not a training checkpoint "
                                       f"(unexpected entry {key!r})")
-        if meta is None:
+        if meta_text is None:
             raise CheckpointError(f"{path}: not a training checkpoint (no meta entry)")
         try:
-            meta = json.loads(str(meta[()]))
+            meta = json.loads(meta_text)
         except ValueError:
             meta = None
         if not isinstance(meta, dict):
@@ -171,6 +172,85 @@ class Checkpoint:
                                   "(meta is not a JSON object)")
         return cls(params=params, selected=selected or None,
                    opt=opt, meta=meta)
+
+
+@dataclass(frozen=True)
+class _CheckpointMeta:
+    """A checkpoint's meta, checked: everything a rebuild or a resume reads
+    of it. The platform stamp is informational and not read."""
+
+    config: TrainConfig
+    genres: tuple[str, ...]
+    vocab: tuple[str, ...]
+    include_aux: bool
+    step: int
+    # the dev selection so far: both None, or the step and its average F1
+    best_step: int | None
+    best_avg_f1: float | None
+
+    def model(self, state: dict) -> MtlCorefModel:
+        """The model this meta describes, holding state."""
+        cfg = self.config
+        model = MtlCorefModel(cfg.model_config(self.genres), seed=cfg.seed,
+                              vocab=self.vocab, include_aux=self.include_aux)
+        _load_state(model.store.load_state, state)
+        return model
+
+
+def _checkpoint_meta(ckpt: Checkpoint) -> _CheckpointMeta:
+    """The one reader of a checkpoint's meta. CheckpointError when a key is
+    missing, mistyped or out of range, when the selected parameters are
+    there but the dev selection has no earlier step (or the reverse), or
+    when the optimizer's step count is not the meta's step."""
+    meta = ckpt.meta
+    missing = [key for key in ("config", "genres", "vocab", "include_aux",
+                               "best_step", "best_avg_f1") if key not in meta]
+    if missing:
+        raise CheckpointError(f"checkpoint meta lacks {', '.join(missing)}")
+    for key in ("genres", "vocab"):
+        value = meta[key]
+        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+            raise CheckpointError(f"checkpoint meta {key} is not a list of strings")
+    if not isinstance(meta["include_aux"], bool):
+        raise CheckpointError("checkpoint meta include_aux is not true or false")
+    try:
+        cfg = config_from_dict(meta["config"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise CheckpointError(f"checkpoint config is not valid: {exc}") from None
+    # a missing step reads as None, which is not a count
+    step = meta.get("step")
+    if type(step) is not int or step < 0:
+        raise CheckpointError(f"checkpoint meta step {step!r} is not a count")
+    best_step, best_avg_f1 = meta["best_step"], meta["best_avg_f1"]
+    if best_step is None:
+        if best_avg_f1 is not None:
+            raise CheckpointError(f"checkpoint meta best_avg_f1 {best_avg_f1!r} "
+                                  "has no best_step")
+    elif type(best_step) is not int or not 1 <= best_step <= step:
+        raise CheckpointError(f"checkpoint meta best_step {best_step!r} is not "
+                              f"a step from 1 to {step}")
+    # NaN fails the range test
+    elif not (isinstance(best_avg_f1, float) and 0.0 <= best_avg_f1 <= 1.0):
+        raise CheckpointError(f"checkpoint meta best_avg_f1 {best_avg_f1!r} is "
+                              "not an F1 in [0, 1]")
+    # the selected parameters are stored exactly when they are not the
+    # final step's
+    selects = cfg.select == "best" and best_step is not None and best_step < step
+    if (ckpt.selected is not None) != selects:
+        held = "holds" if ckpt.selected is not None else "lacks"
+        raise CheckpointError(f"checkpoint {held} selected parameters, with "
+                              f"best_step {best_step!r} at step {step} "
+                              f"(select {cfg.select!r})")
+    count = np.asarray(ckpt.opt.get("step_count"))
+    if count.shape != () or count.dtype.kind not in "iu":
+        raise CheckpointError("not a training checkpoint (step_count is not an integer)")
+    if int(count) != step:
+        raise CheckpointError(f"checkpoint step_count {int(count)} is not "
+                              f"its meta step {step}")
+    return _CheckpointMeta(config=cfg, genres=tuple(meta["genres"]),
+                           vocab=tuple(meta["vocab"]),
+                           include_aux=meta["include_aux"], step=step,
+                           best_step=best_step, best_avg_f1=best_avg_f1)
 
 
 def _platform_stamp() -> dict[str, str]:
@@ -188,26 +268,9 @@ def _platform_stamp() -> dict[str, str]:
 
 def model_from_checkpoint(ckpt: Checkpoint) -> MtlCorefModel:
     """Rebuild the model a checkpoint holds. CheckpointError when its meta
-    lacks or mistypes a key the model needs or its parameters do not fit."""
-    missing = [key for key in ("config", "genres", "vocab", "include_aux")
-               if key not in ckpt.meta]
-    if missing:
-        raise CheckpointError(f"checkpoint meta lacks {', '.join(missing)}")
-    for key in ("genres", "vocab"):
-        value = ckpt.meta[key]
-        if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-            raise CheckpointError(f"checkpoint meta {key} is not a list of strings")
-    if not isinstance(ckpt.meta["include_aux"], bool):
-        raise CheckpointError("checkpoint meta include_aux is not true or false")
-    try:
-        cfg = config_from_dict(ckpt.meta["config"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CheckpointError(f"checkpoint config is not valid: {exc}") from None
-    model = MtlCorefModel(cfg.model_config(tuple(ckpt.meta["genres"])),
-                          seed=cfg.seed, vocab=ckpt.meta["vocab"],
-                          include_aux=ckpt.meta["include_aux"])
-    _load_state(model.store.load_state, ckpt.predict_params())
-    return model
+    breaks the contract _checkpoint_meta checks or its parameters do not
+    fit."""
+    return _checkpoint_meta(ckpt).model(ckpt.predict_params())
 
 
 def _load_state(load, state: dict):
@@ -281,26 +344,22 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     if resume_from is None:
         model = _new_model(train_docs, cfg, include_aux)
     else:
-        # checks the meta and the selected parameters now rather than when
-        # the run ends and loads them
-        model = model_from_checkpoint(resume_from)
-        saved = resume_from.meta
-        start_step = saved.get("step")
-        if type(start_step) is not int or start_step < 0:
-            raise CheckpointError(f"checkpoint meta step {start_step!r} is not a count")
+        prior = _checkpoint_meta(resume_from)
+        # the selected parameters are checked now rather than when the run
+        # ends and loads them
+        model = prior.model(resume_from.predict_params())
         # the step horizon may grow on resume; everything else must match
-        saved_cfg = dataclasses.replace(config_from_dict(saved["config"]),
-                                        steps=cfg.steps)
-        if saved_cfg != cfg:
+        if dataclasses.replace(prior.config, steps=cfg.steps) != cfg:
             raise ValueError("resume config differs from the checkpoint's")
-        if saved["include_aux"] != include_aux:
+        if prior.include_aux != include_aux:
             raise ValueError("resume include_aux differs from the checkpoint's")
+        start_step = prior.step
         if cfg.steps < start_step:
             raise ValueError(f"resume to step {cfg.steps} is before the "
                              f"checkpoint's step {start_step}")
         # the dev selection so far; the checkpoint holds the best parameters
         # apart only when they are not its own step's
-        best_step, best_avg_f1 = saved.get("best_step"), saved.get("best_avg_f1")
+        best_step, best_avg_f1 = prior.best_step, prior.best_avg_f1
         if resume_from.selected is not None:
             best_params = resume_from.selected
         elif best_step == start_step:

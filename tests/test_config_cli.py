@@ -478,12 +478,16 @@ class TestExitCodes:
         ("vocab_not_strings", "checkpoint meta vocab is not a list of strings"),
         ("include_aux_not_bool", "checkpoint meta include_aux is not true or false"),
         ("step_count_not_scalar", "not a training checkpoint (step_count is not an integer)"),
+        ("no_step", "checkpoint meta step None is not a count"),
+        ("best_avg_f1_string", "checkpoint meta best_avg_f1 'x' is not an F1 in [0, 1]"),
+        ("step_count_not_step", "checkpoint step_count 7 is not its meta step"),
     ], ids=["empty_meta", "no_config", "no_genres", "no_vocab", "no_include_aux",
             "bad_config", "tanh_config", "pretrained_config", "clip_config",
             "missing_param",
             "wrong_shape", "nan_param", "meta_not_json", "meta_not_object",
             "genres_not_list", "vocab_not_list", "vocab_not_strings",
-            "include_aux_not_bool", "step_count_not_scalar"])
+            "include_aux_not_bool", "step_count_not_scalar", "no_step",
+            "best_avg_f1_string", "step_count_not_step"])
     def test_damaged_checkpoint_is_data_error(self, workdir, tmp_path, capsys,
                                               damage, message):
         path = tmp_path / "damaged.npz"
@@ -506,6 +510,10 @@ class TestExitCodes:
                 ckpt.meta["include_aux"] = "yes"
             elif damage == "step_count_not_scalar":
                 ckpt.opt["step_count"] = [1, 2]
+            elif damage == "best_avg_f1_string":
+                ckpt.meta["best_avg_f1"] = "x"
+            elif damage == "step_count_not_step":
+                ckpt.opt["step_count"] = 7
             elif damage == "bad_config":
                 ckpt.meta["config"] = {"hidden": 8}
             elif damage == "tanh_config":

@@ -1,8 +1,10 @@
 """Training loop: determinism, checkpoints, resume, gradient check."""
 
+import copy
 import dataclasses
 import json
 import platform
+import re
 import tracemalloc
 from itertools import islice
 
@@ -281,6 +283,12 @@ class TestResume:
                         resume_from=loaded)
         assert loss_trace(resumed) == loss_trace(full)[3:]
         assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
+        # two step counts that differ cannot fold into one
+        old["opt_aux/step_count"] = np.array(4)
+        with open(old_path, "wb") as fh:
+            np.savez(fh, **old)
+        with pytest.raises(CheckpointError, match="optimizers' step counts differ"):
+            Checkpoint.load(old_path)
 
     def test_checkpoint_with_relu_activation_loads_and_resumes(self, docs, tmp_path):
         # checkpoints once stored the retired "activation" key, always "relu"
@@ -324,28 +332,129 @@ class TestResume:
         assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
         assert not {"rng_state", "perm", "pos"} & set(resumed.checkpoint.meta)
 
-    # (meta key, damaged value or None to delete the key, error message)
+    @pytest.fixture(scope="class")
+    def two_of_four_steps(self, docs):
+        """A 2-step checkpoint whose dev selection is its own step, and the
+        losses of the uninterrupted 4-step run it resumes to."""
+        def run(steps):
+            return train(docs, tiny_config(steps=steps, eval_every=2),
+                         dev_docs=docs[:1])
+
+        part = run(2)
+        assert part.best_step == 2 and part.checkpoint.selected is None
+        return part.checkpoint, loss_trace(run(4))
+
+    DELETE = object()
+    NAN = float("nan")
+    CONFIG = config_to_dict(tiny_config(steps=2, eval_every=2))
+    # (changes, error message, or None when the damage leaves a checkpoint
+    # that resumes on the uninterrupted run's losses). A change names a
+    # meta key, "opt/step_count", or "selected" (the final parameters
+    # stored again as the dev selection); DELETE removes the key.
     DAMAGED_META = {
-        "no_step": ("step", None, "step None is not a count"),
-        "step_string": ("step", "2", "step '2' is not a count"),
-        "step_negative": ("step", -1, "step -1 is not a count"),
-        "step_bool": ("step", True, "step True is not a count"),
-        "genres_not_list": ("genres", 5, "genres is not a list of strings"),
-        "vocab_not_strings": ("vocab", [[1]], "vocab is not a list of strings"),
-        "config_incomplete": ("config", {"hidden": 8}, "config is not valid"),
-        "no_include_aux": ("include_aux", None, "lacks include_aux"),
+        "no_step": ({"step": DELETE}, "step None is not a count"),
+        "step_none": ({"step": None}, "step None is not a count"),
+        "step_string": ({"step": "2"}, "step '2' is not a count"),
+        "step_bool": ({"step": True}, "step True is not a count"),
+        "step_float": ({"step": 2.0}, "step 2.0 is not a count"),
+        "step_nan": ({"step": NAN}, "step nan is not a count"),
+        "step_negative": ({"step": -1}, "step -1 is not a count"),
+        "step_before_best": ({"step": 1}, "best_step 2 is not a step from 1 to 1"),
+        "step_past_best": ({"step": 3},
+                           "lacks selected parameters, with best_step 2 at step 3"),
+        "step_past_optimizer": ({"step": 3, "best_step": None, "best_avg_f1": None},
+                                "step_count 2 is not its meta step 3"),
+        "no_best_step": ({"best_step": DELETE}, "meta lacks best_step"),
+        "best_step_none": ({"best_step": None}, "has no best_step"),
+        "best_step_string": ({"best_step": "2"}, "best_step '2' is not a step from 1 to 2"),
+        "best_step_bool": ({"best_step": True}, "best_step True is not a step"),
+        "best_step_float": ({"best_step": 2.0}, "best_step 2.0 is not a step"),
+        "best_step_nan": ({"best_step": NAN}, "best_step nan is not a step"),
+        "best_step_negative": ({"best_step": -1}, "best_step -1 is not a step"),
+        "best_step_zero": ({"best_step": 0}, "best_step 0 is not a step"),
+        "best_step_past_step": ({"best_step": 9}, "best_step 9 is not a step from 1 to 2"),
+        "best_step_earlier": ({"best_step": 1},
+                              "lacks selected parameters, with best_step 1 at step 2"),
+        "no_best_avg_f1": ({"best_avg_f1": DELETE}, "meta lacks best_avg_f1"),
+        "best_avg_f1_none": ({"best_avg_f1": None}, "best_avg_f1 None is not an F1"),
+        "best_avg_f1_string": ({"best_avg_f1": "x"}, "best_avg_f1 'x' is not an F1 in [0, 1]"),
+        "best_avg_f1_int": ({"best_avg_f1": 1}, "best_avg_f1 1 is not an F1"),
+        "best_avg_f1_nan": ({"best_avg_f1": NAN}, "best_avg_f1 nan is not an F1"),
+        "best_avg_f1_inf": ({"best_avg_f1": float("inf")}, "best_avg_f1 inf is not an F1"),
+        "best_avg_f1_negative": ({"best_avg_f1": -0.5}, "best_avg_f1 -0.5 is not an F1"),
+        "best_avg_f1_above_one": ({"best_avg_f1": 2.0}, "best_avg_f1 2.0 is not an F1"),
+        "best_avg_f1_zero": ({"best_avg_f1": 0.0}, None),
+        "no_dev_selection": ({"best_step": None, "best_avg_f1": None}, None),
+        "no_config": ({"config": DELETE}, "meta lacks config"),
+        "config_none": ({"config": None}, "config is not valid"),
+        "config_not_dict": ({"config": 5}, "config is not valid"),
+        "config_incomplete": ({"config": {"hidden": 8}}, "config is not valid"),
+        "config_nan_clip": ({"config": {**CONFIG, "clip_norm": NAN}},
+                            "clip_norm must be finite and > 0"),
+        "config_negative_hidden": ({"config": {**CONFIG, "hidden": -1}},
+                                   "config is not valid"),
+        "config_unknown_key": ({"config": {**CONFIG, "colour": 1}}, "config is not valid"),
+        "config_bad_select": ({"config": {**CONFIG, "select": "last"}},
+                              "select must be 'best' or 'final'"),
+        "no_genres": ({"genres": DELETE}, "meta lacks genres"),
+        "genres_none": ({"genres": None}, "genres is not a list of strings"),
+        "genres_not_list": ({"genres": 5}, "genres is not a list of strings"),
+        "genres_not_strings": ({"genres": [1]}, "genres is not a list of strings"),
+        "genres_empty": ({"genres": []}, "shape mismatch for pair/genre_embedding"),
+        "no_vocab": ({"vocab": DELETE}, "meta lacks vocab"),
+        "vocab_none": ({"vocab": None}, "vocab is not a list of strings"),
+        "vocab_not_strings": ({"vocab": [[1]]}, "vocab is not a list of strings"),
+        "vocab_empty": ({"vocab": []}, "shape mismatch for encoder/embedding"),
+        "no_include_aux": ({"include_aux": DELETE}, "lacks include_aux"),
+        "include_aux_none": ({"include_aux": None}, "include_aux is not true or false"),
+        "include_aux_int": ({"include_aux": 1}, "include_aux is not true or false"),
+        "include_aux_flipped": ({"include_aux": True}, "missing parameter head/"),
+        "no_step_count": ({"opt/step_count": DELETE},
+                          "not a training checkpoint (step_count is not an integer)"),
+        "step_count_none": ({"opt/step_count": None}, "step_count is not an integer"),
+        "step_count_string": ({"opt/step_count": "2"}, "step_count is not an integer"),
+        "step_count_bool": ({"opt/step_count": True}, "step_count is not an integer"),
+        "step_count_float": ({"opt/step_count": 2.0}, "step_count is not an integer"),
+        "step_count_nan": ({"opt/step_count": NAN}, "step_count is not an integer"),
+        "step_count_list": ({"opt/step_count": [1, 2]}, "step_count is not an integer"),
+        "step_count_negative": ({"opt/step_count": -1},
+                                "step_count -1 is not its meta step 2"),
+        "step_count_zero": ({"opt/step_count": 0}, "step_count 0 is not its meta step 2"),
+        "step_count_seven": ({"opt/step_count": 7}, "step_count 7 is not its meta step 2"),
+        "selected_without_best_step": ({"selected": True, "best_step": None,
+                                        "best_avg_f1": None},
+                                       "holds selected parameters, with best_step None"),
+        "selected_at_final_step": ({"selected": True},
+                                   "holds selected parameters, with best_step 2 at step 2"),
     }
 
     @pytest.mark.parametrize("damage", list(DAMAGED_META))
-    def test_damaged_meta_is_rejected(self, docs, damage):
-        key, value, message = self.DAMAGED_META[damage]
-        ckpt = train(docs, tiny_config(steps=2)).checkpoint
-        if value is None:
-            del ckpt.meta[key]
+    def test_damaged_meta_is_rejected(self, docs, two_of_four_steps, damage):
+        """Each damage is a CheckpointError naming the fault; where the
+        table gives no message, the run resumes as if uninterrupted."""
+        changes, message = self.DAMAGED_META[damage]
+        part, full_losses = two_of_four_steps
+        ckpt = copy.deepcopy(part)
+        for key, value in changes.items():
+            if key == "selected":
+                ckpt.selected = dict(ckpt.params)
+                continue
+            holder = ckpt.opt if key == "opt/step_count" else ckpt.meta
+            key = key.rpartition("/")[2]
+            if value is self.DELETE:
+                del holder[key]
+            else:
+                holder[key] = value
+
+        def resume():
+            return train(docs, tiny_config(steps=4, eval_every=2),
+                         dev_docs=docs[:1], resume_from=ckpt)
+
+        if message is None:
+            assert loss_trace(resume()) == full_losses[2:]
         else:
-            ckpt.meta[key] = value
-        with pytest.raises(CheckpointError, match=message):
-            train(docs, tiny_config(steps=4), resume_from=ckpt)
+            with pytest.raises(CheckpointError, match=re.escape(message)):
+                resume()
 
     def test_checkpoint_with_other_activation_is_rejected(self, docs):
         part = train(docs, tiny_config(steps=2))
@@ -379,7 +488,9 @@ class TestResume:
         part = train(docs, tiny_config(steps=2))
         ckpt = part.checkpoint
         if which == "selected":
+            # selected parameters are stored only for an earlier best step
             ckpt.selected = {n: a.copy() for n, a in ckpt.params.items()}
+            ckpt.meta.update(best_step=1, best_avg_f1=0.5)
         getattr(ckpt, which)["score/markable/out_w"][0] = np.nan
         message = "parameter score/markable/out_w holds non-finite values"
         with pytest.raises(CheckpointError, match=message):
