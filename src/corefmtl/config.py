@@ -61,7 +61,7 @@ def load_config(path=None, preset: str | None = None,
         try:
             with open(path, encoding="utf-8") as fh:
                 parser.read_file(fh)
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from None
         except configparser.Error as exc:
             raise ConfigError(f"{path}: {exc}") from None

@@ -48,16 +48,14 @@ class CorpusError(ValueError):
     """Malformed document data or annotation files."""
 
 
-def _check_entity_type(value: str, where: str) -> str:
-    if value != UNKNOWN and value not in ENTITY_TYPES:
-        raise CorpusError(f"{where}: unknown entity type {value!r}")
-    return value
-
-
-def _check_info_status(value: str, where: str) -> str:
-    if value != UNKNOWN and value not in INFO_STATUSES:
-        raise CorpusError(f"{where}: unknown information status {value!r}")
-    return value
+def _check_labels(entity_type: str, info_status: str, where: str) -> tuple[str, str]:
+    """(entity_type, info_status), or CorpusError naming the label that is
+    not one of the known values or unknown."""
+    if entity_type != UNKNOWN and entity_type not in ENTITY_TYPES:
+        raise CorpusError(f"{where}: unknown entity type {entity_type!r}")
+    if info_status != UNKNOWN and info_status not in INFO_STATUSES:
+        raise CorpusError(f"{where}: unknown information status {info_status!r}")
+    return entity_type, info_status
 
 
 @dataclass(frozen=True)
@@ -172,8 +170,7 @@ class Document:
             if m.span in mention_spans:
                 raise CorpusError(f"{key}: duplicate gold mention for span {m.span}")
             mention_spans.add(m.span)
-            _check_entity_type(m.entity_type, key)
-            _check_info_status(m.info_status, key)
+            _check_labels(m.entity_type, m.info_status, key)
             expected = seen_spans.get(m.span)
             if m.cluster_id != expected:
                 raise CorpusError(f"{key}: mention {m.span} has cluster_id "
@@ -215,10 +212,13 @@ def build_mentions(clusters, labels=None) -> list[Mention]:
 # -- CoNLL parsing ----------------------------------------------------------
 
 _BEGIN_RE = re.compile(r"#begin document \((?P<key>[^()]*)\)(?:; part (?P<part>\d+))?\s*$")
+# one item of the coreference column: "(3", "3)" or "(3)"
+_COREF_ITEM_RE = re.compile(r"(\()?(\d+)(\))?")
 
 
 def _read_source(source) -> tuple[str, str]:
-    """Return (text, name) from raw text, a path, or a file object."""
+    """Return (text, name) from raw text, a path, or a file object. A path
+    whose file cannot be read or is not UTF-8 raises CorpusError naming it."""
     if hasattr(source, "read"):
         return source.read(), getattr(source, "name", "<stream>")
     try:
@@ -228,141 +228,102 @@ def _read_source(source) -> tuple[str, str]:
             if "\n" in source or source.lstrip().startswith("#begin"):
                 return source, "<string>"
             return Path(source).read_text(encoding="utf-8"), source
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CorpusError(f"cannot read {source}: {exc}") from None
     raise TypeError(f"cannot read from {type(source).__name__}")
 
 
-def parse_conll(source, default_genre: str | None = None) -> list[Document]:
+def parse_conll(source) -> list[Document]:
     """Parse CoNLL-2012 coreference files into documents.
 
     source may be a path, raw text, or an open file. Each (key, part)
     section becomes one Document keyed "<key>_<part>" (just "<key>" when
-    the part number is absent). Genre defaults to the first /-separated
-    segment of the key.
+    the part number is absent). Genre is the first /-separated segment of
+    the key, or "" when the key has no "/".
     """
     text, name = _read_source(source)
     docs: list[Document] = []
-    lines = text.splitlines()
+    key = None  # the open document's key; None between documents
 
-    in_doc = False
-    key = part = None
-    sentences: list[list[str]] = []
-    speakers: list[list[str]] = []
-    cur_tokens: list[str] = []
-    cur_speakers: list[str] = []
-    open_spans: dict[int, list[int]] = {}
-    spans_by_id: dict[int, list[tuple[int, int]]] = {}
-    offset = 0
-
-    def where(lineno):
-        return f"{name}:{lineno}"
-
-    def flush_sentence(lineno):
-        nonlocal offset
-        if not cur_tokens:
+    def close_sentence(lineno):
+        if not tokens:
             return
-        pending = [cid for cid, stack in open_spans.items() if stack]
+        pending = sorted(cid for cid, stack in open_spans.items() if stack)
         if pending:
-            raise CorpusError(f"{where(lineno)}: cluster(s) {sorted(pending)} left open "
+            raise CorpusError(f"{name}:{lineno}: cluster(s) {pending} left open "
                               f"at sentence end in document ({key})")
-        sentences.append(list(cur_tokens))
-        speakers.append(list(cur_speakers))
-        offset += len(cur_tokens)
-        cur_tokens.clear()
-        cur_speakers.clear()
+        sentences.append(tokens[:])
+        speakers.append(token_speakers[:])
+        tokens.clear()
+        token_speakers.clear()
 
-    def finish_document(lineno):
-        nonlocal in_doc
-        flush_sentence(lineno)
-        if not sentences:
-            raise CorpusError(f"{where(lineno)}: document ({key}) has no tokens")
-        doc_key = key if part is None else f"{key}_{part}"
-        if default_genre is not None:
-            genre = default_genre
-        else:
-            genre = key.split("/")[0] if "/" in key else ""
-        clusters = sort_clusters([spans for spans in spans_by_id.values() if spans])
-        docs.append(Document(
-            doc_key=doc_key,
-            genre=genre,
-            sentences=sentences[:],
-            speakers=speakers[:],
-            gold_clusters=clusters,
-            gold_mentions=build_mentions(clusters),
-            conll_key=key,
-            part=part,
-        ))
-        in_doc = False
-
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
+    for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.strip()
         if stripped.startswith("#begin document"):
-            if in_doc:
-                raise CorpusError(f"{where(lineno)}: #begin inside document ({key})")
+            if key is not None:
+                raise CorpusError(f"{name}:{lineno}: #begin inside document ({key})")
             m = _BEGIN_RE.match(stripped)
             if not m:
-                raise CorpusError(f"{where(lineno)}: malformed #begin line: {stripped!r}")
-            key = m.group("key")
-            part = int(m.group("part")) if m.group("part") is not None else None
-            in_doc = True
-            sentences, speakers = [], []
-            cur_tokens, cur_speakers = [], []
-            open_spans, spans_by_id = {}, {}
-            offset = 0
-            continue
-        if stripped == "#end document":
-            if not in_doc:
-                raise CorpusError(f"{where(lineno)}: #end without #begin")
-            finish_document(lineno)
-            continue
-        if not in_doc:
-            if stripped:
-                raise CorpusError(f"{where(lineno)}: content outside any document: "
+                raise CorpusError(f"{name}:{lineno}: malformed #begin line: "
                                   f"{stripped!r}")
-            continue
-        if not stripped:
-            flush_sentence(lineno)
-            continue
-        if stripped.startswith("#"):
-            continue
-
-        cols = line.split()
-        if len(cols) < 5:
-            raise CorpusError(f"{where(lineno)}: expected at least 5 columns, "
-                              f"got {len(cols)} in document ({key})")
-        token = cols[3]
-        speaker = cols[9] if len(cols) >= 11 else "-"
-        coref = cols[-1]
-        tok_idx = offset + len(cur_tokens)
-        cur_tokens.append(token)
-        cur_speakers.append(speaker)
-
-        if coref != "-":
-            for item in coref.split("|"):
-                m = re.fullmatch(r"(\()?(\d+)(\))?", item)
-                if not m or (m.group(1) is None and m.group(3) is None):
-                    raise CorpusError(
-                        f"{where(lineno)}: bad coreference item {item!r} "
-                        f"in document ({key}), sentence {len(sentences)}, "
-                        f"token {len(cur_tokens) - 1}")
-                opens, cid, closes = m.group(1), int(m.group(2)), m.group(3)
-                if opens and closes:
-                    spans_by_id.setdefault(cid, []).append((tok_idx, tok_idx))
-                elif opens:
-                    open_spans.setdefault(cid, []).append(tok_idx)
-                else:
-                    stack = open_spans.get(cid)
-                    if not stack:
+            key = m["key"]
+            part = None if m["part"] is None else int(m["part"])
+            sentences, speakers, tokens, token_speakers = [], [], [], []
+            # cluster id -> starts of its open spans; -> its closed spans
+            open_spans: dict[int, list[int]] = {}
+            spans_by_id: dict[int, list[tuple[int, int]]] = {}
+            num_tokens = 0
+        elif stripped == "#end document":
+            if key is None:
+                raise CorpusError(f"{name}:{lineno}: #end without #begin")
+            close_sentence(lineno)
+            if not sentences:
+                raise CorpusError(f"{name}:{lineno}: document ({key}) has no tokens")
+            clusters = sort_clusters(spans_by_id.values())
+            docs.append(Document(
+                doc_key=key if part is None else f"{key}_{part}",
+                genre=key.split("/")[0] if "/" in key else "",
+                sentences=sentences, speakers=speakers,
+                gold_clusters=clusters, gold_mentions=build_mentions(clusters),
+                conll_key=key, part=part))
+            key = None
+        elif key is None:
+            if stripped:
+                raise CorpusError(f"{name}:{lineno}: content outside any document: "
+                                  f"{stripped!r}")
+        elif not stripped:
+            close_sentence(lineno)
+        elif not stripped.startswith("#"):
+            cols = line.split()
+            if len(cols) < 5:
+                raise CorpusError(f"{name}:{lineno}: expected at least 5 columns, "
+                                  f"got {len(cols)} in document ({key})")
+            tokens.append(cols[3])
+            token_speakers.append(cols[9] if len(cols) >= 11 else "-")
+            if cols[-1] != "-":
+                for item in cols[-1].split("|"):
+                    m = _COREF_ITEM_RE.fullmatch(item)
+                    if not m or not (m[1] or m[3]):
                         raise CorpusError(
-                            f"{where(lineno)}: close of cluster {cid} without an "
+                            f"{name}:{lineno}: bad coreference item {item!r} "
+                            f"in document ({key}), sentence {len(sentences)}, "
+                            f"token {len(tokens) - 1}")
+                    cid = int(m[2])
+                    if m[1] and m[3]:
+                        spans_by_id.setdefault(cid, []).append((num_tokens, num_tokens))
+                    elif m[1]:
+                        open_spans.setdefault(cid, []).append(num_tokens)
+                    elif open_spans.get(cid):
+                        spans_by_id.setdefault(cid, []).append(
+                            (open_spans[cid].pop(), num_tokens))
+                    else:
+                        raise CorpusError(
+                            f"{name}:{lineno}: close of cluster {cid} without an "
                             f"open in document ({key}), sentence {len(sentences)}, "
-                            f"token {len(cur_tokens) - 1}")
-                    start = stack.pop()
-                    spans_by_id.setdefault(cid, []).append((start, tok_idx))
+                            f"token {len(tokens) - 1}")
+            num_tokens += 1
 
-    if in_doc:
+    if key is not None:
         raise CorpusError(f"{name}: document ({key}) missing #end document")
     return docs
 
@@ -481,11 +442,10 @@ def read_sidecar(source) -> list[SidecarRow]:
         except ValueError:
             raise CorpusError(f"{name}:{lineno}: non-integer span bounds "
                               f"{start!r}, {end!r}") from None
-        etype = UNKNOWN if etype == "_" else etype
-        istatus = UNKNOWN if istatus == "_" else istatus
-        _check_entity_type(etype, f"{name}:{lineno}")
-        _check_info_status(istatus, f"{name}:{lineno}")
-        rows.append(SidecarRow(doc_key, s, e, etype, istatus,
+        labels = _check_labels(UNKNOWN if etype == "_" else etype,
+                               UNKNOWN if istatus == "_" else istatus,
+                               f"{name}:{lineno}")
+        rows.append(SidecarRow(doc_key, s, e, *labels,
                                None if label == "_" else label))
     return rows
 
@@ -522,47 +482,47 @@ def merge_sidecar(doc: Document, rows: list[SidecarRow]) -> Document:
     added as singleton gold mentions; the sidecar cannot create or extend
     coreference clusters. Merging the same rows twice is a no-op.
     """
-    rows = [r for r in rows if r.doc_key == doc.doc_key]
     labels = {m.span: (m.entity_type, m.info_status) for m in doc.gold_mentions}
     span_cluster = cluster_index(doc.gold_clusters)
     label_cluster: dict[str, int | None] = {}
+    # a label attached to several new spans would be a cluster the base
+    # annotation does not have; refused below rather than inventing links
+    new_spans: dict[str, set[tuple[int, int]]] = {}
     starts = doc.sentence_starts()
-
     for r in rows:
+        if r.doc_key != doc.doc_key:
+            continue
         span = (r.start, r.end)
         doc.span_sentence(r.start, r.end, starts)
         ci = span_cluster.get(span)
         if r.cluster_label is not None:
-            prev = label_cluster.get(r.cluster_label, "unset")
-            if prev == "unset":
-                label_cluster[r.cluster_label] = ci
-            elif prev != ci:
+            prev = label_cluster.setdefault(r.cluster_label, ci)
+            if prev != ci:
                 raise CorpusError(
                     f"{doc.doc_key}: sidecar cluster id {r.cluster_label!r} maps to "
                     f"both cluster {prev} and cluster {ci}")
+            if ci is None:
+                new_spans.setdefault(r.cluster_label, set()).add(span)
         etype, istatus = labels.get(span, (UNKNOWN, UNKNOWN))
         labels[span] = (
             _merge_field(etype, r.entity_type, "entity type", span, doc.doc_key),
             _merge_field(istatus, r.info_status, "information status", span,
                          doc.doc_key))
-
-    # a label attached to several new spans would be a cluster the base
-    # annotation does not have; refuse rather than invent links
-    new_span_labels: dict[str, list] = {}
-    for r in rows:
-        span = (r.start, r.end)
-        if span_cluster.get(span) is None and r.cluster_label is not None:
-            new_span_labels.setdefault(r.cluster_label, []).append(span)
-    for label, spans in new_span_labels.items():
-        if len(set(spans)) > 1:
+    for label, spans in new_spans.items():
+        if len(spans) > 1:
             raise CorpusError(
                 f"{doc.doc_key}: sidecar cluster id {label!r} groups spans "
-                f"{sorted(set(spans))} that are not clustered in the base annotation")
+                f"{sorted(spans)} that are not clustered in the base annotation")
+    return _annotated(doc, doc.gold_clusters, labels)
 
-    return replace(doc, gold_mentions=build_mentions(doc.gold_clusters, labels),
-                   sentences=[list(s) for s in doc.sentences],
+
+def _annotated(doc: Document, clusters, labels) -> Document:
+    """A copy of doc whose clusters are clusters and whose mentions are
+    build_mentions(clusters, labels)."""
+    return replace(doc, sentences=[list(s) for s in doc.sentences],
                    speakers=[list(s) for s in doc.speakers],
-                   gold_clusters=[list(c) for c in doc.gold_clusters])
+                   gold_clusters=[list(c) for c in clusters],
+                   gold_mentions=build_mentions(clusters, labels))
 
 
 def apply_sidecar(docs: list[Document], rows: list[SidecarRow]) -> list[Document]:
@@ -637,7 +597,7 @@ def document_from_dict(d: dict) -> Document:
         span = _check_span((s, e), key)
         if span in labels:
             raise CorpusError(f"{key}: duplicate mention {span}")
-        labels[span] = (_check_entity_type(etype, key), _check_info_status(istatus, key))
+        labels[span] = _check_labels(etype, istatus, key)
     return Document(
         doc_key=key,
         genre=genre,
@@ -667,14 +627,21 @@ def read_jsonl(source) -> list[Document]:
             continue
         try:
             d = json.loads(line)
+            # a \ud800 escape decodes to a lone surrogate, which no UTF-8
+            # writer can write back
+            json.dumps(d, ensure_ascii=False).encode("utf-8")
             if not isinstance(d, dict):
                 raise CorpusError(f"expected a JSON object, got {type(d).__name__}")
             doc = document_from_dict(d)
             doc.validate()
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
+            # RecursionError: arrays or objects nested too deeply to decode
             raise CorpusError(f"{name}:{lineno}: bad JSON: {exc}") from None
         except KeyError as exc:
             raise CorpusError(f"{name}:{lineno}: missing field {exc}") from None
+        except UnicodeEncodeError:
+            raise CorpusError(f"{name}:{lineno}: bad JSON: a \\u escape gives a "
+                              "lone surrogate, which is not text") from None
         except (TypeError, ValueError) as exc:
             # a malformed field, or a document that validate() rejects
             raise CorpusError(f"{name}:{lineno}: {exc}") from None
@@ -717,16 +684,7 @@ def prediction_to_document(pred: PredictionResult, doc: Document) -> Document:
     labels = {span: (pred.mention_types.get(span, UNKNOWN),
                      pred.mention_statuses.get(span, UNKNOWN))
               for span in pred.mention_spans()}
-    return Document(
-        doc_key=doc.doc_key,
-        genre=doc.genre,
-        sentences=[list(s) for s in doc.sentences],
-        speakers=[list(s) for s in doc.speakers],
-        gold_clusters=[list(c) for c in pred.clusters],
-        gold_mentions=build_mentions(pred.clusters, labels),
-        conll_key=doc.conll_key,
-        part=doc.part,
-    )
+    return _annotated(doc, pred.clusters, labels)
 
 
 def prediction_from_document(doc: Document) -> PredictionResult:

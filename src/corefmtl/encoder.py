@@ -9,13 +9,23 @@ read from one .npz archive by doc_key, behind a trainable linear adapter.
 
 import zipfile
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from numbers import Integral
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import CorpusError, Document
+
+
+def check_int_fields(config):
+    """Raise ValueError naming the first int field of a config dataclass
+    whose value is not an integer: a float such as 8.0, or a bool."""
+    for f in fields(config):
+        value = getattr(config, f.name)
+        if f.type is int and (isinstance(value, bool) or not isinstance(value, Integral)):
+            raise ValueError(f"{f.name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -26,6 +36,7 @@ class EncoderConfig:
     features: str = ""           # .npz of per-document features; "" = toy encoder
 
     def __post_init__(self):
+        check_int_fields(self)
         if self.dim < 1 or self.vocab_size < 1 or self.window < 0:
             raise ValueError("encoder dimensions must be positive")
 

@@ -9,7 +9,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import Document
-from .encoder import EncoderConfig, FeatureFile, create_encoder_params, encode
+from .encoder import (EncoderConfig, FeatureFile, check_int_fields, create_encoder_params,
+                      encode)
 from .mtl import (TaskWeights, assign_aux_labels, aux_losses, coref_loss_from_matrix,
                   create_head_params, gold_antecedent_mask, head_logits,
                   mention_labels, mention_scorer_loss, total_loss)
@@ -33,6 +34,8 @@ class ModelStructure:
     top_antecedents: int = 50
 
     def __post_init__(self):
+        # also the int fields of a subclass: the training configuration's
+        check_int_fields(self)
         for name, least in (("feature_dim", 0), ("hidden", 1), ("ffnn_depth", 0),
                             ("max_span_width", 1), ("top_antecedents", 1)):
             if getattr(self, name) < least:

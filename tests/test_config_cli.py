@@ -10,7 +10,8 @@ import pytest
 
 from corefmtl.cli import main
 from corefmtl.config import _SCHEMA, ConfigError, load_config, render_config
-from corefmtl.corpus import Document, parse_conll, read_jsonl, write_jsonl
+from corefmtl.corpus import (Document, parse_conll, read_jsonl, write_conll, write_jsonl,
+                             write_sidecar)
 from corefmtl.mtl import PRESET_WEIGHTS, TaskWeights
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import Checkpoint, TrainConfig
@@ -117,6 +118,9 @@ class TestLoadConfig:
         ("encoder.kind", "toy", "unknown key 'kind'"),
         ("encoder.model_name", "bert-base", "unknown key 'model_name'"),
         ("encoder.segment_length", "384", "unknown key 'segment_length'"),
+        ("encoder.dim", 8.0, "dim must be an integer, got 8.0"),
+        ("model.hidden", 8.5, "hidden must be an integer, got 8.5"),
+        ("training.steps", True, "steps must be an integer, got True"),
     ])
     def test_validation(self, dotted, value, message):
         with pytest.raises(ConfigError, match=message):
@@ -201,6 +205,8 @@ eval_every = 2
 seed = 3
 """
 
+
+NOT_UTF8 = "'utf-8' codec can't decode byte 0xff"
 
 ZERO_TOKEN_DOCS = [
     Document(doc_key="test/no_sentences", genre="nw", sentences=[], speakers=[]),
@@ -569,16 +575,43 @@ class TestExitCodes:
         ("predict", "string_part", "part must be an integer, got '1'"),
         ("score", "int_genre", "genre must be a string, got 3"),
         ("score", "string_sentence", "sentences must be a list of lists of strings"),
+        ("predict", "lone_surrogate_token", "a \\u escape gives a lone surrogate"),
+        ("score", "non_utf8_conll_token", NOT_UTF8),
+        ("score", "non_utf8_jsonl_string", NOT_UTF8),
+        ("score", "non_utf8_sidecar", NOT_UTF8),
+        ("train", "non_utf8_config", NOT_UTF8),
     ], ids=["missing_speakers", "three_item_mention", "json_list",
             "string_span_bound", "float_cluster_bounds", "bool_cluster_bound",
             "float_mention_bound", "string_mention_bound", "short_speaker_row",
             "span_past_end", "int_token", "null_speaker", "int_doc_key",
-            "string_part", "int_genre", "string_sentence"])
+            "string_part", "int_genre", "string_sentence", "lone_surrogate_token",
+            "non_utf8_conll_token", "non_utf8_jsonl_string", "non_utf8_sidecar",
+            "non_utf8_config"])
     def test_malformed_jsonl_is_data_error(self, workdir, tmp_path, capsys,
                                            command, damage, message):
+        """A JSONL field that breaks the document format is an error at its
+        line. So is, naming its file, a 0xff byte: in a CoNLL token or a
+        JSONL string of the response, in a sidecar's doc_key, or in a
+        config value."""
         dev = workdir / "dev.jsonl"
         d = json.loads(dev.read_text(encoding="utf-8"))
-        if damage == "missing_speakers":
+        bad = tmp_path / "bad.jsonl"
+        if damage.startswith("non_utf8_"):
+            docs = read_jsonl(dev)
+            bad, data, old, new = {
+                "non_utf8_conll_token": (tmp_path / "bad.conll", write_conll(docs),
+                                         "   -   -", "\xff   -   -"),
+                "non_utf8_jsonl_string": (bad, write_jsonl(docs),
+                                          '"sentences": [["', '"sentences": [["\xff'),
+                "non_utf8_sidecar": (tmp_path / "bad.tsv", write_sidecar(docs),
+                                     "\t", "\xff\t"),
+                "non_utf8_config": (tmp_path / "bad.ini", TINY_INI,
+                                    "hidden = 8", "hidden = 8\xff"),
+            }[damage]
+            assert old in data
+            bad.write_bytes(data.encode().replace(old.encode(),
+                                                  new.encode("latin-1"), 1))
+        elif damage == "missing_speakers":
             del d["speakers"]
         elif damage == "three_item_mention":
             d["mentions"][0].pop()
@@ -609,12 +642,20 @@ class TestExitCodes:
         elif damage == "string_sentence":
             # as many characters as the sentence has tokens
             d["sentences"][0] = "".join(tok[0] for tok in d["sentences"][0])
+        elif damage == "lone_surrogate_token":
+            # json.dumps writes it as the escape \ud800
+            d["sentences"][0][0] = "\ud800"
         elif damage == "span_past_end":
             end = sum(len(s) for s in d["sentences"])
             d["clusters"][0].append([end, end])
-        bad = tmp_path / "bad.jsonl"
-        bad.write_text(json.dumps(d) + "\n", encoding="utf-8")
-        if command == "score":
+        if not damage.startswith("non_utf8_"):
+            bad.write_text(json.dumps(d) + "\n", encoding="utf-8")
+        if damage == "non_utf8_sidecar":
+            argv = ["score", str(dev), str(dev), "--sidecar", str(bad)]
+        elif command == "train":
+            argv = ["train", str(dev), "--config", str(bad),
+                    "--out", str(tmp_path / "out")]
+        elif command == "score":
             argv = ["score", str(dev), str(bad)]
         elif command == "predict":
             argv = ["predict", str(bad),
@@ -625,7 +666,8 @@ class TestExitCodes:
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")
-        assert f"{bad}:1: " in err and message in err
+        where = f"{bad}: " if damage.startswith("non_utf8_") else f"{bad}:1: "
+        assert where in err and message in err
 
     def test_bad_config_is_data_error(self, workdir, tmp_path, capsys):
         code = main(["train", str(workdir / "train.jsonl"),

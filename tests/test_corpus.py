@@ -60,10 +60,6 @@ class TestParseConll:
             (0, 0), (2, 2), (4, 4), (7, 7)]
         assert all(m.entity_type == UNKNOWN for m in doc.gold_mentions)
 
-    def test_default_genre_override(self):
-        (doc,) = parse_conll(BASIC, default_genre="pt")
-        assert doc.genre == "pt"
-
     def test_no_part_number(self):
         text = ("#begin document (solo)\n"
                 "solo 0 0 word (3)\n"
@@ -428,6 +424,11 @@ class TestJsonl:
     def test_bad_json_reports_line(self):
         with pytest.raises(CorpusError, match=":2: bad JSON"):
             read_jsonl(write_jsonl([self.doc()]) + "{oops\n")
+
+    def test_deeply_nested_json_reports_line(self):
+        # nested too deeply for the JSON decoder's recursion limit
+        with pytest.raises(CorpusError, match=":2: bad JSON: maximum recursion depth"):
+            read_jsonl(write_jsonl([self.doc()]) + "[" * 100_000 + "\n")
 
     def test_load_documents_dispatches_on_suffix(self, tmp_path):
         doc = self.doc()

@@ -1,10 +1,10 @@
 """The package names the benchmark in perfbench/ relies on.
 
-perfbench wraps its model stages by module attribute and reads forward-pass
-fields by name; a stage that no longer resolves is only reported as a
-missing target, and its per-layer metric silently reads 0. These checks
-read perfbench's lists without importing it, and use one forward pass the
-way its checks and counters do.
+perfbench wraps its model stages and other targets by module attribute and
+reads forward-pass fields by name; a target that no longer resolves is only
+reported as missing, and its per-layer metric silently reads 0. These checks
+read perfbench's lists without importing it, resolve each target the way its
+tracer does, and use one forward pass the way its checks and counters do.
 """
 
 import ast
@@ -32,14 +32,26 @@ def module_constant(path: Path, name: str):
     raise LookupError(f"{path.name} assigns no {name}")
 
 
+def owner_namespace(module: str, attr: str) -> tuple[dict, str]:
+    """The __dict__ that perfbench's tracer patches for a target, and the
+    key it patches: the module's, or the class's for "Class.method"."""
+    owner = importlib.import_module(module)
+    *outer, last = attr.split(".")
+    for part in outer:
+        owner = getattr(owner, part)
+    return vars(owner), last
+
+
 def resolve(module: str, attr: str):
-    obj = importlib.import_module(module)
-    for part in attr.split("."):
-        obj = getattr(obj, part)
-    return obj
+    namespace, last = owner_namespace(module, attr)
+    return namespace[last]
 
 
 STAGES = module_constant(TRACING, "STAGES")
+OTHER = module_constant(TRACING, "OTHER")
+# listed by perfbench, but gone from the package: ForwardPass.scores
+# replaced score_rows, and perfbench's list is yet to drop it
+STALE = [("corefmtl.model", "ForwardPass.score_rows")]
 
 
 def test_stage_list_is_read():
@@ -49,6 +61,23 @@ def test_stage_list_is_read():
 @pytest.mark.parametrize("module,attr,span", STAGES, ids=[s[2] for s in STAGES])
 def test_traced_stage_resolves(module, attr, span):
     assert callable(resolve(module, attr)), span
+
+
+def test_other_list_is_read():
+    assert len(OTHER) == 25
+    assert {("corefmtl.corpus", "parse_conll"), ("corefmtl.corpus", "write_conll"),
+            ("corefmtl.cli", "write_conll"), ("corefmtl.cli", "read_sidecar"),
+            ("corefmtl.cli", "apply_sidecar"), *STALE} <= {t[:2] for t in OTHER}
+
+
+@pytest.mark.parametrize("module,attr,span", OTHER,
+                         ids=[f"{m}.{a}" for m, a, _ in OTHER])
+def test_other_target_resolves(module, attr, span):
+    namespace, last = owner_namespace(module, attr)
+    if (module, attr) in STALE:
+        assert last not in namespace, f"{span} resolves again"
+    else:
+        assert callable(namespace.get(last)), span
 
 
 @pytest.mark.parametrize("module,attr", [

@@ -7,6 +7,7 @@ import platform
 import re
 import tracemalloc
 from itertools import islice
+from types import SimpleNamespace
 
 import numpy as np
 import numpy.testing as npt
@@ -396,6 +397,15 @@ class TestResume:
         "config_unknown_key": ({"config": {**CONFIG, "colour": 1}}, "config is not valid"),
         "config_bad_select": ({"config": {**CONFIG, "select": "last"}},
                               "select must be 'best' or 'final'"),
+        "config_float_hidden": ({"config": {**CONFIG, "hidden": 8.5}},
+                                "config is not valid: hidden must be an integer, got 8.5"),
+        "config_bool_steps": ({"config": {**CONFIG, "steps": True}},
+                              "config is not valid: steps must be an integer, got True"),
+        "config_float_seed": ({"config": {**CONFIG, "seed": 3.0}},
+                              "config is not valid: seed must be an integer, got 3.0"),
+        "config_float_encoder_dim": (
+            {"config": {**CONFIG, "encoder": {**CONFIG["encoder"], "dim": 8.0}}},
+            "config is not valid: dim must be an integer, got 8.0"),
         "no_genres": ({"genres": DELETE}, "meta lacks genres"),
         "genres_none": ({"genres": None}, "genres is not a list of strings"),
         "genres_not_list": ({"genres": 5}, "genres is not a list of strings"),
@@ -557,6 +567,40 @@ class TestResume:
             assert params_equal(resumed.checkpoint.selected, full.checkpoint.selected)
             assert params_equal(resumed.model.store.state(), full.model.store.state())
 
+    @pytest.mark.parametrize("f1s,best_step", [((0.1, 0.3, 0.2, 0.4), 4),
+                                               ((0.1, 0.4, 0.2, 0.3), 2)],
+                             ids=["moves_to_step_4", "stays_at_step_2"])
+    def test_resume_selection_moves_as_uninterrupted(self, docs, monkeypatch,
+                                                     f1s, best_step):
+        """The tiny model scores dev F1 0.0 at every step, so evaluate is
+        stubbed: its avg F1 is f1s[step - 1], for the step that train()
+        logged last. A later evaluation then beats an earlier one across
+        the resume, or does not."""
+        logged = []
+
+        def evaluate(gold, predicted):
+            f1 = SimpleNamespace(f1=f1s[logged[-1] - 1])
+            return SimpleNamespace(avg_f1=f1.f1, muc=f1, b_cubed=f1, ceaf_phi4=f1)
+
+        def run(steps, resume_from=None):
+            return train(docs, tiny_config(steps=steps, eval_every=1),
+                         dev_docs=docs[:1], resume_from=resume_from,
+                         log_fn=lambda rec: logged.append(rec["step"]))
+
+        monkeypatch.setattr("corefmtl.training.evaluate", evaluate)
+        full = run(4)
+        assert (full.best_step, full.best_avg_f1) == (best_step, max(f1s))
+        part = run(2)
+        assert part.best_step == 2
+        resumed = run(4, part.checkpoint)
+        assert (resumed.best_step, resumed.best_avg_f1) == (best_step, max(f1s))
+        assert resumed.records == full.records[len(part.records):]
+        assert (resumed.checkpoint.selected is None) == (best_step == 4)
+        if best_step == 2:
+            assert params_equal(resumed.checkpoint.selected, full.checkpoint.selected)
+        assert params_equal(resumed.model.store.state(), full.model.store.state())
+        assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
+
     def test_resume_to_an_earlier_step_is_rejected(self, docs):
         part = train(docs, tiny_config(steps=6))
         with pytest.raises(ValueError, match="step 3 .* step 6"):
@@ -663,6 +707,12 @@ class TestConfigValidation:
         ("task_learning_rate", float("nan"), "learning rates must be finite and > 0"),
         ("encoder_learning_rate", float("inf"), "learning rates must be finite and > 0"),
         ("eval_every", -1, "eval_every must be >= 0"),
+        ("hidden", 8.5, "hidden must be an integer, got 8.5"),
+        ("steps", 2.5, "steps must be an integer, got 2.5"),
+        ("seed", 3.0, "seed must be an integer, got 3.0"),
+        ("eval_every", 1.5, "eval_every must be an integer, got 1.5"),
+        ("max_span_width", True, "max_span_width must be an integer, got True"),
+        ("top_antecedents", 10.0, "top_antecedents must be an integer, got 10.0"),
     ])
     def test_bad_value_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
