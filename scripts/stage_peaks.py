@@ -1,6 +1,7 @@
 """Per-stage tracemalloc peaks of a benchmark workload's prediction or training step.
 
     python3 scripts/stage_peaks.py --workload long-doc predict
+    python3 scripts/stage_peaks.py --workload long-doc predict --tokens 10000
     python3 scripts/stage_peaks.py --workload short-doc train
 
 Run from the root of a source checkout: the package is imported from
@@ -9,7 +10,9 @@ perfbench/workloads.py at seed 1, and the measured call is the one
 behind the benchmark's peaks (`measure_peaks`):
 
   predict  `predict_document` on the largest held-out document, with the
-           model of one training step on the largest training document
+           model of one training step on the largest training document;
+           with `--tokens N`, on a seed-1 document of N tokens made by
+           perfbench/inputs.py (`make_document`) instead
   train    `train()` for one step on the largest training document
 
 Inside this process only, each stage function the forward pass calls
@@ -40,8 +43,8 @@ FORWARD_STAGES = ("encode", "enumerate_spans", "represent_spans", "unary_score_t
                   "prune_spans", "coarse_scores", "pair_features", "score_matrix",
                   "head_logits")
 # a recompute site's row is named after the function it reruns
-# (span_block, pair_block), except the heads', which rerun ffnn
-RERUN_SITES = {"ffnn": "head"}
+# (span_block, pair_block), except the heads', which rerun head_block
+RERUN_SITES = {"head_block": "head"}
 LOSS_STAGES = ("gold_antecedent_mask", "coref_loss_from_matrix", "assign_aux_labels",
                "aux_losses", "mention_labels", "mention_scorer_loss", "total_loss")
 
@@ -123,7 +126,8 @@ class StagePeaks:
         return lines
 
 
-def stage_peaks(workload: str, mode: str) -> list[str]:
+def stage_peaks(workload: str, mode: str, tokens: int | None = None) -> list[str]:
+    import inputs
     import workloads
     from corefmtl import autodiff, inference, model, optim, training
 
@@ -136,7 +140,8 @@ def stage_peaks(workload: str, mode: str) -> list[str]:
         trained = training.train([largest_train], cfg).model
         stages += [(inference, "decode_antecedents"), (inference, "build_clusters"),
                    (inference, "predict_document")]
-        largest = max(data.heldout, key=lambda d: d.num_tokens)
+        largest = (inputs.make_document(SEED, f"tokens/{tokens}", tokens) if tokens
+                   else max(data.heldout, key=lambda d: d.num_tokens))
 
         def call():
             inference.predict_document(trained, largest)
@@ -164,11 +169,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=("long-doc", "short-doc"))
     parser.add_argument("mode", choices=("predict", "train"))
+    parser.add_argument("--tokens", type=int, default=None,
+                        help="predict a document of this many tokens (predict only)")
     args = parser.parse_args(argv)
+    if args.tokens is not None and (args.mode != "predict" or args.tokens < 1):
+        parser.error("--tokens takes a count >= 1, with predict")
     for path in (ROOT / "perfbench", ROOT / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
-    print("\n".join(stage_peaks(args.workload, args.mode)))
+    print("\n".join(stage_peaks(args.workload, args.mode, args.tokens)))
     return 0
 
 

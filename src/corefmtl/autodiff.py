@@ -38,10 +38,12 @@ model wraps whole blocks and heads in it:
   scorers, over the token embeddings;
 - each block of pairs: the pair scorer, over the kept spans'
   representations;
-- each auxiliary head, over the kept spans' representations.
-So a training step's tape holds each block's or head's output, not its
-(rows x hidden) activations, and backward rebuilds and frees one block's
-or head's graph at a time.
+- each block of kept spans of each auxiliary head, over the kept spans'
+  representations, whose rows it slices (`slice_rows`).
+So a training step's tape holds each block's output, not its (rows x
+hidden) activations, and backward rebuilds and frees one block's graph
+at a time. The pair blocks' scores are written into the score matrix as
+each block ends (`place_blocks`).
 
 A block holds PAIR_BLOCK (512) rows. Every per-block activation, dropout
 mask and rerun grows with it, and a block's rerun in backward sets the
@@ -325,22 +327,47 @@ def take_rows(a: Tensor, indices) -> Tensor:
     return Tensor(a.data[idx], _parents=(a,), _backward=backward)
 
 
-def scatter2d(values: Tensor, rows, cols, base: np.ndarray) -> Tensor:
-    """Place values[p] at (rows[p], cols[p]) of base, which the result
-    takes over (it is written in place).
-
-    (row, col) pairs must be distinct; slots that receive no value keep
-    their base value.
-    """
-    rows = np.asarray(rows, dtype=np.intp)
-    cols = np.asarray(cols, dtype=np.intp)
-    data = np.asarray(base, dtype=DTYPE)
-    data[rows, cols] = values.data
+def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
+    """Rows lo .. hi - 1 of a, whose data is a view of a's, not a copy.
+    Backward adds the gradient into rows lo .. hi - 1 of a zero array, so
+    values and gradients are bit-identical to take_rows over the same
+    range, whose scatter also turns -0.0 into +0.0. A slice over all of
+    a's rows is a itself, as join_blocks returns a lone block."""
+    if lo == 0 and hi == a.data.shape[0]:
+        return a
 
     def backward(g):
-        values._accumulate(g[rows, cols])
+        grad = np.zeros_like(a.data)
+        grad[lo:hi] += g
+        a._accumulate(grad)
 
-    return Tensor(data, _parents=(values,), _backward=backward)
+    return Tensor(a.data[lo:hi], _parents=(a,), _backward=backward)
+
+
+def place_blocks(out: np.ndarray, blocks) -> Tensor:
+    """out with the values of each block written into it, as one tape node
+    that takes out over (it is written in place).
+
+    blocks yields (values, rows, cols) in turn: values[p] goes to entry
+    (rows[p], cols[p]), no entry is written twice, and an entry that
+    receives no value keeps out's. Each block is written before the next
+    is drawn, so a caller that makes its blocks one at a time holds one
+    at a time. The node keeps a block's tensor and entries only when the
+    block has a tape, and backward hands each such block the gradient at
+    its own entries.
+    """
+    taped = []
+    for values, rows, cols in blocks:
+        out[rows, cols] = values.data
+        if values.requires_grad:
+            taped.append((values, rows, cols))
+
+    def backward(g):
+        for values, rows, cols in taped:
+            values._accumulate(g[rows, cols])
+
+    return Tensor(out, _parents=tuple(values for values, _, _ in taped),
+                  _backward=backward)
 
 
 # -- fused span and pair layers -------------------------------------------
@@ -519,11 +546,13 @@ def _pair_weights(dim: int, w0: Tensor, tables: list[Tensor]) -> list[np.ndarray
 
 
 def pair_projections(g: Tensor, w0: Tensor, tables: list[Tensor]) -> list[np.ndarray]:
-    """[g W_a, g W_b, T_1 W_1, ..., T_n W_n]: the terms of pair_input_layer's
-    sum that one span or one table row fixes. A caller that takes the
-    pairs in blocks computes them once, for every block."""
-    w_a, w_b, _, *w_tables = _pair_weights(g.data.shape[1], w0, tables)
-    return [g.data @ w_a, g.data @ w_b] + [t.data @ w_k for t, w_k in zip(tables, w_tables)]
+    """[g W_b, T_1 W_1, ..., T_n W_n]: the terms of pair_input_layer's sum
+    that one antecedent or one table row fixes. A caller that takes the
+    pairs in blocks computes them once, for every block. The anaphor term
+    g W_a is not among them: pair_input_layer computes it over its own
+    block's anaphors only, so it is never held for every span."""
+    _, w_b, _, *w_tables = _pair_weights(g.data.shape[1], w0, tables)
+    return [g.data @ w_b] + [t.data @ w_k for t, w_k in zip(tables, w_tables)]
 
 
 def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
@@ -545,6 +574,17 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
     With relu, the layer is a hidden one: relu and dropout follow as in
     dense, and the node keeps only their output. Without, it is the
     scorer's linear output layer, and rate and rng are not read.
+
+    The anaphor term is one product over the rows of g from the least to
+    the greatest of rows (which need not be sorted), at least two of them,
+    or all of g if it has one, so a block's term spans its own anaphors,
+    not every span. numpy hands a one-row product to gemv, which sums in
+    another order than gemm. On one BLAS thread each row of a gemm holds
+    the bits of that row of the whole g W_a; on more, OpenBLAS divides a
+    product among its threads by the product's shape, which can change
+    the last bits (with OpenBLAS 0.3.31 on two threads, at hidden 150 and
+    g width 212, products of 2 to 32 rows keep them and those of 33 to
+    199 do not).
 
     The output is built in one piece, so a caller bounds its memory by
     the pairs it passes (the model passes at most PAIR_BLOCK). Only the
@@ -571,8 +611,11 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
     ants = np.asarray(antecedents, dtype=np.intp)
     tables = [(t, np.asarray(idx, dtype=np.intp)) for t, idx in tables]
     gv = g.data
+    n = gv.shape[0]
     w_a, w_b, w_c, *w_tables = _pair_weights(gv.shape[1], w0, [t for t, _ in tables])
-    g_wa, g_wb, *table_terms = projected
+    g_wb, *table_terms = projected
+    first = min(int(rows.min(initial=n)), max(n - 2, 0))
+    g_wa = gv[first:max(int(rows.max(initial=-1)) + 1, min(first + 2, n))] @ w_a
 
     def product():
         prod = gv[rows]
@@ -581,7 +624,7 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
         return prod
 
     out = product() @ w_c
-    for chunk, part in _gather_rows(g_wa, rows):
+    for chunk, part in _gather_rows(g_wa, rows - first):
         part += g_wb[ants[chunk]]
         # adding the first two terms' sum to the product is adding the
         # product to their sum, bit for bit
@@ -594,7 +637,6 @@ def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
     def backward(grad):
         if relu:
             grad = _relu_dropout_grad(grad, out, scale)
-        n = gv.shape[0]
         by_row = _scatter_rows(grad, rows, n)
         by_ant = _scatter_rows(grad, ants, n)
         by_table = [_scatter_rows(grad, idx, t.data.shape[0]) for t, idx in tables]
@@ -693,7 +735,7 @@ def recompute(fn, x: Tensor) -> Tensor:
     can change its last bits against the inline graph (the token
     embeddings under the span blocks). It is the inline graph's when fn
     reads x in one place only, so the leaf's gradient is a single term
-    (each auxiliary head's first layer), or when nothing outside fn reads
+    (each auxiliary head block's row slice), or when nothing outside fn reads
     x, so the leaf's gradient is all of x's. Gradients of the parameters
     fn reads accumulate directly. fn must compute the same values both
     times: a dropout mask must come from a stream fn seeds itself. A
@@ -702,7 +744,7 @@ def recompute(fn, x: Tensor) -> Tensor:
 
     The model's sites: each block of candidate spans
     (MtlCorefModel.forward), each block of pairs (scoring.score_matrix)
-    and each auxiliary head (mtl.head_logits).
+    and each block of kept spans of each auxiliary head (mtl.head_logits).
     """
     if not _GRAD_ENABLED.get():
         return fn(x)

@@ -1,5 +1,6 @@
 """The end-to-end model: encode, represent, score, prune, and the joint loss."""
 
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import partial
 from math import isfinite
@@ -13,7 +14,7 @@ from .encoder import (EncoderConfig, FeatureFile, check_int_fields, create_encod
                       encode)
 from .mtl import (TaskWeights, assign_aux_labels, aux_losses, coref_loss_from_matrix,
                   create_head_params, gold_antecedent_mask, head_logits,
-                  mention_labels, mention_scorer_loss, total_loss)
+                  labelled_tasks, mention_labels, mention_scorer_loss, total_loss)
 from .scoring import (PairIndex, coarse_scores, create_scoring_params, pair_features,
                       prune_spans, score_matrix, unary_mix, unary_score_tensors)
 from .spans import SpanSet, create_span_params, enumerate_spans, represent_spans
@@ -69,6 +70,8 @@ class ForwardPass:
     shortlists: PairIndex
     scores: Tensor              # (S_kept, num_slots + 1); column 0 is the dummy
     logits: dict[str, Tensor]
+    # each head's targets over the kept spans, when forward was given head_labels
+    labels: dict[str, np.ndarray] | None = None
 
 
 class MtlCorefModel:
@@ -122,10 +125,15 @@ class MtlCorefModel:
     # -- forward -----------------------------------------------------------
 
     def forward(self, doc: Document, train_step: int | None = None,
-                need_heads: tuple[str, ...] = ()) -> ForwardPass:
+                need_heads: tuple[str, ...] = (),
+                head_labels: Callable[[SpanSet], dict[str, np.ndarray]] | None = None
+                ) -> ForwardPass:
         """Run the pipeline. train_step enables dropout, keyed to the step;
         need_heads names the auxiliary heads to compute (all, at inference,
-        when the model has them).
+        when the model has them). head_labels, if given, maps the kept
+        spans to each head's targets (mtl.assign_aux_labels): the pass
+        keeps them, and builds no head in need_heads whose targets label
+        no kept span (mtl.labelled_tasks).
 
         The spans and the pairs go through their scorers in blocks of
         autodiff.PAIR_BLOCK rows, with or without a tape, and each block
@@ -136,20 +144,23 @@ class MtlCorefModel:
         scoring.COARSE_ROWS at a time.
 
         With a tape, three sites run inside autodiff.recompute, so the
-        tape keeps their outputs and backward rebuilds one block's or
-        head's graph at a time: each block of spans, represented and
-        scored over the token embeddings; each block of pairs in
-        score_matrix; and each auxiliary head in head_logits, over the
-        kept spans' representations. The toy encoder (encode) is one tape
+        tape keeps their outputs and backward rebuilds one block's graph
+        at a time: each block of spans, represented and scored over the
+        token embeddings; each block of pairs in score_matrix; and each
+        block of kept spans of each auxiliary head in head_logits, over
+        the kept spans' representations. The toy encoder (encode) is one tape
         node over the embedding lookup (autodiff.window_mix) that keeps
         only its output. The tape then grows with the tokens and the kept
         spans, not with the candidate spans or the pairs times the hidden
         size.
 
         Nothing after the kept spans' representations reads the token
-        embeddings, so forward drops them there: without a tape they are
-        freed before the shortlist and the pair scorer run, and with one
-        the tape keeps them for backward.
+        embeddings or the kept spans' attention weights, so forward drops
+        them there: without a tape they are freed before the shortlist and
+        the pair scorer run, and with one the tape keeps them for
+        backward. Without a tape, then, a long document's pass holds one
+        block's working set of the pair scorer or of a head at a time,
+        besides the kept spans' representations and the score matrix.
         """
         cfg = self.config
         emb = encode(doc, cfg.encoder, self.store, self.vocab_index, self.features)
@@ -174,7 +185,7 @@ class MtlCorefModel:
         mention = ad.join_blocks(mention) if "singleton" in need_heads else None
         kept = prune_spans(combined.data, spans, doc.num_tokens, cfg.prune_ratio)
         kept_spans = spans[kept]
-        g_kept, _ = represent_spans(emb, kept_spans, self.store, width)
+        g_kept = represent_spans(emb, kept_spans, self.store, width)[0]
         del emb
         combined_kept = ad.take_rows(combined, kept)
 
@@ -184,20 +195,24 @@ class MtlCorefModel:
         scores = score_matrix(g_kept, combined_kept, pairs, self.store,
                               cfg.dropout, train_step)
 
+        labels = head_labels(kept_spans) if head_labels else None
+        heads = need_heads if labels is None else labelled_tasks(need_heads, labels)
         logits: dict[str, Tensor] = {}
-        if self.include_aux and need_heads:
-            logits = head_logits(g_kept, self.store, need_heads, cfg.dropout,
-                                 train_step)
+        if self.include_aux and heads:
+            logits = head_logits(g_kept, self.store, heads, cfg.dropout, train_step)
         return ForwardPass(spans=spans, kept=kept, kept_spans=kept_spans,
                            mention=mention, combined=combined,
-                           shortlists=shortlists, scores=scores, logits=logits)
+                           shortlists=shortlists, scores=scores, logits=logits,
+                           labels=labels)
 
     # -- losses --------------------------------------------------------------
 
     def loss(self, doc: Document, weights: TaskWeights,
              train_step: int | None = None) -> tuple[Tensor, dict[str, float], ForwardPass]:
         """The weighted joint loss of one document, each task's loss value,
-        and the forward pass. Zero-weight tasks are not built.
+        and the forward pass. Zero-weight tasks are not built, nor is a
+        head whose task labels no kept span: its loss is the exact 0 that
+        mtl.cross_entropy gives a head without a labelled row.
 
         The singleton task is the head's 2-way loss on kept spans plus the
         unary mention scorer's logistic loss on every candidate span, so
@@ -206,12 +221,16 @@ class MtlCorefModel:
         need = weights.aux_tasks()
         if need and not self.include_aux:
             raise ValueError("auxiliary task weights require include_aux=True")
-        fp = self.forward(doc, train_step=train_step, need_heads=need)
+        fp = self.forward(doc, train_step=train_step, need_heads=need,
+                          head_labels=partial(assign_aux_labels, doc=doc) if need else None)
         mask = gold_antecedent_mask(fp.kept_spans, fp.shortlists,
                                     doc.gold_clusters, fp.scores.shape[1] - 1)
         parts = {"coref": coref_loss_from_matrix(fp.scores, mask)}
         if need:
-            parts.update(aux_losses(fp.logits, assign_aux_labels(fp.kept_spans, doc)))
+            # a head left unbuilt has no labelled kept span: the exact 0
+            # that cross_entropy would give it
+            parts.update({task: ad.constant(0.0) for task in need})
+            parts.update(aux_losses(fp.logits, fp.labels))
         if "singleton" in parts:
             parts["singleton"] = parts["singleton"] + mention_scorer_loss(
                 fp.mention, mention_labels(fp.spans, doc))

@@ -90,6 +90,14 @@ def assign_aux_labels(kept_spans: SpanSet, doc: Document) -> dict[str, np.ndarra
     return labels
 
 
+def labelled_tasks(tasks: tuple[str, ...],
+                   labels: dict[str, np.ndarray]) -> tuple[str, ...]:
+    """The tasks of tasks with at least one labelled kept span: a head
+    without one adds only the constant 0 of cross_entropy to the loss,
+    so a training step need not build it."""
+    return tuple(task for task in tasks if (labels[task] >= 0).any())
+
+
 def create_head_params(store: ParameterStore, g_dim: int, hidden: int, depth: int = 2):
     # zero output layers: a fresh head is exactly uniform over its classes
     for task, width in HEAD_SIZES.items():
@@ -97,16 +105,31 @@ def create_head_params(store: ParameterStore, g_dim: int, hidden: int, depth: in
                     zero_output=True)
 
 
+def head_block(g: Tensor, store: ParameterStore, task: str, dropout: float,
+               step: int | None, lo: int, hi: int) -> Tensor:
+    """The named head's logits over kept spans lo .. hi - 1 of g, with the
+    dropout masks of ffnn's row block lo."""
+    return ffnn(ad.slice_rows(g, lo, hi), store, f"head/{task}", dropout, step,
+                block=lo)
+
+
 def head_logits(g: Tensor, store: ParameterStore, tasks=tuple(HEAD_SIZES),
                 dropout: float = 0.0, step: int | None = None) -> dict[str, Tensor]:
     """Logits of the named heads only; each head draws its own dropout
     stream, so which other heads run never changes its output.
 
-    With a tape, each head runs inside one autodiff.recompute over g, so
-    the tape keeps the logits, not the heads' hidden layers; backward
-    runs the head again, and its dropout stream draws the same masks."""
-    return {task: ad.recompute(partial(ffnn, store=store, prefix=f"head/{task}",
-                                       dropout=dropout, step=step), g)
+    Each head runs over the kept spans in blocks of autodiff.PAIR_BLOCK
+    rows (autodiff.row_blocks), each block inside one autodiff.recompute
+    over g that slices the block's rows (autodiff.slice_rows), so a pass
+    holds one block's hidden layers at a time and the tape keeps only the
+    logits. Backward reruns the block, and its dropout stream draws the
+    same masks. Up to PAIR_BLOCK kept spans make one block, which reads
+    all of g and draws the masks of a head run whole."""
+    blocks = ad.row_blocks(g.shape[0])
+    return {task: ad.join_blocks([
+                ad.recompute(partial(head_block, store=store, task=task,
+                                     dropout=dropout, step=step, lo=lo, hi=hi), g)
+                for lo, hi in blocks])
             for task in tasks}
 
 

@@ -131,6 +131,14 @@ class PairIndex:
         """The anaphor (kept-span index) of each pair."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
 
+    def block_rows(self, lo: int, hi: int) -> np.ndarray:
+        """rows[lo:hi], from indptr alone: each anaphor whose shortlist
+        meets pairs lo .. hi - 1, repeated for its pairs among them."""
+        first = np.searchsorted(self.indptr, lo, side="right") - 1
+        last = np.searchsorted(self.indptr, hi, side="left")
+        return np.repeat(np.arange(first, last),
+                         np.diff(np.clip(self.indptr[first:last + 1], lo, hi)))
+
     def slots(self) -> np.ndarray:
         """Each pair's slot within its anaphor's shortlist."""
         return np.arange(len(self.rows)) - self.indptr[self.rows]
@@ -217,9 +225,10 @@ class PairFeatures:
     def antecedents(self) -> np.ndarray:
         return self.index.antecedents
 
-    def feature_ids(self, lo: int, hi: int) -> list[np.ndarray]:
-        """Distance bucket, same-speaker flag and genre id of pairs lo .. hi - 1."""
-        rows, ants = self.rows[lo:hi], self.antecedents[lo:hi]
+    def feature_ids(self, lo: int, hi: int, rows: np.ndarray) -> list[np.ndarray]:
+        """Distance bucket, same-speaker flag and genre id of pairs lo .. hi - 1,
+        whose anaphors are rows (index.block_rows(lo, hi))."""
+        ants = self.antecedents[lo:hi]
         same = (self.speaker[rows] >= 0) & (self.speaker[rows] == self.speaker[ants])
         return [bucket_index(rows - ants), same.astype(np.intp),
                 np.full(hi - lo, self.genre_id, dtype=np.intp)]
@@ -245,15 +254,21 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     Column 0 is the dummy antecedent, a constant exact 0. Column 1 + t is
     shortlist slot t; slots beyond a span's shortlist hold -inf. The pair
     scorer takes the pairs in blocks (autodiff.row_blocks), each with its
-    own dropout masks and its own feature ids (PairFeatures.feature_ids);
-    its first layer's per-span terms are computed once, for every block.
-    With a tape, each block's scorer runs inside one autodiff.recompute
-    over g, which keeps only the block's scores, and backward reruns it.
+    own dropout masks, its own anaphors (PairIndex.block_rows, found once
+    per block) and its own feature ids (PairFeatures.feature_ids); its
+    first layer's antecedent and table terms are computed once, for every
+    block. With a tape, each block's scorer runs inside one
+    autodiff.recompute over g, which keeps only the block's scores, and
+    backward reruns it.
+
+    The matrix is allocated before the first block, and each block's
+    scores are written into it as the block ends (autodiff.place_blocks),
+    so no block's scores outlive it without a tape and no array over
+    every pair is made.
     """
     s = g.shape[0]
-    rows = pairs.rows
-    n_pairs = len(rows)
-    if n_pairs == 0:
+    index = pairs.index
+    if len(index.antecedents) == 0:
         # no pair scorer runs, so its parameters get no gradient at all
         return ad.constant(np.zeros((s, 1)))
 
@@ -262,21 +277,23 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
     w0, b0 = ffnn_weights(store, "score/pair")[0]
     projected = ad.pair_projections(g, w0, tables)
 
-    def pair_block(g_block: Tensor, lo: int, hi: int) -> Tensor:
+    def pair_block(g_block: Tensor, lo: int, hi: int, rows: np.ndarray) -> Tensor:
         # [g_i, g_j, g_i * g_j, phi] @ w0 + b0, without the (P, 3g+3f) input
-        first = partial(ad.pair_input_layer, g_block, rows=rows[lo:hi],
+        first = partial(ad.pair_input_layer, g_block, rows=rows,
                         antecedents=pairs.antecedents[lo:hi],
-                        tables=list(zip(tables, pairs.feature_ids(lo, hi))),
+                        tables=list(zip(tables, pairs.feature_ids(lo, hi, rows))),
                         projected=projected)
         return ffnn(None, store, "score/pair", dropout, step,
                     first_layer=first, block=lo).reshape((hi - lo,))
 
-    s_pair = []
-    for lo, hi in ad.row_blocks(n_pairs):
-        s_c = ad.recompute(partial(pair_block, lo=lo, hi=hi), g)
-        s_pair.append(s_c + ad.take_rows(combined, rows[lo:hi])
-                      + ad.take_rows(combined, pairs.antecedents[lo:hi]))
-    # allocated only now, so it is not held through the pair scorer's peak
-    base = np.full((s, 1 + pairs.index.num_slots), -np.inf)
-    base[:, 0] = 0.0
-    return ad.scatter2d(ad.join_blocks(s_pair), rows, 1 + pairs.index.slots(), base)
+    def blocks():
+        for lo, hi in ad.row_blocks(len(index.antecedents)):
+            rows = index.block_rows(lo, hi)
+            s_c = ad.recompute(partial(pair_block, lo=lo, hi=hi, rows=rows), g)
+            yield (s_c + ad.take_rows(combined, rows)
+                   + ad.take_rows(combined, pairs.antecedents[lo:hi]),
+                   rows, 1 + np.arange(lo, hi) - index.indptr[rows])
+
+    out = np.full((s, 1 + index.num_slots), -np.inf)
+    out[:, 0] = 0.0
+    return ad.place_blocks(out, blocks())

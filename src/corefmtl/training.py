@@ -9,9 +9,11 @@ step), so a checkpoint holds no random state, and a resumed run follows the
 trajectory of an uninterrupted one.
 """
 
+import ctypes
 import dataclasses
 import json
 import platform
+import re
 import zipfile
 from dataclasses import dataclass, field
 from itertools import islice
@@ -253,17 +255,44 @@ def _checkpoint_meta(ckpt: Checkpoint) -> _CheckpointMeta:
                            best_step=best_step, best_avg_f1=best_avg_f1)
 
 
-def _platform_stamp() -> dict[str, str]:
-    """Python, numpy, scipy and BLAS versions: bitwise reproducibility of
-    a run holds only on the platform that made it. scipy's sparse kernel
-    sets the summation order of every backward scatter."""
+def _platform_stamp() -> dict[str, str | int | None]:
+    """Python, numpy, scipy and BLAS versions and the BLAS thread count:
+    bitwise reproducibility of a run holds only on the platform that made
+    it. scipy's sparse kernel sets the summation order of every backward
+    scatter, and OpenBLAS divides a product among its threads by the
+    product's shape, so the thread count changes trained bits too."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except (TypeError, KeyError):
         blas = {}
     return {"python": platform.python_version(), "numpy": np.__version__,
             "scipy": scipy.__version__,
-            "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip()}
+            "blas": f"{blas.get('name', '?')} {blas.get('version', '')}".strip(),
+            "blas_threads": _blas_threads()}
+
+
+def _blas_threads() -> int | None:
+    """The thread count of the OpenBLAS this process has loaded, asked
+    through ctypes, or None where it cannot be read (no OpenBLAS, or no
+    /proc/self/maps to find it in)."""
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            libs = sorted(set(re.findall(r"(/\S*openblas\S*\.so\S*)", fh.read())))
+    except OSError:
+        return None
+    for path in libs:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                       "openblas_get_num_threads"):
+            fn = getattr(lib, symbol, None)
+            if fn is not None:
+                fn.argtypes = []
+                fn.restype = ctypes.c_int
+                return int(fn())
+    return None
 
 
 def model_from_checkpoint(ckpt: Checkpoint) -> MtlCorefModel:

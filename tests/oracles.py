@@ -322,13 +322,15 @@ def pair_input_layer_reference(g, w0, b0, rows, antecedents, tables, projected,
     """autodiff.pair_input_layer with each pair gather made for every pair
     at once: the sum (g W_a)[rows] + (g W_b)[antecedents] +
     (g[rows] * g[antecedents]) W_c + sum_k (T_k W_k)[idx_k] + b0, added
-    in that order, then relu and dropout, as one tape op."""
+    in that order, then relu and dropout, as one tape op. The anaphor
+    term is gathered from the whole product g W_a."""
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
     tables = [(t, np.asarray(idx, dtype=np.intp)) for t, idx in tables]
     gv = g.data
     w_a, w_b, w_c, *w_tables = ad._pair_weights(gv.shape[1], w0, [t for t, _ in tables])
-    g_wa, g_wb, *table_terms = projected
+    g_wa = gv @ w_a
+    g_wb, *table_terms = projected
 
     def product():
         prod = gv[rows]

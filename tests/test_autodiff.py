@@ -139,16 +139,64 @@ class TestGatherScatter:
         expected[7] = 1
         npt.assert_allclose(x.grad, expected)
 
-    def test_scatter2d(self):
-        v = Tensor(np.array([1.0, 2.0, 3.0]), requires_grad=True)
-        out = ad.scatter2d(v, [0, 1, 1], [1, 0, 2], np.full((2, 3), -np.inf))
-        expected = np.full((2, 3), -np.inf)
-        expected[0, 1], expected[1, 0], expected[1, 2] = 1, 2, 3
-        npt.assert_allclose(out.data, expected)
-        g = np.zeros((2, 3))
-        g[0, 1], g[1, 0], g[1, 2] = 5, 7, 9
+    def test_place_blocks(self):
+        """Each block's values land at its entries of the array, which the
+        node takes over, and the rest keep theirs; backward hands each
+        block with a tape its own entries' gradient, and a block without
+        one is written but not kept."""
+        taped = [Tensor(np.array([1.0, 2.0]), requires_grad=True),
+                 Tensor(np.array([3.0]), requires_grad=True)]
+        untaped = Tensor(np.array([4.0]))
+        blocks = [(taped[0], np.array([0, 1]), np.array([1, 0])),
+                  (untaped, np.array([2]), np.array([2])),
+                  (taped[1], np.array([1]), np.array([2]))]
+        base = np.full((3, 3), -np.inf)
+        out = ad.place_blocks(base, iter(blocks))
+        assert out.data is base
+        expected = np.full((3, 3), -np.inf)
+        expected[0, 1], expected[1, 0], expected[2, 2], expected[1, 2] = 1, 2, 4, 3
+        npt.assert_array_equal(out.data, expected)
+        assert out._parents == tuple(taped)
+        g = np.arange(9.0).reshape(3, 3)
         out.backward(seed=g)
-        npt.assert_allclose(v.grad, [5, 7, 9])
+        npt.assert_array_equal(taped[0].grad, [g[0, 1], g[1, 0]])
+        npt.assert_array_equal(taped[1].grad, [g[1, 2]])
+        assert untaped.grad is None
+        with ad.no_grad():
+            free = ad.place_blocks(np.zeros((1, 2)), iter([(taped[0], [0, 0], [0, 1])]))
+        assert not free.requires_grad and free._parents == ()
+
+    @pytest.mark.parametrize("lo,hi", [(0, 4), (2, 5), (1, 3), (4, 4), (0, 0)])
+    @pytest.mark.parametrize("earlier", [False, True], ids=["fresh", "earlier_gradient"])
+    def test_slice_rows_is_take_rows_over_a_range(self, lo, hi, earlier):
+        """Rows lo .. hi - 1 of five, as a view of the input's data, with
+        values and gradients bit-equal to take_rows over the same range:
+        the upstream gradient's -0.0 arrives as +0.0 in both, and a
+        gradient the input already holds is summed alike. Empty slices
+        are included."""
+        rng = np.random.default_rng(lo * 7 + hi)
+        data = rng.normal(size=(5, 3))
+        upstream = rng.normal(size=(hi - lo, 3))
+        upstream[::2] = -0.0
+        start = rng.normal(size=(5, 3))
+        start[1] = -0.0
+
+        def run(take):
+            x = Tensor(data.copy(), requires_grad=True)
+            x.grad = start.copy() if earlier else None
+            out = take(x)
+            (out * Tensor(upstream)).sum().backward()
+            return x, out
+
+        x, sliced = run(lambda x: ad.slice_rows(x, lo, hi))
+        y, taken = run(lambda y: ad.take_rows(y, np.arange(lo, hi)))
+        assert hi == lo or np.shares_memory(sliced.data, x.data)
+        assert_bits_equal(sliced.data, taken.data)
+        assert_bits_equal(x.grad, y.grad)
+
+    def test_slice_rows_over_every_row_is_its_input(self):
+        x = Tensor(np.ones((4, 2)), requires_grad=True)
+        assert ad.slice_rows(x, 0, 4) is x
 
 
 def max_rel_err(analytic, numeric, floor=1e-3):
@@ -350,18 +398,35 @@ class TestFusedLayers:
     def test_pair_input_layer_bit_equal_to_whole_gathers(self, extra, relu):
         """Values and every gradient bit-equal to the layer with each gather
         made for every pair at once (oracles.pair_input_layer_reference),
-        at pair counts on both sides of GATHER_ROWS and its multiples,
-        with relu and dropout, and in the linear form. The upstream
-        gradient has signed zeros, and g already holds a gradient when the
-        node's term arrives."""
+        at pair counts on both sides of GATHER_ROWS and its multiples, on
+        unsorted rows, with relu and dropout, and in the linear form."""
         num_pairs = ad.GATHER_ROWS + extra
         rng = np.random.default_rng(num_pairs)
         rows = rng.integers(1, 40, size=num_pairs)
-        ants = rng.integers(0, rows)
-        inputs = pair_layer_inputs(rng, 40, rows, ants, dim=6, hidden=5)
-        upstream = rng.normal(size=(num_pairs, 5))
+        self.assert_pair_layer_bit_equal(rng, 40, rows, rng.integers(0, rows), relu)
+
+    @pytest.mark.parametrize("num_spans,anaphor", [(40, 1), (40, 17), (40, 39), (1, 0)],
+                             ids=["second_row", "middle_row", "last_row", "one_span"])
+    @pytest.mark.parametrize("relu", [True, False], ids=["relu_dropout", "linear"])
+    def test_pair_input_layer_block_of_one_anaphor(self, num_spans, anaphor, relu):
+        """A block whose pairs share one anaphor takes its anaphor term
+        from a product of two rows of g (or of g's only row), bit-equal to
+        the whole product's row: one span past the first, in the middle,
+        the last span, and a g of one span."""
+        rng = np.random.default_rng(num_spans + anaphor)
+        rows = np.full(ad.GATHER_ROWS + 3, anaphor)
+        ants = rng.integers(0, max(anaphor, 1), size=len(rows))
+        self.assert_pair_layer_bit_equal(rng, num_spans, rows, ants, relu)
+
+    @staticmethod
+    def assert_pair_layer_bit_equal(rng, num_spans, rows, ants, relu):
+        """pair_input_layer against pair_input_layer_reference: values and
+        every gradient, for an upstream gradient with signed zeros and a
+        g that already holds a gradient when the node's term arrives."""
+        inputs = pair_layer_inputs(rng, num_spans, rows, ants, dim=6, hidden=5)
+        upstream = rng.normal(size=(len(rows), 5))
         upstream[rng.random(upstream.shape) < 0.2] = -0.0
-        earlier = rng.normal(size=(40, 6))
+        earlier = rng.normal(size=(num_spans, 6))
         kw = dict(relu=True, rate=0.3) if relu else dict(relu=False)
 
         def run(layer):
@@ -386,7 +451,7 @@ class TestFusedLayers:
             ad.pair_projections(g, w0, [])
         with pytest.raises(ValueError, match="w0 has 10 rows"):
             ad.pair_input_layer(g, w0, Tensor(np.zeros(4)), [1], [0], [],
-                                [np.ones((2, 4)), np.ones((2, 4))])
+                                [np.ones((2, 4))])
 
 
 def assert_bits_equal(got, want):

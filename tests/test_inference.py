@@ -247,6 +247,30 @@ class TestTapeFreePrediction:
         assert predict_peak < 5.5e6
         assert taped_peak < 11.0e6
 
+    def test_two_block_predict_peak_is_bounded(self):
+        """At hidden 150 and encoder dim 64, a 1400-token document keeps
+        more than PAIR_BLOCK spans, so each head runs in two blocks.
+        Prediction peaks at 3.8 MB: each pair block takes the anaphor term
+        of its own anaphors and writes its scores into the matrix as it
+        ends, and each head block holds its own hidden layer. It peaked
+        at 4.7 MB when the anaphor term of every kept span lived through
+        all pair blocks, the blocks' scores were joined at the end and
+        each head ran over every kept span at once."""
+        docs = generate_corpus(2, seed=5)
+        cfg = ModelConfig(encoder=EncoderConfig(dim=64, vocab_size=64, window=1),
+                          feature_dim=8, hidden=150, ffnn_depth=1, max_span_width=6,
+                          top_antecedents=50, genres=("bc", "nw"))
+        model = MtlCorefModel(cfg, seed=3, vocab=build_vocab(docs, 64), include_aux=True)
+        rng = np.random.default_rng(0)
+        vocab = model.vocab
+        doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
+                             for _ in range(70)])
+        assert doc.num_tokens == 1400
+        with ad.no_grad():
+            assert len(model.forward(doc).kept) > ad.PAIR_BLOCK
+        predict_peak, _ = peak_bytes(predict_document, model, doc)
+        assert predict_peak < 4.2e6
+
     def test_long_document_predict_peak_is_bounded(self):
         """A 6000-token document peaks at 8.0 MB: the candidate spans are
         three int arrays, the coarse shortlist scores a block of anaphors

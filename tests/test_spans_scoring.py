@@ -483,6 +483,22 @@ class TestCoarseShortlist:
         assert store["score/coarse_bilinear"].grad is before is None
 
 
+class TestPairIndexBlockRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.integers(0, 5), max_size=8))
+    def test_block_rows_are_a_slice_of_rows(self, lengths):
+        """block_rows(lo, hi) is rows[lo:hi] for every range of pairs, from
+        shortlists that include empty ones: ranges whose ends fall on row
+        boundaries and inside rows, empty ranges, and no pairs at all."""
+        index = pair_index([np.zeros(n, dtype=np.intp) for n in lengths])
+        total = int(index.indptr[-1])
+        for lo in range(total + 1):
+            for hi in range(lo, total + 1):
+                got = index.block_rows(lo, hi)
+                assert got.dtype == np.intp
+                npt.assert_array_equal(got, index.rows[lo:hi], err_msg=f"{lo}:{hi}")
+
+
 class TestPairFeatures:
     def doc_with_speakers(self):
         return make_document(
@@ -495,7 +511,7 @@ class TestPairFeatures:
         kept = span_set([cand(0, 0), cand(1, 1), cand(2, 2), cand(3, 3)])
         shortlists = pair_index([np.arange(i, dtype=np.intp) for i in range(4)])
         pf = pair_features(kept, doc, shortlists, genre_id=genre_id)
-        return pf, pf.feature_ids(0, len(pf.rows))
+        return pf, pf.feature_ids(0, len(pf.rows), pf.rows)
 
     def test_distance_buckets_index_offsets(self):
         pf, (distance, _, genre) = self.features(genre_id=2)
@@ -520,7 +536,7 @@ class TestPairFeaturesAgainstPairLoop:
         pf = pair_features(kept, doc, shortlists, genre_id=1)
         want = pair_features_reference(kept, doc.flat_speakers(), shortlists)
         n_pairs = len(pf.rows)
-        distance, same, genre = pf.feature_ids(0, n_pairs)
+        distance, same, genre = pf.feature_ids(0, n_pairs, pf.rows)
         npt.assert_array_equal(genre, np.ones(n_pairs, dtype=np.intp))
         got = (pf.rows, pf.index.slots(), pf.antecedents, distance, same)
         for name, array, ref in zip(("rows", "cols", "antecedents", "distance",
@@ -616,6 +632,28 @@ class TestScoreMatrix:
         for name in ("score/pair/out_w", "pair/distance_embedding",
                      "pair/same_speaker_embedding", "pair/genre_embedding"):
             assert store[name].grad is not None, name
+
+    def test_blocks_are_placed_at_their_entries(self, monkeypatch):
+        """In blocks of 4 pairs, each block's scores land at its own
+        entries and backward hands each block its own: the matrix and
+        every gradient equal those of one block, to the rounding of
+        products of other row counts."""
+        def run():
+            doc, spans, store, g, combined, shortlists, _ = self.build(n=9, top_k=4)
+            m = score_matrix(g, combined, pair_features(spans, doc, shortlists, 1), store)
+            m.backward(seed=np.arange(m.data.size).reshape(m.data.shape) % 7 - 3.0)
+            return m.data, {name: store[name].grad for name in store.names()
+                            if store[name].grad is not None}
+
+        whole, whole_grads = run()
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 4)
+        blocked, grads = run()
+        assert whole.shape == (9, 5)
+        assert grads.keys() == whole_grads.keys() and "score/pair/out_w" in grads
+        npt.assert_array_equal(np.isfinite(blocked), np.isfinite(whole))
+        npt.assert_allclose(blocked, whole, rtol=1e-12)
+        for name, want in whole_grads.items():
+            npt.assert_allclose(grads[name], want, rtol=1e-12, atol=1e-14, err_msg=name)
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, 10 ** 6))

@@ -3,10 +3,14 @@
 import copy
 import dataclasses
 import json
+import os
 import platform
 import re
+import subprocess
+import sys
 import tracemalloc
 from itertools import islice
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -15,9 +19,10 @@ import pytest
 import scipy
 
 from corefmtl import autodiff as ad
-from corefmtl.corpus import CorpusError, Mention
+from corefmtl.corpus import UNKNOWN, CorpusError, Mention
 from corefmtl.encoder import EncoderConfig, build_vocab
 from corefmtl.inference import PredictionResult, predict_document
+from corefmtl import model as model_module
 from corefmtl.model import MtlCorefModel
 from corefmtl import mtl
 from corefmtl.mtl import PRESET_WEIGHTS, TaskWeights
@@ -28,6 +33,7 @@ from corefmtl.training import (
     NumericError,
     TrainConfig,
     _document_order,
+    _platform_stamp,
     config_from_dict,
     config_to_dict,
     gradient_check,
@@ -195,6 +201,23 @@ class TestCheckpoint:
         assert meta["numpy"] == np.__version__
         assert meta["scipy"] == scipy.__version__
         assert isinstance(meta["blas"], str) and meta["blas"]
+        assert meta["blas_threads"] == _platform_stamp()["blas_threads"]
+
+    def test_stamp_reports_the_blas_thread_count(self):
+        """The stamp reads the thread count OpenBLAS runs with; skipped
+        where it cannot be read."""
+        code = ("import json; from corefmtl.training import _platform_stamp; "
+                "print(json.dumps(_platform_stamp()['blas_threads']))")
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": "1",
+               "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        count = json.loads(proc.stdout)
+        if count is None:
+            pytest.skip("the BLAS thread count cannot be read on this platform")
+        assert count == 1
 
     def test_load_rejects_foreign_npz(self, tmp_path):
         path = tmp_path / "other.npz"
@@ -1049,8 +1072,8 @@ class TestBlockRecompute:
         unconsumed = [t for t in built if t._backward is not ad._released]
         assert not unconsumed, f"{len(unconsumed)} of {len(built)} nodes never consumed"
 
-    # the recompute site of the auxiliary heads
-    HEAD_SITE = "ffnn"
+    # the recompute site of the auxiliary heads, one per head and block
+    HEAD_SITE = "head_block"
 
     def step(self, doc, cfg, vocab):
         """The loss of one sg_ent_infs step in blocks of 3 rows, and every
@@ -1078,11 +1101,12 @@ class TestBlockRecompute:
 
     @pytest.mark.parametrize("encoder", ["toy", "features"])
     def test_head_recompute_equals_the_inline_graph(self, monkeypatch, tmp_path, encoder):
-        """Each auxiliary head runs inside one autodiff.recompute whose
-        input's gradient is the inline graph's: a head's first layer reads
-        the kept spans once. With the span and pair blocks left as they
-        are, the loss and every gradient, encoder/ included, are bit-equal
-        to a step that runs the heads inline."""
+        """Each block of kept spans of each auxiliary head runs inside one
+        autodiff.recompute whose input's gradient is the inline graph's:
+        the block reads the kept spans once, through its row slice. With
+        the span and pair blocks left as they are, the loss and every
+        gradient, encoder/ included, are bit-equal to a step that runs
+        the head blocks inline."""
         monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
         doc, cfg, vocab = self.step_inputs()
         if encoder == "features":
@@ -1100,13 +1124,15 @@ class TestBlockRecompute:
             site = getattr(fn, "func", fn).__qualname__
             if site != self.HEAD_SITE:
                 return blocked(fn, x)
-            inlined.append(site)
+            inlined.append(x.shape[0])
             return fn(x)
 
         first = self.step(doc, cfg, vocab)
         monkeypatch.setattr(ad, "recompute", inline_heads)
         second = self.step(doc, cfg, vocab)
-        assert inlined == [self.HEAD_SITE] * 3
+        kept = inlined[0]
+        assert kept > 2 * ad.PAIR_BLOCK
+        assert inlined == [kept] * (3 * len(ad.row_blocks(kept)))
         self.assert_steps_bit_equal(first, second)
 
     def test_fused_encoder_equals_the_composed_graph(self, monkeypatch):
@@ -1119,6 +1145,55 @@ class TestBlockRecompute:
         fused = self.step(doc, cfg, vocab)
         monkeypatch.setattr(ad, "window_mix", window_mix_reference)
         self.assert_steps_bit_equal(fused, self.step(doc, cfg, vocab))
+
+
+class TestUnlabelledHeads:
+    def test_a_head_without_labelled_kept_spans_is_not_built(self, monkeypatch):
+        """A step whose kept spans carry no entity-type label runs no
+        head/entity_type block, and its entity-type loss is the exact 0.
+        The loss, each task's value, every gradient, and a two-step
+        train()'s records and parameters, are bit-equal to those of steps
+        that build the head."""
+        docs = generate_corpus(2, seed=5)
+        typed = max(docs, key=lambda d: d.num_tokens)
+        doc = dataclasses.replace(typed, gold_mentions=[
+            dataclasses.replace(m, entity_type=UNKNOWN) for m in typed.gold_mentions])
+        cfg = tiny_config(steps=2, dropout=0.3, task_weights=PRESET_WEIGHTS["sg_ent_infs"])
+        vocab = build_vocab(docs, cfg.encoder.vocab_size)
+        heads_run = []
+        blocked = ad.recompute
+
+        def counting(fn, x):
+            if getattr(fn, "func", fn) is mtl.head_block:
+                heads_run.append(fn.keywords["task"])
+            return blocked(fn, x)
+
+        def run():
+            heads_run.clear()
+            model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, vocab)
+            tot, values, fp = model.loss(doc, cfg.task_weights, train_step=1)
+            tot.backward()
+            grads = {name: model.store[name].grad for name in model.store.names()
+                     if model.store[name].grad is not None}
+            ran = sorted(set(heads_run))
+            result = train([doc], cfg)
+            return tot.item(), values, grads, ran, fp.labels, result
+
+        monkeypatch.setattr(ad, "recompute", counting)
+        loss, values, grads, ran, labels, result = run()
+        assert not (labels["entity_type"] >= 0).any()
+        assert (labels["info_status"] >= 0).any()
+        assert ran == ["info_status", "singleton"]
+        assert values["entity_type"] == 0.0
+        monkeypatch.setattr(model_module, "labelled_tasks", lambda tasks, labels: tasks)
+        built_loss, built_values, built_grads, built_ran, _, built = run()
+        assert built_ran == ["entity_type", "info_status", "singleton"]
+        assert loss == built_loss and values == built_values
+        assert grads.keys() == built_grads.keys()
+        for name, want in built_grads.items():
+            npt.assert_array_equal(grads[name], want, err_msg=name)
+        assert result.records == built.records
+        assert params_equal(result.checkpoint.params, built.checkpoint.params)
 
 
 class TestStability:
