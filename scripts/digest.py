@@ -1,6 +1,6 @@
 """Fingerprints of a benchmark workload's training run and predictions.
 
-    python3 scripts/digest.py --workload long-doc [--steps N]
+    python3 scripts/digest.py --workload long-doc [--steps N] [--one-thread]
 
 Run from the root of a source checkout: the package is imported from
 ./src. The inputs and the training configuration are those of
@@ -15,12 +15,18 @@ first 16 hex digits of the sha256 of:
                documents
 
 Two source trees that print the same lines on one platform trained and
-predicted bit for bit alike.
+predicted bit for bit alike. The BLAS thread count is part of the
+platform: it can change the trained bits. With `--one-thread`, the script
+then runs itself again in a subprocess with `OPENBLAS_NUM_THREADS=1` and
+prints that run's lines too, each prefixed `one-thread `, so that a
+stated bit change can list the digests at both thread counts.
 """
 
 import argparse
 import hashlib
 import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -63,6 +69,8 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True, choices=("long-doc", "short-doc"))
     parser.add_argument("--steps", type=int, default=None,
                         help="training steps (default: the workload's)")
+    parser.add_argument("--one-thread", action="store_true",
+                        help="also print the digests of a run at OPENBLAS_NUM_THREADS=1")
     args = parser.parse_args(argv)
     if args.steps is not None and args.steps < 1:
         parser.error("--steps must be >= 1")
@@ -70,7 +78,15 @@ def main(argv=None) -> int:
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
     for key, value in digests(args.workload, args.steps).items():
-        print(f"{key}: {value}")
+        print(f"{key}: {value}", flush=True)
+    if args.one_thread:
+        steps = [] if args.steps is None else ["--steps", str(args.steps)]
+        proc = subprocess.run(
+            [sys.executable, __file__, "--workload", args.workload, *steps],
+            env={**os.environ, "OPENBLAS_NUM_THREADS": "1"},
+            capture_output=True, text=True, check=True)
+        for line in proc.stdout.splitlines():
+            print(f"one-thread {line}")
     return 0
 
 

@@ -25,33 +25,38 @@ differentiated once: a second backward() through it raises.
 Four layers are each one tape node that keeps what its backward reads
 and no intermediate, and every product on a tape is one of theirs:
 `dense` (an FFNN layer, hidden or output, and the features adapter),
-`pair_input_layer` (the pair scorer's first layer), `span_representation`
-(boundary rows, soft head and width embedding) and `window_mix` (the toy
-encoder's window context, concat, mix and tanh). Each does the arithmetic
-of the graph of primitive ops it replaces, in that graph's order, so
-values and gradients are bit-identical to it.
+`pair_scorer` (the whole pair scorer of a block of pairs: its factorised
+first layer, hidden layers and output), `span_representation` (boundary
+rows, soft head and width embedding) and `window_mix` (the toy encoder's
+window context, concat, mix and tanh). `dense`, `span_representation`
+and `window_mix` do the arithmetic of the graph of primitive ops they
+replace, in that graph's order, so values and gradients are
+bit-identical to it. `pair_scorer` works GATHER_ROWS (128) pairs at a
+time, and sums its gradients a tile at a time, so its values and
+gradients agree with those of its layers composed to rounding.
 
 `recompute(fn, x)` trades time for tape: it keeps only x and fn's
 output, and its backward runs fn again to backpropagate through it. The
 model wraps whole blocks and heads in it:
 - each block of candidate spans: span representations and both unary
   scorers, over the token embeddings;
-- each block of pairs: the pair scorer, over the kept spans'
-  representations;
 - each block of kept spans of each auxiliary head, over the kept spans'
   representations, whose rows it slices (`slice_rows`).
 So a training step's tape holds each block's output, not its (rows x
 hidden) activations, and backward rebuilds and frees one block's graph
-at a time. The pair blocks' scores are written into the score matrix as
-each block ends (`place_blocks`).
+at a time. Each block of pairs is one `pair_scorer` node, which keeps
+only its inputs and scores and reruns its tiles in backward itself; the
+pair blocks' scores are written into the score matrix as each block
+ends (`place_blocks`).
 
-A block holds PAIR_BLOCK (512) rows. Every per-block activation, dropout
-mask and rerun grows with it, and a block's rerun in backward sets the
-peak of a training step: on a 1000-token document at hidden 150, a
-one-step train() peaks 3.1 MiB lower in blocks of 512 rows than of 1024,
-and only 0.5 MiB lower again in blocks of 256, for twice the blocks. The
-block size fixes the dropout streams (one per block) and the row splits
-of each block's products, so changing it changes the trained bits.
+A block holds PAIR_BLOCK (512) rows. Every per-block dropout mask and
+rerun grows with it, and a span block's rerun in backward sets the peak
+of a training step. A pair block's working set is one tile's, in
+prediction and in backward: its weight gradients and its scatters into
+the kept spans are summed once per block, so more blocks would only add
+that fixed cost. The block size fixes the dropout streams (one per
+block) and the row splits of each block's products, so changing it
+changes the trained bits.
 """
 
 import contextlib
@@ -299,21 +304,28 @@ def join_blocks(parts: list) -> Tensor:
     return parts[0] if len(parts) == 1 else concat(parts)
 
 
-def _scatter_rows(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
-    """Sum values[p] into row idx[p] of a zero (num_rows, ...) array.
+def _scatter_matrix(num_rows: int, *idx: np.ndarray) -> sparse.csc_array:
+    """The (num_rows, P) CSC matrix whose column p holds a 1 in row
+    idx_k[p] of each index array idx_k, in turn (with more than one, their
+    rows must lie in disjoint ranges, in increasing order). Its product
+    with a (P, ...) array sums values[p] into each of p's rows: scipy's
+    CSC kernel adds each column into its rows in ascending p, the sums
+    and the order of np.add.at, and nothing larger than the output is
+    built."""
+    count = len(idx[0])
+    rows = idx[0] if len(idx) == 1 else np.stack(idx, axis=1).reshape(-1)
+    return sparse.csc_array((np.ones(len(rows)), rows,
+                             np.arange(0, len(rows) + 1, len(idx))),
+                            shape=(num_rows, count))
 
-    One sparse product: column p of a (num_rows, P) CSC matrix holds a
-    single 1 in row idx[p], so the matrix comes straight from idx, sorted
-    or not. scipy's CSC kernel adds each column into its row in ascending
-    p: the same sums in the same order as np.add.at, and nothing larger
-    than the output is built.
-    """
+
+def _scatter_rows(values: np.ndarray, idx: np.ndarray, num_rows: int) -> np.ndarray:
+    """Sum values[p] into row idx[p] of a zero (num_rows, ...) array, as
+    one sparse product (_scatter_matrix), sorted idx or not."""
     rest = values.shape[idx.ndim:]
     width = int(np.prod(rest, dtype=np.intp))
-    count = idx.size
-    matrix = sparse.csc_array((np.ones(count), idx.reshape(-1), np.arange(count + 1)),
-                              shape=(num_rows, count))
-    return (matrix @ values.reshape(count, width)).reshape((num_rows,) + rest)
+    matrix = _scatter_matrix(num_rows, idx.reshape(-1))
+    return (matrix @ values.reshape(idx.size, width)).reshape((num_rows,) + rest)
 
 
 def take_rows(a: Tensor, indices) -> Tensor:
@@ -524,16 +536,20 @@ def window_mix(emb: Tensor, w: Tensor, b: Tensor, window: int) -> Tensor:
     return Tensor(out, _parents=(emb, w, b), _backward=backward)
 
 
-# pairs whose gathered rows pair_input_layer holds at a time
+# pairs the pair scorer works at a time (pair_scorer's tiles)
 GATHER_ROWS = 128
 
 
-def _gather_rows(table: np.ndarray, idx: np.ndarray):
-    """(chunk, table[idx[chunk]]) for slices chunk that cover idx in
-    order, GATHER_ROWS entries each, the last one the rest."""
-    for lo in range(0, len(idx), GATHER_ROWS):
-        chunk = slice(lo, lo + GATHER_ROWS)
-        yield chunk, table[idx[chunk]]
+def _tiles(n: int) -> list[slice]:
+    """Slices that cover 0 .. n - 1 in order, GATHER_ROWS each, the last
+    one the rest; none for n = 0. A last row left alone joins the tile
+    before it: numpy hands a one-row product to gemv, which sums in
+    another order than gemm, so its values would not be those of the
+    whole product's row."""
+    bounds = list(range(0, n, GATHER_ROWS)) + [n]
+    if len(bounds) > 2 and n - bounds[-2] == 1:
+        del bounds[-2]
+    return [slice(lo, hi) for lo, hi in zip(bounds[:-1], bounds[1:])]
 
 
 def _pair_weights(dim: int, w0: Tensor, tables: list[Tensor]) -> list[np.ndarray]:
@@ -546,128 +562,216 @@ def _pair_weights(dim: int, w0: Tensor, tables: list[Tensor]) -> list[np.ndarray
 
 
 def pair_projections(g: Tensor, w0: Tensor, tables: list[Tensor]) -> list[np.ndarray]:
-    """[g W_b, T_1 W_1, ..., T_n W_n]: the terms of pair_input_layer's sum
-    that one antecedent or one table row fixes. A caller that takes the
-    pairs in blocks computes them once, for every block. The anaphor term
-    g W_a is not among them: pair_input_layer computes it over its own
+    """[g W_b, T_1 W_1, ..., T_n W_n]: the terms of pair_scorer's first
+    layer that one antecedent or one table row fixes. A caller that takes
+    the pairs in blocks computes them once, for every block. The anaphor
+    term g W_a is not among them: pair_scorer computes it over its own
     block's anaphors only, so it is never held for every span."""
     _, w_b, _, *w_tables = _pair_weights(g.data.shape[1], w0, tables)
     return [g.data @ w_b] + [t.data @ w_k for t, w_k in zip(tables, w_tables)]
 
 
-def pair_input_layer(g: Tensor, w0: Tensor, b0: Tensor, rows, antecedents,
-                     tables, projected: list[np.ndarray], relu: bool = True,
-                     rate: float = 0.0, rng: np.random.Generator | None = None) -> Tensor:
-    """The pair scorer's first layer over pair inputs, without building
-    them, as one tape node.
+def _mask_streams(state: dict | None, widths: list[int], rows: int) -> list:
+    """One generator per hidden layer, at the first draw of that layer's
+    dropout mask when a block of `rows` rows draws rng.random((rows,
+    width)) for each layer in turn from a PCG64 in state (None: no
+    dropout, and None for each layer). Generator.random takes one 64-bit
+    output per float64, so layer l's generator is that PCG64 advanced by
+    rows times the widths before layer l, and drawing tile after tile
+    from it gives the rows of the whole mask, bit for bit."""
+    if state is None:
+        return [None] * len(widths)
+    streams = []
+    for skip in np.cumsum([0] + widths[:-1]).tolist():
+        bits = np.random.PCG64(0)
+        bits.state = state
+        bits.advance(rows * skip)
+        streams.append(np.random.Generator(bits))
+    return streams
 
-    Its linear part equals concat([g[rows], g[antecedents],
-    g[rows] * g[antecedents], T_1[idx_1], ..., T_n[idx_n]], axis=1) @ w0 + b0,
-    where tables holds the (T_k, idx_k) feature lookups. w0 splits by rows
-    into W_a, W_b, W_c and one W_k per table, so the sum is
+
+def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedents,
+                tables, projected: list[np.ndarray], rate: float = 0.0,
+                rng: np.random.Generator | None = None) -> Tensor:
+    """The pair scorer over pair inputs, without building them, as one
+    tape node: a feed-forward block whose layers are (w, b) pairs, ReLU
+    hidden layers with inverted dropout, then a linear output layer. It
+    returns the output layer's (pairs x out width) values.
+
+    The first layer's linear part equals concat([g[rows], g[antecedents],
+    g[rows] * g[antecedents], T_1[idx_1], ..., T_n[idx_n]], axis=1) @ w0
+    + b0, where tables holds the (T_k, idx_k) feature lookups (idx_k of
+    any integer type: the node keeps them). w0 splits
+    by rows into W_a, W_b, W_c and one W_k per table, so the sum is
 
         (g W_a)[rows] + (g W_b)[antecedents] + (g[rows] * g[antecedents]) W_c
         + sum_k (T_k W_k)[idx_k] + b0
 
-    (the factorisation of Kirstain et al. 2021). projected is
-    pair_projections(g, w0, [T_1, ..., T_n]).
-    With relu, the layer is a hidden one: relu and dropout follow as in
-    dense, and the node keeps only their output. Without, it is the
-    scorer's linear output layer, and rate and rng are not read.
+    (the factorisation of Kirstain et al. 2021), added in the order of
+    the formula, the first two terms' sum to the product's. projected is
+    pair_projections(g, w0, [T_1, ..., T_n]). The anaphor term is one
+    product over the rows of g from the least to the greatest of rows
+    (which need not be sorted), at least two of them, or all of g if it
+    has one: numpy hands a one-row product to gemv, which sums in another
+    order than gemm. On one BLAS thread each row of a gemm holds the bits
+    of that row of the whole g W_a; on more, OpenBLAS divides a product
+    among its threads by the product's shape, which can change the last
+    bits.
 
-    The anaphor term is one product over the rows of g from the least to
-    the greatest of rows (which need not be sorted), at least two of them,
-    or all of g if it has one, so a block's term spans its own anaphors,
-    not every span. numpy hands a one-row product to gemv, which sums in
-    another order than gemm. On one BLAS thread each row of a gemm holds
-    the bits of that row of the whole g W_a; on more, OpenBLAS divides a
-    product among its threads by the product's shape, which can change
-    the last bits (with OpenBLAS 0.3.31 on two threads, at hidden 150 and
-    g width 212, products of 2 to 32 rows keep them and those of 33 to
-    199 do not).
+    Every layer runs GATHER_ROWS pairs at a time (_tiles): a tile's
+    product term, hidden layers and output are made and dropped before
+    the next tile's, so the working set is one tile's, however many
+    pairs the block holds. The dropout masks are those of the unfused
+    block (layers.ffnn's): rng.random((pairs, width)) < 1 - rate for
+    each hidden layer in turn, drawn a tile at a time from a generator
+    per layer (_mask_streams); with rng None or rate 0 there is no
+    dropout. The node keeps its inputs, rng's state and its output.
 
-    The output is built in one piece, so a caller bounds its memory by
-    the pairs it passes (the model passes at most PAIR_BLOCK). Only the
-    product term is computed per pair, a (pairs x g width) array that
-    backward recomputes instead of keeping. It is multiplied by W_c first
-    and freed before the sum is built. The sum starts from that product
-    and adds the other terms in place, GATHER_ROWS pairs at a time
-    (_gather_rows), in the order of the formula above: the first two
-    terms' sum, plus the product, plus each table term, plus b0. So no
-    other (pairs x g width) or (pairs x hidden) gather is made, and every
-    bit is that of the whole gathers added in turn.
-
-    Backward builds g's gradient one term at a time, in the formula's
-    order: by_row @ W_a.T, then by_ant @ W_b.T added in place, each
-    scatter of the gradient (by_row, by_ant) freed once used. The
-    product's two terms reuse their arrays: the first is g[antecedents]
-    multiplied in place by the product's gradient, and the second is that
-    gradient multiplied in place by g[rows], GATHER_ROWS pairs at a time.
-    So backward holds at most one (pairs x g width) temporary beside the
-    product's gradient, and both (kept spans x hidden) scatters are gone
-    before it is made.
+    Backward reruns each tile's forward pass and backpropagates through
+    it. The weights' and biases' gradients are summed over the tiles, and
+    so are the first layer's gradient scattered to the anaphors (by_row,
+    over the anaphor term's rows of g), to the antecedents (by_ant) and
+    to each table, and the product term's two scatters into g's rows
+    (_scatter_add). The terms that those scatters fix (W_a, W_b, the
+    tables and g's linear terms) are made once per block, so no tile
+    makes an array over every span.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
-    tables = [(t, np.asarray(idx, dtype=np.intp)) for t, idx in tables]
+    tables = [(t, np.asarray(idx)) for t, idx in tables]
     gv = g.data
     n = gv.shape[0]
+    (w0, b0), *later = layers
     w_a, w_b, w_c, *w_tables = _pair_weights(gv.shape[1], w0, [t for t, _ in tables])
     g_wb, *table_terms = projected
     first = min(int(rows.min(initial=n)), max(n - 2, 0))
-    g_wa = gv[first:max(int(rows.max(initial=-1)) + 1, min(first + 2, n))] @ w_a
+    stop = max(int(rows.max(initial=-1)) + 1, min(first + 2, n))
+    widths = [w.data.shape[1] for w, _ in layers[:-1]]
+    state = rng.bit_generator.state if rng is not None and rate > 0.0 and later else None
+    scale = 1.0 / (1.0 - rate) if state is not None else None
+    tiles = _tiles(len(rows))
 
-    def product():
-        prod = gv[rows]
-        for chunk, part in _gather_rows(gv, ants):
-            prod[chunk] *= part
-        return prod
-
-    out = product() @ w_c
-    for chunk, part in _gather_rows(g_wa, rows - first):
-        part += g_wb[ants[chunk]]
-        # adding the first two terms' sum to the product is adding the
-        # product to their sum, bit for bit
-        out[chunk] += part
+    def run(tile: slice, g_wa: np.ndarray, masks: list, taped: bool = False):
+        """A tile's output layer values; taped, its product term and each
+        hidden layer's output (after relu and dropout) instead."""
+        r, a = rows[tile], ants[tile]
+        prod = gv[r]
+        prod *= gv[a]
+        h = prod @ w_c
+        if not taped:
+            del prod
+        part = g_wa[r - first]
+        part += g_wb[a]
+        h += part
+        del part
         for (_, idx), term in zip(tables, table_terms):
-            out[chunk] += term[idx[chunk]]
-        out[chunk] += b0.data
-    scale = _relu_dropout(out, rate, rng) if relu else None
+            h += term[idx[tile]]
+        h += b0.data
+        hidden = []
+        for (w, b), mask_rng in zip(later, masks):
+            _relu_dropout(h, rate, mask_rng)
+            if taped:
+                hidden.append(h)
+                if len(hidden) == len(later):
+                    break
+            h = h @ w.data
+            h += b.data
+        return (prod, hidden) if taped else h
+
+    out = np.empty((len(rows), layers[-1][0].data.shape[1]), dtype=DTYPE)
+    g_wa = gv[first:stop] @ w_a
+    masks = _mask_streams(state, widths, len(rows))
+    for tile in tiles:
+        out[tile] = run(tile, g_wa, masks)
+    del g_wa, masks
 
     def backward(grad):
-        if relu:
-            grad = _relu_dropout_grad(grad, out, scale)
-        by_row = _scatter_rows(grad, rows, n)
-        by_ant = _scatter_rows(grad, ants, n)
-        by_table = [_scatter_rows(grad, idx, t.data.shape[0]) for t, idx in tables]
-        b0._accumulate(grad.sum(axis=0))
-        if w0.requires_grad:
-            w0._accumulate(np.concatenate(
-                [gv.T @ by_row, gv.T @ by_ant, product().T @ grad]
-                + [t.data.T @ by_t for (t, _), by_t in zip(tables, by_table)]))
+        # d_w[0] is W_c's gradient: by_row, by_ant and by_table give the rest
+        d_w = [np.zeros_like(w_c)] + [np.zeros_like(w.data) for w, _ in later]
+        d_b = [np.zeros_like(b.data) for _, b in layers]
+        by_row = np.zeros((stop - first, w0.data.shape[1]), dtype=DTYPE)
+        by_ant = np.zeros((n, w0.data.shape[1]), dtype=DTYPE)
+        # the tables' rows stacked, each table's a range of by_tables
+        bounds = np.cumsum([0] + [t.data.shape[0] for t, _ in tables])
+        by_tables = np.zeros((bounds[-1], w0.data.shape[1]), dtype=DTYPE)
+        d_g = np.zeros_like(gv) if g.requires_grad else None
+        prod_by_row = np.zeros((stop - first, gv.shape[1]), dtype=DTYPE)
+        # the same product as the forward pass's, so the same bits
+        g_wa = gv[first:stop] @ w_a
+        masks = _mask_streams(state, widths, len(rows))
+        for tile in tiles:
+            prod, hidden = run(tile, g_wa, masks, taped=True)
+            d = grad[tile]
+            for layer in range(len(later), 0, -1):
+                x = hidden.pop()
+                d_b[layer] += d.sum(axis=0)
+                d_w[layer] += x.T @ d
+                d = _relu_dropout_grad(d @ layers[layer][0].data.T, x, scale)
+                del x
+            # d is now the first layer's linear gradient
+            d_b[0] += d.sum(axis=0)
+            d_w[0] += prod.T @ d
+            del prod
+            r, a = rows[tile], ants[tile]
+            # one scatter matrix per index, used for each term it sums; the
+            # antecedents' sums are over their distinct rows only
+            to_row = _scatter_matrix(stop - first, r - first)
+            ant_rows, inverse = np.unique(a, return_inverse=True)
+            to_ant = _scatter_matrix(len(ant_rows), inverse)
+            by_row += to_row @ d
+            by_ant[ant_rows] += to_ant @ d
+            if tables:
+                by_tables += _scatter_matrix(bounds[-1], *(
+                    np.add(idx[tile], lo, dtype=np.intp)
+                    for (_, idx), lo in zip(tables, bounds))) @ d
+            if d_g is not None:
+                d_prod = d @ w_c.T
+                del d
+                term = gv[a]
+                term *= d_prod
+                prod_by_row += to_row @ term
+                del term
+                d_prod *= gv[r]
+                d_g[ant_rows] += to_ant @ d_prod
+                del d_prod
+        del grad
+        for (w, b), dw, db in zip(later, d_w[1:], d_b[1:]):
+            b._accumulate(db)
+            w._accumulate(dw)
+        del d_w[1:], d_b[1:]
+        b0._accumulate(d_b[0])
+        by_table = [by_tables[lo:hi] for lo, hi in zip(bounds[:-1], bounds[1:])]
         for (t, _), by_t, w_k in zip(tables, by_table, w_tables):
             if t.requires_grad:
                 t._accumulate(by_t @ w_k.T)
-        if not g.requires_grad:
+        if w0.requires_grad:
+            # w0's gradient, written in place by row ranges: W_a, W_b, W_c,
+            # then one W_k per table
+            d_w0 = np.empty_like(w0.data)
+            parts = np.cumsum([0] + [w.shape[0] for w in (w_a, w_b, w_c, *w_tables)])
+            sums = [(gv[first:stop].T, by_row), (gv.T, by_ant), None] + [
+                (t.data.T, by_t) for (t, _), by_t in zip(tables, by_table)]
+            for lo, hi, pair in zip(parts[:-1], parts[1:], sums):
+                if pair is None:
+                    d_w0[lo:hi] = d_w[0]
+                else:
+                    np.matmul(*pair, out=d_w0[lo:hi])
+            del sums, d_w
+            w0._accumulate(d_w0)
+            del d_w0
+        if d_g is None:
             return
-        d_prod = grad @ w_c.T
-        del grad
-        d_g = by_row @ w_a.T
+        prod_by_row += by_row @ w_a.T
         del by_row
+        d_g[first:stop] += prod_by_row
+        del prod_by_row
         d_g += by_ant @ w_b.T
         del by_ant
-        term = gv[ants]
-        term *= d_prod
-        d_g += _scatter_rows(term, rows, n)
-        del term
-        for chunk, part in _gather_rows(gv, rows):
-            d_prod[chunk] *= part
-        d_g += _scatter_rows(d_prod, ants, n)
-        del d_prod
         g._accumulate(d_g)
 
-    return Tensor(out, _parents=(g, w0, b0) + tuple(t for t, _ in tables),
-                  _backward=backward)
+    parents = ((g,) + tuple(p for layer in layers for p in layer)
+               + tuple(t for t, _ in tables))
+    return Tensor(out, _parents=parents, _backward=backward)
 
 
 # -- dense layers ---------------------------------------------------------
@@ -743,8 +847,8 @@ def recompute(fn, x: Tensor) -> Tensor:
     nests none. Under no_grad() this is fn(x).
 
     The model's sites: each block of candidate spans
-    (MtlCorefModel.forward), each block of pairs (scoring.score_matrix)
-    and each block of kept spans of each auxiliary head (mtl.head_logits).
+    (MtlCorefModel.forward) and each block of kept spans of each
+    auxiliary head (mtl.head_logits).
     """
     if not _GRAD_ENABLED.get():
         return fn(x)

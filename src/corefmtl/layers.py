@@ -1,7 +1,6 @@
 """Feed-forward blocks shared by the span scorers and classification heads."""
 
-from collections.abc import Callable
-from functools import partial
+import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor, named_rng
@@ -30,35 +29,32 @@ def ffnn_weights(store: ParameterStore, prefix: str) -> list[tuple[Tensor, Tenso
     return weights + [(store[f"{prefix}/out_w"], store[f"{prefix}/out_b"])]
 
 
-def ffnn(x: Tensor | None, store: ParameterStore, prefix: str,
-         dropout: float = 0.0, step: int | None = None,
-         first_layer: Callable[..., Tensor] | None = None, block: int = 0) -> Tensor:
-    """Apply the named feed-forward block: ReLU hidden layers, then a
-    linear output layer, each one autodiff.dense node (but first_layer's).
-
-    Dropout applies in training only, when step is given, and draws from
-    the named block's own stream for that step. block is the first row of
-    x among its stage's rows, for a caller that takes them in row blocks
+def dropout_rng(store: ParameterStore, prefix: str, dropout: float = 0.0,
+                step: int | None = None, block: int = 0) -> np.random.Generator | None:
+    """The dropout stream of the named block for a training step, or None
+    when no dropout applies: in training only, when step is given and
+    dropout > 0. block is the first row of the block's input among its
+    stage's rows, for a caller that takes them in row blocks
     (autodiff.row_blocks): a row block past the first draws from a stream
     that also names that row, so each row block has masks of its own, and
-    the first draws what a stage taken whole would.
+    the first draws what a stage taken whole would."""
+    if dropout <= 0.0 or step is None:
+        return None
+    return named_rng(store.seed, "dropout", step, prefix, *([block] if block else []))
 
-    first_layer, if given, builds the first layer for an input x that is
-    never built (the pair scorer's); x is then None. It is called as
-    first_layer(w, b, relu=..., rate=..., rng=...), as dense is without x:
-    relu is False when the first layer is the linear output layer (depth
-    0), and rate and rng are the dropout a hidden layer applies.
-    """
+
+def ffnn(x: Tensor, store: ParameterStore, prefix: str, dropout: float = 0.0,
+         step: int | None = None, block: int = 0) -> Tensor:
+    """Apply the named feed-forward block: ReLU hidden layers, then a
+    linear output layer, each one autodiff.dense node. Dropout draws from
+    the block's stream (dropout_rng) for that step and row block: each
+    hidden layer's mask in turn, rng.random((rows, hidden)) < 1 - dropout."""
     weights = ffnn_weights(store, prefix)
     depth = len(weights) - 1
-    rng = None
-    if dropout > 0.0 and step is not None:
-        rng = named_rng(store.seed, "dropout", step, prefix,
-                        *([block] if block else []))
+    rng = dropout_rng(store, prefix, dropout, step, block)
     h = x
     for layer, (w, b) in enumerate(weights):
         # ad.dense is looked up when ffnn runs, so that a wrapper installed
         # on the autodiff module (a tracer's) also sees these calls
-        build = first_layer if layer == 0 and first_layer else partial(ad.dense, h)
-        h = build(w, b, relu=layer < depth, rate=dropout, rng=rng)
+        h = ad.dense(h, w, b, relu=layer < depth, rate=dropout, rng=rng)
     return h

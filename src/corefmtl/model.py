@@ -143,14 +143,15 @@ class MtlCorefModel:
         again, in one piece. The coarse shortlist ranks its anaphors
         scoring.COARSE_ROWS at a time.
 
-        With a tape, three sites run inside autodiff.recompute, so the
+        With a tape, two sites run inside autodiff.recompute, so the
         tape keeps their outputs and backward rebuilds one block's graph
         at a time: each block of spans, represented and scored over the
-        token embeddings; each block of pairs in score_matrix; and each
-        block of kept spans of each auxiliary head in head_logits, over
-        the kept spans' representations. The toy encoder (encode) is one tape
-        node over the embedding lookup (autodiff.window_mix) that keeps
-        only its output. The tape then grows with the tokens and the kept
+        token embeddings, and each block of kept spans of each auxiliary
+        head in head_logits, over the kept spans' representations. Each
+        block of pairs in score_matrix is one autodiff.pair_scorer node,
+        which keeps its inputs and scores and reruns its tiles in
+        backward. The toy encoder (encode) is one tape node over the
+        embedding lookup (autodiff.window_mix) that keeps only its output. The tape then grows with the tokens and the kept
         spans, not with the candidate spans or the pairs times the hidden
         size.
 

@@ -45,8 +45,14 @@ class AdamOptimizer:
     step() drops each parameter's gradient (sets its grad to None) once
     it has built that parameter's new moments, so the step never holds
     every gradient beside both new moments: the gradients are spent, and
-    the caller zeroes them after the step anyway. The update's arithmetic
-    is unchanged.
+    the caller zeroes them after the step anyway. Each new moment is one
+    new array that the step adds into, and the update is built in one
+    more, so a parameter's step holds two of its sizes beside the old and
+    new moments and the parameter. The arithmetic is that of
+    m = BETA1 m + (1 - BETA1) g, v = BETA2 v + (1 - BETA2) g^2 and
+    p - lr ((m / bc1) / (sqrt(v / bc2) + EPS) + decay p), bit for bit.
+    m, v and p.data are new arrays each step, never written into after,
+    so a checkpoint may share them.
     """
 
     def __init__(self, param_groups):
@@ -77,17 +83,30 @@ class AdamOptimizer:
                 m = self._m.get(p.name)
                 v = self._v.get(p.name)
                 if m is None:
-                    m = np.zeros_like(p.data)
-                    v = np.zeros_like(p.data)
-                m = BETA1 * m + (1.0 - BETA1) * g
-                v = BETA2 * v + (1.0 - BETA2) * (g * g)
+                    m = v = np.zeros_like(p.data)
+                # each new moment is one new array, added into in place;
+                # g is only read: two tensors may share a gradient array
+                m_new = BETA1 * m
+                m_new += (1.0 - BETA1) * g
+                self._m[p.name] = m_new
+                del m
+                v_new = g * g
                 del g
-                self._m[p.name] = m
-                self._v[p.name] = v
-                update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+                v_new *= 1.0 - BETA2
+                v_new += BETA2 * v
+                self._v[p.name] = v_new
+                del v
+                # (m / bc1) / (sqrt(v / bc2) + EPS), plus the decay term,
+                # times lr, in one buffer; the second becomes p.data
+                update = np.divide(v_new, bc2)
+                np.sqrt(update, out=update)
+                update += EPS
+                p_new = np.divide(m_new, bc1)
+                np.divide(p_new, update, out=update)
                 if weight_decay != 0.0:
-                    update = update + weight_decay * p.data
-                p.data = p.data - lr * update
+                    update += np.multiply(p.data, weight_decay, out=p_new)
+                update *= lr
+                p.data = np.subtract(p.data, update, out=p_new)
 
     # -- checkpoint support ------------------------------------------------
 

@@ -17,7 +17,7 @@ trained directly as a binary mention detector over every candidate span
 """
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from itertools import chain
 from math import ceil
 
@@ -26,7 +26,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import ParameterStore, Tensor
 from .corpus import Document
-from .layers import create_ffnn, ffnn, ffnn_weights
+from .layers import create_ffnn, dropout_rng, ffnn, ffnn_weights
 from .spans import NUM_BUCKETS, SpanSet, bucket_index
 
 UNKNOWN_SPEAKERS = ("", "-")
@@ -253,13 +253,14 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
 
     Column 0 is the dummy antecedent, a constant exact 0. Column 1 + t is
     shortlist slot t; slots beyond a span's shortlist hold -inf. The pair
-    scorer takes the pairs in blocks (autodiff.row_blocks), each with its
-    own dropout masks, its own anaphors (PairIndex.block_rows, found once
-    per block) and its own feature ids (PairFeatures.feature_ids); its
-    first layer's antecedent and table terms are computed once, for every
-    block. With a tape, each block's scorer runs inside one
-    autodiff.recompute over g, which keeps only the block's scores, and
-    backward reruns it.
+    scorer takes the pairs in blocks (autodiff.row_blocks), each one
+    autodiff.pair_scorer node with its own dropout stream (ffnn's row
+    block, layers.dropout_rng), its own anaphors (PairIndex.block_rows,
+    found once per block) and its own feature ids
+    (PairFeatures.feature_ids); its first layer's antecedent and table
+    terms are computed once, for every block. The node keeps only the
+    block's scores, and works and backpropagates GATHER_ROWS pairs at a
+    time.
 
     The matrix is allocated before the first block, and each block's
     scores are written into it as the block ends (autodiff.place_blocks),
@@ -274,24 +275,22 @@ def score_matrix(g: Tensor, combined: Tensor, pairs: PairFeatures,
 
     tables = [store["pair/distance_embedding"], store["pair/same_speaker_embedding"],
               store["pair/genre_embedding"]]
-    w0, b0 = ffnn_weights(store, "score/pair")[0]
-    projected = ad.pair_projections(g, w0, tables)
-
-    def pair_block(g_block: Tensor, lo: int, hi: int, rows: np.ndarray) -> Tensor:
-        # [g_i, g_j, g_i * g_j, phi] @ w0 + b0, without the (P, 3g+3f) input
-        first = partial(ad.pair_input_layer, g_block, rows=rows,
-                        antecedents=pairs.antecedents[lo:hi],
-                        tables=list(zip(tables, pairs.feature_ids(lo, hi, rows))),
-                        projected=projected)
-        return ffnn(None, store, "score/pair", dropout, step,
-                    first_layer=first, block=lo).reshape((hi - lo,))
+    layers = ffnn_weights(store, "score/pair")
+    projected = ad.pair_projections(g, layers[0][0], tables)
 
     def blocks():
         for lo, hi in ad.row_blocks(len(index.antecedents)):
             rows = index.block_rows(lo, hi)
-            s_c = ad.recompute(partial(pair_block, lo=lo, hi=hi, rows=rows), g)
-            yield (s_c + ad.take_rows(combined, rows)
-                   + ad.take_rows(combined, pairs.antecedents[lo:hi]),
+            ants = pairs.antecedents[lo:hi]
+            # the node keeps the ids until its backward, each in the
+            # smallest type that holds its table's rows
+            ids = [i.astype(np.min_scalar_type(t.shape[0] - 1))
+                   for t, i in zip(tables, pairs.feature_ids(lo, hi, rows))]
+            s_c = ad.pair_scorer(g, layers, rows, ants, list(zip(tables, ids)),
+                                 projected, rate=dropout,
+                                 rng=dropout_rng(store, "score/pair", dropout, step, lo))
+            yield (s_c.reshape((hi - lo,)) + ad.take_rows(combined, rows)
+                   + ad.take_rows(combined, ants),
                    rows, 1 + np.arange(lo, hi) - index.indptr[rows])
 
     out = np.full((s, 1 + index.num_slots), -np.inf)

@@ -179,7 +179,9 @@ class Checkpoint:
 @dataclass(frozen=True)
 class _CheckpointMeta:
     """A checkpoint's meta, checked: everything a rebuild or a resume reads
-    of it. The platform stamp is informational and not read."""
+    of it. The platform stamp is informational and not checked: platform
+    holds the keys of this process's stamp (_platform_stamp) that the
+    meta has, as they are there."""
 
     config: TrainConfig
     genres: tuple[str, ...]
@@ -189,6 +191,15 @@ class _CheckpointMeta:
     # the dev selection so far: both None, or the step and its average F1
     best_step: int | None
     best_avg_f1: float | None
+    platform: dict
+
+    def platform_changes(self) -> dict[str, list]:
+        """{key: [the checkpoint's, this process's]} for each stamp key
+        whose value differs. A key the stamp lacks is not compared: older
+        checkpoints have no blas_threads, and the oldest no stamp."""
+        now = _platform_stamp()
+        return {key: [value, now[key]] for key, value in self.platform.items()
+                if value != now[key]}
 
     def model(self, state: dict) -> MtlCorefModel:
         """The model this meta describes, holding state."""
@@ -252,7 +263,9 @@ def _checkpoint_meta(ckpt: Checkpoint) -> _CheckpointMeta:
     return _CheckpointMeta(config=cfg, genres=tuple(meta["genres"]),
                            vocab=tuple(meta["vocab"]),
                            include_aux=meta["include_aux"], step=step,
-                           best_step=best_step, best_avg_f1=best_avg_f1)
+                           best_step=best_step, best_avg_f1=best_avg_f1,
+                           platform={key: meta[key] for key in _platform_stamp()
+                                     if key in meta})
 
 
 def _platform_stamp() -> dict[str, str | int | None]:
@@ -354,7 +367,11 @@ def train(train_docs: list[Document], cfg: TrainConfig,
     step. resume_from continues a checkpoint's run to cfg.steps; its config
     (apart from steps) and include_aux must be this run's. It holds no random
     state: the document order is a function of the seed and the number of
-    documents, so a resume needs the same documents in the same order.
+    documents, so a resume needs the same documents in the same order. A
+    resume on a platform other than the checkpoint's runs on, and its
+    first step record names the stamp keys that differ, as
+    platform_changed: {key: [the checkpoint's, this process's]}; the BLAS
+    thread count, for one, can change the trained bits.
     """
     if not train_docs:
         raise CorpusError("no training documents")
@@ -370,6 +387,8 @@ def train(train_docs: list[Document], cfg: TrainConfig,
 
     start_step = 0
     best_step = best_avg_f1 = best_params = None
+    # a resume on another platform says so in its first record
+    platform_changed = {}
     if resume_from is None:
         model = _new_model(train_docs, cfg, include_aux)
     else:
@@ -383,6 +402,7 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         if prior.include_aux != include_aux:
             raise ValueError("resume include_aux differs from the checkpoint's")
         start_step = prior.step
+        platform_changed = prior.platform_changes()
         if cfg.steps < start_step:
             raise ValueError(f"resume to step {cfg.steps} is before the "
                              f"checkpoint's step {start_step}")
@@ -430,6 +450,8 @@ def train(train_docs: list[Document], cfg: TrainConfig,
         rec = {"step": step, "doc_key": doc.doc_key, "loss": loss_value,
                "grad_norm": grad_norm}
         rec.update({f"loss_{k}": v for k, v in values.items()})
+        if platform_changed:
+            rec["platform_changed"], platform_changed = platform_changed, {}
         records.append(rec)
         if log_fn:
             log_fn(rec)

@@ -11,7 +11,8 @@ and a coarse shortlist comes from a sort of its anaphor's whole row. A
 backward scatter-sum is np.add.at. Span representations are the graph of
 primitive autodiff ops that autodiff.span_representation fuses, with exp
 and the soft-head sum defined here as tape ops. The pair scorer's first layer is
-autodiff.pair_input_layer's arithmetic with every gather made whole. The
+the arithmetic of autodiff.pair_scorer's first layer with every gather made
+whole, and its backward a whole scatter per term. The
 toy encoder's mix is the graph of primitive autodiff ops that
 autodiff.window_mix fuses, with tanh defined here as a tape op.
 """
@@ -319,8 +320,8 @@ def represent_spans_reference(emb, head_score, width_table, starts, ends, bucket
 
 def pair_input_layer_reference(g, w0, b0, rows, antecedents, tables, projected,
                                relu=True, rate=0.0, rng=None):
-    """autodiff.pair_input_layer with each pair gather made for every pair
-    at once: the sum (g W_a)[rows] + (g W_b)[antecedents] +
+    """The first layer of autodiff.pair_scorer with each pair gather made
+    for every pair at once: the sum (g W_a)[rows] + (g W_b)[antecedents] +
     (g[rows] * g[antecedents]) W_c + sum_k (T_k W_k)[idx_k] + b0, added
     in that order, then relu and dropout, as one tape op. The anaphor
     term is gathered from the whole product g W_a."""

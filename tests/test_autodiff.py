@@ -14,7 +14,7 @@ from corefmtl.autodiff import ParameterStore, Tensor
 from corefmtl.encoder import EncoderConfig, create_encoder_params
 from corefmtl.layers import create_ffnn, ffnn
 from corefmtl.mtl import PRESET_WEIGHTS
-from corefmtl.optim import AdamOptimizer, clip_global_norm
+from corefmtl.optim import BETA1, BETA2, EPS, AdamOptimizer, clip_global_norm
 from corefmtl.spans import bucket_index
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import TrainConfig, train
@@ -234,10 +234,40 @@ def pair_layer_inputs(rng, num_spans, rows, ants, dim=3, hidden=4):
     return g, w0, b0, rows, ants, tables
 
 
-def pair_layer(g, w0, b0, rows, ants, tables, **kw):
-    """pair_input_layer with the projections it is given in the model."""
+def pair_layer(g, w0, b0, rows, ants, tables, later=(), **kw):
+    """pair_scorer whose first layer is (w0, b0), followed by the (w, b)
+    layers of later, with the projections it is given in the model."""
     projected = ad.pair_projections(g, w0, [t for t, _ in tables])
-    return ad.pair_input_layer(g, w0, b0, rows, ants, tables, projected, **kw)
+    return ad.pair_scorer(g, [(w0, b0), *later], rows, ants, tables, projected, **kw)
+
+
+def identity_layer(width):
+    """A linear output layer whose output is its input, bit for bit, when
+    that input is >= +0.0 (a relu's): x @ I adds only exact zeros to each
+    entry. Its backward hands on an upstream gradient without -0.0
+    entries unchanged."""
+    return (Tensor(np.eye(width), requires_grad=True),
+            Tensor(np.zeros(width), requires_grad=True))
+
+
+def assert_close(got, want, rtol=1e-12):
+    """Same shape, and every entry within rtol of want's largest entry."""
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
+
+
+def composed_pair_scorer(g, layers, rows, ants, tables, projected, rate=0.0, rng=None):
+    """The graph pair_scorer fuses: the first layer with every gather made
+    whole (oracles.pair_input_layer_reference), then one dense node per
+    later layer, all drawing from rng in turn, as layers.ffnn does."""
+    depth = len(layers) - 1
+    (w0, b0), *later = layers
+    h = pair_input_layer_reference(g, w0, b0, rows, ants, tables, projected,
+                                   relu=depth > 0, rate=rate, rng=rng)
+    for layer, (w, b) in enumerate(later, start=1):
+        h = ad.dense(h, w, b, relu=layer < depth, rate=rate, rng=rng)
+    return h
 
 
 class TestFusedLayers:
@@ -315,12 +345,12 @@ class TestFusedLayers:
         (1, [], []),                                           # one span, no pairs
     ], ids=["repeated", "zero_pairs"])
     def test_pair_input_layer_finite_differences(self, num_spans, rows, ants):
-        """The linear form (relu=False), which a depth-0 pair scorer uses as
-        its output layer."""
+        """The pair scorer's first layer in its linear form: a depth-0
+        scorer, whose first layer is its output layer."""
         rng = np.random.default_rng(8)
         g, w0, b0, rows, ants, tables = pair_layer_inputs(rng, num_spans, rows, ants)
         hidden = w0.shape[1]
-        out = pair_layer(g, w0, b0, rows, ants, tables, relu=False)
+        out = pair_layer(g, w0, b0, rows, ants, tables)
 
         def reference():
             x = pair_inputs(g.data, rows, ants, [(t.data, idx) for t, idx in tables])
@@ -339,33 +369,39 @@ class TestFusedLayers:
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_pair_input_layer_hidden_finite_differences(self, rate):
+        """The first layer as a hidden one (relu, then dropout), under a
+        linear output layer: a depth-1 scorer."""
         rng = np.random.default_rng(18)
         g, w0, b0, rows, ants, tables = pair_layer_inputs(
             rng, 4, [1, 1, 2, 2, 2, 3, 3, 3], [0, 0, 1, 0, 1, 2, 0, 2])
-        weights = rng.normal(size=(len(rows), w0.shape[1]))
+        out_layer = (Tensor(rng.normal(size=(w0.shape[1], 2)), requires_grad=True),
+                     Tensor(rng.normal(size=(2,)), requires_grad=True))
+        weights = rng.normal(size=(len(rows), 2))
 
         def layer():
             # one fixed mask: every evaluation draws from the same stream
-            return pair_layer(g, w0, b0, rows, ants, tables,
+            return pair_layer(g, w0, b0, rows, ants, tables, [out_layer],
                               rate=rate, rng=ad.named_rng(4, "mask"))
 
         out = layer()
         # finite differences need every unit away from the relu kink
-        linear = pair_layer(g, w0, b0, rows, ants, tables, relu=False)
+        linear = pair_layer(g, w0, b0, rows, ants, tables)
         assert np.abs(linear.data).min() > 1e-3
-        assert 0.0 < np.mean(out.data > 0.0) < 1.0
+        assert 0.0 < np.mean(linear.data > 0.0) < 1.0
         (out * Tensor(weights)).sum().backward()
 
         def value():
             return float((layer().data * weights).sum())
 
-        for t in [g, w0, b0] + [t for t, _ in tables]:
+        for t in [g, w0, b0, *out_layer] + [t for t, _ in tables]:
             assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
 
     @pytest.mark.parametrize("rate", [0.0, 0.3])
     def test_pair_input_layer_is_relu_and_dropout_of_its_linear_form(self, rate):
-        """Values and every gradient bit-equal to relu, then a multiply by
-        mask / keep, composed in numpy over the linear form."""
+        """A hidden first layer is relu, then a multiply by mask / keep,
+        composed in numpy over the linear form: a depth-1 scorer whose
+        output layer is the identity (identity_layer) gives those values,
+        and every gradient of its inputs bit-equal to the linear form's."""
         rng = np.random.default_rng(19)
         rows = rng.integers(1, 5, size=10)
         ants = rng.integers(0, rows)
@@ -373,13 +409,14 @@ class TestFusedLayers:
         hidden_in = tuple(Tensor(t.data.copy(), requires_grad=True) for t in linear_in[:3])
         hidden_tables = [(Tensor(t.data.copy(), requires_grad=True), idx)
                          for t, idx in linear_in[5]]
-        seed = rng.normal(size=(10, linear_in[1].shape[1]))
+        width = linear_in[1].shape[1]
+        seed = rng.normal(size=(10, width))
         seed[::3] = -seed[::3]     # negative gradients at dropped units give -0.0
 
-        out = pair_layer(*hidden_in, rows, ants, hidden_tables,
+        out = pair_layer(*hidden_in, rows, ants, hidden_tables, [identity_layer(width)],
                          rate=rate, rng=ad.named_rng(5, "mask"))
         out.backward(seed=seed)
-        linear = pair_layer(*linear_in, relu=False)
+        linear = pair_layer(*linear_in)
         z = linear.data
         keep = 1.0 - rate
         mask = np.ones_like(z)
@@ -396,10 +433,12 @@ class TestFusedLayers:
                              ids=["one", "chunk-1", "chunk", "chunk+1", "3chunk+5"])
     @pytest.mark.parametrize("relu", [True, False], ids=["relu_dropout", "linear"])
     def test_pair_input_layer_bit_equal_to_whole_gathers(self, extra, relu):
-        """Values and every gradient bit-equal to the layer with each gather
-        made for every pair at once (oracles.pair_input_layer_reference),
-        at pair counts on both sides of GATHER_ROWS and its multiples, on
-        unsorted rows, with relu and dropout, and in the linear form."""
+        """The first layer's values are bit-equal to the layer with each
+        gather made for every pair at once (oracles.
+        pair_input_layer_reference), at pair counts on both sides of
+        GATHER_ROWS and its multiples, on unsorted rows, with relu and
+        dropout, and in the linear form; its gradients, which the scorer
+        sums a tile at a time, agree to 1e-12."""
         num_pairs = ad.GATHER_ROWS + extra
         rng = np.random.default_rng(num_pairs)
         rows = rng.integers(1, 40, size=num_pairs)
@@ -420,29 +459,39 @@ class TestFusedLayers:
 
     @staticmethod
     def assert_pair_layer_bit_equal(rng, num_spans, rows, ants, relu):
-        """pair_input_layer against pair_input_layer_reference: values and
-        every gradient, for an upstream gradient with signed zeros and a
-        g that already holds a gradient when the node's term arrives."""
+        """The first layer against pair_input_layer_reference, for a g that
+        already holds a gradient when the node's term arrives: values bit
+        for bit, every gradient to 1e-12. The linear form is a depth-0
+        scorer, fed an upstream gradient with signed zeros; the hidden one
+        a depth-1 scorer under identity_layer, which hands its upstream
+        gradient on unchanged when that has no -0.0."""
         inputs = pair_layer_inputs(rng, num_spans, rows, ants, dim=6, hidden=5)
         upstream = rng.normal(size=(len(rows), 5))
-        upstream[rng.random(upstream.shape) < 0.2] = -0.0
+        if not relu:
+            upstream[rng.random(upstream.shape) < 0.2] = -0.0
         earlier = rng.normal(size=(num_spans, 6))
-        kw = dict(relu=True, rate=0.3) if relu else dict(relu=False)
+        later = [identity_layer(5)] if relu else []
 
-        def run(layer):
+        def run(fused):
             g, w0, b0 = (Tensor(t.data.copy(), requires_grad=True) for t in inputs[:3])
             tables = [(Tensor(t.data.copy(), requires_grad=True), idx)
                       for t, idx in inputs[5]]
             g.grad = earlier.copy()
             projected = ad.pair_projections(g, w0, [t for t, _ in tables])
-            out = layer(g, w0, b0, rows, ants, tables, projected,
-                        rng=ad.named_rng(6, "mask"), **kw)
+            kw = dict(rate=0.3, rng=ad.named_rng(6, "mask"))
+            if fused:
+                out = ad.pair_scorer(g, [(w0, b0), *later], rows, ants, tables,
+                                     projected, **kw)
+            else:
+                out = pair_input_layer_reference(g, w0, b0, rows, ants, tables,
+                                                 projected, relu=relu, **kw)
             out.backward(seed=upstream)
             return [out.data, g.grad, w0.grad, b0.grad] + [t.grad for t, _ in tables]
 
-        for got, want in zip(run(ad.pair_input_layer), run(pair_input_layer_reference),
-                             strict=True):
-            assert_bits_equal(got, want)
+        (got_out, *got), (want_out, *want) = run(True), run(False)
+        assert_bits_equal(got_out, want_out)
+        for got_grad, want_grad in zip(got, want, strict=True):
+            assert_close(got_grad, want_grad)
 
     def test_pair_input_layer_checks_w0_rows(self):
         g = Tensor(np.ones((2, 3)))
@@ -450,8 +499,102 @@ class TestFusedLayers:
         with pytest.raises(ValueError, match="w0 has 10 rows"):
             ad.pair_projections(g, w0, [])
         with pytest.raises(ValueError, match="w0 has 10 rows"):
-            ad.pair_input_layer(g, w0, Tensor(np.zeros(4)), [1], [0], [],
-                                [np.ones((2, 4))])
+            ad.pair_scorer(g, [(w0, Tensor(np.zeros(4)))], [1], [0], [],
+                           [np.ones((2, 4))])
+
+
+class TestPairScorer:
+    PAIRS = pytest.mark.parametrize(
+        "num_pairs", [1, ad.GATHER_ROWS - 1, ad.GATHER_ROWS, ad.GATHER_ROWS + 1,
+                      2 * ad.GATHER_ROWS + 5],
+        ids=["one", "tile-1", "tile", "tile+1", "2tile+5"])
+
+    @staticmethod
+    def inputs(rng, num_pairs, depth, num_spans=40, dim=6, hidden=5):
+        """(g, layers, rows, ants, tables) of a depth-deep scorer with one
+        output: leaves that want a gradient, unsorted rows."""
+        rows = rng.integers(1, num_spans, size=num_pairs)
+        ants = rng.integers(0, rows)
+        g, w0, b0, rows, ants, tables = pair_layer_inputs(rng, num_spans, rows, ants,
+                                                         dim=dim, hidden=hidden)
+        widths = [hidden] * depth + [1]
+        w0 = Tensor(rng.normal(size=(w0.shape[0], widths[0])), requires_grad=True)
+        layers = [(w0, Tensor(rng.normal(size=(widths[0],)), requires_grad=True))]
+        for fan_in, fan_out in zip(widths[:-1], widths[1:]):
+            layers.append((Tensor(rng.normal(size=(fan_in, fan_out)), requires_grad=True),
+                           Tensor(rng.normal(size=(fan_out,)), requires_grad=True)))
+        return g, layers, rows, ants, tables
+
+    @PAIRS
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
+    def test_matches_the_composed_graph(self, num_pairs, depth, rate):
+        """Values and every gradient agree to 1e-12 with the graph the node
+        fuses (composed_pair_scorer): the reference first layer and one
+        dense node per later layer, all drawing their dropout masks from
+        one stream in turn, as layers.ffnn does."""
+        rng = np.random.default_rng(1000 * depth + num_pairs)
+        inputs = self.inputs(rng, num_pairs, depth)
+        upstream = rng.normal(size=(num_pairs, 1))
+        earlier = rng.normal(size=inputs[0].shape)
+
+        def run(scorer):
+            g = Tensor(inputs[0].data.copy(), requires_grad=True)
+            g.grad = earlier.copy()
+            layers = [tuple(Tensor(t.data.copy(), requires_grad=True) for t in layer)
+                      for layer in inputs[1]]
+            tables = [(Tensor(t.data.copy(), requires_grad=True), idx)
+                      for t, idx in inputs[4]]
+            projected = ad.pair_projections(g, layers[0][0], [t for t, _ in tables])
+            out = scorer(g, layers, inputs[2], inputs[3], tables, projected,
+                         rate=rate, rng=ad.named_rng(7, "mask"))
+            out.backward(seed=upstream)
+            return [out.data, g.grad] + [t.grad for layer in layers for t in layer] + [
+                t.grad for t, _ in tables]
+
+        for got, want in zip(run(ad.pair_scorer), run(composed_pair_scorer), strict=True):
+            assert_close(got, want)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_finite_differences(self, depth):
+        """Every input's gradient, with dropout, over more than one tile."""
+        rng = np.random.default_rng(30 + depth)
+        g, layers, rows, ants, tables = self.inputs(
+            rng, ad.GATHER_ROWS + 3, depth, num_spans=6, dim=2, hidden=3)
+
+        def value():
+            with ad.no_grad():
+                return float(pair_layer(g, *layers[0], rows, ants, tables, layers[1:],
+                                        rate=0.3, rng=ad.named_rng(8, "mask")).data.sum())
+
+        out = pair_layer(g, *layers[0], rows, ants, tables, layers[1:],
+                         rate=0.3, rng=ad.named_rng(8, "mask"))
+        out.sum().backward()
+        for t in [g] + [t for layer in layers for t in layer] + [t for t, _ in tables]:
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
+
+    @PAIRS
+    def test_dropout_masks_are_the_unfused_blocks(self, num_pairs):
+        """Each hidden layer's generator (_mask_streams), drawn a tile at a
+        time, gives the mask layers.ffnn draws for the whole block, bit for
+        bit: rng.random((pairs, width)) < keep for each layer in turn."""
+        widths = [5, 3, 5]
+        rng = ad.named_rng(9, "dropout")
+        whole = [rng.random((num_pairs, w)) < 0.7 for w in widths]
+        streams = ad._mask_streams(ad.named_rng(9, "dropout").bit_generator.state,
+                                   widths, num_pairs)
+        for stream, w, want in zip(streams, widths, whole, strict=True):
+            tiles = [stream.random((t.stop - t.start, w)) < 0.7
+                     for t in ad._tiles(num_pairs)]
+            npt.assert_array_equal(np.concatenate(tiles), want)
+        assert ad._mask_streams(None, widths, num_pairs) == [None] * 3
+
+    def test_no_grad_builds_no_node(self):
+        rng = np.random.default_rng(3)
+        g, layers, rows, ants, tables = self.inputs(rng, 20, 2)
+        with ad.no_grad():
+            out = pair_layer(g, *layers[0], rows, ants, tables, layers[1:])
+        assert not out.requires_grad and out._backward is None and out._parents == ()
 
 
 def assert_bits_equal(got, want):
@@ -922,6 +1065,69 @@ class TestOptim:
         for t, g in zip(tensors, want):
             assert_bits_equal(t.grad, g * (1.0 / norm))
         assert tensors[4].grad is None
+
+    @staticmethod
+    def adam_formula(p, m, v, g, t, lr, weight_decay):
+        """One AdamW step on whole arrays, each term a new temporary."""
+        bc1, bc2 = 1.0 - BETA1 ** t, 1.0 - BETA2 ** t
+        m = BETA1 * m + (1.0 - BETA1) * g
+        v = BETA2 * v + (1.0 - BETA2) * (g * g)
+        update = (m / bc1) / (np.sqrt(v / bc2) + EPS)
+        if weight_decay != 0.0:
+            update = update + weight_decay * p
+        return p - lr * update, m, v
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_step_is_bit_equal_to_the_formula(self, weight_decay):
+        """Three steps on random arrays, whose gradients hold signed zeros
+        and are shared by two parameters: the parameters and the moments
+        are bit-equal to the whole-array formula (adam_formula), and the
+        shared gradient array is left as it was."""
+        rng = np.random.default_rng(12)
+        start = [rng.normal(size=(40, 7)) for _ in range(2)]
+        params = [Tensor(x.copy(), requires_grad=True, name=name)
+                  for x, name in zip(start, "ab")]
+        opt = AdamOptimizer([(params, 0.05, weight_decay)])
+        want = [(x, np.zeros_like(x), np.zeros_like(x)) for x in start]
+        for t in range(1, 4):
+            g = rng.normal(size=(40, 7))
+            g[rng.random(g.shape) < 0.2] = -0.0
+            g[rng.random(g.shape) < 0.2] = 0.0
+            before = g.copy()
+            for p in params:
+                p.grad = g
+            opt.step()
+            assert_bits_equal(g, before)
+            want = [self.adam_formula(*w, g, t, 0.05, weight_decay) for w in want]
+            for p, (x, m, v) in zip(params, want):
+                assert_bits_equal(p.data, x)
+                assert_bits_equal(opt.state()["arrays"][f"m/{p.name}"], m)
+                assert_bits_equal(opt.state()["arrays"][f"v/{p.name}"], v)
+
+    @pytest.mark.parametrize("weight_decay", [0.0, 0.01])
+    def test_step_holds_two_parameter_sizes(self, weight_decay):
+        """A 2 MB parameter's second step holds at most two more of its
+        sizes at its peak than at its start (its parameter, gradient and
+        moments): each new moment is one array added into in place, and
+        the update is built in one more. Whole temporaries for each term
+        held three."""
+        rng = np.random.default_rng(13)
+        gc.collect()
+        # traced from before the arrays exist, so freeing them counts
+        tracemalloc.start()
+        try:
+            p = Tensor(rng.normal(size=250_000), requires_grad=True, name="p")
+            opt = AdamOptimizer([([p], 0.01, weight_decay)])
+            p.grad = rng.normal(size=250_000)
+            opt.step()
+            p.grad = rng.normal(size=250_000)
+            entry, _ = tracemalloc.get_traced_memory()
+            tracemalloc.reset_peak()
+            opt.step()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak - entry < 2.5 * p.data.nbytes
 
     def test_adam_first_step_size(self):
         """With a constant gradient the first Adam step is about -lr."""

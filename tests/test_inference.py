@@ -271,6 +271,29 @@ class TestTapeFreePrediction:
         predict_peak, _ = peak_bytes(predict_document, model, doc)
         assert predict_peak < 4.2e6
 
+    def test_short_document_predict_peak_is_bounded(self):
+        """At the small model size (encoder dim 32, hidden 64, one hidden
+        layer, 20 antecedents), a 50-token prediction peaks at 0.33 MiB:
+        the pair scorer works GATHER_ROWS pairs at a time, so its working
+        set is one tile's, not one 512-pair block's. It peaked at 0.78 MiB
+        when each block's product term and hidden layer were made whole."""
+        docs = generate_corpus(2, seed=5)
+        cfg = ModelConfig(encoder=EncoderConfig(dim=32, vocab_size=256, window=1),
+                          feature_dim=8, hidden=64, ffnn_depth=1, max_span_width=4,
+                          prune_ratio=0.8, top_antecedents=20, genres=("bc", "nw"))
+        model = MtlCorefModel(cfg, seed=3, vocab=build_vocab(docs, 256), include_aux=True)
+        rng = np.random.default_rng(0)
+        vocab = model.vocab
+        doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=10)]
+                             for _ in range(5)])
+        assert doc.num_tokens == 50
+        with ad.no_grad():
+            fp = model.forward(doc)
+        assert sum(len(sl) for sl in fp.shortlists) > ad.PAIR_BLOCK
+        del fp
+        predict_peak, _ = peak_bytes(predict_document, model, doc)
+        assert predict_peak < 0.5 * 2 ** 20
+
     def test_long_document_predict_peak_is_bounded(self):
         """A 6000-token document peaks at 8.0 MB: the candidate spans are
         three int arrays, the coarse shortlist scores a block of anaphors
@@ -322,7 +345,7 @@ class TestBlockedPrediction:
         doc = max(docs, key=lambda d: d.num_tokens)
         monkeypatch.setattr(ad, "PAIR_BLOCK", self.BLOCK)
         span_calls = counting(monkeypatch, model_module, "represent_spans")
-        pair_calls = counting(monkeypatch, ad, "pair_input_layer")
+        pair_calls = counting(monkeypatch, ad, "pair_scorer")
         taped = model.forward(doc, need_heads=tuple(HEAD_SIZES))
         taped_calls = (len(span_calls), len(pair_calls))
         with ad.no_grad():
@@ -331,7 +354,7 @@ class TestBlockedPrediction:
         n_pairs = sum(len(sl) for sl in free.shortlists)
         assert min(len(free.spans), len(free.kept), n_pairs) > 5 * self.BLOCK
         # both passes: one call per span block, then one for the kept spans,
-        # and one per pair block
+        # and one pair scorer node per pair block
         calls = (-(-len(free.spans) // self.BLOCK) + 1, -(-n_pairs // self.BLOCK))
         assert taped_calls == calls
         assert (len(span_calls), len(pair_calls)) == tuple(2 * n for n in calls)

@@ -5,8 +5,9 @@ documents as JSON lines, or a run configuration), applies one mutation
 (a line deleted, duplicated or swapped, one field replaced with drawn
 text, a few bytes inserted, or the file truncated) and reads it the way
 the commands do: `score` and `analyze-errors` in-process, some examples
-also `predict` with one checkpoint trained for the module, and the
-configuration through `load_config`.
+also `predict` with one checkpoint trained for the module, `train` for
+one step of a tiny model on the damaged corpus, and the configuration
+through `load_config`.
 """
 
 import re
@@ -78,7 +79,8 @@ def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("fuzz")
     docs = generate_corpus(2, seed=9)
     for name, text in (("key.conll", write_conll(docs)), ("key.tsv", write_sidecar(docs)),
-                       ("key.jsonl", write_jsonl(docs)), ("config.ini", CONFIG)):
+                       ("key.jsonl", write_jsonl(docs)), ("config.ini", CONFIG),
+                       ("train.ini", CONFIG.replace("steps = 2", "steps = 1"))):
         (root / name).write_text(text, encoding="utf-8")
     cfg = TrainConfig(steps=2, encoder=EncoderConfig(dim=8, vocab_size=64),
                       feature_dim=4, hidden=8, ffnn_depth=1, max_span_width=4,
@@ -128,3 +130,19 @@ def test_damaged_config_loads_or_is_config_error(files, data):
         assert isinstance(load_config(bad), TrainConfig)
     except ConfigError:
         pass
+
+
+@pytest.mark.parametrize("kind", ["conll", "tsv", "jsonl"])
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_training_on_a_damaged_corpus_exits_0_or_2(files, kind, data):
+    """`train` for one step of a tiny model on a damaged corpus file, or on
+    the key with a damaged sidecar."""
+    original = (files / f"key.{kind}").read_bytes()
+    bad = files / f"bad.{kind}"
+    bad.write_bytes(data.draw(mutated(original), label="damaged"))
+    corpus = ([str(files / "key.conll"), "--sidecar", str(bad)] if kind == "tsv"
+              else [str(bad)])
+    argv = ["train", *corpus, "--config", str(files / "train.ini"),
+            "--out", str(files / "run")]
+    assert main(argv) in (0, 2), argv

@@ -26,6 +26,23 @@ def test_digest_prints_the_stamp_and_four_digests():
     assert all(re.fullmatch(r"[0-9a-f]{16}", lines[name]) for name in names)
 
 
+def test_digest_one_thread_prints_a_second_run_at_one_thread():
+    """--one-thread prints the lines of a second run with
+    OPENBLAS_NUM_THREADS=1 after the first, each prefixed `one-thread `;
+    its stamp reads a thread count of 1 where the count can be read.
+    The predictions agree across thread counts."""
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "digest.py"), "--workload", "short-doc",
+         "--steps", "2", "--one-thread"],
+        cwd=ROOT, capture_output=True, text=True, timeout=240)
+    assert proc.returncode == 0, proc.stderr
+    lines = dict(line.split(": ", 1) for line in proc.stdout.splitlines())
+    keys = list(_platform_stamp()) + ["records", "params", "moments", "predictions"]
+    assert list(lines) == keys + [f"one-thread {key}" for key in keys]
+    assert lines["one-thread blas_threads"] in ("1", "None")
+    assert lines["one-thread predictions"] == lines["predictions"]
+
+
 def stage_rows(*args) -> dict[str, tuple]:
     """stage_peaks.py's rows by stage: (calls, entry, peak, exit)."""
     proc = subprocess.run(

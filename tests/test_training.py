@@ -263,6 +263,39 @@ class TestResume:
         assert loss_trace(resumed) == loss_trace(full)[3:]
         assert params_equal(resumed.checkpoint.params, full.checkpoint.params)
 
+    @pytest.mark.parametrize("stamp", ["edited", "older", "none"])
+    def test_resume_records_a_platform_change(self, docs, tmp_path, stamp):
+        """A 2-step checkpoint whose platform stamp is edited resumes on the
+        uninterrupted run's losses, and its first record names each
+        differing key as [checkpoint, now]; later records do not. A stamp
+        without blas_threads (as checkpoints had before it) compares the
+        keys it has, and a checkpoint without a stamp records nothing."""
+        full = train(docs, tiny_config(steps=4))
+        part = train(docs, tiny_config(steps=2))
+        now = _platform_stamp()
+        meta = part.checkpoint.meta
+        assert {key: meta[key] for key in now} == now
+        if stamp == "edited":
+            meta.update(numpy="1.0.0", blas_threads=64)
+            want = {"numpy": ["1.0.0", now["numpy"]],
+                    "blas_threads": [64, now["blas_threads"]]}
+        elif stamp == "older":
+            del meta["blas_threads"]
+            meta["python"] = "3.8.0"
+            want = {"python": ["3.8.0", now["python"]]}
+        else:
+            for key in now:
+                del meta[key]
+            want = None
+        path = tmp_path / "mid.npz"
+        part.checkpoint.save(path)
+        resumed = train(docs, tiny_config(steps=4), resume_from=Checkpoint.load(path))
+        assert loss_trace(resumed) == loss_trace(full)[2:]
+        first, *rest = resumed.records
+        assert first.get("platform_changed") == want
+        assert all("platform_changed" not in r for r in rest)
+        assert all("platform_changed" not in r for r in full.records)
+
     def test_resume_with_aux_heads_matches_uninterrupted_run(self, docs, tmp_path):
         weights = TaskWeights(0.55, 0.15, 0.15, 0.15)
         full = train(docs, tiny_config(steps=6, task_weights=weights))
@@ -1011,11 +1044,13 @@ class TestBackwardMemory:
 
 class TestBlockRecompute:
     def test_block_recompute_equals_the_inline_graph(self, monkeypatch):
-        """Backward reruns each block of spans and of pairs (autodiff.
-        recompute), and a rerun draws the dropout masks of the forward
-        pass: the loss and every gradient outside encoder/ are those of
-        the inline graph, bit for bit. The token embeddings' gradient is
-        summed per block first, so encoder/ gradients agree to rounding."""
+        """Backward reruns each block of spans and each block of kept spans
+        of each head (autodiff.recompute), and a rerun draws the dropout
+        masks of the forward pass: the loss and every gradient outside
+        encoder/ are those of the inline graph, bit for bit. The token
+        embeddings' gradient is summed per block first, so encoder/
+        gradients agree to rounding. (The pair blocks are no recompute
+        site: each is one autodiff.pair_scorer node.)"""
         monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
         docs = generate_corpus(2, seed=5)
         doc = max(docs, key=lambda d: d.num_tokens)
