@@ -20,10 +20,13 @@ Inside this process only, each stage function the forward pass calls
 stages (predict) or the losses, `Tensor.backward`, gradient clipping and
 the optimizer step (train). A stage called within another is listed
 under the caller's name, as in `backward/represent_spans`. The backward
-pass of each recompute rerun (`autodiff.recompute`) is listed under its
-site, `backward/span_block` and `backward/head`, and the rerun's forward
-stages under `backward` itself; the backward of each pair block's scorer
-node (`autodiff.pair_scorer`) is listed as `backward/pair_block`. For each
+pass of each span block's recompute rerun (`autodiff.recompute`) is
+listed as `backward/span_block`, and the rerun's forward stages under
+`backward` itself; the backward closure of each pair block's scorer node
+(`autodiff.pair_scorer`) as `pair_block`, and that of each FFNN node
+(`autodiff.ffnn_node`: the unary scorers and each head) as `ffnn`, under
+the stage that runs it: `backward/pair_block`, `backward/ffnn` (a head)
+and `backward/span_block/ffnn` (the unary scorers). For each
 stage, in the order of its first call, the script prints its number of
 calls and, of the call that peaked highest, the traced memory at entry,
 its peak and the traced memory at exit, in MiB. The last row is the
@@ -43,9 +46,6 @@ MIB = 2 ** 20
 FORWARD_STAGES = ("encode", "enumerate_spans", "represent_spans", "unary_score_tensors",
                   "prune_spans", "coarse_scores", "pair_features", "score_matrix",
                   "head_logits")
-# a recompute site's row is named after the function it reruns
-# (span_block), except the heads', which rerun head_block
-RERUN_SITES = {"head_block": "head"}
 LOSS_STAGES = ("gold_antecedent_mask", "coref_loss_from_matrix", "assign_aux_labels",
                "aux_losses", "mention_labels", "mention_scorer_loss", "total_loss")
 
@@ -77,16 +77,15 @@ class StagePeaks:
         setattr(owner, attr, measured)
 
     def label_reruns(self, autodiff):
-        """Name the backward() of each recompute rerun after its site
-        (RERUN_SITES), and each pair scorer node's backward closure
-        `pair_block`. The rerun's output is the one tensor that fn returns
-        with a tape; the forward pass runs fn under no_grad()."""
+        """Name the backward() of each recompute rerun after the function
+        it reruns (span_block), each pair scorer node's backward closure
+        `pair_block` and each FFNN node's `ffnn`. The rerun's output is the
+        one tensor that fn returns with a tape; the forward pass runs fn
+        under no_grad()."""
         recompute = autodiff.recompute
-        pair_scorer = autodiff.pair_scorer
 
         def labelled(fn, x):
             site = getattr(fn, "func", fn).__name__
-            site = RERUN_SITES.get(site, site)
 
             def rerun(leaf):
                 out = fn(leaf)
@@ -96,23 +95,27 @@ class StagePeaks:
 
             return recompute(rerun, x)
 
-        def labelled_pairs(*args, **kwargs):
-            out = pair_scorer(*args, **kwargs)
-            if out._backward is not None:
-                closure = out._backward
+        def labelled_node(node, name: str):
+            def build(*args, **kwargs):
+                out = node(*args, **kwargs)
+                if out._backward is not None:
+                    closure = out._backward
 
-                def measured(grad):
-                    self._enter("pair_block")
-                    try:
-                        closure(grad)
-                    finally:
-                        self._exit()
+                    def measured(grad):
+                        self._enter(name)
+                        try:
+                            closure(grad)
+                        finally:
+                            self._exit()
 
-                out._backward = measured
-            return out
+                    out._backward = measured
+                return out
+
+            return build
 
         autodiff.recompute = labelled
-        autodiff.pair_scorer = labelled_pairs
+        autodiff.pair_scorer = labelled_node(autodiff.pair_scorer, "pair_block")
+        autodiff.ffnn_node = labelled_node(autodiff.ffnn_node, "ffnn")
         self.wrap(autodiff.Tensor, "backward",
                   lambda tensor, *_: self.reruns.pop(id(tensor), "backward"))
 

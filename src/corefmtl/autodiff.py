@@ -22,41 +22,42 @@ Leaves (parameters, and tensors made with requires_grad=True) keep their
 gradients; `retain_grad()` keeps an intermediate's. A graph is
 differentiated once: a second backward() through it raises.
 
-Four layers are each one tape node that keeps what its backward reads
+Five layers are each one tape node that keeps what its backward reads
 and no intermediate, and every product on a tape is one of theirs:
-`dense` (an FFNN layer, hidden or output, and the features adapter),
-`pair_scorer` (the whole pair scorer of a block of pairs: its factorised
-first layer, hidden layers and output), `span_representation` (boundary
-rows, soft head and width embedding) and `window_mix` (the toy encoder's
-window context, concat, mix and tanh). `dense`, `span_representation`
-and `window_mix` do the arithmetic of the graph of primitive ops they
-replace, in that graph's order, so values and gradients are
-bit-identical to it. `pair_scorer` works GATHER_ROWS (128) pairs at a
-time, and sums its gradients a tile at a time, so its values and
-gradients agree with those of its layers composed to rounding.
+`ffnn_node` (feed-forward stacks over one input: the unary scorers and
+each auxiliary head), `pair_scorer` (the whole pair scorer of a block of
+pairs: its factorised first layer, hidden layers and output), `dense`
+(one layer: the features adapter), `span_representation` (boundary rows,
+soft head and width embedding) and `window_mix` (the toy encoder's
+embedding lookup, window context, concat, mix and tanh). `dense`,
+`span_representation` and `window_mix` do the arithmetic of the graph of
+primitive ops they replace, in that graph's order, so values and
+gradients are bit-identical to it. `ffnn_node` and `pair_scorer` share
+one tile loop: they work GATHER_ROWS (128) rows at a time, keep their
+inputs, their dropout streams' states and their outputs, rerun each tile
+in backward and sum their gradients a tile at a time, so their values
+and gradients agree with those of their layers composed to rounding.
 
 `recompute(fn, x)` trades time for tape: it keeps only x and fn's
 output, and its backward runs fn again to backpropagate through it. The
-model wraps whole blocks and heads in it:
-- each block of candidate spans: span representations and both unary
-  scorers, over the token embeddings;
-- each block of kept spans of each auxiliary head, over the kept spans'
-  representations, whose rows it slices (`slice_rows`).
-So a training step's tape holds each block's output, not its (rows x
-hidden) activations, and backward rebuilds and frees one block's graph
-at a time. Each block of pairs is one `pair_scorer` node, which keeps
-only its inputs and scores and reruns its tiles in backward itself; the
-pair blocks' scores are written into the score matrix as each block
-ends (`place_blocks`).
+model wraps each block of candidate spans in it: the block's span
+representations and both unary scorers, over the token embeddings. So a
+training step's tape holds each block's scores, not its
+representations, and backward rebuilds and frees one block's graph at a
+time. Each block of pairs is one `pair_scorer` node and each head one
+`ffnn_node`, which keep only their inputs and outputs and rerun their
+tiles in backward themselves; the pair blocks' scores are written into
+the score matrix as each block ends (`place_blocks`).
 
-A block holds PAIR_BLOCK (512) rows. Every per-block dropout mask and
-rerun grows with it, and a span block's rerun in backward sets the peak
-of a training step. A pair block's working set is one tile's, in
-prediction and in backward: its weight gradients and its scatters into
-the kept spans are summed once per block, so more blocks would only add
-that fixed cost. The block size fixes the dropout streams (one per
-block) and the row splits of each block's products, so changing it
-changes the trained bits.
+A block holds PAIR_BLOCK (512) rows. A span block's rerun in backward
+sets the peak of a training step: it holds the block's representations
+and their gradient beside one tile's hidden layers. An FFNN node's
+working set is one tile's, in prediction and in backward: its weight
+gradients, and a pair block's scatters into the kept spans, are summed
+once per node, so more blocks would only add that fixed cost. The block
+size fixes the dropout streams (one per block of spans or pairs) and the
+row splits of each block's products, so changing it changes the trained
+bits.
 """
 
 import contextlib
@@ -213,6 +214,17 @@ class Tensor:
             self.grad = np.asarray(grad, dtype=DTYPE)
         else:
             self.grad = self.grad + grad
+
+    def _accumulate_rows(self, lo: int, grad: np.ndarray):
+        """_accumulate of an array shaped like self's data that holds grad
+        in rows lo .. lo + len(grad) - 1 and zeros elsewhere, without
+        building it: only the new gradient is made (a -0.0 of the earlier
+        gradient outside those rows stays -0.0)."""
+        if not self.requires_grad:
+            return
+        total = np.zeros_like(self.data) if self.grad is None else self.grad.copy()
+        total[lo:lo + len(grad)] += grad
+        self.grad = total
 
     # -- operator sugar ---------------------------------------------------
 
@@ -496,24 +508,26 @@ def window_context(x: np.ndarray, window: int, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def window_mix(emb: Tensor, w: Tensor, b: Tensor, window: int) -> Tensor:
-    """tanh([emb, window_context(emb)] @ w + b), the toy encoder over its
-    embedding lookup, as one tape node that keeps only its output.
+def window_mix(table: Tensor, ids, w: Tensor, b: Tensor, window: int) -> Tensor:
+    """tanh([emb, window_context(emb)] @ w + b), where emb = table[ids] is
+    the toy encoder's embedding lookup, as one tape node that keeps only
+    its output: the lookup is made again in backward, not kept.
 
-    The arithmetic is that of the composed graph (a take_rows times a
-    weight constant per shift, their sum, concat, matmul, add and tanh),
-    so values and gradients are bit-identical to it. Backward recomputes
-    the context and the concat for w's gradient, and hands emb the concat
-    slice's gradient first, then one scatter per shift, in shift order,
-    as that graph does.
+    The arithmetic is that of the composed graph (take_rows from the
+    table, a take_rows times a weight constant per shift, their sum,
+    concat, matmul, add and tanh), so values and gradients are
+    bit-identical to it. Backward recomputes the lookup, the context and
+    the concat for w's gradient, and sums the lookup's gradient as that
+    graph does: the concat slice's first, then one scatter per shift, in
+    shift order, and then one scatter of that sum into the table's rows.
     """
-    ev = emb.data
-    num_rows, d = ev.shape
+    ids = np.asarray(ids, dtype=np.intp)
+    num_rows, d = len(ids), table.data.shape[1]
 
     def inputs() -> np.ndarray:
         cat = np.empty((num_rows, 2 * d), dtype=DTYPE)
-        cat[:, :d] = ev
-        window_context(ev, window, cat[:, d:])
+        cat[:, :d] = table.data[ids]
+        window_context(cat[:, :d], window, cat[:, d:])
         return cat
 
     out = inputs() @ w.data
@@ -526,17 +540,21 @@ def window_mix(emb: Tensor, w: Tensor, b: Tensor, window: int) -> Tensor:
         b._accumulate(d_mixed.sum(axis=0))
         if w.requires_grad:
             w._accumulate(inputs().T @ d_mixed)
-        if emb.requires_grad:
+        if table.requires_grad:
             d_cat = d_mixed @ w.data.T
             del d_mixed
-            emb._accumulate(d_cat[:, :d])
+            d_emb = d_cat[:, :d].copy()
             for src, weight in _window_shifts(num_rows, window):
-                emb._accumulate(_scatter_rows(d_cat[:, d:] * weight, src, num_rows))
+                d_emb += _scatter_rows(d_cat[:, d:] * weight, src, num_rows)
+            del d_cat
+            table._accumulate(_scatter_rows(d_emb, ids, table.data.shape[0]))
 
-    return Tensor(out, _parents=(emb, w, b), _backward=backward)
+    return Tensor(out, _parents=(table, w, b), _backward=backward)
 
 
-# pairs the pair scorer works at a time (pair_scorer's tiles)
+# -- tiled FFNN nodes ------------------------------------------------------
+
+# rows an FFNN node (ffnn_node, pair_scorer) works at a time: its tiles
 GATHER_ROWS = 128
 
 
@@ -590,11 +608,129 @@ def _mask_streams(state: dict | None, widths: list[int], rows: int) -> list:
     return streams
 
 
+def _dropout_state(layers: list, rate: float, rng: np.random.Generator | None):
+    """The PCG64 state a stack of layers draws its dropout masks from
+    (_mask_streams), or None when it drops nothing: no rng, a rate of 0,
+    or no hidden layer."""
+    return rng.bit_generator.state if rng is not None and rate > 0.0 and len(layers) > 1 \
+        else None
+
+
+def _hidden_widths(layers: list) -> list[int]:
+    return [w.data.shape[1] for w, _ in layers[:-1]]
+
+
+def _tile_forward(h: np.ndarray, later: list, rate: float, masks: list, taped: bool = False):
+    """The rest of one tile of an FFNN stack from h, its first layer's
+    linear output (relu and dropout write into it): each (w, b) of later
+    over the relu and dropout of the layer before, whose mask is drawn
+    from that layer's generator in masks. Returns the output layer's
+    values; taped, each hidden layer's output after relu and dropout (the
+    inputs of later's layers) instead, without the output layer's
+    product."""
+    hidden = []
+    for (w, b), mask_rng in zip(later, masks):
+        _relu_dropout(h, rate, mask_rng)
+        if taped:
+            hidden.append(h)
+            if len(hidden) == len(later):
+                break
+        h = h @ w.data
+        h += b.data
+    return hidden if taped else h
+
+
+def _tile_backward(d: np.ndarray, hidden: list, later: list, d_w: list, d_b: list,
+                   scale) -> np.ndarray:
+    """Backpropagate a tile's output gradient d through later's layers,
+    whose inputs hidden holds (_tile_forward, taped; emptied here), and
+    add each layer's weight and bias gradients into d_w[1:] and d_b[1:].
+    Returns the gradient of the first layer's linear output."""
+    for layer in range(len(later), 0, -1):
+        x = hidden.pop()
+        d_b[layer] += d.sum(axis=0)
+        d_w[layer] += x.T @ d
+        d = _relu_dropout_grad(d @ later[layer - 1][0].data.T, x, scale)
+        del x
+    return d
+
+
+def ffnn_node(x: Tensor, stacks: list[list[tuple[Tensor, Tensor]]], rate: float = 0.0,
+              rngs: list | None = None) -> Tensor:
+    """Feed-forward stacks over the same input x as one tape node. A
+    stack's layers are (w, b) pairs: ReLU hidden layers with inverted
+    dropout, then a linear output layer. The outputs are stacked by rows
+    in the order of the stacks: over x's n rows, stack k's values are
+    rows k n .. (k + 1) n - 1, so every stack has the same output width.
+
+    Every layer runs GATHER_ROWS rows at a time (_tiles), so a pass holds
+    one tile's hidden layers, however many rows x has. Stack k's dropout
+    masks are those of the stack run whole: rngs[k].random((n, width)) <
+    1 - rate for each hidden layer in turn, drawn a tile at a time
+    (_mask_streams); with rngs or rngs[k] None, or rate 0, the stack
+    drops nothing. The node keeps x, each stack's PCG64 state and its
+    output.
+
+    Backward reruns each tile of each stack and backpropagates through
+    it: each weight's and bias's gradient is summed over the tiles, and
+    every stack adds into one gradient of x. So values and gradients
+    agree with those of the stacks' dense layers composed to rounding
+    (pair_scorer says when a tile of a product has other last bits than
+    those rows of the whole product).
+    """
+    xv = x.data
+    n = xv.shape[0]
+    tiles = _tiles(n)
+    states = [_dropout_state(layers, rate, rng)
+              for layers, rng in zip(stacks, rngs or [None] * len(stacks))]
+
+    def run(layers: list, state, taped: bool):
+        """(tile, _tile_forward's result) of each tile of one stack."""
+        (w0, b0), *later = layers
+        masks = _mask_streams(state, _hidden_widths(layers), n)
+        for tile in tiles:
+            h = xv[tile] @ w0.data
+            h += b0.data
+            yield tile, _tile_forward(h, later, rate, masks, taped)
+
+    out = np.empty((len(stacks) * n, stacks[0][-1][0].data.shape[1]), dtype=DTYPE)
+    for k, (layers, state) in enumerate(zip(stacks, states)):
+        for tile, values in run(layers, state, taped=False):
+            out[k * n + tile.start:k * n + tile.stop] = values
+
+    def backward(grad):
+        d_x = np.zeros_like(xv) if x.requires_grad else None
+        for k, (layers, state) in enumerate(zip(stacks, states)):
+            (w0, _), *later = layers
+            scale = None if state is None else 1.0 / (1.0 - rate)
+            d_w = [np.zeros_like(w.data) for w, _ in layers]
+            d_b = [np.zeros_like(b.data) for _, b in layers]
+            for tile, hidden in run(layers, state, taped=True):
+                d = _tile_backward(grad[k * n + tile.start:k * n + tile.stop], hidden,
+                                   later, d_w, d_b, scale)
+                d_b[0] += d.sum(axis=0)
+                d_w[0] += xv[tile].T @ d
+                if d_x is not None:
+                    d_x[tile] += d @ w0.data.T
+                del d
+            for (w, b), dw, db in zip(layers, d_w, d_b):
+                b._accumulate(db)
+                w._accumulate(dw)
+            del d_w, d_b
+        del grad
+        if d_x is not None:
+            x._accumulate(d_x)
+
+    return Tensor(out, _parents=(x,) + tuple(p for layers in stacks
+                                             for layer in layers for p in layer),
+                  _backward=backward)
+
+
 def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedents,
                 tables, projected: list[np.ndarray], rate: float = 0.0,
                 rng: np.random.Generator | None = None) -> Tensor:
     """The pair scorer over pair inputs, without building them, as one
-    tape node: a feed-forward block whose layers are (w, b) pairs, ReLU
+    tape node: a feed-forward stack whose layers are (w, b) pairs, ReLU
     hidden layers with inverted dropout, then a linear output layer. It
     returns the output layer's (pairs x out width) values.
 
@@ -618,23 +754,25 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
     among its threads by the product's shape, which can change the last
     bits.
 
-    Every layer runs GATHER_ROWS pairs at a time (_tiles): a tile's
-    product term, hidden layers and output are made and dropped before
-    the next tile's, so the working set is one tile's, however many
-    pairs the block holds. The dropout masks are those of the unfused
-    block (layers.ffnn's): rng.random((pairs, width)) < 1 - rate for
-    each hidden layer in turn, drawn a tile at a time from a generator
-    per layer (_mask_streams); with rng None or rate 0 there is no
-    dropout. The node keeps its inputs, rng's state and its output.
+    The hidden layers and the output run as in ffnn_node, GATHER_ROWS
+    pairs at a time, and so does the first layer: a tile's product term,
+    hidden layers and output are made and dropped before the next
+    tile's, so the working set is one tile's, however many pairs the
+    block holds. The dropout masks are those of the stack run whole over
+    the block's pairs (ffnn_node's). The node keeps its inputs, rng's
+    state and its output.
 
     Backward reruns each tile's forward pass and backpropagates through
     it. The weights' and biases' gradients are summed over the tiles, and
     so are the first layer's gradient scattered to the anaphors (by_row,
-    over the anaphor term's rows of g), to the antecedents (by_ant) and
-    to each table, and the product term's two scatters into g's rows
-    (_scatter_add). The terms that those scatters fix (W_a, W_b, the
-    tables and g's linear terms) are made once per block, so no tile
-    makes an array over every span.
+    over the anaphor term's rows of g), to the antecedents (by_ant, over
+    the rows of g from the least to the greatest antecedent) and to each
+    table, and the product term's two scatters into g's rows. The terms
+    that those scatters fix are made once per block: g's gradient over
+    the rows the block reads, which joins g's before w0's gradient is
+    built, and w0's gradient, whose W_a and W_b parts are taken first.
+    So no tile makes an array over every span, and the block makes one:
+    g's new gradient.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
@@ -646,14 +784,12 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
     g_wb, *table_terms = projected
     first = min(int(rows.min(initial=n)), max(n - 2, 0))
     stop = max(int(rows.max(initial=-1)) + 1, min(first + 2, n))
-    widths = [w.data.shape[1] for w, _ in layers[:-1]]
-    state = rng.bit_generator.state if rng is not None and rate > 0.0 and later else None
-    scale = 1.0 / (1.0 - rate) if state is not None else None
+    state = _dropout_state(layers, rate, rng)
     tiles = _tiles(len(rows))
 
     def run(tile: slice, g_wa: np.ndarray, masks: list, taped: bool = False):
         """A tile's output layer values; taped, its product term and each
-        hidden layer's output (after relu and dropout) instead."""
+        hidden layer's output (_tile_forward) instead."""
         r, a = rows[tile], ants[tile]
         prod = gv[r]
         prod *= gv[a]
@@ -667,47 +803,39 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
         for (_, idx), term in zip(tables, table_terms):
             h += term[idx[tile]]
         h += b0.data
-        hidden = []
-        for (w, b), mask_rng in zip(later, masks):
-            _relu_dropout(h, rate, mask_rng)
-            if taped:
-                hidden.append(h)
-                if len(hidden) == len(later):
-                    break
-            h = h @ w.data
-            h += b.data
-        return (prod, hidden) if taped else h
+        values = _tile_forward(h, later, rate, masks, taped)
+        return (prod, values) if taped else values
 
     out = np.empty((len(rows), layers[-1][0].data.shape[1]), dtype=DTYPE)
     g_wa = gv[first:stop] @ w_a
-    masks = _mask_streams(state, widths, len(rows))
+    masks = _mask_streams(state, _hidden_widths(layers), len(rows))
     for tile in tiles:
         out[tile] = run(tile, g_wa, masks)
     del g_wa, masks
 
     def backward(grad):
+        scale = None if state is None else 1.0 / (1.0 - rate)
         # d_w[0] is W_c's gradient: by_row, by_ant and by_table give the rest
         d_w = [np.zeros_like(w_c)] + [np.zeros_like(w.data) for w, _ in later]
         d_b = [np.zeros_like(b.data) for _, b in layers]
-        by_row = np.zeros((stop - first, w0.data.shape[1]), dtype=DTYPE)
-        by_ant = np.zeros((n, w0.data.shape[1]), dtype=DTYPE)
+        width = w0.data.shape[1]
+        by_row = np.zeros((stop - first, width), dtype=DTYPE)
+        ant_lo = int(ants.min(initial=0))
+        by_ant = np.zeros((int(ants.max(initial=-1)) + 1 - ant_lo, width), dtype=DTYPE)
+        ant_hi = ant_lo + len(by_ant)
         # the tables' rows stacked, each table's a range of by_tables
         bounds = np.cumsum([0] + [t.data.shape[0] for t, _ in tables])
-        by_tables = np.zeros((bounds[-1], w0.data.shape[1]), dtype=DTYPE)
-        d_g = np.zeros_like(gv) if g.requires_grad else None
-        prod_by_row = np.zeros((stop - first, gv.shape[1]), dtype=DTYPE)
+        by_tables = np.zeros((bounds[-1], width), dtype=DTYPE)
+        # g's gradient over the rows the block reads, from row g_lo on
+        g_lo = min(first, ant_lo)
+        d_g = (np.zeros((max(stop, ant_hi) - g_lo, gv.shape[1]), dtype=DTYPE)
+               if g.requires_grad else None)
         # the same product as the forward pass's, so the same bits
         g_wa = gv[first:stop] @ w_a
-        masks = _mask_streams(state, widths, len(rows))
+        masks = _mask_streams(state, _hidden_widths(layers), len(rows))
         for tile in tiles:
             prod, hidden = run(tile, g_wa, masks, taped=True)
-            d = grad[tile]
-            for layer in range(len(later), 0, -1):
-                x = hidden.pop()
-                d_b[layer] += d.sum(axis=0)
-                d_w[layer] += x.T @ d
-                d = _relu_dropout_grad(d @ layers[layer][0].data.T, x, scale)
-                del x
+            d = _tile_backward(grad[tile], hidden, later, d_w, d_b, scale)
             # d is now the first layer's linear gradient
             d_b[0] += d.sum(axis=0)
             d_w[0] += prod.T @ d
@@ -719,7 +847,7 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
             ant_rows, inverse = np.unique(a, return_inverse=True)
             to_ant = _scatter_matrix(len(ant_rows), inverse)
             by_row += to_row @ d
-            by_ant[ant_rows] += to_ant @ d
+            by_ant[ant_rows - ant_lo] += to_ant @ d
             if tables:
                 by_tables += _scatter_matrix(bounds[-1], *(
                     np.add(idx[tile], lo, dtype=np.intp)
@@ -729,10 +857,10 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
                 del d
                 term = gv[a]
                 term *= d_prod
-                prod_by_row += to_row @ term
+                d_g[first - g_lo:stop - g_lo] += to_row @ term
                 del term
                 d_prod *= gv[r]
-                d_g[ant_rows] += to_ant @ d_prod
+                d_g[ant_rows - g_lo] += to_ant @ d_prod
                 del d_prod
         del grad
         for (w, b), dw, db in zip(later, d_w[1:], d_b[1:]):
@@ -745,29 +873,24 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
             if t.requires_grad:
                 t._accumulate(by_t @ w_k.T)
         if w0.requires_grad:
+            # w0's gradient's W_a and W_b parts, before by_row and by_ant go
+            d_wa, d_wb = gv[first:stop].T @ by_row, gv[ant_lo:ant_hi].T @ by_ant
+        if d_g is not None:
+            d_g[first - g_lo:stop - g_lo] += by_row @ w_a.T
+            d_g[ant_lo - g_lo:ant_hi - g_lo] += by_ant @ w_b.T
+            g._accumulate_rows(g_lo, d_g)
+        del by_row, by_ant, d_g
+        if w0.requires_grad:
             # w0's gradient, written in place by row ranges: W_a, W_b, W_c,
             # then one W_k per table
             d_w0 = np.empty_like(w0.data)
-            parts = np.cumsum([0] + [w.shape[0] for w in (w_a, w_b, w_c, *w_tables)])
-            sums = [(gv[first:stop].T, by_row), (gv.T, by_ant), None] + [
-                (t.data.T, by_t) for (t, _), by_t in zip(tables, by_table)]
-            for lo, hi, pair in zip(parts[:-1], parts[1:], sums):
-                if pair is None:
-                    d_w0[lo:hi] = d_w[0]
-                else:
-                    np.matmul(*pair, out=d_w0[lo:hi])
-            del sums, d_w
+            ends = np.cumsum([0] + [w.shape[0] for w in (w_a, w_b, w_c, *w_tables)])
+            for lo, hi, part in zip(ends, ends[1:], (d_wa, d_wb, d_w[0])):
+                d_w0[lo:hi] = part
+            del d_wa, d_wb, d_w
+            for lo, hi, (t, _), by_t in zip(ends[3:], ends[4:], tables, by_table):
+                np.matmul(t.data.T, by_t, out=d_w0[lo:hi])
             w0._accumulate(d_w0)
-            del d_w0
-        if d_g is None:
-            return
-        prod_by_row += by_row @ w_a.T
-        del by_row
-        d_g[first:stop] += prod_by_row
-        del prod_by_row
-        d_g += by_ant @ w_b.T
-        del by_ant
-        g._accumulate(d_g)
 
     parents = ((g,) + tuple(p for layer in layers for p in layer)
                + tuple(t for t, _ in tables))
@@ -838,17 +961,16 @@ def recompute(fn, x: Tensor) -> Tensor:
     gradient is summed within each call before it joins the rest, which
     can change its last bits against the inline graph (the token
     embeddings under the span blocks). It is the inline graph's when fn
-    reads x in one place only, so the leaf's gradient is a single term
-    (each auxiliary head block's row slice), or when nothing outside fn reads
-    x, so the leaf's gradient is all of x's. Gradients of the parameters
-    fn reads accumulate directly. fn must compute the same values both
-    times: a dropout mask must come from a stream fn seeds itself. A
-    recompute within fn would run its own fn a third time, so the model
-    nests none. Under no_grad() this is fn(x).
+    reads x in one place only, so the leaf's gradient is a single term,
+    or when nothing outside fn reads x, so the leaf's gradient is all of
+    x's. Gradients of the parameters fn reads accumulate directly. fn
+    must compute the same values both times: a dropout mask must come
+    from a stream fn seeds itself. A recompute within fn would run its
+    own fn a third time, so the model nests none. Under no_grad() this is
+    fn(x).
 
-    The model's sites: each block of candidate spans
-    (MtlCorefModel.forward) and each block of kept spans of each
-    auxiliary head (mtl.head_logits).
+    The model's one site: each block of candidate spans
+    (MtlCorefModel.forward).
     """
     if not _GRAD_ENABLED.get():
         return fn(x)

@@ -120,8 +120,8 @@ def toy_encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
                vocab_index: dict[str, int]) -> Tensor:
     ids = np.array([vocab_index.get(tok, 0) for tok in doc.flat_tokens()],
                    dtype=np.intp)
-    emb = ad.take_rows(store["encoder/embedding"], ids)
-    return ad.window_mix(emb, store["encoder/mix_w"], store["encoder/mix_b"], cfg.window)
+    return ad.window_mix(store["encoder/embedding"], ids, store["encoder/mix_w"],
+                         store["encoder/mix_b"], cfg.window)
 
 
 def encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
@@ -131,9 +131,9 @@ def encode(doc: Document, cfg: EncoderConfig, store: ParameterStore,
     the document's rows of features if given, else the toy encoder.
 
     The adapter is one linear autodiff.dense node. The toy encoder's
-    window context, concat, mix and tanh are one tape node over the
-    embedding lookup (autodiff.window_mix): the tape keeps that lookup and
-    the embeddings, and backward recomputes the context and the concat."""
+    embedding lookup, window context, concat, mix and tanh are one tape
+    node (autodiff.window_mix): the tape keeps only the embeddings, and
+    backward recomputes the lookup, the context and the concat."""
     if features is not None:
         return ad.dense(ad.constant(features.rows(doc)), store["encoder/adapt_w"],
                         store["encoder/adapt_b"], relu=False)

@@ -43,18 +43,17 @@ def dropout_rng(store: ParameterStore, prefix: str, dropout: float = 0.0,
     return named_rng(store.seed, "dropout", step, prefix, *([block] if block else []))
 
 
-def ffnn(x: Tensor, store: ParameterStore, prefix: str, dropout: float = 0.0,
-         step: int | None = None, block: int = 0) -> Tensor:
-    """Apply the named feed-forward block: ReLU hidden layers, then a
-    linear output layer, each one autodiff.dense node. Dropout draws from
-    the block's stream (dropout_rng) for that step and row block: each
-    hidden layer's mask in turn, rng.random((rows, hidden)) < 1 - dropout."""
-    weights = ffnn_weights(store, prefix)
-    depth = len(weights) - 1
-    rng = dropout_rng(store, prefix, dropout, step, block)
-    h = x
-    for layer, (w, b) in enumerate(weights):
-        # ad.dense is looked up when ffnn runs, so that a wrapper installed
-        # on the autodiff module (a tracer's) also sees these calls
-        h = ad.dense(h, w, b, relu=layer < depth, rate=dropout, rng=rng)
-    return h
+def ffnn(x: Tensor, store: ParameterStore, prefix: str | tuple[str, ...],
+         dropout: float = 0.0, step: int | None = None, block: int = 0) -> Tensor:
+    """Apply the named feed-forward block, ReLU hidden layers and then a
+    linear output layer, as one autodiff.ffnn_node; given a tuple of
+    names, apply each of those blocks to x in the same node, their
+    outputs stacked by rows in the order named. Each block's dropout
+    draws from its own stream (dropout_rng) for that step and row block:
+    each hidden layer's mask in turn, rng.random((rows, hidden)) < 1 -
+    dropout."""
+    prefixes = (prefix,) if isinstance(prefix, str) else prefix
+    # ad.ffnn_node is looked up when ffnn runs, so that a wrapper installed
+    # on the autodiff module (a tracer's) also sees these calls
+    return ad.ffnn_node(x, [ffnn_weights(store, p) for p in prefixes], dropout,
+                        [dropout_rng(store, p, dropout, step, block) for p in prefixes])

@@ -140,27 +140,30 @@ class MtlCorefModel:
         draws its own dropout masks: of all candidate spans only the
         combined scores are kept (and the mention scores, when need_heads
         holds the singleton task), and the kept spans are represented
-        again, in one piece. The coarse shortlist ranks its anaphors
+        again, in one piece. Both unary scorers of a block are one
+        autodiff.ffnn_node over its representations, whose rows hold the
+        markable scores and then the mention scores, split by row slices
+        (autodiff.slice_rows). The coarse shortlist ranks its anaphors
         scoring.COARSE_ROWS at a time.
 
-        With a tape, two sites run inside autodiff.recompute, so the
-        tape keeps their outputs and backward rebuilds one block's graph
-        at a time: each block of spans, represented and scored over the
-        token embeddings, and each block of kept spans of each auxiliary
-        head in head_logits, over the kept spans' representations. Each
-        block of pairs in score_matrix is one autodiff.pair_scorer node,
-        which keeps its inputs and scores and reruns its tiles in
-        backward. The toy encoder (encode) is one tape node over the
-        embedding lookup (autodiff.window_mix) that keeps only its output. The tape then grows with the tokens and the kept
-        spans, not with the candidate spans or the pairs times the hidden
-        size.
+        With a tape, each block of spans, represented and scored over the
+        token embeddings, runs inside autodiff.recompute, the model's only
+        recompute site, so the tape keeps its scores and backward rebuilds
+        one block's graph at a time. Each block of pairs in score_matrix
+        is one autodiff.pair_scorer node and each head in head_logits one
+        autodiff.ffnn_node over all the kept spans: each keeps its inputs
+        and outputs, works GATHER_ROWS rows at a time and reruns its tiles
+        in backward. The toy encoder (encode) is one tape node over the
+        embedding table (autodiff.window_mix) that keeps only its output.
+        The tape then grows with the tokens and the kept spans, not with
+        the candidate spans or the pairs times the hidden size.
 
         Nothing after the kept spans' representations reads the token
         embeddings or the kept spans' attention weights, so forward drops
         them there: without a tape they are freed before the shortlist and
         the pair scorer run, and with one the tape keeps them for
         backward. Without a tape, then, a long document's pass holds one
-        block's working set of the pair scorer or of a head at a time,
+        tile's working set of the pair scorer or of a head at a time,
         besides the kept spans' representations and the score matrix.
         """
         cfg = self.config
@@ -169,17 +172,17 @@ class MtlCorefModel:
         width = int(spans.widths.max(initial=1))
 
         def span_block(e: Tensor, lo: int, hi: int) -> Tensor:
-            return ad.concat(unary_score_tensors(
+            return unary_score_tensors(
                 represent_spans(e, spans[lo:hi], self.store, width)[0],
-                self.store, cfg.dropout, train_step, block=lo))
+                self.store, cfg.dropout, train_step, block=lo)
 
         mention, combined = [], []
         for lo, hi in ad.row_blocks(len(spans)):
             both = ad.recompute(partial(span_block, lo=lo, hi=hi), emb)
             n = hi - lo
-            block_mention = ad.take_rows(both, np.arange(n, 2 * n))
+            block_mention = ad.slice_rows(both, n, 2 * n)
             mention.append(block_mention)
-            combined.append(unary_mix(ad.take_rows(both, np.arange(n)), block_mention,
+            combined.append(unary_mix(ad.slice_rows(both, 0, n), block_mention,
                                       self.store))
         combined = ad.join_blocks(combined)
         # only the singleton task reads every candidate's mention score

@@ -16,7 +16,6 @@ whether the mention scorer itself is supervised; this follows that claim.
 """
 
 from dataclasses import asdict, dataclass
-from functools import partial
 from math import isfinite
 
 import numpy as np
@@ -105,32 +104,16 @@ def create_head_params(store: ParameterStore, g_dim: int, hidden: int, depth: in
                     zero_output=True)
 
 
-def head_block(g: Tensor, store: ParameterStore, task: str, dropout: float,
-               step: int | None, lo: int, hi: int) -> Tensor:
-    """The named head's logits over kept spans lo .. hi - 1 of g, with the
-    dropout masks of ffnn's row block lo."""
-    return ffnn(ad.slice_rows(g, lo, hi), store, f"head/{task}", dropout, step,
-                block=lo)
-
-
 def head_logits(g: Tensor, store: ParameterStore, tasks=tuple(HEAD_SIZES),
                 dropout: float = 0.0, step: int | None = None) -> dict[str, Tensor]:
     """Logits of the named heads only; each head draws its own dropout
     stream, so which other heads run never changes its output.
 
-    Each head runs over the kept spans in blocks of autodiff.PAIR_BLOCK
-    rows (autodiff.row_blocks), each block inside one autodiff.recompute
-    over g that slices the block's rows (autodiff.slice_rows), so a pass
-    holds one block's hidden layers at a time and the tape keeps only the
-    logits. Backward reruns the block, and its dropout stream draws the
-    same masks. Up to PAIR_BLOCK kept spans make one block, which reads
-    all of g and draws the masks of a head run whole."""
-    blocks = ad.row_blocks(g.shape[0])
-    return {task: ad.join_blocks([
-                ad.recompute(partial(head_block, store=store, task=task,
-                                     dropout=dropout, step=step, lo=lo, hi=hi), g)
-                for lo, hi in blocks])
-            for task in tasks}
+    Each head is one autodiff.ffnn_node over all the kept spans, which
+    works GATHER_ROWS of them at a time, forward and backward: a pass
+    holds one tile's hidden layers, and the tape keeps only g and the
+    logits."""
+    return {task: ffnn(g, store, f"head/{task}", dropout, step) for task in tasks}
 
 
 # -- losses --------------------------------------------------------------------

@@ -46,24 +46,24 @@ def create_scoring_params(store: ParameterStore, g_dim: int, hidden: int,
 
 
 def unary_score_tensors(g: Tensor, store: ParameterStore, dropout: float = 0.0,
-                        step: int | None = None,
-                        block: int = 0) -> tuple[Tensor, Tensor]:
-    """(markable, mention) score vectors, each shaped (S,). block is the
-    first row of g among the document's spans (ffnn's block).
+                        step: int | None = None, block: int = 0) -> Tensor:
+    """Both unary scorers over the spans' representations g, as one
+    autodiff.ffnn_node: shape (2S,), the S markable scores and then the S
+    mention scores. block is the first row of g among the document's
+    spans (ffnn's block); each scorer draws its own dropout stream.
 
     The model runs this, span representations included, inside one
-    autodiff.recompute per block of spans, which keeps only these two
-    scores; it mixes them outside the rerun (unary_mix)."""
-    n = g.shape[0]
-    return tuple(ffnn(g, store, prefix, dropout, step, block=block).reshape((n,))
-                 for prefix in ("score/markable", "score/mention"))
+    autodiff.recompute per block of spans, which keeps only these scores;
+    it splits them (autodiff.slice_rows) and mixes them outside the rerun
+    (unary_mix)."""
+    return ffnn(g, store, ("score/markable", "score/mention"), dropout, step,
+                block=block).reshape((2 * g.shape[0],))
 
 
 def unary_mix(markable: Tensor, mention: Tensor, store: ParameterStore) -> Tensor:
     """The combined unary score beta1 * markable + beta2 * mention."""
     beta = store["score/beta"]
-    return (ad.take_rows(beta, np.array([0])) * markable
-            + ad.take_rows(beta, np.array([1])) * mention)
+    return ad.slice_rows(beta, 0, 1) * markable + ad.slice_rows(beta, 1, 2) * mention
 
 
 # -- pruning -------------------------------------------------------------------

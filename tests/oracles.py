@@ -12,8 +12,9 @@ backward scatter-sum is np.add.at. Span representations are the graph of
 primitive autodiff ops that autodiff.span_representation fuses, with exp
 and the soft-head sum defined here as tape ops. The pair scorer's first layer is
 the arithmetic of autodiff.pair_scorer's first layer with every gather made
-whole, and its backward a whole scatter per term. The
-toy encoder's mix is the graph of primitive autodiff ops that
+whole, and its backward a whole scatter per term. An FFNN
+node's stacks are chains of dense nodes over all their rows. The
+toy encoder's lookup and mix are the graph of primitive autodiff ops that
 autodiff.window_mix fuses, with tanh defined here as a tape op.
 """
 
@@ -372,11 +373,26 @@ def pair_input_layer_reference(g, w0, b0, rows, antecedents, tables, projected,
                      _backward=backward)
 
 
-def window_mix_reference(emb, w, b, window):
-    """tanh(concat([emb, context]) @ w + b) composed from autodiff ops,
-    where row t of the context is the mean of emb rows max(0, t - window)
-    .. min(T - 1, t + window): one take_rows times a weight constant per
-    shift, summed in shift order."""
+def ffnn_reference(x, stacks, rate=0.0, rngs=None):
+    """The graph autodiff.ffnn_node fuses: per stack, one autodiff.dense
+    node per layer over all of x's rows, each hidden layer drawing its
+    dropout mask from the stack's rng in turn, and the stacks' outputs
+    concatenated by rows."""
+    outs = []
+    for layers, rng in zip(stacks, rngs or [None] * len(stacks)):
+        h = x
+        for layer, (w, b) in enumerate(layers):
+            h = ad.dense(h, w, b, rate, rng, relu=layer < len(layers) - 1)
+        outs.append(h)
+    return ad.join_blocks(outs)
+
+
+def window_mix_reference(table, ids, w, b, window):
+    """tanh(concat([emb, context]) @ w + b) composed from autodiff ops over
+    the lookup emb = take_rows(table, ids), where row t of the context is
+    the mean of emb rows max(0, t - window) .. min(T - 1, t + window): one
+    take_rows times a weight constant per shift, summed in shift order."""
+    emb = ad.take_rows(table, ids)
     n = emb.shape[0]
     window = min(window, max(n - 1, 0))
     pos = np.arange(n)

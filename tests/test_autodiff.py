@@ -18,8 +18,9 @@ from corefmtl.optim import BETA1, BETA2, EPS, AdamOptimizer, clip_global_norm
 from corefmtl.spans import bucket_index
 from corefmtl.synthetic import generate_corpus
 from corefmtl.training import TrainConfig, train
-from oracles import (matmul, pair_input_layer_reference, represent_spans_reference,
-                     scatter_rows_reference, window_mix_reference)
+from oracles import (ffnn_reference, matmul, pair_input_layer_reference,
+                     represent_spans_reference, scatter_rows_reference,
+                     window_mix_reference)
 
 
 def finite_diff(fn, x, eps=1e-6):
@@ -597,6 +598,123 @@ class TestPairScorer:
         assert not out.requires_grad and out._backward is None and out._parents == ()
 
 
+class TestFfnnNode:
+    ROWS = pytest.mark.parametrize(
+        "num_rows", [1, ad.GATHER_ROWS - 1, ad.GATHER_ROWS, ad.GATHER_ROWS + 1,
+                     2 * ad.GATHER_ROWS + 5],
+        ids=["one", "tile-1", "tile", "tile+1", "2tile+5"])
+
+    @staticmethod
+    def stack(rng, depth, dim=6, hidden=5, out=2):
+        """The (w, b) layers of a depth-deep stack: leaves that want a
+        gradient."""
+        widths = [dim] + [hidden] * depth + [out]
+        return [(Tensor(rng.normal(size=(fan_in, fan_out)), requires_grad=True),
+                 Tensor(rng.normal(size=(fan_out,)), requires_grad=True))
+                for fan_in, fan_out in zip(widths[:-1], widths[1:])]
+
+    @staticmethod
+    def copies(x, stacks):
+        """New leaves with the data of x and of every layer of stacks."""
+        return (Tensor(x.data.copy(), requires_grad=True),
+                [[tuple(Tensor(t.data.copy(), requires_grad=True) for t in layer)
+                  for layer in layers] for layers in stacks])
+
+    def run(self, node, x, stacks, upstream, rate, earlier=None, seeds=(7, 8)):
+        """node over copies of x and stacks, with one named stream per
+        stack, backward from upstream: its output, then every gradient."""
+        x, stacks = self.copies(x, stacks)
+        x.grad = None if earlier is None else earlier.copy()
+        rngs = [ad.named_rng(seed, "mask") for seed in seeds[:len(stacks)]]
+        out = node(x, stacks, rate, rngs)
+        out.backward(seed=upstream)
+        return [out.data, x.grad] + [t.grad for layers in stacks
+                                     for layer in layers for t in layer]
+
+    @ROWS
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
+    def test_matches_the_composed_dense_chain(self, num_rows, depth, rate):
+        """Values and every gradient agree to 1e-12 with the chain of
+        dense nodes the node fuses (oracles.ffnn_reference), all drawing
+        their masks from one stream in turn, for an x that already holds
+        a gradient."""
+        rng = np.random.default_rng(100 * depth + num_rows)
+        x = Tensor(rng.normal(size=(num_rows, 6)))
+        stacks = [self.stack(rng, depth)]
+        upstream = rng.normal(size=(num_rows, 2))
+        earlier = rng.normal(size=x.shape)
+        for got, want in zip(self.run(ad.ffnn_node, x, stacks, upstream, rate, earlier),
+                             self.run(ffnn_reference, x, stacks, upstream, rate, earlier),
+                             strict=True):
+            assert_close(got, want)
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_shared_input_equals_separate_nodes(self, depth):
+        """Two stacks over one x in one node give the rows of two nodes,
+        one per stack, stacked in order: values and every gradient bit
+        for bit, x's too, although the node sums both stacks' gradients
+        of x into one array."""
+        rng = np.random.default_rng(40 + depth)
+        num_rows = 2 * ad.GATHER_ROWS + 5
+        x = Tensor(rng.normal(size=(num_rows, 6)))
+        stacks = [self.stack(rng, depth), self.stack(rng, depth)]
+        upstream = rng.normal(size=(2 * num_rows, 2))
+
+        def separate(x, stacks, rate, rngs):
+            return ad.concat([ad.ffnn_node(x, [layers], rate, [r])
+                              for layers, r in zip(stacks, rngs)])
+
+        for got, want in zip(self.run(ad.ffnn_node, x, stacks, upstream, 0.3),
+                             self.run(separate, x, stacks, upstream, 0.3), strict=True):
+            assert_bits_equal(got, want)
+
+    @ROWS
+    def test_dropout_masks_are_whole_draws(self, num_rows):
+        """A hidden layer's mask is that of one draw over all the rows,
+        rng.random((rows, hidden)) < keep, although the node draws it a
+        tile at a time: under an output layer that is the identity
+        (identity_layer), the output is relu(x w0 + b0) * mask / keep, bit
+        for bit, and with no rng it is the relu alone."""
+        rng = np.random.default_rng(num_rows)
+        x = Tensor(rng.normal(size=(num_rows, 6)))
+        w0, b0 = self.stack(rng, 0, out=5)[0]
+        z = x.data @ w0.data + b0.data
+        layers = [(w0, b0), identity_layer(5)]
+        with ad.no_grad():
+            out = ad.ffnn_node(x, [layers], 0.3, [ad.named_rng(3, "mask")])
+            free = ad.ffnn_node(x, [layers], 0.3)
+        mask = ad.named_rng(3, "mask").random((num_rows, 5)) < 0.7
+        assert_bits_equal(out.data, np.maximum(z, 0.0) * mask * (1.0 / 0.7))
+        assert_bits_equal(free.data, np.maximum(z, 0.0))
+
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_finite_differences(self, depth):
+        """Every input's gradient, with dropout, over more than one tile
+        and two stacks."""
+        rng = np.random.default_rng(50 + depth)
+        x = Tensor(rng.normal(size=(ad.GATHER_ROWS + 3, 3)), requires_grad=True)
+        stacks = [self.stack(rng, depth, dim=3, hidden=3, out=1) for _ in range(2)]
+        weights = rng.normal(size=(2 * x.shape[0], 1))
+
+        def value():
+            with ad.no_grad():
+                out = ad.ffnn_node(x, stacks, 0.3, [ad.named_rng(9, k) for k in "ab"])
+            return float((out.data * weights).sum())
+
+        out = ad.ffnn_node(x, stacks, 0.3, [ad.named_rng(9, k) for k in "ab"])
+        (out * Tensor(weights)).sum().backward()
+        for t in [x] + [t for layers in stacks for layer in layers for t in layer]:
+            assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
+
+    def test_no_grad_builds_no_node(self):
+        rng = np.random.default_rng(4)
+        x = Tensor(rng.normal(size=(20, 6)), requires_grad=True)
+        with ad.no_grad():
+            out = ad.ffnn_node(x, [self.stack(rng, 2)], 0.3, [ad.named_rng(1, "mask")])
+        assert not out.requires_grad and out._backward is None and out._parents == ()
+
+
 def assert_bits_equal(got, want):
     """Same shape and the same float64 bits, signed zeros included."""
     assert got.shape == want.shape
@@ -669,12 +787,12 @@ class TestWindowMix:
 
     @staticmethod
     def mix_output(mix, store, ids, window):
-        return mix(ad.take_rows(store["encoder/embedding"], ids), store["encoder/mix_w"],
+        return mix(store["encoder/embedding"], ids, store["encoder/mix_w"],
                    store["encoder/mix_b"], window)
 
     def run(self, mix, store, ids, window, upstream):
-        """mix over the embedding lookup; its output and, after backward
-        from upstream, the encoder's gradients."""
+        """mix over the embedding table and the token ids; its output and,
+        after backward from upstream, the encoder's gradients."""
         store.zero_grad()
         out = self.mix_output(mix, store, ids, window)
         out.backward(upstream)
@@ -968,9 +1086,10 @@ class TestNoGrad:
 class TestOpCoverage:
     HELPERS = {"no_grad", "stream_seed", "named_rng", "as_tensor", "constant"}
 
-    def test_one_training_step_calls_every_op(self, monkeypatch):
-        """The engine carries only the ops the model uses: a step with every
-        head, dropout and two hidden layers per FFNN reaches each of them."""
+    def test_one_training_step_calls_every_op(self, monkeypatch, tmp_path):
+        """The engine carries only the ops the model uses: one step of each
+        encoder, the toy one and the features adapter, with every head,
+        dropout and two hidden layers per FFNN, reaches each of them."""
         ops = sorted(name for name, fn in vars(ad).items()
                      if inspect.isfunction(fn) and fn.__module__ == ad.__name__
                      and not name.startswith("_") and name not in self.HELPERS)
@@ -984,13 +1103,19 @@ class TestOpCoverage:
 
         for name in ops:
             monkeypatch.setattr(ad, name, recording(name, getattr(ad, name)))
-        cfg = TrainConfig(steps=1, seed=3, eval_every=0,
-                          encoder=EncoderConfig(dim=8, vocab_size=64),
-                          feature_dim=4, hidden=8, ffnn_depth=2, dropout=0.3,
-                          max_span_width=4, top_antecedents=10,
-                          task_weights=PRESET_WEIGHTS["sg_ent_infs"])
-        train(generate_corpus(2, seed=5), cfg)
-        assert "dense" in ops and "tensor_sum" in ops
+        docs = generate_corpus(2, seed=5)
+        path = tmp_path / "features.npz"
+        rng = np.random.default_rng(6)
+        with open(path, "wb") as fh:
+            np.savez(fh, **{d.doc_key: rng.normal(size=(d.num_tokens, 5)) for d in docs})
+        for encoder in (EncoderConfig(dim=8, vocab_size=64),
+                        EncoderConfig(dim=8, features=str(path))):
+            cfg = TrainConfig(steps=1, seed=3, eval_every=0, encoder=encoder,
+                              feature_dim=4, hidden=8, ffnn_depth=2, dropout=0.3,
+                              max_span_width=4, top_antecedents=10,
+                              task_weights=PRESET_WEIGHTS["sg_ent_infs"])
+            train(docs, cfg)
+        assert "dense" in ops and "ffnn_node" in ops and "tensor_sum" in ops
         assert [name for name in ops if name not in called] == []
 
 

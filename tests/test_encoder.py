@@ -125,15 +125,16 @@ class TestWindowContext:
     @pytest.mark.parametrize("num_tokens,window", [(1, 1), (2, 3), (7, 0), (9, 1), (12, 2)])
     def test_matches_the_dense_definition(self, num_tokens, window):
         """autodiff.window_context, and the context's gradient within
-        autodiff.window_mix: with w = [0; I] and b = 0 the mix is
-        tanh(context), so emb's gradient is dense.T @ (seed * tanh')."""
+        autodiff.window_mix over emb as its table, looked up in token
+        order: with w = [0; I] and b = 0 the mix is tanh(context), so emb's
+        gradient is dense.T @ (seed * tanh')."""
         rng = np.random.default_rng(num_tokens)
         emb = Tensor(rng.normal(size=(num_tokens, 3)), requires_grad=True)
         dense = dense_window_average(num_tokens, window)
         ctx = ad.window_context(emb.data, window, np.empty((num_tokens, 3)))
         npt.assert_allclose(ctx, dense @ emb.data, rtol=1e-13, atol=1e-15)
         w = Tensor(np.vstack([np.zeros((3, 3)), np.eye(3)]))
-        out = ad.window_mix(emb, w, Tensor(np.zeros(3)), window)
+        out = ad.window_mix(emb, np.arange(num_tokens), w, Tensor(np.zeros(3)), window)
         npt.assert_allclose(out.data, np.tanh(dense @ emb.data), rtol=1e-13, atol=1e-15)
         seed = rng.normal(size=out.shape)
         out.backward(seed)

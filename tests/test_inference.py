@@ -233,8 +233,9 @@ class TestTapeFreePrediction:
         end and the coarse merge and the pair scorer's first layer took a
         whole block of rows at a time. A taped
         forward keeps only the blocks' scores of its spans and pairs
-        (autodiff.recompute): 3.5 MB, 20.8 MB when their activations
-        waited on the tape."""
+        (autodiff.recompute and the tiled FFNN nodes): 1.9 MB, 2.4 MB when
+        the heads ran in recomputed blocks, 20.8 MB when the blocks'
+        activations waited on the tape."""
         docs = generate_corpus(2, seed=5)
         model = small_model(docs)
         rng = np.random.default_rng(0)
@@ -249,13 +250,14 @@ class TestTapeFreePrediction:
 
     def test_two_block_predict_peak_is_bounded(self):
         """At hidden 150 and encoder dim 64, a 1400-token document keeps
-        more than PAIR_BLOCK spans, so each head runs in two blocks.
-        Prediction peaks at 3.8 MB: each pair block takes the anaphor term
-        of its own anaphors and writes its scores into the matrix as it
-        ends, and each head block holds its own hidden layer. It peaked
-        at 4.7 MB when the anaphor term of every kept span lived through
-        all pair blocks, the blocks' scores were joined at the end and
-        each head ran over every kept span at once."""
+        more than PAIR_BLOCK spans. Prediction peaks at 2.8 MB: each pair
+        block takes the anaphor term of its own anaphors and writes its
+        scores into the matrix as it ends, and each head holds one tile's
+        hidden layer (autodiff.ffnn_node). It peaked at 3.1 MB when each
+        head held a block's hidden layer, and at 4.7 MB when the anaphor
+        term of every kept span lived through all pair blocks, the
+        blocks' scores were joined at the end and each head ran over every
+        kept span at once."""
         docs = generate_corpus(2, seed=5)
         cfg = ModelConfig(encoder=EncoderConfig(dim=64, vocab_size=64, window=1),
                           feature_dim=8, hidden=150, ffnn_depth=1, max_span_width=6,

@@ -61,7 +61,8 @@ def stage_rows(*args) -> dict[str, tuple]:
 @pytest.mark.parametrize("mode,stages", [
     ("predict", ["coarse_scores", "score_matrix", "decode_antecedents"]),
     ("train", ["score_matrix", "backward", "backward/represent_spans", "backward/span_block",
-               "backward/pair_block", "backward/head", "adam_step"]),
+               "backward/span_block/ffnn", "backward/pair_block", "backward/ffnn",
+               "adam_step"]),
 ])
 def test_stage_peaks_prints_entry_peak_and_exit_per_stage(mode, stages):
     rows = stage_rows("--workload", "short-doc", mode)

@@ -55,6 +55,14 @@ def record_shapes(fn, calls):
     return wrapped
 
 
+def unary_scores(g, store, **kwargs):
+    """(markable, mention): the two halves of unary_score_tensors' rows,
+    split as the model splits them (autodiff.slice_rows)."""
+    both = unary_score_tensors(g, store, **kwargs)
+    n = g.shape[0]
+    return ad.slice_rows(both, 0, n), ad.slice_rows(both, n, 2 * n)
+
+
 def embeddings_for(doc, seed=0):
     rng = named_rng(seed, "test-embeddings")
     return Tensor(rng.normal(size=(doc.num_tokens, DIM)), requires_grad=True)
@@ -200,7 +208,7 @@ class TestUnaryScores:
         spans = enumerate_spans(doc, max_span_width=2)
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
-        markable, mention = unary_score_tensors(g, store)
+        markable, mention = unary_scores(g, store)
         combined = unary_mix(markable, mention, store)
         # both betas initialize to 0.5
         npt.assert_allclose(combined.data,
@@ -215,53 +223,99 @@ class TestUnaryScores:
         spans = enumerate_spans(doc, max_span_width=2)
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
-        markable, mention = unary_score_tensors(g, store)
+        markable, mention = unary_scores(g, store)
         assert not np.allclose(markable.data, mention.data)
 
     def test_activation_is_looked_up_when_the_scorers_run(self, monkeypatch):
-        """A wrapper installed on autodiff.dense after import, as a tracer
-        installs one, sees every layer of both scorers, output layers
-        included."""
+        """A wrapper installed on autodiff.ffnn_node after import, as a
+        tracer installs one, sees the call that runs both scorers: one
+        node over the spans, the markable rows and then the mention rows."""
         doc = make_document([["a", "b", "c"]])
         spans = enumerate_spans(doc, max_span_width=2)
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
         calls = []
-        monkeypatch.setattr(ad, "dense", record_shapes(ad.dense, calls))
-        unary_score_tensors(g, store)
-        assert calls == [(len(spans), HIDDEN), (len(spans), HIDDEN), (len(spans), 1)] * 2
+        monkeypatch.setattr(ad, "ffnn_node", record_shapes(ad.ffnn_node, calls))
+        both = unary_score_tensors(g, store)
+        assert calls == [(2 * len(spans), 1)]
+        assert both.shape == (2 * len(spans),)
 
     def test_ffnn_depth_is_read_from_the_store(self, monkeypatch):
         store = ParameterStore(1)
         create_ffnn(store, "block", 5, HIDDEN, 2, depth=3)
-        calls = []
-        monkeypatch.setattr(ad, "dense", record_shapes(ad.dense, calls))
+        stacks = []
+        real = ad.ffnn_node
+
+        def recording(x, layers, *args, **kwargs):
+            stacks.extend(layers)
+            return real(x, layers, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "ffnn_node", recording)
         out = ffnn(Tensor(np.ones((4, 5))), store, "block")
-        assert calls == [(4, HIDDEN)] * 3 + [(4, 2)]
+        assert [[w.shape for w, _ in layers] for layers in stacks] == [
+            [(5, HIDDEN), (HIDDEN, HIDDEN), (HIDDEN, HIDDEN), (HIDDEN, 2)]]
         assert out.shape == (4, 2)
 
     @pytest.mark.parametrize("depth", [0, 1, 3])
-    def test_ffnn_is_one_tape_node_per_layer(self, depth):
-        """depth hidden layers and the output layer: depth + 1 nodes
-        between the input and the output, and nothing else on the tape."""
+    def test_ffnn_is_one_tape_node(self, depth):
+        """depth hidden layers and the output layer, of one block or of
+        two over the same input: one node between the input and the
+        output, and nothing else on the tape."""
         store = ParameterStore(1)
-        create_ffnn(store, "block", 5, HIDDEN, 2, depth=depth)
+        for prefix in ("block", "other"):
+            create_ffnn(store, prefix, 5, HIDDEN, 2, depth=depth)
         x = Tensor(named_rng(2, "x").normal(size=(4, 5)), requires_grad=True)
-        out = ffnn(x, store, "block", dropout=0.3, step=1)
-        nodes, stack = set(), [out]
-        while stack:
-            node = stack.pop()
-            if node._backward is not None and id(node) not in nodes:
-                nodes.add(id(node))
-                stack.extend(node._parents)
-        assert len(nodes) == depth + 1
+        for prefix, rows in (("block", 4), (("block", "other"), 8)):
+            out = ffnn(x, store, prefix, dropout=0.3, step=1)
+            assert out.shape == (rows, 2)
+            nodes, stack = set(), [out]
+            while stack:
+                node = stack.pop()
+                if node._backward is not None and id(node) not in nodes:
+                    nodes.add(id(node))
+                    stack.extend(node._parents)
+            assert len(nodes) == 1
+
+    def test_split_and_mix_are_bit_equal_to_row_gathers(self):
+        """The model splits the unary scores and picks beta1 and beta2 by
+        row slices (autodiff.slice_rows): the combined and mention scores
+        and every gradient, under an upstream gradient with signed zeros,
+        are those of take_rows over the same rows, bit for bit."""
+        doc = make_document([["a", "b", "c", "d", "e"]])
+        spans = enumerate_spans(doc, max_span_width=3)
+        n = len(spans)
+        rng = np.random.default_rng(5)
+        upstream = rng.normal(size=(2, n))
+        upstream[:, ::3] = -0.0
+
+        def gather(a, lo, hi):
+            return ad.take_rows(a, np.arange(lo, hi))
+
+        def gathered_mix(markable, mention, store):
+            beta = store["score/beta"]
+            return gather(beta, 0, 1) * markable + gather(beta, 1, 2) * mention
+
+        def run(split, mix):
+            store = toy_store()
+            g, _ = represent_spans(embeddings_for(doc), spans, store)
+            both = unary_score_tensors(g, store, dropout=0.3, step=2)
+            mention = split(both, n, 2 * n)
+            combined = mix(split(both, 0, n), mention, store)
+            (combined * Tensor(upstream[0]) + mention * Tensor(upstream[1])).sum().backward()
+            return [combined.data, mention.data] + [store[name].grad for name in store.names()
+                                                     if store[name].grad is not None]
+
+        got, want = run(ad.slice_rows, unary_mix), run(gather, gathered_mix)
+        assert len(got) == len(want)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
     def test_beta_receives_gradient(self):
         doc = make_document([["a", "b"]])
         spans = enumerate_spans(doc)
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
-        combined = unary_mix(*unary_score_tensors(g, store), store)
+        combined = unary_mix(*unary_scores(g, store), store)
         combined.sum().backward()
         assert store["score/beta"].grad is not None
         assert store["score/beta"].grad.shape == (2,)
@@ -397,7 +451,7 @@ class TestCoarseShortlist:
         store = toy_store(seed)
         emb = embeddings_for(doc, seed)
         g, _ = represent_spans(emb, spans, store)
-        combined = unary_mix(*unary_score_tensors(g, store), store)
+        combined = unary_mix(*unary_scores(g, store), store)
         return g, combined, store, coarse_scores(g, combined, store, top_k=top_k)
 
     def test_shortlists_are_earlier_ascending_capped(self):
@@ -477,7 +531,7 @@ class TestCoarseShortlist:
         store = toy_store()
         emb = embeddings_for(doc)
         g, _ = represent_spans(emb, spans, store)
-        combined = unary_mix(*unary_score_tensors(g, store), store)
+        combined = unary_mix(*unary_scores(g, store), store)
         before = None if store["score/coarse_bilinear"].grad is None else True
         coarse_scores(g, combined, store)
         assert store["score/coarse_bilinear"].grad is before is None
@@ -568,7 +622,7 @@ class TestScoreMatrix:
         store = toy_store(seed)
         emb = embeddings_for(doc, seed)
         g, _ = represent_spans(emb, spans, store)
-        combined = unary_mix(*unary_score_tensors(g, store), store)
+        combined = unary_mix(*unary_scores(g, store), store)
         shortlists = coarse_scores(g, combined, store, top_k=top_k)
         pairs = pair_features(spans, doc, shortlists, genre_id=1)
         m = score_matrix(g, combined, pairs, store)
@@ -616,7 +670,7 @@ class TestScoreMatrix:
         spans = span_set([cand(0, 0)])
         store = toy_store()
         g, _ = represent_spans(embeddings_for(doc), spans, store)
-        combined = unary_mix(*unary_score_tensors(g, store), store)
+        combined = unary_mix(*unary_scores(g, store), store)
         shortlists = coarse_scores(g, combined, store)
         assert len(shortlists[0]) == 0
         m = score_matrix(g, combined, pair_features(spans, doc, shortlists, 0), store)
@@ -666,7 +720,7 @@ class TestScoreMatrix:
         for name in store.names():
             store[name].data += rng.normal(scale=0.1, size=store[name].data.shape)
         g, _ = represent_spans(embeddings_for(doc, seed), spans, store)
-        combined = unary_mix(*unary_score_tensors(g, store), store)
+        combined = unary_mix(*unary_scores(g, store), store)
         shortlists = coarse_scores(g, combined, store)
         pairs = pair_features(spans, doc, shortlists, 0)
         m = score_matrix(g, combined, pairs, store)

@@ -41,7 +41,7 @@ from corefmtl.training import (
     train,
 )
 from helpers import make_document
-from oracles import window_mix_reference
+from oracles import ffnn_reference, window_mix_reference
 
 
 def tiny_config(**kw):
@@ -782,8 +782,8 @@ class TestConfigValidation:
 
 class TestHeadsRunOnDemand:
     def test_sg_runs_only_the_singleton_head(self, docs, monkeypatch):
-        """Each head that runs runs twice a step: in the forward pass and in
-        backward's rerun of it (autodiff.recompute)."""
+        """Each head that runs runs once a step, as one autodiff.ffnn_node
+        that reruns its tiles in backward itself."""
         ran = []
         real_ffnn = mtl.ffnn
 
@@ -793,7 +793,7 @@ class TestHeadsRunOnDemand:
 
         monkeypatch.setattr(mtl, "ffnn", recording_ffnn)
         train(docs, tiny_config(steps=2, task_weights=PRESET_WEIGHTS["sg"]))
-        assert ran == ["head/singleton"] * 4
+        assert ran == ["head/singleton"] * 2
 
 
 class TestConfigDict:
@@ -940,9 +940,11 @@ class TestBackwardMemory:
     def test_training_step_peak(self):
         """The peak of a whole step's loss and backward. The auxiliary
         heads and the blocks of spans and pairs keep only their inputs and
-        outputs on the tape (autodiff.recompute), the encoder's mix and the
-        pair scorer's first layer are each one node, and each gradient is
-        freed once its closure is done with it: 3.3 MB here, 5.5 MB in
+        outputs on the tape (autodiff.recompute, and FFNN nodes that rerun
+        their own tiles), the encoder's lookup and mix and the pair scorer
+        are each one node, and each gradient is freed once its closure is
+        done with it: 2.3 MB here, 3.3 MB when the unary scorers and the
+        heads held a block's hidden layers in backward, 5.5 MB in
         blocks of 1024 rows with the encoder rerun in backward, 6.6 MB when a span
         block's representations were a graph of twelve nodes (now one,
         autodiff.span_representation), 8.2 MB when the encoder and the
@@ -968,10 +970,11 @@ class TestBackwardMemory:
         return result, held - start, peak - start
 
     def test_whole_train_peak(self):
-        """One step of train(), the checkpoint included, peaks at 7.9 MB.
-        Its parameters take 1.9 MB and Adam's moments 2.7 MB; the peak was
-        10.8 MB when the spent gradients and copies of both moments sat
-        beside the checkpoint."""
+        """One step of train(), the checkpoint included, peaks at 5.9 MB
+        (7.9 MB when the unary scorers and the heads held a block's hidden
+        layers in backward). Its parameters take 1.9 MB and Adam's moments
+        2.7 MB; the peak was 10.8 MB when the spent gradients and copies of
+        both moments sat beside the checkpoint."""
         result, _, peak = self.train_one_step()
         assert result.checkpoint.opt["step_count"] == 1
         assert peak < 9.0e6
@@ -989,9 +992,10 @@ class TestBackwardMemory:
     def test_long_document_step_peak(self):
         """A 4000-token step: the encoder's window, concat and mix, and the
         heads' hidden layers, are rebuilt in backward rather than kept on
-        the tape, so the step peaks at 17.1 MB (20.2 MB in blocks of 1024
-        rows with the encoder's whole graph rerun), 35.2 MB when they
-        waited on the tape."""
+        the tape, so the step peaks at 13.0 MB (15.6 MB when the unary
+        scorers and the heads rebuilt a block's hidden layers at once, 20.2
+        MB in blocks of 1024 rows with the encoder's whole graph rerun),
+        35.2 MB when they waited on the tape."""
         model, doc = self.model_and_document(sentences=200)
         assert doc.num_tokens == 4000
         assert self.step_peak(model, doc) < 27.0e6
@@ -1002,9 +1006,10 @@ class TestBackwardMemory:
         tokens wide, two hidden layers per FFNN, dropout 0.3. In blocks of
         512 rows, with the toy encoder one tape node (autodiff.window_mix)
         and a pair backward that frees each kept-span gradient term once
-        used, it peaks at 12.5 MB; 15.4 MB in blocks of 1024 with the
+        used, it peaked at 12.5 MB; 15.4 MB in blocks of 1024 with the
         encoder's rerun and the old pair backward, 13.2 MB with only the
-        blocks halved."""
+        blocks halved. With the pair scorer one tiled node it peaked at
+        10.9 MB, and with every FFNN one, at 9.1 MB."""
         cfg = tiny_config(encoder=EncoderConfig(dim=64, window=1), feature_dim=20,
                           hidden=150, ffnn_depth=2, dropout=0.3, max_span_width=30,
                           top_antecedents=50)
@@ -1015,6 +1020,34 @@ class TestBackwardMemory:
                              for _ in range(50)])
         assert doc.num_tokens == 1000
         assert self.step_peak(model, doc) < 13.5e6
+
+    def test_benchmark_shape_train_peak(self):
+        """One step of train(), the model, the optimizer and the checkpoint
+        included, at the benchmark's long-document shape (hidden 150,
+        encoder dim 64, two hidden layers per FFNN, spans up to 30 tokens,
+        50 antecedents, dropout 0.3) on a 600-token document: 10.4 MB.
+        Each FFNN, the unary scorers of a block of spans and each head, is
+        one node that works 128 rows at a time, forward and backward; it
+        peaked at 12.7 MB when their backward held a block's hidden
+        layers."""
+        cfg = tiny_config(steps=1, encoder=EncoderConfig(dim=64, window=1),
+                          feature_dim=20, hidden=150, ffnn_depth=2, dropout=0.3,
+                          max_span_width=30, top_antecedents=50,
+                          task_weights=PRESET_WEIGHTS["sg_ent_infs"])
+        vocab = build_vocab(generate_corpus(2, seed=5), cfg.encoder.vocab_size)
+        rng = np.random.default_rng(0)
+        doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
+                             for _ in range(30)])
+        assert doc.num_tokens == 600
+        tracemalloc.start()
+        try:
+            start, _ = tracemalloc.get_traced_memory()
+            result = train([doc], cfg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert result.checkpoint.opt["step_count"] == 1
+        assert peak - start < 11.5e6
 
     def step_peak(self, model, doc) -> int:
         """Bytes a step's loss and backward add at their peak."""
@@ -1044,13 +1077,13 @@ class TestBackwardMemory:
 
 class TestBlockRecompute:
     def test_block_recompute_equals_the_inline_graph(self, monkeypatch):
-        """Backward reruns each block of spans and each block of kept spans
-        of each head (autodiff.recompute), and a rerun draws the dropout
-        masks of the forward pass: the loss and every gradient outside
-        encoder/ are those of the inline graph, bit for bit. The token
-        embeddings' gradient is summed per block first, so encoder/
-        gradients agree to rounding. (The pair blocks are no recompute
-        site: each is one autodiff.pair_scorer node.)"""
+        """Backward reruns each block of spans (autodiff.recompute), the
+        model's only recompute site, and a rerun draws the dropout masks
+        of the forward pass: the loss and every gradient outside encoder/
+        are those of the inline graph, bit for bit. The token embeddings'
+        gradient is summed per block first, so encoder/ gradients agree to
+        rounding. (The pair blocks and the heads are no recompute site:
+        each is one node that reruns its own tiles in backward.)"""
         monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
         docs = generate_corpus(2, seed=5)
         doc = max(docs, key=lambda d: d.num_tokens)
@@ -1107,9 +1140,6 @@ class TestBlockRecompute:
         unconsumed = [t for t in built if t._backward is not ad._released]
         assert not unconsumed, f"{len(unconsumed)} of {len(built)} nodes never consumed"
 
-    # the recompute site of the auxiliary heads, one per head and block
-    HEAD_SITE = "head_block"
-
     def step(self, doc, cfg, vocab):
         """The loss of one sg_ent_infs step in blocks of 3 rows, and every
         parameter's gradient."""
@@ -1135,14 +1165,17 @@ class TestBlockRecompute:
         return doc, cfg, build_vocab(docs, cfg.encoder.vocab_size)
 
     @pytest.mark.parametrize("encoder", ["toy", "features"])
-    def test_head_recompute_equals_the_inline_graph(self, monkeypatch, tmp_path, encoder):
-        """Each block of kept spans of each auxiliary head runs inside one
-        autodiff.recompute whose input's gradient is the inline graph's:
-        the block reads the kept spans once, through its row slice. With
-        the span and pair blocks left as they are, the loss and every
-        gradient, encoder/ included, are bit-equal to a step that runs
-        the head blocks inline."""
+    def test_ffnn_nodes_equal_the_composed_dense_chain(self, monkeypatch, tmp_path,
+                                                       encoder):
+        """Each FFNN of a step, both unary scorers of a block of spans and
+        each auxiliary head, is one autodiff.ffnn_node. With the span and
+        pair blocks as they are, the loss and every gradient, encoder/
+        included, agree to 1e-12 with a step whose FFNNs are chains of
+        dense nodes (oracles.ffnn_reference): the node sums its
+        gradients a tile at a time. The kept spans outnumber the tile,
+        so each head runs in more than one."""
         monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
+        monkeypatch.setattr(ad, "GATHER_ROWS", 8)
         doc, cfg, vocab = self.step_inputs()
         if encoder == "features":
             path = tmp_path / "features.npz"
@@ -1152,27 +1185,32 @@ class TestBlockRecompute:
             cfg = tiny_config(dropout=0.3,
                               encoder=EncoderConfig(dim=8, features=str(path)))
             vocab = []
-        blocked = ad.recompute
-        inlined = []
+        rows = []
+        fused = ad.ffnn_node
 
-        def inline_heads(fn, x):
-            site = getattr(fn, "func", fn).__qualname__
-            if site != self.HEAD_SITE:
-                return blocked(fn, x)
-            inlined.append(x.shape[0])
-            return fn(x)
+        def recording(x, stacks, *args, **kwargs):
+            rows.append((x.shape[0], len(stacks)))
+            return fused(x, stacks, *args, **kwargs)
 
-        first = self.step(doc, cfg, vocab)
-        monkeypatch.setattr(ad, "recompute", inline_heads)
-        second = self.step(doc, cfg, vocab)
-        kept = inlined[0]
-        assert kept > 2 * ad.PAIR_BLOCK
-        assert inlined == [kept] * (3 * len(ad.row_blocks(kept)))
-        self.assert_steps_bit_equal(first, second)
+        monkeypatch.setattr(ad, "ffnn_node", recording)
+        loss, grads = self.step(doc, cfg, vocab)
+        heads = [n for n, stacks in rows if stacks == 1]
+        assert len(heads) == 3 and heads == [heads[0]] * 3
+        assert heads[0] > 2 * ad.GATHER_ROWS
+        assert all(stacks == 2 and n <= ad.PAIR_BLOCK for n, stacks in rows if stacks != 1)
+        monkeypatch.setattr(ad, "ffnn_node", ffnn_reference)
+        chain_loss, chain = self.step(doc, cfg, vocab)
+        assert loss == pytest.approx(chain_loss, rel=1e-12, abs=0.0)
+        assert grads.keys() == chain.keys()
+        assert any(name.startswith("encoder/") for name in grads)
+        for name, want in chain.items():
+            scale = np.max(np.abs(want), initial=0.0)
+            assert np.max(np.abs(grads[name] - want), initial=0.0) <= 1e-12 * scale, name
 
     def test_fused_encoder_equals_the_composed_graph(self, monkeypatch):
-        """The toy encoder's mix is one tape node (autodiff.window_mix):
-        with everything else as it is, the loss and every gradient,
+        """The toy encoder's lookup and mix are one tape node
+        (autodiff.window_mix): with everything else as it is, the loss and
+        every gradient,
         encoder/ included, are bit-equal to a step that builds the
         composed graph (oracles.window_mix_reference) instead."""
         monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
@@ -1196,12 +1234,11 @@ class TestUnlabelledHeads:
         cfg = tiny_config(steps=2, dropout=0.3, task_weights=PRESET_WEIGHTS["sg_ent_infs"])
         vocab = build_vocab(docs, cfg.encoder.vocab_size)
         heads_run = []
-        blocked = ad.recompute
+        real_ffnn = mtl.ffnn
 
-        def counting(fn, x):
-            if getattr(fn, "func", fn) is mtl.head_block:
-                heads_run.append(fn.keywords["task"])
-            return blocked(fn, x)
+        def counting(x, store, prefix, *args, **kwargs):
+            heads_run.append(prefix.removeprefix("head/"))
+            return real_ffnn(x, store, prefix, *args, **kwargs)
 
         def run():
             heads_run.clear()
@@ -1214,7 +1251,7 @@ class TestUnlabelledHeads:
             result = train([doc], cfg)
             return tot.item(), values, grads, ran, fp.labels, result
 
-        monkeypatch.setattr(ad, "recompute", counting)
+        monkeypatch.setattr(mtl, "ffnn", counting)
         loss, values, grads, ran, labels, result = run()
         assert not (labels["entity_type"] >= 0).any()
         assert (labels["info_status"] >= 0).any()
