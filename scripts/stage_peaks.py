@@ -19,18 +19,16 @@ Inside this process only, each stage function the forward pass calls
 (the names corefmtl.model reads) is wrapped, and so are the decoding
 stages (predict) or the losses, `Tensor.backward`, gradient clipping and
 the optimizer step (train). A stage called within another is listed
-under the caller's name, as in `backward/represent_spans`. The backward
-pass of each span block's recompute rerun (`autodiff.recompute`) is
-listed as `backward/span_block`, and the rerun's forward stages under
-`backward` itself; the backward closure of each pair block's scorer node
-(`autodiff.pair_scorer`) as `pair_block`, and that of each FFNN node
-(`autodiff.ffnn_node`: the unary scorers and each head) as `ffnn`, under
-the stage that runs it: `backward/pair_block`, `backward/ffnn` (a head)
-and `backward/span_block/ffnn` (the unary scorers). For each
-stage, in the order of its first call, the script prints its number of
-calls and, of the call that peaked highest, the traced memory at entry,
-its peak and the traced memory at exit, in MiB. The last row is the
-whole measured call.
+under the caller's name, as in `backward/pair_block`. The backward
+closure of each tape node that reruns its tiles is listed under the
+stage that runs it (`backward`): each pair block's scorer
+(`autodiff.pair_scorer`) as `pair_block`, each span block's unary
+scorers (`autodiff.ffnn_node` over span rows) as `span_block`, and each
+head (`autodiff.ffnn_node` over a tensor) as `ffnn`. For each stage, in
+the order of its first call, the script prints its number of calls and,
+of the call that peaked highest, the traced memory at entry, its peak
+and the traced memory at exit, in MiB. The last row is the whole
+measured call.
 """
 
 import argparse
@@ -59,7 +57,6 @@ class StagePeaks:
     def __init__(self):
         self.stack: list[list] = []   # [path, entry, peak so far] per open call
         self.stats: dict[str, list] = {}  # path: [calls, entry, peak, exit]
-        self.reruns: dict[int, str] = {}  # id of a rerun's output: its site
 
     def wrap(self, owner, attr: str, name=None):
         """Measure owner.attr under name, attr by default; a callable name
@@ -76,33 +73,19 @@ class StagePeaks:
 
         setattr(owner, attr, measured)
 
-    def label_reruns(self, autodiff):
-        """Name the backward() of each recompute rerun after the function
-        it reruns (span_block), each pair scorer node's backward closure
-        `pair_block` and each FFNN node's `ffnn`. The rerun's output is the
-        one tensor that fn returns with a tape; the forward pass runs fn
-        under no_grad()."""
-        recompute = autodiff.recompute
-
-        def labelled(fn, x):
-            site = getattr(fn, "func", fn).__name__
-
-            def rerun(leaf):
-                out = fn(leaf)
-                if out.requires_grad:
-                    self.reruns[id(out)] = site
-                return out
-
-            return recompute(rerun, x)
-
-        def labelled_node(node, name: str):
+    def label_nodes(self, autodiff):
+        """Name the backward closure of each pair scorer node `pair_block`,
+        and that of each FFNN node `span_block` over span rows and `ffnn`
+        over a tensor."""
+        def labelled_node(node, name):
             def build(*args, **kwargs):
                 out = node(*args, **kwargs)
                 if out._backward is not None:
                     closure = out._backward
+                    label = name(*args) if callable(name) else name
 
                     def measured(grad):
-                        self._enter(name)
+                        self._enter(label)
                         try:
                             closure(grad)
                         finally:
@@ -113,11 +96,11 @@ class StagePeaks:
 
             return build
 
-        autodiff.recompute = labelled
         autodiff.pair_scorer = labelled_node(autodiff.pair_scorer, "pair_block")
-        autodiff.ffnn_node = labelled_node(autodiff.ffnn_node, "ffnn")
-        self.wrap(autodiff.Tensor, "backward",
-                  lambda tensor, *_: self.reruns.pop(id(tensor), "backward"))
+        autodiff.ffnn_node = labelled_node(
+            autodiff.ffnn_node,
+            lambda x, *_: "span_block" if isinstance(x, autodiff.SpanRows) else "ffnn")
+        self.wrap(autodiff.Tensor, "backward")
 
     def _enter(self, name: str):
         current, peak = tracemalloc.get_traced_memory()
@@ -176,7 +159,7 @@ def stage_peaks(workload: str, mode: str, tokens: int | None = None) -> list[str
             training.train([largest_train], cfg)
     peaks = StagePeaks()
     if mode == "train":
-        peaks.label_reruns(autodiff)
+        peaks.label_nodes(autodiff)
     for stage in stages:
         peaks.wrap(*stage)
     tracemalloc.start()

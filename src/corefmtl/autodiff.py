@@ -24,40 +24,35 @@ differentiated once: a second backward() through it raises.
 
 Five layers are each one tape node that keeps what its backward reads
 and no intermediate, and every product on a tape is one of theirs:
-`ffnn_node` (feed-forward stacks over one input: the unary scorers and
-each auxiliary head), `pair_scorer` (the whole pair scorer of a block of
-pairs: its factorised first layer, hidden layers and output), `dense`
-(one layer: the features adapter), `span_representation` (boundary rows,
-soft head and width embedding) and `window_mix` (the toy encoder's
-embedding lookup, window context, concat, mix and tanh). `dense`,
-`span_representation` and `window_mix` do the arithmetic of the graph of
-primitive ops they replace, in that graph's order, so values and
-gradients are bit-identical to it. `ffnn_node` and `pair_scorer` share
-one tile loop: they work GATHER_ROWS (128) rows at a time, keep their
-inputs, their dropout streams' states and their outputs, rerun each tile
-in backward and sum their gradients a tile at a time, so their values
-and gradients agree with those of their layers composed to rounding.
+`ffnn_node` (feed-forward stacks over one input: both unary scorers of
+a block of candidate spans, and each auxiliary head), `pair_scorer` (the
+whole pair scorer of a block of pairs: its factorised first layer,
+hidden layers and output), `dense` (one layer: the features adapter),
+`span_representation` (the kept spans' boundary rows, soft head and
+width embedding) and `window_mix` (the toy encoder's embedding lookup,
+window context, concat, mix and tanh). `dense`, `span_representation`
+and `window_mix` do the arithmetic of the graph of primitive ops they
+replace, in that graph's order, so values and gradients are
+bit-identical to it. `ffnn_node` and `pair_scorer` share one tile loop:
+they work GATHER_ROWS (128) rows at a time, keep their inputs, their
+dropout streams' states and their outputs, rerun each tile in backward
+and sum their gradients a tile at a time, so their values and gradients
+agree with those of their layers composed to rounding. An `ffnn_node`
+over a block of candidate spans takes `SpanRows`, the span arithmetic
+of `span_representation`, as its input and makes the block's
+representations a tile at a time, forward and in backward, from the
+block's soft heads: the tape keeps each block's scores and the token
+embeddings, never a block's representations. The pair blocks' scores
+are written into the score matrix as each block ends (`place_blocks`).
 
-`recompute(fn, x)` trades time for tape: it keeps only x and fn's
-output, and its backward runs fn again to backpropagate through it. The
-model wraps each block of candidate spans in it: the block's span
-representations and both unary scorers, over the token embeddings. So a
-training step's tape holds each block's scores, not its
-representations, and backward rebuilds and frees one block's graph at a
-time. Each block of pairs is one `pair_scorer` node and each head one
-`ffnn_node`, which keep only their inputs and outputs and rerun their
-tiles in backward themselves; the pair blocks' scores are written into
-the score matrix as each block ends (`place_blocks`).
-
-A block holds PAIR_BLOCK (512) rows. A span block's rerun in backward
-sets the peak of a training step: it holds the block's representations
-and their gradient beside one tile's hidden layers. An FFNN node's
-working set is one tile's, in prediction and in backward: its weight
-gradients, and a pair block's scatters into the kept spans, are summed
-once per node, so more blocks would only add that fixed cost. The block
-size fixes the dropout streams (one per block of spans or pairs) and the
-row splits of each block's products, so changing it changes the trained
-bits.
+A block holds PAIR_BLOCK (512) rows. A node's working set is one
+tile's, besides a span block's soft heads and, in backward, the
+gradient of its representations, which its span arithmetic takes whole:
+its weight gradients, and a pair block's scatters into the kept spans,
+are summed once per node, so more blocks would only add that fixed
+cost. The block size fixes the dropout streams (one per block of spans
+or pairs) and the row splits of each block's products, so changing it
+changes the trained bits.
 """
 
 import contextlib
@@ -397,11 +392,11 @@ def place_blocks(out: np.ndarray, blocks) -> Tensor:
 # -- fused span and pair layers -------------------------------------------
 
 
-def span_representation(emb: Tensor, head_score: Tensor, width_table: Tensor,
-                        starts, ends, buckets, width: int) -> tuple[Tensor, np.ndarray]:
-    """Span representations g = [emb[start], emb[end], soft head, width
-    embedding], shape (S, 3d + f), as one tape node, and the soft head's
-    attention weights alpha, shape (S, width).
+class SpanRows:
+    """The representations g = [emb[start], emb[end], soft head, width
+    embedding], shape (S, 3d + f), of spans over the token embeddings, as
+    rows made when they are read: span_representation makes them all at
+    once, and an ffnn_node over a SpanRows a tile at a time.
 
     Span s attends to its tokens start .. end through a (S, width) grid of
     token indices, clipped at each span's end; alpha is the softmax over
@@ -410,71 +405,94 @@ def span_representation(emb: Tensor, head_score: Tensor, width_table: Tensor,
     time so no (S, width, d) gather is built. buckets holds each span's
     width-embedding row. The arithmetic is that of the composed graph
     (take_rows, a mask constant, logsumexp, sub, exp, the soft-head sum and
-    concat), so values and gradients are bit-identical to it; the node
-    keeps g, alpha, the grid, the valid mask and the (T,) token scores, and
-    backward recomputes the softmax from the token scores.
+    concat), so values and gradients are bit-identical to it; backward
+    makes the attention again from the token scores.
     """
-    starts = np.asarray(starts, dtype=np.intp)
-    ends = np.asarray(ends, dtype=np.intp)
-    buckets = np.asarray(buckets, dtype=np.intp)
-    ev = emb.data
-    num_tokens, d = ev.shape
-    widths = ends - starts + 1
-    if width < widths.max():
-        raise ValueError(f"width {width} is below the widest span's {widths.max()}")
-    offsets = np.arange(width)
-    grid = np.minimum(starts[:, None] + offsets, ends[:, None])
-    valid = offsets < widths[:, None]
-    token_scores = (ev @ head_score.data).reshape(num_tokens)
 
-    def span_scores():
-        # clipped duplicates get -inf, so zero attention
-        return token_scores[grid] + np.where(valid, 0.0, -np.inf)
+    def __init__(self, emb: Tensor, head_score: Tensor, width_table: Tensor,
+                 starts, ends, buckets, width: int):
+        self.parents = (emb, head_score, width_table)
+        self.starts = np.asarray(starts, dtype=np.intp)
+        self.ends = np.asarray(ends, dtype=np.intp)
+        self.buckets = np.asarray(buckets, dtype=np.intp)
+        widest = int((self.ends - self.starts).max()) + 1
+        if width < widest:
+            raise ValueError(f"width {width} is below the widest span's {widest}")
+        self.width = width
+        self.shape = (len(self.starts), 3 * emb.data.shape[1] + width_table.data.shape[1])
 
-    scores = span_scores()
-    alpha = np.exp(scores - _logsumexp_softmax(scores)[0])
-    del scores
+    def attention(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The token grid, the soft head's scores over it (-inf at a clipped
+        duplicate: zero attention) and alpha, each (S, width)."""
+        emb, head_score, _ = self.parents
+        token_scores = (emb.data @ head_score.data).reshape(len(emb.data))
+        offsets = np.arange(self.width)
+        grid = np.minimum(self.starts[:, None] + offsets, self.ends[:, None])
+        valid = offsets < (self.ends - self.starts + 1)[:, None]
+        scores = token_scores[grid] + np.where(valid, 0.0, -np.inf)
+        return grid, scores, np.exp(scores - _logsumexp_softmax(scores)[0])
 
-    g = np.empty((len(starts), 3 * d + width_table.data.shape[1]), dtype=DTYPE)
-    g[:, :d] = ev[starts]
-    g[:, d:2 * d] = ev[ends]
-    attended = g[:, 2 * d:3 * d]
-    attended[...] = 0.0
-    for k in range(width):
-        attended += alpha[:, k, None] * ev[grid[:, k]]
-    g[:, 3 * d:] = width_table.data[buckets]
+    def soft_heads(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every span's soft head, (S, d), and alpha."""
+        grid, alpha = self.attention()[::2]
+        ev = self.parents[0].data
+        heads = np.zeros((len(grid), ev.shape[1]), dtype=DTYPE)
+        for k in range(self.width):
+            heads += alpha[:, k, None] * ev[grid[:, k]]
+        return heads, alpha
 
-    def backward(grad):
-        if width_table.requires_grad:
-            width_table._accumulate(_scatter_rows(grad[:, 3 * d:], buckets,
-                                                  width_table.data.shape[0]))
+    def rows(self, rows: slice, soft_heads: np.ndarray) -> np.ndarray:
+        """g's rows, given every span's soft head."""
+        ev, table = self.parents[0].data, self.parents[2].data
+        d = ev.shape[1]
+        g = np.empty((len(soft_heads[rows]), self.shape[1]), dtype=DTYPE)
+        g[:, :d] = ev[self.starts[rows]]
+        g[:, d:2 * d] = ev[self.ends[rows]]
+        g[:, 2 * d:3 * d] = soft_heads[rows]
+        g[:, 3 * d:] = table[self.buckets[rows]]
+        return g
+
+    def backward(self, grad: np.ndarray):
+        """Hand each parent its gradient given grad, g's, one term at a
+        time in the composed graph's order, so a gradient emb already
+        holds is summed with each as it was."""
+        emb, head_score, table = self.parents
+        ev = emb.data
+        num_tokens, d = ev.shape
+        grid, scores, alpha = self.attention()
+        if table.requires_grad:
+            table._accumulate(_scatter_rows(grad[:, 3 * d:], self.buckets, len(table.data)))
         d_att = grad[:, 2 * d:3 * d]
         d_alpha = np.empty_like(alpha)
-        for k in range(width):
+        for k in range(self.width):
             d_alpha[:, k] = np.einsum("sd,sd->s", d_att, ev[grid[:, k]])
         # through exp, then sub and logsumexp: d1 + (-d1).sum(1) * softmax
         d_scores = d_alpha * alpha
         del d_alpha
         d_lse = (-d_scores).sum(axis=1, keepdims=True)
-        d_scores += d_lse * _logsumexp_softmax(span_scores())[1]
+        d_scores += d_lse * _logsumexp_softmax(scores)[1]
+        del scores
         d_tokens = _scatter_rows(d_scores, grid, num_tokens).reshape(num_tokens, 1)
         del d_scores
         if head_score.requires_grad:
             head_score._accumulate(ev.T @ d_tokens)
         if emb.requires_grad:
-            # one term at a time, in the composed graph's order, so a
-            # gradient emb already holds is summed with each as it was
-            emb._accumulate(_scatter_rows(grad[:, :d], starts, num_tokens))
-            emb._accumulate(_scatter_rows(grad[:, d:2 * d], ends, num_tokens))
+            emb._accumulate(_scatter_rows(grad[:, :d], self.starts, num_tokens))
+            emb._accumulate(_scatter_rows(grad[:, d:2 * d], self.ends, num_tokens))
             soft_head = np.zeros_like(ev)
-            for k in range(width):
+            for k in range(self.width):
                 soft_head += _scatter_rows(alpha[:, k, None] * d_att, grid[:, k], num_tokens)
             emb._accumulate(soft_head)
             del soft_head
             emb._accumulate(d_tokens @ head_score.data.T)
 
-    return (Tensor(g, _parents=(emb, head_score, width_table), _backward=backward),
-            alpha)
+
+def span_representation(spans: SpanRows) -> tuple[Tensor, np.ndarray]:
+    """All the rows of spans as one tape node, and their attention
+    weights alpha, shape (S, width). The node keeps g and spans."""
+    heads, alpha = spans.soft_heads()
+    g = spans.rows(slice(None), heads)
+    return Tensor(g, _parents=spans.parents, _backward=spans.backward), alpha
 
 
 def _window_shifts(num_rows: int, window: int):
@@ -655,74 +673,85 @@ def _tile_backward(d: np.ndarray, hidden: list, later: list, d_w: list, d_b: lis
     return d
 
 
-def ffnn_node(x: Tensor, stacks: list[list[tuple[Tensor, Tensor]]], rate: float = 0.0,
-              rngs: list | None = None) -> Tensor:
-    """Feed-forward stacks over the same input x as one tape node. A
-    stack's layers are (w, b) pairs: ReLU hidden layers with inverted
-    dropout, then a linear output layer. The outputs are stacked by rows
-    in the order of the stacks: over x's n rows, stack k's values are
-    rows k n .. (k + 1) n - 1, so every stack has the same output width.
+def _first_layer(rows: np.ndarray, layers: list) -> np.ndarray:
+    h = rows @ layers[0][0].data
+    h += layers[0][1].data
+    return h
+
+
+def ffnn_node(x: Tensor | SpanRows, stacks: list[list[tuple[Tensor, Tensor]]],
+              rate: float = 0.0, rngs: list | None = None) -> Tensor:
+    """Feed-forward stacks over the same input rows as one tape node: the
+    rows of x, a tensor, or of a SpanRows, the representations of a block
+    of spans, which the node makes a tile at a time. A stack's layers are
+    (w, b) pairs: ReLU hidden layers with inverted dropout, then a linear
+    output layer. The outputs are stacked by rows in the order of the
+    stacks: over x's n rows, stack k's values are rows k n .. (k + 1) n -
+    1, so every stack has the same output width.
 
     Every layer runs GATHER_ROWS rows at a time (_tiles), so a pass holds
-    one tile's hidden layers, however many rows x has. Stack k's dropout
-    masks are those of the stack run whole: rngs[k].random((n, width)) <
-    1 - rate for each hidden layer in turn, drawn a tile at a time
-    (_mask_streams); with rngs or rngs[k] None, or rate 0, the stack
+    one tile's input rows and hidden layers, however many rows x has; the
+    forward pass makes a tile's input rows once for all the stacks. Stack
+    k's dropout masks are those of the stack run whole: rngs[k].random((n,
+    width)) < 1 - rate for each hidden layer in turn, drawn a tile at a
+    time (_mask_streams); with rngs or rngs[k] None, or rate 0, the stack
     drops nothing. The node keeps x, each stack's PCG64 state and its
     output.
 
-    Backward reruns each tile of each stack and backpropagates through
-    it: each weight's and bias's gradient is summed over the tiles, and
-    every stack adds into one gradient of x. So values and gradients
-    agree with those of the stacks' dense layers composed to rounding
-    (pair_scorer says when a tile of a product has other last bits than
-    those rows of the whole product).
+    Backward takes one stack at a time, makes each tile's input rows
+    again, reruns the stack over them and backpropagates through it: each
+    weight's and bias's gradient is summed over the tiles, and every stack
+    adds into one gradient of x's rows, which a SpanRows hands on whole
+    (SpanRows.backward). So values and gradients agree with those of the
+    stacks' dense layers composed to rounding (pair_scorer says when a
+    tile of a product has other last bits than those rows of the whole
+    product).
     """
-    xv = x.data
-    n = xv.shape[0]
-    tiles = _tiles(n)
+    spans = isinstance(x, SpanRows)
+    parents = x.parents if spans else (x,)
+    n = x.shape[0]
     states = [_dropout_state(layers, rate, rng)
               for layers, rng in zip(stacks, rngs or [None] * len(stacks))]
 
-    def run(layers: list, state, taped: bool):
-        """(tile, _tile_forward's result) of each tile of one stack."""
-        (w0, b0), *later = layers
-        masks = _mask_streams(state, _hidden_widths(layers), n)
-        for tile in tiles:
-            h = xv[tile] @ w0.data
-            h += b0.data
-            yield tile, _tile_forward(h, later, rate, masks, taped)
-
     out = np.empty((len(stacks) * n, stacks[0][-1][0].data.shape[1]), dtype=DTYPE)
-    for k, (layers, state) in enumerate(zip(stacks, states)):
-        for tile, values in run(layers, state, taped=False):
-            out[k * n + tile.start:k * n + tile.stop] = values
+    heads = x.soft_heads()[0] if spans else None
+    streams = [_mask_streams(state, _hidden_widths(layers), n)
+               for layers, state in zip(stacks, states)]
+    for tile in _tiles(n):
+        rows = x.rows(tile, heads) if spans else x.data[tile]
+        for k, (layers, stack_masks) in enumerate(zip(stacks, streams)):
+            out[k * n + tile.start:k * n + tile.stop] = _tile_forward(
+                _first_layer(rows, layers), layers[1:], rate, stack_masks)
 
     def backward(grad):
-        d_x = np.zeros_like(xv) if x.requires_grad else None
+        d_x = np.zeros(x.shape) if any(p.requires_grad for p in parents) else None
+        heads = x.soft_heads()[0] if spans else None
         for k, (layers, state) in enumerate(zip(stacks, states)):
-            (w0, _), *later = layers
             scale = None if state is None else 1.0 / (1.0 - rate)
             d_w = [np.zeros_like(w.data) for w, _ in layers]
             d_b = [np.zeros_like(b.data) for _, b in layers]
-            for tile, hidden in run(layers, state, taped=True):
+            stack_masks = _mask_streams(state, _hidden_widths(layers), n)
+            for tile in _tiles(n):
+                rows = x.rows(tile, heads) if spans else x.data[tile]
+                hidden = _tile_forward(_first_layer(rows, layers), layers[1:], rate,
+                                       stack_masks, taped=True)
                 d = _tile_backward(grad[k * n + tile.start:k * n + tile.stop], hidden,
-                                   later, d_w, d_b, scale)
+                                   layers[1:], d_w, d_b, scale)
                 d_b[0] += d.sum(axis=0)
-                d_w[0] += xv[tile].T @ d
+                d_w[0] += rows.T @ d
                 if d_x is not None:
-                    d_x[tile] += d @ w0.data.T
-                del d
+                    d_x[tile] += d @ layers[0][0].data.T
+                del d, rows
             for (w, b), dw, db in zip(layers, d_w, d_b):
                 b._accumulate(db)
                 w._accumulate(dw)
             del d_w, d_b
-        del grad
+        del grad, heads
         if d_x is not None:
-            x._accumulate(d_x)
+            x.backward(d_x) if spans else x._accumulate(d_x)
 
-    return Tensor(out, _parents=(x,) + tuple(p for layers in stacks
-                                             for layer in layers for p in layer),
+    return Tensor(out, _parents=parents + tuple(p for layers in stacks
+                                                for layer in layers for p in layer),
                   _backward=backward)
 
 
@@ -787,7 +816,7 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
     state = _dropout_state(layers, rate, rng)
     tiles = _tiles(len(rows))
 
-    def run(tile: slice, g_wa: np.ndarray, masks: list, taped: bool = False):
+    def run(tile: slice, g_wa: np.ndarray, w_c: np.ndarray, masks: list, taped: bool = False):
         """A tile's output layer values; taped, its product term and each
         hidden layer's output (_tile_forward) instead."""
         r, a = rows[tile], ants[tile]
@@ -810,11 +839,12 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
     g_wa = gv[first:stop] @ w_a
     masks = _mask_streams(state, _hidden_widths(layers), len(rows))
     for tile in tiles:
-        out[tile] = run(tile, g_wa, masks)
+        out[tile] = run(tile, g_wa, w_c, masks)
     del g_wa, masks
 
     def backward(grad):
         scale = None if state is None else 1.0 / (1.0 - rate)
+        w_a, w_b, w_c, *w_tables = _pair_weights(gv.shape[1], w0, [t for t, _ in tables])
         # d_w[0] is W_c's gradient: by_row, by_ant and by_table give the rest
         d_w = [np.zeros_like(w_c)] + [np.zeros_like(w.data) for w, _ in later]
         d_b = [np.zeros_like(b.data) for _, b in layers]
@@ -834,7 +864,7 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
         g_wa = gv[first:stop] @ w_a
         masks = _mask_streams(state, _hidden_widths(layers), len(rows))
         for tile in tiles:
-            prod, hidden = run(tile, g_wa, masks, taped=True)
+            prod, hidden = run(tile, g_wa, w_c, masks, taped=True)
             d = _tile_backward(grad[tile], hidden, later, d_w, d_b, scale)
             # d is now the first layer's linear gradient
             d_b[0] += d.sum(axis=0)
@@ -949,41 +979,6 @@ def dense(x: Tensor, w: Tensor, b: Tensor, rate: float = 0.0,
             w._accumulate(x.data.T @ d)
 
     return Tensor(out, _parents=(x, w, b), _backward=backward)
-
-
-def recompute(fn, x: Tensor) -> Tensor:
-    """fn(x) as one tape node that keeps only x and the output (Chen et al.
-    2016, "Training Deep Nets with Sublinear Memory Cost").
-
-    The forward runs fn under no_grad(); backward runs fn again on a new
-    leaf that shares x's data, backpropagates through that tape, freeing
-    it as it goes, and accumulates the leaf's gradient into x. So x's
-    gradient is summed within each call before it joins the rest, which
-    can change its last bits against the inline graph (the token
-    embeddings under the span blocks). It is the inline graph's when fn
-    reads x in one place only, so the leaf's gradient is a single term,
-    or when nothing outside fn reads x, so the leaf's gradient is all of
-    x's. Gradients of the parameters fn reads accumulate directly. fn
-    must compute the same values both times: a dropout mask must come
-    from a stream fn seeds itself. A recompute within fn would run its
-    own fn a third time, so the model nests none. Under no_grad() this is
-    fn(x).
-
-    The model's one site: each block of candidate spans
-    (MtlCorefModel.forward).
-    """
-    if not _GRAD_ENABLED.get():
-        return fn(x)
-    with no_grad():
-        out = fn(x).data
-
-    def backward(grad):
-        leaf = Tensor(x.data, requires_grad=x.requires_grad)
-        fn(leaf).backward(grad)
-        if leaf.grad is not None:
-            x._accumulate(leaf.grad)
-
-    return Tensor(out, requires_grad=True, _parents=(x,), _backward=backward)
 
 
 # -- reductions -----------------------------------------------------------

@@ -43,15 +43,15 @@ def dropout_rng(store: ParameterStore, prefix: str, dropout: float = 0.0,
     return named_rng(store.seed, "dropout", step, prefix, *([block] if block else []))
 
 
-def ffnn(x: Tensor, store: ParameterStore, prefix: str | tuple[str, ...],
+def ffnn(x: Tensor | ad.SpanRows, store: ParameterStore, prefix: str | tuple[str, ...],
          dropout: float = 0.0, step: int | None = None, block: int = 0) -> Tensor:
     """Apply the named feed-forward block, ReLU hidden layers and then a
-    linear output layer, as one autodiff.ffnn_node; given a tuple of
-    names, apply each of those blocks to x in the same node, their
-    outputs stacked by rows in the order named. Each block's dropout
-    draws from its own stream (dropout_rng) for that step and row block:
-    each hidden layer's mask in turn, rng.random((rows, hidden)) < 1 -
-    dropout."""
+    linear output layer, as one autodiff.ffnn_node over x's rows (x is a
+    tensor or an autodiff.SpanRows); given a tuple of names, apply each
+    of those blocks to x in the same node, their outputs stacked by rows
+    in the order named. Each block's dropout draws from its own stream
+    (dropout_rng) for that step and row block: each hidden layer's mask
+    in turn, rng.random((rows, hidden)) < 1 - dropout."""
     prefixes = (prefix,) if isinstance(prefix, str) else prefix
     # ad.ffnn_node is looked up when ffnn runs, so that a wrapper installed
     # on the autodiff module (a tracer's) also sees these calls

@@ -17,7 +17,8 @@ from .mtl import (TaskWeights, assign_aux_labels, aux_losses, coref_loss_from_ma
                   labelled_tasks, mention_labels, mention_scorer_loss, total_loss)
 from .scoring import (PairIndex, coarse_scores, create_scoring_params, pair_features,
                       prune_spans, score_matrix, unary_mix, unary_score_tensors)
-from .spans import SpanSet, create_span_params, enumerate_spans, represent_spans
+from .spans import (SpanSet, create_span_params, enumerate_spans, represent_spans,
+                    span_rows)
 
 
 @dataclass(frozen=True)
@@ -141,22 +142,21 @@ class MtlCorefModel:
         combined scores are kept (and the mention scores, when need_heads
         holds the singleton task), and the kept spans are represented
         again, in one piece. Both unary scorers of a block are one
-        autodiff.ffnn_node over its representations, whose rows hold the
-        markable scores and then the mention scores, split by row slices
+        autodiff.ffnn_node over its span representations (spans.span_rows),
+        which it makes a tile at a time; its rows hold the markable scores
+        and then the mention scores, split by row slices
         (autodiff.slice_rows). The coarse shortlist ranks its anaphors
         scoring.COARSE_ROWS at a time.
 
-        With a tape, each block of spans, represented and scored over the
-        token embeddings, runs inside autodiff.recompute, the model's only
-        recompute site, so the tape keeps its scores and backward rebuilds
-        one block's graph at a time. Each block of pairs in score_matrix
-        is one autodiff.pair_scorer node and each head in head_logits one
-        autodiff.ffnn_node over all the kept spans: each keeps its inputs
-        and outputs, works GATHER_ROWS rows at a time and reruns its tiles
-        in backward. The toy encoder (encode) is one tape node over the
-        embedding table (autodiff.window_mix) that keeps only its output.
-        The tape then grows with the tokens and the kept spans, not with
-        the candidate spans or the pairs times the hidden size.
+        Each block of spans, each block of pairs in score_matrix (one
+        autodiff.pair_scorer) and each head in head_logits (one
+        autodiff.ffnn_node over all the kept spans) is one tape node that
+        keeps its inputs and outputs, works GATHER_ROWS rows at a time and
+        reruns its tiles in backward. The toy encoder (encode) is one tape
+        node over the embedding table (autodiff.window_mix) that keeps
+        only its output. The tape then grows with the tokens and the kept
+        spans, not with the candidate spans or the pairs times the hidden
+        size.
 
         Nothing after the kept spans' representations reads the token
         embeddings or the kept spans' attention weights, so forward drops
@@ -170,15 +170,10 @@ class MtlCorefModel:
         emb = encode(doc, cfg.encoder, self.store, self.vocab_index, self.features)
         spans = enumerate_spans(doc, cfg.max_span_width)
         width = int(spans.widths.max(initial=1))
-
-        def span_block(e: Tensor, lo: int, hi: int) -> Tensor:
-            return unary_score_tensors(
-                represent_spans(e, spans[lo:hi], self.store, width)[0],
-                self.store, cfg.dropout, train_step, block=lo)
-
         mention, combined = [], []
         for lo, hi in ad.row_blocks(len(spans)):
-            both = ad.recompute(partial(span_block, lo=lo, hi=hi), emb)
+            both = unary_score_tensors(span_rows(emb, spans[lo:hi], self.store, width),
+                                       self.store, cfg.dropout, train_step, block=lo)
             n = hi - lo
             block_mention = ad.slice_rows(both, n, 2 * n)
             mention.append(block_mention)

@@ -45,17 +45,17 @@ def create_scoring_params(store: ParameterStore, g_dim: int, hidden: int,
     store.create("pair/genre_embedding", (num_genres + 1, feature_dim), std=1.0)
 
 
-def unary_score_tensors(g: Tensor, store: ParameterStore, dropout: float = 0.0,
-                        step: int | None = None, block: int = 0) -> Tensor:
+def unary_score_tensors(g: Tensor | ad.SpanRows, store: ParameterStore,
+                        dropout: float = 0.0, step: int | None = None,
+                        block: int = 0) -> Tensor:
     """Both unary scorers over the spans' representations g, as one
     autodiff.ffnn_node: shape (2S,), the S markable scores and then the S
     mention scores. block is the first row of g among the document's
     spans (ffnn's block); each scorer draws its own dropout stream.
 
-    The model runs this, span representations included, inside one
-    autodiff.recompute per block of spans, which keeps only these scores;
-    it splits them (autodiff.slice_rows) and mixes them outside the rerun
-    (unary_mix)."""
+    The model passes each block of candidate spans as spans.span_rows,
+    which the node makes a tile at a time for both scorers; it splits the
+    scores (autodiff.slice_rows) and mixes them (unary_mix)."""
     return ffnn(g, store, ("score/markable", "score/mention"), dropout, step,
                 block=block).reshape((2 * g.shape[0],))
 

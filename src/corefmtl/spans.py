@@ -89,22 +89,30 @@ def create_span_params(store: ParameterStore, dim: int, feature_dim: int):
     store.create("span/head_score", (dim, 1))
 
 
+def span_rows(embeddings: Tensor, spans: SpanSet, store: ParameterStore,
+              width: int | None = None) -> ad.SpanRows:
+    """The representations of spans over the token embeddings, (S, 3d+f),
+    as rows made when they are read (autodiff.SpanRows). Each soft head
+    attends over width columns, by default the widest span's; blocks of
+    one document's spans pass the document's widest, so every block's
+    soft head sums the same columns. ValueError when there are no spans
+    or width is below the widest span."""
+    if not len(spans):
+        raise ValueError("no spans to represent")
+    widths = spans.widths
+    return ad.SpanRows(embeddings, store["span/head_score"], store["span/width_embedding"],
+                       spans.starts, spans.ends, bucket_index(widths),
+                       int(widths.max()) if width is None else width)
+
+
 def represent_spans(embeddings: Tensor, spans: SpanSet,
                     store: ParameterStore,
                     width: int | None = None) -> tuple[Tensor, np.ndarray]:
     """Representations for all spans at once, as one tape node
-    (autodiff.span_representation).
+    (autodiff.span_representation over span_rows).
 
     Returns (G, alphas): G is (S, 3d+f); alphas holds each span's head
-    attention weights padded with zeros to width columns, by default the
-    widest span's. Blocks of one document's spans pass the document's
-    widest, so every block's soft head sums the same columns. ValueError
-    when there are no spans or width is below the widest span.
+    attention weights padded with zeros to width columns. ValueError as
+    span_rows.
     """
-    if not len(spans):
-        raise ValueError("no spans to represent")
-    widths = spans.widths
-    return ad.span_representation(
-        embeddings, store["span/head_score"], store["span/width_embedding"],
-        spans.starts, spans.ends, bucket_index(widths),
-        int(widths.max()) if width is None else width)
+    return ad.span_representation(span_rows(embeddings, spans, store, width))

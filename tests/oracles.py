@@ -377,7 +377,10 @@ def ffnn_reference(x, stacks, rate=0.0, rngs=None):
     """The graph autodiff.ffnn_node fuses: per stack, one autodiff.dense
     node per layer over all of x's rows, each hidden layer drawing its
     dropout mask from the stack's rng in turn, and the stacks' outputs
-    concatenated by rows."""
+    concatenated by rows. Span rows (autodiff.SpanRows) are made whole
+    first, by the composed graph (represent_spans_reference)."""
+    if isinstance(x, ad.SpanRows):
+        x = represent_spans_reference(*x.parents, x.starts, x.ends, x.buckets, x.width)[0]
     outs = []
     for layers, rng in zip(stacks, rngs or [None] * len(stacks)):
         h = x

@@ -3,7 +3,6 @@
 import gc
 import inspect
 import tracemalloc
-from functools import partial
 
 import numpy as np
 import numpy.testing as npt
@@ -12,7 +11,6 @@ import pytest
 from corefmtl import autodiff as ad
 from corefmtl.autodiff import ParameterStore, Tensor
 from corefmtl.encoder import EncoderConfig, create_encoder_params
-from corefmtl.layers import create_ffnn, ffnn
 from corefmtl.mtl import PRESET_WEIGHTS
 from corefmtl.optim import BETA1, BETA2, EPS, AdamOptimizer, clip_global_norm
 from corefmtl.spans import bucket_index
@@ -290,12 +288,12 @@ class TestFusedLayers:
 
         def value():
             with ad.no_grad():
-                g, _ = ad.span_representation(emb, head_score, width_table, starts,
-                                              ends, buckets, width)
+                g, _ = ad.span_representation(ad.SpanRows(
+                    emb, head_score, width_table, starts, ends, buckets, width))
             return float((g.data * w).sum())
 
-        g, _ = ad.span_representation(emb, head_score, width_table, starts, ends,
-                                      buckets, width)
+        g, _ = ad.span_representation(ad.SpanRows(emb, head_score, width_table, starts,
+                                                  ends, buckets, width))
         (g * Tensor(w)).sum().backward()
         for t in (emb, head_score, width_table):
             assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
@@ -336,7 +334,7 @@ class TestFusedLayers:
             return [g.data, np.asarray(getattr(alpha, "data", alpha))] + [
                 t.grad for t in leaves]
 
-        for got, want in zip(run(ad.span_representation),
+        for got, want in zip(run(lambda *args: ad.span_representation(ad.SpanRows(*args))),
                              run(represent_spans_reference)):
             assert got.shape == want.shape
             assert got.tobytes() == want.tobytes()
@@ -827,73 +825,136 @@ class TestWindowMix:
             assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
 
 
-class TestRecompute:
-    PREFIX = "block"
+class TestSpanRowsNode:
+    """ffnn_node over span rows (autodiff.SpanRows): the representations
+    of a block of spans, made a tile at a time, under two stacks, as the
+    unary scorers run over each block of candidate spans."""
 
-    def block_and_input(self):
-        store = ParameterStore(6)
-        create_ffnn(store, self.PREFIX, 5, 7, 2, depth=2)
-        x = Tensor(np.random.default_rng(20).normal(size=(9, 5)), requires_grad=True)
-        return store, x
+    SPANS = pytest.mark.parametrize(
+        "num_spans", [1, ad.GATHER_ROWS - 1, ad.GATHER_ROWS, ad.GATHER_ROWS + 1,
+                      2 * ad.GATHER_ROWS + 5],
+        ids=["one", "tile-1", "tile", "tile+1", "2tile+5"])
 
-    def scorer(self, store, step=4):
-        return partial(ffnn, store=store, prefix=self.PREFIX, dropout=0.3, step=step)
+    @staticmethod
+    def span_rows(rng, num_spans, num_tokens=40):
+        """SpanRows over leaves that want a gradient: spans in start order,
+        with repeated starts and width-1 spans, and a grid one column
+        wider than the widest span."""
+        starts = np.sort(rng.integers(0, num_tokens - 4, size=num_spans))
+        ends = starts + rng.integers(0, 4, size=num_spans)
+        inputs = span_inputs(rng, num_tokens, starts, ends)
+        return ad.SpanRows(*inputs, int((ends - starts).max()) + 2)
 
-    def test_values_and_gradients_bit_equal_to_the_unwrapped_block(self):
-        store, x = self.block_and_input()
-        seed = np.random.default_rng(21).normal(size=(9, 2))
-        runs = []
-        for wrap in (False, True):
-            store.zero_grad()
-            x.grad = None
-            fn = self.scorer(store)
-            out = ad.recompute(fn, x) if wrap else fn(x)
-            out.backward(seed=seed)
-            runs.append([out.data, x.grad] + [t.grad for t in store.tensors()])
-        for want, got in zip(*runs):
+    @staticmethod
+    def copies(rows, stacks):
+        """New leaves with the data of rows' parents and of every layer."""
+        emb, head_score, width_table = (Tensor(t.data.copy(), requires_grad=True)
+                                        for t in rows.parents)
+        return (ad.SpanRows(emb, head_score, width_table, rows.starts, rows.ends,
+                            rows.buckets, rows.width),
+                [[tuple(Tensor(t.data.copy(), requires_grad=True) for t in layer)
+                  for layer in layers] for layers in stacks])
+
+    def run(self, node, rows, stacks, upstream, rate, earlier):
+        """node over copies of rows and stacks, one named stream per stack,
+        backward from upstream with earlier already in emb's gradient: its
+        output, then every gradient."""
+        rows, stacks = self.copies(rows, stacks)
+        rows.parents[0].grad = earlier.copy()
+        out = node(rows, stacks, rate, [ad.named_rng(seed, "mask") for seed in (7, 8)])
+        out.backward(seed=upstream)
+        return [out.data] + [t.grad for t in rows.parents] + [
+            t.grad for layers in stacks for layer in layers for t in layer]
+
+    @SPANS
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
+    def test_matches_the_composed_graph(self, num_spans, depth, rate):
+        """Values and every gradient agree to 1e-12 with the graph the node
+        fuses: the representations made whole by the composed graph
+        (oracles.represent_spans_reference), then a chain of dense nodes
+        per stack (oracles.ffnn_reference), for token embeddings that
+        already hold a gradient."""
+        rng = np.random.default_rng(200 + 10 * depth + num_spans)
+        rows = self.span_rows(rng, num_spans)
+        stacks = [TestFfnnNode.stack(rng, depth, dim=rows.shape[1], out=1)
+                  for _ in range(2)]
+        upstream = rng.normal(size=(2 * num_spans, 1))
+        earlier = rng.normal(size=rows.parents[0].shape)
+        for got, want in zip(self.run(ad.ffnn_node, rows, stacks, upstream, rate, earlier),
+                             self.run(ffnn_reference, rows, stacks, upstream, rate, earlier),
+                             strict=True):
+            assert_close(got, want)
+
+    @SPANS
+    @pytest.mark.parametrize("rate", [0.0, 0.3], ids=["no_dropout", "dropout"])
+    def test_bit_equal_to_the_represented_rows(self, num_spans, rate):
+        """Values and every gradient are those of a span_representation
+        node followed by an FFNN node over its output, bit for bit: the
+        node makes each tile's rows as span_representation makes them,
+        and hands its span parents the gradient of every row at once, as
+        span_representation's backward takes it."""
+        rng = np.random.default_rng(300 + num_spans)
+        rows = self.span_rows(rng, num_spans)
+        stacks = [TestFfnnNode.stack(rng, 2, dim=rows.shape[1], out=1) for _ in range(2)]
+        upstream = rng.normal(size=(2 * num_spans, 1))
+        earlier = rng.normal(size=rows.parents[0].shape)
+
+        def represented(x, *args):
+            return ad.ffnn_node(ad.span_representation(x)[0], *args)
+
+        for got, want in zip(self.run(ad.ffnn_node, rows, stacks, upstream, rate, earlier),
+                             self.run(represented, rows, stacks, upstream, rate, earlier),
+                             strict=True):
             assert_bits_equal(got, want)
 
-    def test_finite_differences(self):
-        store, x = self.block_and_input()
-        fn = self.scorer(store)
-        weights = np.random.default_rng(22).normal(size=(9, 2))
-        (ad.recompute(fn, x) * Tensor(weights)).sum().backward()
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    def test_finite_differences(self, depth):
+        """Every input's gradient, with dropout, over two tiles and two
+        stacks."""
+        rng = np.random.default_rng(60 + depth)
+        rows = self.span_rows(rng, ad.GATHER_ROWS + 3, num_tokens=12)
+        stacks = [TestFfnnNode.stack(rng, depth, dim=rows.shape[1], hidden=3, out=1)
+                  for _ in range(2)]
+        weights = rng.normal(size=(2 * rows.shape[0], 1))
 
         def value():
-            return float((fn(x).data * weights).sum())
+            with ad.no_grad():
+                out = ad.ffnn_node(rows, stacks, 0.3, [ad.named_rng(9, k) for k in "ab"])
+            return float((out.data * weights).sum())
 
-        for t in [x] + store.tensors():
+        out = ad.ffnn_node(rows, stacks, 0.3, [ad.named_rng(9, k) for k in "ab"])
+        (out * Tensor(weights)).sum().backward()
+        for t in list(rows.parents) + [t for layers in stacks for layer in layers
+                                       for t in layer]:
             assert max_rel_err(t.grad, finite_diff(value, t.data)) < 1e-4
 
-    def test_builds_no_node_under_no_grad(self):
-        store, x = self.block_and_input()
-        calls = []
-
-        def fn(t):
-            calls.append(t)
-            return self.scorer(store)(t)
-
+    @SPANS
+    def test_dropout_masks_are_whole_draws(self, num_spans):
+        """A hidden layer's mask is that of one draw over the block's
+        spans, rng.random((spans, hidden)) < keep, although the node draws
+        it a tile at a time: under an output layer that is the identity
+        (identity_layer), the output is relu(g w0 + b0) * mask / keep, bit
+        for bit, where g is the block's representations made whole."""
+        rng = np.random.default_rng(num_spans)
+        rows = self.span_rows(rng, num_spans)
+        w0, b0 = TestFfnnNode.stack(rng, 0, dim=rows.shape[1], out=5)[0]
         with ad.no_grad():
-            out = ad.recompute(fn, x)
-        assert calls == [x]
-        assert not out.requires_grad
-        assert out._parents == () and out._backward is None
+            g, _ = ad.span_representation(rows)
+            out = ad.ffnn_node(rows, [[(w0, b0), identity_layer(5)]], 0.3,
+                               [ad.named_rng(3, "mask")])
+        z = np.concatenate([g.data[tile] @ w0.data for tile in ad._tiles(num_spans)])
+        z += b0.data
+        mask = ad.named_rng(3, "mask").random((num_spans, 5)) < 0.7
+        assert_bits_equal(out.data, np.maximum(z, 0.0) * mask * (1.0 / 0.7))
 
-    def test_rerun_tape_is_freed_after_backward(self):
-        store, x = self.block_and_input()
-        gc.collect()
-        before = live_tensors()
-        out = ad.recompute(self.scorer(store), x)
-        loss = out.sum()
-        loss.backward()
-        # no collection: the rerun's tape must go by reference counting
-        assert live_tensors() == before + 2     # out and loss
-        assert out._parents == () and loss._parents == ()
-        assert x.grad is not None and all(t.grad is not None for t in store.tensors())
-
-
-def live_tensors() -> int:
-    return sum(isinstance(o, Tensor) for o in gc.get_objects())
+    def test_no_grad_builds_no_node(self):
+        rng = np.random.default_rng(5)
+        rows = self.span_rows(rng, 20)
+        with ad.no_grad():
+            out = ad.ffnn_node(rows, [TestFfnnNode.stack(rng, 2, dim=rows.shape[1])], 0.3,
+                               [ad.named_rng(1, "mask")])
+        assert not out.requires_grad and out._backward is None and out._parents == ()
 
 
 class TestScatterRows:

@@ -233,8 +233,8 @@ class TestTapeFreePrediction:
         end and the coarse merge and the pair scorer's first layer took a
         whole block of rows at a time. A taped
         forward keeps only the blocks' scores of its spans and pairs
-        (autodiff.recompute and the tiled FFNN nodes): 1.9 MB, 2.4 MB when
-        the heads ran in recomputed blocks, 20.8 MB when the blocks'
+        (the tiled FFNN nodes): 1.9 MB, 2.4 MB when the heads ran in
+        recomputed blocks, 20.8 MB when the blocks'
         activations waited on the tape."""
         docs = generate_corpus(2, seed=5)
         model = small_model(docs)
@@ -346,20 +346,22 @@ class TestBlockedPrediction:
         model = small_model(docs)
         doc = max(docs, key=lambda d: d.num_tokens)
         monkeypatch.setattr(ad, "PAIR_BLOCK", self.BLOCK)
-        span_calls = counting(monkeypatch, model_module, "represent_spans")
+        block_calls = counting(monkeypatch, model_module, "span_rows")
+        kept_calls = counting(monkeypatch, model_module, "represent_spans")
         pair_calls = counting(monkeypatch, ad, "pair_scorer")
         taped = model.forward(doc, need_heads=tuple(HEAD_SIZES))
-        taped_calls = (len(span_calls), len(pair_calls))
+        taped_calls = (len(block_calls), len(kept_calls), len(pair_calls))
         with ad.no_grad():
             free = model.forward(doc, need_heads=tuple(HEAD_SIZES))
 
         n_pairs = sum(len(sl) for sl in free.shortlists)
         assert min(len(free.spans), len(free.kept), n_pairs) > 5 * self.BLOCK
-        # both passes: one call per span block, then one for the kept spans,
-        # and one pair scorer node per pair block
-        calls = (-(-len(free.spans) // self.BLOCK) + 1, -(-n_pairs // self.BLOCK))
+        # both passes: one span node per span block, one representation of
+        # the kept spans, and one pair scorer node per pair block
+        calls = (-(-len(free.spans) // self.BLOCK), 1, -(-n_pairs // self.BLOCK))
         assert taped_calls == calls
-        assert (len(span_calls), len(pair_calls)) == tuple(2 * n for n in calls)
+        assert (len(block_calls), len(kept_calls), len(pair_calls)) == tuple(
+            2 * n for n in calls)
 
         npt.assert_array_equal(free.kept, taped.kept)
         assert len(free.shortlists) == len(taped.shortlists)

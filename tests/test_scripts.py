@@ -60,9 +60,8 @@ def stage_rows(*args) -> dict[str, tuple]:
 
 @pytest.mark.parametrize("mode,stages", [
     ("predict", ["coarse_scores", "score_matrix", "decode_antecedents"]),
-    ("train", ["score_matrix", "backward", "backward/represent_spans", "backward/span_block",
-               "backward/span_block/ffnn", "backward/pair_block", "backward/ffnn",
-               "adam_step"]),
+    ("train", ["score_matrix", "backward", "backward/span_block", "backward/pair_block",
+               "backward/ffnn", "adam_step"]),
 ])
 def test_stage_peaks_prints_entry_peak_and_exit_per_stage(mode, stages):
     rows = stage_rows("--workload", "short-doc", mode)
@@ -70,6 +69,10 @@ def test_stage_peaks_prints_entry_peak_and_exit_per_stage(mode, stages):
     assert list(rows)[-1] == whole and rows[whole][0] == 1
     for name in stages:
         assert f"{whole}/{name}" in rows
+    # no forward stage runs again in backward: each node reruns its own tiles
+    assert not {f"{whole}/backward/{name}" for name in ("represent_spans",
+                                                         "unary_score_tensors",
+                                                         "span_block/ffnn")} & set(rows)
     for path, (calls, entry, peak, exit_) in rows.items():
         assert calls >= 1 and peak >= max(entry, exit_), path
         assert peak <= rows[whole][2], path

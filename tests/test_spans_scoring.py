@@ -28,6 +28,7 @@ from corefmtl.spans import (
     create_span_params,
     enumerate_spans,
     represent_spans,
+    span_rows,
 )
 from helpers import make_document, pair_index, random_shortlisted_document, span_set
 from oracles import (bucket_reference, coarse_matrix_reference, enumerate_spans_reference,
@@ -203,6 +204,28 @@ class TestSpanRepresentation:
 
 
 class TestUnaryScores:
+    @pytest.mark.parametrize("num_spans", [1, ad.GATHER_ROWS - 1, ad.GATHER_ROWS,
+                                           ad.GATHER_ROWS + 1, 2 * ad.GATHER_ROWS + 5])
+    def test_span_rows_score_as_the_represented_spans(self, num_spans):
+        """Without a tape, both scorers over a block's span rows
+        (span_rows, made a tile at a time) give the bits of the scorers
+        over its representations made whole (represent_spans), dropout on,
+        for a block past the first: so prediction is bit-identical to
+        scoring each block's representations."""
+        doc = make_document([[f"t{i}" for i in range(8)]] * 40)
+        spans = enumerate_spans(doc, max_span_width=5)[40:40 + num_spans]
+        width = 5
+        store = toy_store()
+        emb = embeddings_for(doc)
+        with ad.no_grad():
+            got = unary_score_tensors(span_rows(emb, spans, store, width), store,
+                                      dropout=0.3, step=2, block=40)
+            g, _ = represent_spans(emb, spans, store, width)
+            want = unary_score_tensors(g, store, dropout=0.3, step=2, block=40)
+        assert len(spans) == num_spans
+        assert got.shape == want.shape == (2 * num_spans,)
+        assert got.data.tobytes() == want.data.tobytes()
+
     def test_combination_uses_beta(self):
         doc = make_document([["a", "b", "c"]])
         spans = enumerate_spans(doc, max_span_width=2)

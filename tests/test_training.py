@@ -916,10 +916,11 @@ class TestBackwardMemory:
         """backward() drops each node's gradient, closure and parents once
         the node's closure has run, so most of the tape is gone when it
         returns. The blocks of spans and pairs keep only their scores on
-        the tape, and backward rebuilds one block's activations at a time
-        (autodiff.recompute): a 2000-token step in blocks of 64 rows peaks
-        at 9.6 MB, 48.1 MB when the blocks' activations waited on the
-        tape."""
+        the tape, and backward rebuilds one tile's activations at a time
+        (the tiled FFNN nodes): a 2000-token step in blocks of 64 rows peaks
+        at 8.0 MB (7.7 MB when each block of spans was a recompute node,
+        which kept less per block on the tape), 48.1 MB when the blocks'
+        activations waited on the tape."""
         model, doc = self.model_and_document()
         tracemalloc.start()
         try:
@@ -940,10 +941,12 @@ class TestBackwardMemory:
     def test_training_step_peak(self):
         """The peak of a whole step's loss and backward. The auxiliary
         heads and the blocks of spans and pairs keep only their inputs and
-        outputs on the tape (autodiff.recompute, and FFNN nodes that rerun
-        their own tiles), the encoder's lookup and mix and the pair scorer
-        are each one node, and each gradient is freed once its closure is
-        done with it: 2.3 MB here, 3.3 MB when the unary scorers and the
+        outputs on the tape (FFNN nodes that rerun their own tiles), the
+        encoder's lookup and mix and the pair scorer are each one node,
+        and each gradient is freed once its closure is done with it: 2.2
+        MB here, 2.3 MB when each block of spans was a recompute node whose
+        backward held the block's representations, 3.3 MB when the unary
+        scorers and the
         heads held a block's hidden layers in backward, 5.5 MB in
         blocks of 1024 rows with the encoder rerun in backward, 6.6 MB when a span
         block's representations were a graph of twelve nodes (now one,
@@ -992,7 +995,7 @@ class TestBackwardMemory:
     def test_long_document_step_peak(self):
         """A 4000-token step: the encoder's window, concat and mix, and the
         heads' hidden layers, are rebuilt in backward rather than kept on
-        the tape, so the step peaks at 13.0 MB (15.6 MB when the unary
+        the tape, so the step peaks at 13.1 MB (15.6 MB when the unary
         scorers and the heads rebuilt a block's hidden layers at once, 20.2
         MB in blocks of 1024 rows with the encoder's whole graph rerun),
         35.2 MB when they waited on the tape."""
@@ -1025,7 +1028,7 @@ class TestBackwardMemory:
         """One step of train(), the model, the optimizer and the checkpoint
         included, at the benchmark's long-document shape (hidden 150,
         encoder dim 64, two hidden layers per FFNN, spans up to 30 tokens,
-        50 antecedents, dropout 0.3) on a 600-token document: 10.4 MB.
+        50 antecedents, dropout 0.3) on a 600-token document: 10.3 MB.
         Each FFNN, the unary scorers of a block of spans and each head, is
         one node that works 128 rows at a time, forward and backward; it
         peaked at 12.7 MB when their backward held a block's hidden
@@ -1074,16 +1077,56 @@ class TestBackwardMemory:
         del fp
         assert self.step_peak(model, doc) < 0.7 * whole
 
+    def test_pair_block_backward_rises_less_in_small_blocks(self, monkeypatch):
+        """The most one pair scorer node's backward adds to the memory it
+        starts from is lower in blocks of 64 pairs than in one block: 0.61
+        MB against 0.96 MB here."""
+        model, doc = self.model_and_document(top_antecedents=50)
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 10 ** 9)
+        whole = self.pair_backward_rise(monkeypatch, model, doc)
+        monkeypatch.setattr(ad, "PAIR_BLOCK", 64)
+        assert self.pair_backward_rise(monkeypatch, model, doc) < 0.7 * whole
+
+    @staticmethod
+    def pair_backward_rise(monkeypatch, model, doc) -> int:
+        """The most bytes one pair scorer node's backward adds, at its
+        peak, to those traced when it starts, in one step."""
+        rises = []
+        node = ad.pair_scorer
+
+        def measured_node(*args, **kwargs):
+            out = node(*args, **kwargs)
+            closure = out._backward
+
+            def measured(grad):
+                entry, _ = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                closure(grad)
+                rises.append(tracemalloc.get_traced_memory()[1] - entry)
+
+            out._backward = measured
+            return out
+
+        monkeypatch.setattr(ad, "pair_scorer", measured_node)
+        tracemalloc.start()
+        try:
+            model.loss(doc, PRESET_WEIGHTS["sg_ent_infs"], train_step=1)[0].backward()
+        finally:
+            tracemalloc.stop()
+            monkeypatch.setattr(ad, "pair_scorer", node)
+        return max(rises)
+
 
 class TestBlockRecompute:
     def test_block_recompute_equals_the_inline_graph(self, monkeypatch):
-        """Backward reruns each block of spans (autodiff.recompute), the
-        model's only recompute site, and a rerun draws the dropout masks
-        of the forward pass: the loss and every gradient outside encoder/
-        are those of the inline graph, bit for bit. The token embeddings'
-        gradient is summed per block first, so encoder/ gradients agree to
-        rounding. (The pair blocks and the heads are no recompute site:
-        each is one node that reruns its own tiles in backward.)"""
+        """Each block of spans is one autodiff.ffnn_node over span rows
+        (autodiff.SpanRows), which makes the block's representations a
+        tile at a time, forward and in backward, and draws the dropout
+        masks of the block taken whole. Against the composed graph, a
+        span_representation node and a tensor-input FFNN node per block,
+        the loss and every gradient are bit for bit the same: the node
+        hands its span parents the gradient of the block's
+        representations as the span_representation node does."""
         monkeypatch.setattr(ad, "PAIR_BLOCK", 3)
         docs = generate_corpus(2, seed=5)
         doc = max(docs, key=lambda d: d.num_tokens)
@@ -1100,21 +1143,56 @@ class TestBlockRecompute:
 
         loss, fp, grads = step()
         assert min(len(fp.spans), sum(len(sl) for sl in fp.shortlists)) > 5 * ad.PAIR_BLOCK
-        monkeypatch.setattr(ad, "recompute", lambda fn, x: fn(x))
+        node = ad.ffnn_node
+
+        def composed(x, *args):
+            if isinstance(x, ad.SpanRows):
+                x = ad.span_representation(x)[0]
+            return node(x, *args)
+
+        monkeypatch.setattr(ad, "ffnn_node", composed)
         inline_loss, _, inline = step()
         assert loss == inline_loss
         assert grads.keys() == inline.keys()
         for name, want in inline.items():
-            got = grads[name]
-            if name.startswith("encoder/"):
-                assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want)), name
-            else:
-                npt.assert_array_equal(got, want, err_msg=name)
+            npt.assert_array_equal(grads[name], want, err_msg=name)
+
+    def test_unary_scorers_run_twice_a_step(self, monkeypatch):
+        """In a step at the benchmark's long-document shape, each unary
+        scorer runs forward over every candidate span twice: once in the
+        forward pass and once in its node's backward, which makes each
+        tile's span representations again. (Three times, when each block
+        of spans ran in a recompute node whose backward reran the block,
+        node and all, before the node reran its own tiles.)"""
+        cfg = tiny_config(encoder=EncoderConfig(dim=64, window=1), feature_dim=20,
+                          hidden=150, ffnn_depth=2, dropout=0.3, max_span_width=30,
+                          top_antecedents=50)
+        vocab = build_vocab(generate_corpus(2, seed=5), cfg.encoder.vocab_size)
+        model = MtlCorefModel(cfg.model_config(("test",)), cfg.seed, vocab)
+        rng = np.random.default_rng(0)
+        doc = make_document([[vocab[i] for i in rng.integers(len(vocab), size=20)]
+                             for _ in range(10)])
+        scorers = {id(model.store[f"score/{name}/out_w"]): name
+                   for name in ("markable", "mention")}
+        rows = dict.fromkeys(scorers.values(), 0)
+        tile_forward = ad._tile_forward
+
+        def counting(h, later, *args, **kwargs):
+            name = scorers.get(id(later[-1][0]))
+            if name is not None:
+                rows[name] += h.shape[0]
+            return tile_forward(h, later, *args, **kwargs)
+
+        monkeypatch.setattr(ad, "_tile_forward", counting)
+        tot, _, fp = model.loss(doc, PRESET_WEIGHTS["sg_ent_infs"], train_step=1)
+        tot.backward()
+        assert len(ad.row_blocks(len(fp.spans))) > 2
+        assert rows == dict.fromkeys(scorers.values(), 2 * len(fp.spans))
 
     @pytest.mark.parametrize("preset", ["sg_ent_infs", "baseline"])
     def test_backward_consumes_every_tape_node(self, monkeypatch, preset):
-        """Every tensor a training step builds with a backward closure, the
-        reruns of its recompute nodes included, is released by backward():
+        """Every tensor a training step builds with a backward closure is
+        released by backward():
         a step builds no node that nothing reads. The document runs in
         several blocks of spans and of pairs, and each auxiliary head has a
         labelled kept span, so each head's loss reads its logits. Without
