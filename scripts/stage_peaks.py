@@ -23,8 +23,10 @@ under the caller's name, as in `backward/pair_block`. The backward
 closure of each tape node that reruns its tiles is listed under the
 stage that runs it (`backward`): each pair block's scorer
 (`autodiff.pair_scorer`) as `pair_block`, each span block's unary
-scorers (`autodiff.ffnn_node` over span rows) as `span_block`, and each
-head (`autodiff.ffnn_node` over a tensor) as `ffnn`. For each stage, in
+scorers (`autodiff.ffnn_node` over span rows) as `span_block`, each
+head (`autodiff.ffnn_node` over a tensor) as `ffnn`, and the kept
+spans' representations (`autodiff.span_representation`) as
+`kept_spans`. For each stage, in
 the order of its first call, the script prints its number of calls and,
 of the call that peaked highest, the traced memory at entry, its peak
 and the traced memory at exit, in MiB. The last row is the whole
@@ -75,11 +77,13 @@ class StagePeaks:
 
     def label_nodes(self, autodiff):
         """Name the backward closure of each pair scorer node `pair_block`,
-        and that of each FFNN node `span_block` over span rows and `ffnn`
-        over a tensor."""
+        that of each FFNN node `span_block` over span rows and `ffnn` over
+        a tensor, and that of each span representation node `kept_spans`."""
         def labelled_node(node, name):
             def build(*args, **kwargs):
-                out = node(*args, **kwargs)
+                result = node(*args, **kwargs)
+                # span_representation returns the node and the attention
+                out = result[0] if isinstance(result, tuple) else result
                 if out._backward is not None:
                     closure = out._backward
                     label = name(*args) if callable(name) else name
@@ -92,7 +96,7 @@ class StagePeaks:
                             self._exit()
 
                     out._backward = measured
-                return out
+                return result
 
             return build
 
@@ -100,6 +104,8 @@ class StagePeaks:
         autodiff.ffnn_node = labelled_node(
             autodiff.ffnn_node,
             lambda x, *_: "span_block" if isinstance(x, autodiff.SpanRows) else "ffnn")
+        autodiff.span_representation = labelled_node(autodiff.span_representation,
+                                                      "kept_spans")
         self.wrap(autodiff.Tensor, "backward")
 
     def _enter(self, name: str):

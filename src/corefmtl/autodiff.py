@@ -22,6 +22,13 @@ Leaves (parameters, and tensors made with requires_grad=True) keep their
 gradients; `retain_grad()` keeps an intermediate's. A graph is
 differentiated once: a second backward() through it raises.
 
+A tensor sums each new gradient into its old one in place once the old
+one is an array it made itself, and never writes into an array it was
+handed, which another tensor or the caller may hold (Tensor._accumulate):
+so a tensor that many nodes feed holds one gradient, not the old, the
+new and their sum. A node whose gradient covers only some rows of its
+parent sums it into those rows (Tensor._accumulate_rows).
+
 Five layers are each one tape node that keeps what its backward reads
 and no intermediate, and every product on a tape is one of theirs:
 `ffnn_node` (feed-forward stacks over one input: both unary scorers of
@@ -50,9 +57,14 @@ tile's, besides a span block's soft heads and, in backward, the
 gradient of its representations, which its span arithmetic takes whole:
 its weight gradients, and a pair block's scatters into the kept spans,
 are summed once per node, so more blocks would only add that fixed
-cost. The block size fixes the dropout streams (one per block of spans
-or pairs) and the row splits of each block's products, so changing it
-changes the trained bits.
+cost. A block's backward allocates by the block, not by the document:
+a span block makes the token embeddings' gradient terms over its spans'
+own tokens, and a pair block makes the kept spans' gradient over the
+rows it reads and sums w0's gradient into w0's one row range at a time;
+each sums into the gradient its parent already holds. The block size
+fixes the dropout streams (one per block of spans or pairs) and the row
+splits of each block's products, so changing it changes the trained
+bits.
 """
 
 import contextlib
@@ -129,8 +141,8 @@ class Tensor:
     not under no_grad().
     """
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "name",
-                 "_retain")
+    __slots__ = ("data", "_grad", "_owned", "requires_grad", "_parents", "_backward",
+                 "name", "_retain")
 
     def __init__(self, data, requires_grad=False, _parents=(), _backward=None, name=None):
         self.data = np.asarray(data, dtype=DTYPE)
@@ -141,6 +153,19 @@ class Tensor:
         self._parents = _parents if self.requires_grad else ()
         self._backward = _backward if self.requires_grad else None
         self.name = name
+
+    @property
+    def grad(self) -> np.ndarray | None:
+        """The gradient summed into this tensor. Reading or assigning it
+        hands the array out, so no later sum writes into it (see
+        _accumulate)."""
+        self._owned = False
+        return self._grad
+
+    @grad.setter
+    def grad(self, value):
+        self._grad = value
+        self._owned = False
 
     @property
     def shape(self):
@@ -189,7 +214,7 @@ class Tensor:
             node = topo.pop()
             if node._backward is None:
                 continue  # a leaf
-            if node.grad is not None:
+            if node._grad is not None:
                 # the call takes over the only reference to a gradient that
                 # is not retained, so a closure that is done with it frees it
                 node._backward(node.grad if node._retain else node._take_grad())
@@ -197,29 +222,38 @@ class Tensor:
             node._parents = ()
 
     def _take_grad(self) -> np.ndarray:
-        grad, self.grad = self.grad, None
+        grad, self.grad = self._grad, None
         return grad
 
     def _accumulate(self, grad: np.ndarray):
-        # Accumulation always rebinds (never mutates in place), so sharing
-        # the incoming array between siblings is safe.
+        """Sum grad into self's gradient. A gradient self made is summed
+        into in place; an array self was handed (a closure's, which it may
+        also hand a sibling, as add does, or one assigned to or read from
+        .grad) is never written into: the first sum into it makes self's
+        own array. The sums are those of rebinding to old + new."""
         if not self.requires_grad:
             return
-        if self.grad is None:
+        if self._grad is None:
             self.grad = np.asarray(grad, dtype=DTYPE)
+        elif self._owned:
+            self._grad += grad
         else:
-            self.grad = self.grad + grad
+            self._grad = self._grad + grad
+            self._owned = True
 
     def _accumulate_rows(self, lo: int, grad: np.ndarray):
         """_accumulate of an array shaped like self's data that holds grad
         in rows lo .. lo + len(grad) - 1 and zeros elsewhere, without
-        building it: only the new gradient is made (a -0.0 of the earlier
-        gradient outside those rows stays -0.0)."""
+        building it: grad is summed into those rows of self's own gradient,
+        made (zeros, or a copy of one it was handed) when it has none. A
+        -0.0 of the gradient outside those rows stays -0.0."""
         if not self.requires_grad:
             return
-        total = np.zeros_like(self.data) if self.grad is None else self.grad.copy()
-        total[lo:lo + len(grad)] += grad
-        self.grad = total
+        if not self._owned:
+            self._grad = (np.zeros_like(self.data) if self._grad is None
+                          else self._grad.copy())
+            self._owned = True
+        self._grad[lo:lo + len(grad)] += grad
 
     # -- operator sugar ---------------------------------------------------
 
@@ -455,7 +489,11 @@ class SpanRows:
     def backward(self, grad: np.ndarray):
         """Hand each parent its gradient given grad, g's, one term at a
         time in the composed graph's order, so a gradient emb already
-        holds is summed with each as it was."""
+        holds is summed with each as it was. emb's four terms (starts,
+        ends, soft head, token scores) are made and summed over the spans'
+        own tokens only, starts.min() .. ends.max(); the token scores'
+        gradient and head_score's, a sum over every token, are made over
+        all the tokens, as the graph sums them."""
         emb, head_score, table = self.parents
         ev = emb.data
         num_tokens, d = ev.shape
@@ -477,14 +515,16 @@ class SpanRows:
         if head_score.requires_grad:
             head_score._accumulate(ev.T @ d_tokens)
         if emb.requires_grad:
-            emb._accumulate(_scatter_rows(grad[:, :d], self.starts, num_tokens))
-            emb._accumulate(_scatter_rows(grad[:, d:2 * d], self.ends, num_tokens))
-            soft_head = np.zeros_like(ev)
+            lo = int(self.starts.min())
+            count = int(self.ends.max()) + 1 - lo
+            emb._accumulate_rows(lo, _scatter_rows(grad[:, :d], self.starts - lo, count))
+            emb._accumulate_rows(lo, _scatter_rows(grad[:, d:2 * d], self.ends - lo, count))
+            soft_head = np.zeros((count, d), dtype=DTYPE)
             for k in range(self.width):
-                soft_head += _scatter_rows(alpha[:, k, None] * d_att, grid[:, k], num_tokens)
-            emb._accumulate(soft_head)
+                soft_head += _scatter_rows(alpha[:, k, None] * d_att, grid[:, k] - lo, count)
+            emb._accumulate_rows(lo, soft_head)
             del soft_head
-            emb._accumulate(d_tokens @ head_score.data.T)
+            emb._accumulate_rows(lo, d_tokens[lo:lo + count] @ head_score.data.T)
 
 
 def span_representation(spans: SpanRows) -> tuple[Tensor, np.ndarray]:
@@ -607,7 +647,7 @@ def pair_projections(g: Tensor, w0: Tensor, tables: list[Tensor]) -> list[np.nda
     return [g.data @ w_b] + [t.data @ w_k for t, w_k in zip(tables, w_tables)]
 
 
-def _mask_streams(state: dict | None, widths: list[int], rows: int) -> list:
+def _mask_streams(state: tuple[int, int] | None, widths: list[int], rows: int) -> list:
     """One generator per hidden layer, at the first draw of that layer's
     dropout mask when a block of `rows` rows draws rng.random((rows,
     width)) for each layer in turn from a PCG64 in state (None: no
@@ -620,18 +660,23 @@ def _mask_streams(state: dict | None, widths: list[int], rows: int) -> list:
     streams = []
     for skip in np.cumsum([0] + widths[:-1]).tolist():
         bits = np.random.PCG64(0)
-        bits.state = state
+        bits.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                      "state": {"state": state[0], "inc": state[1]}}
         bits.advance(rows * skip)
         streams.append(np.random.Generator(bits))
     return streams
 
 
-def _dropout_state(layers: list, rate: float, rng: np.random.Generator | None):
-    """The PCG64 state a stack of layers draws its dropout masks from
-    (_mask_streams), or None when it drops nothing: no rng, a rate of 0,
-    or no hidden layer."""
-    return rng.bit_generator.state if rng is not None and rate > 0.0 and len(layers) > 1 \
-        else None
+def _dropout_state(layers: list, rate: float,
+                   rng: np.random.Generator | None) -> tuple[int, int] | None:
+    """The PCG64 state and increment a stack of layers draws its dropout
+    masks from (_mask_streams), or None when it drops nothing: no rng, a
+    rate of 0, or no hidden layer. A PCG64's buffered 32-bit half is not
+    kept: advance() drops it, and Generator.random never reads it."""
+    if rng is None or not rate > 0.0 or len(layers) < 2:
+        return None
+    pcg = rng.bit_generator.state["state"]
+    return pcg["state"], pcg["inc"]
 
 
 def _hidden_widths(layers: list) -> list[int]:
@@ -663,12 +708,17 @@ def _tile_backward(d: np.ndarray, hidden: list, later: list, d_w: list, d_b: lis
     """Backpropagate a tile's output gradient d through later's layers,
     whose inputs hidden holds (_tile_forward, taped; emptied here), and
     add each layer's weight and bias gradients into d_w[1:] and d_b[1:].
-    Returns the gradient of the first layer's linear output."""
+    Returns the gradient of the first layer's linear output. Each layer's
+    relu and dropout mask is applied in place to the new product, with
+    _relu_dropout_grad's arithmetic."""
     for layer in range(len(later), 0, -1):
         x = hidden.pop()
         d_b[layer] += d.sum(axis=0)
         d_w[layer] += x.T @ d
-        d = _relu_dropout_grad(d @ later[layer - 1][0].data.T, x, scale)
+        d = d @ later[layer - 1][0].data.T
+        d *= x > 0.0
+        if scale is not None:
+            d *= scale
         del x
     return d
 
@@ -792,16 +842,19 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
     state and its output.
 
     Backward reruns each tile's forward pass and backpropagates through
-    it. The weights' and biases' gradients are summed over the tiles, and
-    so are the first layer's gradient scattered to the anaphors (by_row,
-    over the anaphor term's rows of g), to the antecedents (by_ant, over
-    the rows of g from the least to the greatest antecedent) and to each
-    table, and the product term's two scatters into g's rows. The terms
-    that those scatters fix are made once per block: g's gradient over
-    the rows the block reads, which joins g's before w0's gradient is
-    built, and w0's gradient, whose W_a and W_b parts are taken first.
-    So no tile makes an array over every span, and the block makes one:
-    g's new gradient.
+    it; the tile's product term is made again for W_c's gradient once
+    the hidden layers are done, not held through them. The weights' and
+    biases' gradients are summed over the tiles, and so are the first
+    layer's gradient scattered to the anaphors (by_row, over the anaphor
+    term's rows of g), to the antecedents (by_ant, over the rows of g
+    from the least to the greatest antecedent) and to each table, and the
+    product term's two scatters into g's rows. The terms that those
+    scatters fix are made once per block: first w0's gradient, one row
+    range at a time (W_a, W_b, W_c, then each table's W_k), each summed
+    into w0's gradient and dropped before the next is made; then g's
+    gradient over the rows the block reads, which is summed into those
+    rows of g's. So neither a tile nor the block makes an array over
+    every span, and w0's gradient is never made whole.
     """
     rows = np.asarray(rows, dtype=np.intp)
     ants = np.asarray(antecedents, dtype=np.intp)
@@ -816,15 +869,16 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
     state = _dropout_state(layers, rate, rng)
     tiles = _tiles(len(rows))
 
+    def product(tile: slice) -> np.ndarray:
+        prod = gv[rows[tile]]
+        prod *= gv[ants[tile]]
+        return prod
+
     def run(tile: slice, g_wa: np.ndarray, w_c: np.ndarray, masks: list, taped: bool = False):
-        """A tile's output layer values; taped, its product term and each
-        hidden layer's output (_tile_forward) instead."""
+        """A tile's output layer values; taped, each hidden layer's output
+        (_tile_forward) instead."""
         r, a = rows[tile], ants[tile]
-        prod = gv[r]
-        prod *= gv[a]
-        h = prod @ w_c
-        if not taped:
-            del prod
+        h = product(tile) @ w_c
         part = g_wa[r - first]
         part += g_wb[a]
         h += part
@@ -832,8 +886,7 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
         for (_, idx), term in zip(tables, table_terms):
             h += term[idx[tile]]
         h += b0.data
-        values = _tile_forward(h, later, rate, masks, taped)
-        return (prod, values) if taped else values
+        return _tile_forward(h, later, rate, masks, taped)
 
     out = np.empty((len(rows), layers[-1][0].data.shape[1]), dtype=DTYPE)
     g_wa = gv[first:stop] @ w_a
@@ -864,12 +917,12 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
         g_wa = gv[first:stop] @ w_a
         masks = _mask_streams(state, _hidden_widths(layers), len(rows))
         for tile in tiles:
-            prod, hidden = run(tile, g_wa, w_c, masks, taped=True)
+            hidden = run(tile, g_wa, w_c, masks, taped=True)
             d = _tile_backward(grad[tile], hidden, later, d_w, d_b, scale)
             # d is now the first layer's linear gradient
             d_b[0] += d.sum(axis=0)
-            d_w[0] += prod.T @ d
-            del prod
+            # the product term again, not held through the hidden layers
+            d_w[0] += product(tile).T @ d
             r, a = rows[tile], ants[tile]
             # one scatter matrix per index, used for each term it sums; the
             # antecedents' sums are over their distinct rows only
@@ -903,24 +956,19 @@ def pair_scorer(g: Tensor, layers: list[tuple[Tensor, Tensor]], rows, antecedent
             if t.requires_grad:
                 t._accumulate(by_t @ w_k.T)
         if w0.requires_grad:
-            # w0's gradient's W_a and W_b parts, before by_row and by_ant go
-            d_wa, d_wb = gv[first:stop].T @ by_row, gv[ant_lo:ant_hi].T @ by_ant
+            # w0's gradient, summed into w0's by row ranges, one part at a
+            # time: W_a, W_b, W_c, then one W_k per table
+            ends = np.cumsum([0] + [w.shape[0] for w in (w_a, w_b, w_c, *w_tables)])
+            w0._accumulate_rows(ends[0], gv[first:stop].T @ by_row)
+            w0._accumulate_rows(ends[1], gv[ant_lo:ant_hi].T @ by_ant)
+            w0._accumulate_rows(ends[2], d_w[0])
+            for lo, (t, _), by_t in zip(ends[3:], tables, by_table):
+                w0._accumulate_rows(lo, t.data.T @ by_t)
+        del d_w, by_table, by_tables
         if d_g is not None:
             d_g[first - g_lo:stop - g_lo] += by_row @ w_a.T
             d_g[ant_lo - g_lo:ant_hi - g_lo] += by_ant @ w_b.T
             g._accumulate_rows(g_lo, d_g)
-        del by_row, by_ant, d_g
-        if w0.requires_grad:
-            # w0's gradient, written in place by row ranges: W_a, W_b, W_c,
-            # then one W_k per table
-            d_w0 = np.empty_like(w0.data)
-            ends = np.cumsum([0] + [w.shape[0] for w in (w_a, w_b, w_c, *w_tables)])
-            for lo, hi, part in zip(ends, ends[1:], (d_wa, d_wb, d_w[0])):
-                d_w0[lo:hi] = part
-            del d_wa, d_wb, d_w
-            for lo, hi, (t, _), by_t in zip(ends[3:], ends[4:], tables, by_table):
-                np.matmul(t.data.T, by_t, out=d_w0[lo:hi])
-            w0._accumulate(d_w0)
 
     parents = ((g,) + tuple(p for layer in layers for p in layer)
                + tuple(t for t, _ in tables))

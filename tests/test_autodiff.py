@@ -580,8 +580,8 @@ class TestPairScorer:
         widths = [5, 3, 5]
         rng = ad.named_rng(9, "dropout")
         whole = [rng.random((num_pairs, w)) < 0.7 for w in widths]
-        streams = ad._mask_streams(ad.named_rng(9, "dropout").bit_generator.state,
-                                   widths, num_pairs)
+        pcg = ad.named_rng(9, "dropout").bit_generator.state["state"]
+        streams = ad._mask_streams((pcg["state"], pcg["inc"]), widths, num_pairs)
         for stream, w, want in zip(streams, widths, whole, strict=True):
             tiles = [stream.random((t.stop - t.start, w)) < 0.7
                      for t in ad._tiles(num_pairs)]
@@ -948,6 +948,32 @@ class TestSpanRowsNode:
         mask = ad.named_rng(3, "mask").random((num_spans, 5)) < 0.7
         assert_bits_equal(out.data, np.maximum(z, 0.0) * mask * (1.0 / 0.7))
 
+    def test_backward_allocates_by_the_block(self):
+        """SpanRows.backward makes emb's gradient terms over the block's
+        own tokens and sums them into the gradient emb already holds, so
+        its memory does not grow with the document: the backward of one
+        block of 512 spans over the first 100 tokens rises by less than
+        one (8000 x d) array more over 8000 tokens than over 500: by 0.03
+        of one, and by 2.8 when each term was a (tokens x d) array summed
+        into a new gradient."""
+        dim = 32
+        rises = []
+        for num_tokens in (500, 8000):
+            rng = np.random.default_rng(4)
+            starts = np.sort(rng.integers(0, 100, size=ad.PAIR_BLOCK))
+            ends = np.minimum(starts + rng.integers(0, 6, size=ad.PAIR_BLOCK), 99)
+            rows = ad.SpanRows(*span_inputs(rng, num_tokens, starts, ends, dim=dim), 6)
+            grad = rng.normal(size=rows.shape)
+            rows.backward(grad)   # emb's gradient, which the next sums into
+            tracemalloc.start()
+            try:
+                entry, _ = tracemalloc.get_traced_memory()
+                rows.backward(grad)
+                rises.append(tracemalloc.get_traced_memory()[1] - entry)
+            finally:
+                tracemalloc.stop()
+        assert rises[1] - rises[0] < 8000 * dim * 8
+
     def test_no_grad_builds_no_node(self):
         rng = np.random.default_rng(5)
         rows = self.span_rows(rng, 20)
@@ -1113,6 +1139,80 @@ class TestGraphRelease:
         # a second root over the freed nodes gets no silent zero gradient
         with pytest.raises(RuntimeError, match="already freed"):
             (lse * 2.0).sum().backward()
+
+
+class TestGradientSums:
+    """A tensor sums a new gradient into its old one in place only when it
+    made that array itself. No array is ever written into that an op
+    hands to two parents, that retain_grad() keeps, that was assigned to
+    .grad or read from it, or that clip_global_norm left there."""
+
+    K = np.array([2.0, 3.0, 4.0])
+
+    @staticmethod
+    def loss(terms: list, first: int) -> Tensor:
+        """The sum of terms with terms[first] first: the two orders run
+        the terms' closures in the two orders."""
+        a, b = terms[first], terms[1 - first]
+        return a + b
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_an_array_add_hands_to_both_parents(self, first):
+        a = Tensor(np.ones(3), requires_grad=True)
+        b = Tensor(np.ones(3), requires_grad=True)
+        self.loss([(a + b).sum(), (a * Tensor(self.K)).sum()], first).backward()
+        npt.assert_array_equal(b.grad, np.ones(3))
+        npt.assert_array_equal(a.grad, 1.0 + self.K)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_row_sum_into_an_array_add_hands_to_both_parents(self, first):
+        """A block that sums into some rows of a gradient (a span block's
+        token terms) copies an array it was handed first."""
+        def span_sum(emb, rest):
+            return ad.span_representation(ad.SpanRows(emb, *rest, 4))[0].sum()
+
+        emb, *rest = span_inputs(np.random.default_rng(6), 10, [2, 3], [4, 6])
+        span_sum(emb, rest).backward()
+        alone = emb.grad
+        emb, *rest = span_inputs(np.random.default_rng(6), 10, [2, 3], [4, 6])
+        other = Tensor(np.zeros(emb.shape), requires_grad=True)
+        self.loss([(emb + other).sum(), span_sum(emb, rest)], first).backward()
+        npt.assert_array_equal(other.grad, np.ones(emb.shape))
+        npt.assert_allclose(emb.grad, 1.0 + alone, rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("first", [0, 1])
+    def test_a_retained_gradient(self, first):
+        a = Tensor(np.ones(3), requires_grad=True)
+        y = a + Tensor(np.zeros(3))   # hands y's gradient to a as it is
+        y.retain_grad()
+        self.loss([y.sum(), (a * Tensor(self.K)).sum()], first).backward()
+        npt.assert_array_equal(y.grad, np.ones(3))
+        npt.assert_array_equal(a.grad, 1.0 + self.K)
+
+    def test_an_array_assigned_to_or_read_from_grad(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        for _ in range(2):
+            (a * Tensor(self.K)).sum().backward()   # a sums into its own array
+        given = np.full(3, 5.0)
+        a.grad = given
+        (a * Tensor(self.K)).sum().backward()
+        npt.assert_array_equal(given, np.full(3, 5.0))
+        read = a.grad
+        (a * Tensor(self.K)).sum().backward()
+        npt.assert_array_equal(read, 5.0 + self.K)
+        npt.assert_array_equal(a.grad, 5.0 + 2 * self.K)
+
+    def test_a_clipped_gradient_through_a_later_backward(self):
+        a = Tensor(np.ones(3), requires_grad=True)
+        for _ in range(2):
+            (a * Tensor(self.K)).sum().backward()
+        norm = clip_global_norm([a], 1.0)
+        assert norm == pytest.approx(2 * np.linalg.norm(self.K))
+        clipped = a.grad
+        kept = clipped.copy()
+        (a * Tensor(self.K)).sum().backward()
+        npt.assert_array_equal(clipped, kept)
+        npt.assert_array_equal(a.grad, kept + self.K)
 
 
 class TestNoGrad:

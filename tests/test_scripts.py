@@ -61,7 +61,7 @@ def stage_rows(*args) -> dict[str, tuple]:
 @pytest.mark.parametrize("mode,stages", [
     ("predict", ["coarse_scores", "score_matrix", "decode_antecedents"]),
     ("train", ["score_matrix", "backward", "backward/span_block", "backward/pair_block",
-               "backward/ffnn", "adam_step"]),
+               "backward/ffnn", "backward/kept_spans", "adam_step"]),
 ])
 def test_stage_peaks_prints_entry_peak_and_exit_per_stage(mode, stages):
     rows = stage_rows("--workload", "short-doc", mode)
